@@ -18,16 +18,12 @@ from cdconf import (
     confusion,
     default_primary_spec,
     default_secondary_spec,
-    detect_pair,
     format_table,
     generate,
     metrics,
     normalize_pair,
-    run_conf_rcva,
-    run_deep_magnitude,
-    run_proposed,
-    run_unified,
 )
+from cdconf.baselines import METHODS, run_method
 from cdconf.metrics import aggregate_mean, aggregate_pooled
 
 
@@ -52,18 +48,7 @@ def main(argv=None) -> int:
                          conf_threshold=args.conf_threshold, master_seed=args.seed)
     rcfg = RcvaConfig(window_radius=1)
 
-    methods = {
-        "no selection": None,
-        "threshold distance": lambda a, b: run_deep_magnitude(a, b, f1),
-        "neighborhood vote": lambda a, b: run_conf_rcva(a, b, f1, sm, rcfg,
-                                                        threads=args.threads),
-        "single extractor": lambda a, b: run_unified(a, b, f1, sm,
-                                                     threads=args.threads),
-        "dual extractor": lambda a, b: run_proposed(a, b, f1, f2, sm,
-                                                    threads=args.threads),
-    }
-
-    per_method = {name: [] for name in methods}
+    per_method = {m.title: [] for m in METHODS.values()}
     totals = 0
     for s in range(args.scenes):
         spec = SceneSpec(width=args.size, height=args.size,
@@ -74,15 +59,11 @@ def main(argv=None) -> int:
         x1, x2 = normalize_pair(t1, t2)
         total = ref.changed.size
         totals += total
-        primary = detect_pair(x1, x2, f1)
-        for name, runner in methods.items():
-            if runner is None:
-                per_method[name].append(metrics(confusion(primary.labels, ref), total))
-            else:
-                det = runner(x1, x2)
-                per_method[name].append(
-                    metrics(confusion(det.primary.labels, ref, det.confidence), total)
-                )
+        for m in METHODS.values():
+            det = run_method(m, x1, x2, f1, f2, sm, rcfg, threads=args.threads)
+            per_method[m.title].append(
+                metrics(confusion(det.primary.labels, ref, det.confidence), total)
+            )
         print(f"scene {s} done", file=sys.stderr)
 
     rows = []

@@ -27,7 +27,6 @@ from .dcva import (
 from .errors import (
     ChangeDetectionError,
     DimensionMismatch,
-    DimsMismatch,
     EmptyTapSet,
     InfeasibleFraction,
     InvariantViolation,
@@ -78,7 +77,7 @@ from .smoothing import (
 )
 from .synth import SceneSpec, generate
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ChangeDetectionError",
@@ -88,7 +87,6 @@ __all__ = [
     "ConfidentDetection",
     "ConfusionCounts",
     "DimensionMismatch",
-    "DimsMismatch",
     "EmptyTapSet",
     "EnsembleCounts",
     "ExtractorKind",

@@ -1,27 +1,32 @@
-"""Comparison confidence mechanisms: unified single-extractor smoothing,
-neighborhood-robust band-space re-detection, and threshold-distance selection.
+"""Comparison confidence mechanisms, and the table of every confidence method.
 
-All three emit the same ConfidentDetection bundle as the dual-model pipeline
-so evaluations compare like with like, and all three keep the fusion
-invariant that a confident pixel always carries its primary label.
+The baselines are unified single-extractor smoothing, neighborhood-robust
+band-space re-detection, and threshold-distance selection.  All three emit
+the same ConfidentDetection bundle as the dual-model pipeline so evaluations
+compare like with like, and all three keep the fusion invariant that a
+confident pixel always carries its primary label.
+
+``METHODS`` declares each method once: the voting ones differ only in the
+labeler their noisy ensemble votes with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dcva import MagnitudeMap, detect_pair, otsu_threshold, threshold_labels
+from .dcva import ChangeResult, MagnitudeMap, detect_pair, otsu_threshold, threshold_labels
 from .errors import RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
 from .raster import ConfidenceMap, ConfidenceState, LabelMap, Raster
 from .smoothing import (
     ConfidentDetection,
+    Labeler,
     SmoothingConfig,
-    ensemble_counts_with,
-    fuse_confidence,
-    run_proposed,
+    detector_labeler,
+    run_ensemble,
 )
 
 
@@ -45,7 +50,7 @@ def run_unified(
     threads: int = 1,
 ) -> ConfidentDetection:
     """Smoothing with the primary extractor doing double duty as the secondary."""
-    return run_proposed(x1, x2, f1spec, f1spec, cfg, threads=threads)
+    return run_ensemble(x1, x2, f1spec, detector_labeler(f1spec), cfg, threads=threads)
 
 
 def _directional_min_sq(ref: Raster, cand: Raster, w: int) -> np.ndarray:
@@ -87,7 +92,7 @@ def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     return MagnitudeMap(np.maximum(rho12, rho21).astype(np.float32))
 
 
-def rcva_labeler(rcfg: RcvaConfig):
+def rcva_labeler(rcfg: RcvaConfig) -> Labeler:
     """Binary labeler for ensemble voting: thresholded neighborhood magnitude."""
 
     def labeler(a: Raster, b: Raster) -> LabelMap:
@@ -112,15 +117,10 @@ def run_conf_rcva(
     iteration's labels come from histogram-thresholded neighborhood-robust
     magnitudes on the raw bands instead of a second feature extractor.
     """
-    primary = detect_pair(x1, x2, f1spec)
-    counts = ensemble_counts_with(x1, x2, rcva_labeler(rcfg), cfg, threads=threads)
-    fused = fuse_confidence(primary, counts, cfg.conf_threshold)
-    return ConfidentDetection(primary, counts, fused)
+    return run_ensemble(x1, x2, f1spec, rcva_labeler(rcfg), cfg, threads=threads)
 
 
-def run_deep_magnitude(
-    x1: Raster, x2: Raster, f1spec: ExtractorSpec
-) -> ConfidentDetection:
+def threshold_distance(primary: ChangeResult) -> ConfidenceMap:
     """Confidence from distance to the decision threshold, no ensemble.
 
     rho' = |rho - tau| measures how far each pixel sits from the primary
@@ -128,7 +128,6 @@ def run_deep_magnitude(
     from borderline ones.  Pixels with rho' above that second threshold keep
     their primary label as confident; the rest are not-confident.
     """
-    primary = detect_pair(x1, x2, f1spec)
     rho_prime = MagnitudeMap(
         np.abs(primary.magnitude.rho.astype(np.float64) - primary.tau).astype(np.float32)
     )
@@ -138,4 +137,61 @@ def run_deep_magnitude(
     states = np.full(changed.shape, int(ConfidenceState.NOT_CONFIDENT), dtype=np.uint8)
     states[confident & changed] = int(ConfidenceState.CONFIDENT_CHANGED)
     states[confident & ~changed] = int(ConfidenceState.CONFIDENT_UNCHANGED)
-    return ConfidentDetection(primary, None, ConfidenceMap(states))
+    return ConfidenceMap(states)
+
+
+def run_deep_magnitude(
+    x1: Raster, x2: Raster, f1spec: ExtractorSpec
+) -> ConfidentDetection:
+    """Primary detection with threshold-distance confidence."""
+    primary = detect_pair(x1, x2, f1spec)
+    return ConfidentDetection(primary, None, threshold_distance(primary))
+
+
+@dataclass(frozen=True)
+class ConfidenceMethod:
+    """One confidence method: its CLI name, its row title in method tables,
+    and how it assigns confidence to the primary detection.
+
+    A voting method gives ``labeler``, which builds the voter of the noisy
+    ensemble from (primary spec, secondary spec, RCVA config); ``secondary``
+    says whether it reads the secondary spec.  A method that does not vote
+    may give ``from_primary`` instead: confidence computed from the clean
+    detection alone.  With neither, the method assigns no confidence.
+    """
+
+    name: str
+    title: str
+    labeler: Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig], Labeler] | None = None
+    secondary: bool = False
+    from_primary: Callable[[ChangeResult], ConfidenceMap] | None = None
+
+
+METHODS = {m.name: m for m in (
+    ConfidenceMethod("none", "no selection"),
+    ConfidenceMethod("deep-magnitude", "threshold distance", from_primary=threshold_distance),
+    ConfidenceMethod("conf-rcva", "neighborhood vote", lambda f1, f2, r: rcva_labeler(r)),
+    ConfidenceMethod("unified", "single extractor", lambda f1, f2, r: detector_labeler(f1)),
+    ConfidenceMethod("proposed", "dual extractor", lambda f1, f2, r: detector_labeler(f2),
+                     secondary=True),
+)}
+
+
+def run_method(
+    method: ConfidenceMethod,
+    x1: Raster,
+    x2: Raster,
+    f1spec: ExtractorSpec,
+    f2spec: ExtractorSpec | None,
+    cfg: SmoothingConfig,
+    rcfg: RcvaConfig,
+    *,
+    threads: int = 1,
+) -> ConfidentDetection:
+    """Run one method of ``METHODS`` on a normalized pair."""
+    if method.labeler is not None:
+        labeler = method.labeler(f1spec, f2spec, rcfg)
+        return run_ensemble(x1, x2, f1spec, labeler, cfg, threads=threads)
+    primary = detect_pair(x1, x2, f1spec)
+    conf = None if method.from_primary is None else method.from_primary(primary)
+    return ConfidentDetection(primary, None, conf)

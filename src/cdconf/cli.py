@@ -4,7 +4,8 @@ parameter sweeps, scene synthesis, and map rendering.
 Every detect run drops a run.json capturing the complete configuration
 (method, paths, smoothing parameters, both extractor specs with their derived
 weight seeds); replaying that file reproduces all artifacts byte-for-byte,
-which is the only audit trail an unsupervised pipeline has.
+which is the only audit trail an unsupervised pipeline has.  The methods
+and what each one runs come from ``baselines.METHODS``.
 
 Exit codes: 0 success, 1 a runtime invariant was violated, 2 usage or I/O
 errors (one-line diagnostic on stderr).
@@ -16,26 +17,17 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import (
-    RcvaConfig,
-    rcva_labeler,
-    run_conf_rcva,
-    run_deep_magnitude,
-    run_unified,
-)
+from .baselines import METHODS, RcvaConfig, run_method
 from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
-from .features import (
-    ExtractorKind,
-    ExtractorSpec,
-    default_primary_spec,
-    default_secondary_spec,
-)
+from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from .metrics import (
     MetricsReport,
     aggregate_mean,
@@ -56,17 +48,8 @@ from .raster import (
     render_confidence,
     save_raster,
 )
-from .smoothing import (
-    SmoothingConfig,
-    ensemble_counts,
-    ensemble_counts_with,
-    fuse_confidence,
-    run_proposed,
-)
+from .smoothing import SmoothingConfig, ensemble_counts_with, fuse_confidence
 from .synth import SceneSpec, generate
-
-_METHODS = ("none", "proposed", "unified", "conf-rcva", "deep-magnitude")
-_ENSEMBLE_METHODS = ("proposed", "unified", "conf-rcva")
 
 
 def _canonical_json(obj) -> str:
@@ -81,45 +64,43 @@ def _write_json(path: Path, obj) -> None:
 # run configuration
 
 
-_KIND_NAMES = {
-    ExtractorKind.IDENTITY: "identity",
-    ExtractorKind.RANDOM_CONV: "conv",
-    ExtractorKind.PRECOMPUTED: "precomputed",
-}
-_KINDS_BY_NAME = {v: k for k, v in _KIND_NAMES.items()}
+def _json_fields(pairs) -> dict:
+    return {k: v.value if isinstance(v, Enum) else v for k, v in pairs}
 
 
-def _spec_to_dict(spec: ExtractorSpec | None):
-    if spec is None:
-        return None
-    return {
-        "kind": _KIND_NAMES[spec.kind],
-        "depth": spec.depth,
-        "taps": list(spec.taps),
-        "channels": spec.channels,
-        "kernel_size": spec.kernel_size,
-        "seed": spec.seed,
-        "feature_dir": spec.feature_dir,
-    }
-
-
-def _spec_from_dict(d) -> ExtractorSpec | None:
-    if d is None:
-        return None
-    return ExtractorSpec(
-        kind=_KINDS_BY_NAME[d["kind"]],
-        depth=d["depth"],
-        taps=tuple(d["taps"]),
-        channels=d["channels"],
-        kernel_size=d["kernel_size"],
-        seed=d["seed"],
-        feature_dir=d["feature_dir"],
-    )
+def _decode(hint, value, where: str):
+    """``value`` read from run.json as a ``hint``: a config dataclass, an enum,
+    ``X | None``, ``tuple[int, ...]`` or a scalar.  Anything else is refused."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _decode(args[0], value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise RejectedValue(f"{where}: expected a list, got {value!r}")
+        return tuple(_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(hint):
+        names = {f.name for f in dataclasses.fields(hint)}
+        if not isinstance(value, dict) or value.keys() != names:
+            raise RejectedValue(f"{where}: expected an object with the keys {sorted(names)}")
+        hints = typing.get_type_hints(hint)
+        return hint(**{k: _decode(hints[k], v, f"{where}.{k}") for k, v in value.items()})
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise RejectedValue(f"{where}: unknown {hint.__name__} {value!r}")
+    if type(value) is hint or (hint is float and type(value) is int):
+        return value
+    raise RejectedValue(f"{where}: expected {hint.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one detection run; serialized as run.json."""
+    """Complete description of one detection run; serialized as run.json.
+
+    run.json holds these fields, with each config dataclass as a nested
+    object of its own fields and an extractor kind as its enum value.
+    """
 
     method: str
     t1: str
@@ -128,70 +109,25 @@ class RunConfig:
     f2: ExtractorSpec | None
     smoothing: SmoothingConfig
     rcva: RcvaConfig
-    aggregate: str = "pooled"
 
     def __post_init__(self):
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise RejectedValue(f"unknown method {self.method!r}")
-        if self.aggregate not in ("pooled", "mean"):
-            raise RejectedValue(f"unknown aggregate {self.aggregate!r}")
-        if self.method == "proposed" and self.f2 is None:
-            raise RejectedValue("method 'proposed' needs a secondary extractor")
+        if METHODS[self.method].secondary and self.f2 is None:
+            raise RejectedValue(f"method {self.method!r} needs a secondary extractor")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "t1": self.t1,
-            "t2": self.t2,
-            "sigma": self.smoothing.sigma,
-            "iterations": self.smoothing.iterations,
-            "conf_threshold": self.smoothing.conf_threshold,
-            "seed": self.smoothing.master_seed,
-            "f1": _spec_to_dict(self.f1),
-            "f2": _spec_to_dict(self.f2),
-            "rcva_window": self.rcva.window_radius,
-            "aggregate": self.aggregate,
-        }
+        return dataclasses.asdict(self, dict_factory=_json_fields)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(
-            method=d["method"],
-            t1=d["t1"],
-            t2=d["t2"],
-            f1=_spec_from_dict(d["f1"]),
-            f2=_spec_from_dict(d["f2"]),
-            smoothing=SmoothingConfig(
-                sigma=d["sigma"],
-                iterations=d["iterations"],
-                conf_threshold=d["conf_threshold"],
-                master_seed=d["seed"],
-            ),
-            rcva=RcvaConfig(window_radius=d["rcva_window"]),
-            aggregate=d["aggregate"],
-        )
+    def from_dict(cls, d) -> "RunConfig":
+        return _decode(cls, d, "run.json")
 
 
 def _load_pair(cfg: RunConfig) -> tuple[Raster, Raster]:
     # pooled per-band scaling: a change-shifted band range must not turn into
     # a whole-image radiometric offset between the two acquisitions
     return normalize_pair(load_raster(cfg.t1), load_raster(cfg.t2))
-
-
-def _execute(cfg: RunConfig, threads: int):
-    """Run the configured method; returns (primary, counts | None, confidence | None)."""
-    x1, x2 = _load_pair(cfg)
-    if cfg.method == "none":
-        return detect_pair(x1, x2, cfg.f1), None, None
-    if cfg.method == "proposed":
-        det = run_proposed(x1, x2, cfg.f1, cfg.f2, cfg.smoothing, threads=threads)
-    elif cfg.method == "unified":
-        det = run_unified(x1, x2, cfg.f1, cfg.smoothing, threads=threads)
-    elif cfg.method == "conf-rcva":
-        det = run_conf_rcva(x1, x2, cfg.f1, cfg.smoothing, cfg.rcva, threads=threads)
-    else:
-        det = run_deep_magnitude(x1, x2, cfg.f1)
-    return det.primary, det.counts, det.confidence
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +151,7 @@ def _values(text: str) -> tuple[float, ...]:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t1", help="pre-change raster (CDR/PGM/PPM)")
     p.add_argument("--t2", help="post-change raster")
-    p.add_argument("--method", choices=_METHODS, default=None)
+    p.add_argument("--method", choices=tuple(METHODS), default=None)
     p.add_argument("--sigma", type=float, default=None, help="perturbation std dev")
     p.add_argument("--iterations", type=int, default=None, help="ensemble size K")
     p.add_argument("--conf-threshold", type=float, default=None, help="vote fraction in (0,1]")
@@ -262,24 +198,10 @@ def _config_from_flags(args) -> RunConfig:
         conf_threshold=args.conf_threshold if args.conf_threshold is not None else 1.0,
         master_seed=seed,
     )
-    f1_kw = {}
-    if args.f1_depth is not None:
-        f1_kw["depth"] = args.f1_depth
-    if args.f1_taps is not None:
-        f1_kw["taps"] = args.f1_taps
-    if args.f1_channels is not None:
-        f1_kw["channels"] = args.f1_channels
-    f1 = default_primary_spec(seed, **f1_kw)
+    f1 = default_primary_spec(seed, **_spec_flags(args, "f1"))
     f2 = None
-    if method in ("proposed",):
-        f2_kw = {}
-        if args.f2_depth is not None:
-            f2_kw["depth"] = args.f2_depth
-        if args.f2_taps is not None:
-            f2_kw["taps"] = args.f2_taps
-        if args.f2_channels is not None:
-            f2_kw["channels"] = args.f2_channels
-        f2 = default_secondary_spec(seed, **f2_kw)
+    if METHODS[method].secondary:
+        f2 = default_secondary_spec(seed, **_spec_flags(args, "f2"))
     rcva = RcvaConfig(window_radius=args.rcva_window if args.rcva_window is not None else 1)
     return RunConfig(
         method=method,
@@ -289,8 +211,13 @@ def _config_from_flags(args) -> RunConfig:
         f2=f2,
         smoothing=sm,
         rcva=rcva,
-        aggregate=getattr(args, "aggregate", None) or "pooled",
     )
+
+
+def _spec_flags(args, prefix: str) -> dict:
+    """The extractor fields given on the command line as --<prefix>-<field>."""
+    given = {f: getattr(args, f"{prefix}_{f}") for f in ("depth", "taps", "channels")}
+    return {f: v for f, v in given.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +232,24 @@ def cmd_detect(args) -> int:
                                 "drop " + ", ".join("--" + f.replace("_", "-") for f in given))
         try:
             cfg = RunConfig.from_dict(json.loads(Path(args.replay).read_text()))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, ChangeDetectionError) as exc:
             raise RejectedValue(f"cannot replay {args.replay}: {exc}")
     else:
         cfg = _config_from_flags(args)
-    primary, counts, conf = _execute(cfg, args.threads)
+    x1, x2 = _load_pair(cfg)
+    det = run_method(METHODS[cfg.method], x1, x2, cfg.f1, cfg.f2, cfg.smoothing, cfg.rcva,
+                     threads=args.threads)
+    primary = det.primary
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     render_change(primary.labels, out / "change.pgm")
     save_raster(Raster(primary.magnitude.rho[None, ...]), out / "magnitude.cdr")
     _write_json(out / "tau.json", {"tau": primary.tau})
     _write_json(out / "run.json", cfg.to_dict())
-    if conf is not None:
-        render_confidence(conf, out / "confidence.ppm")
-    if counts is not None:
-        save_raster(Raster(counts.k_prime.astype(np.float32)[None, ...]), out / "counts.cdr")
+    if det.confidence is not None:
+        render_confidence(det.confidence, out / "confidence.ppm")
+    if det.counts is not None:
+        save_raster(Raster(det.counts.k_prime.astype(np.float32)[None, ...]), out / "counts.cdr")
     return 0
 
 
@@ -369,15 +299,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_flags(args)
-    if cfg.method not in _ENSEMBLE_METHODS:
+    method = METHODS[cfg.method]
+    if method.labeler is None:
         raise RejectedValue(f"sweep needs an ensemble method, not {cfg.method!r}")
+    values = args.values
     if args.sweep == "conf-threshold":
-        values = args.values
         for v in values:
             if not 0.0 < v <= 1.0:
                 raise RejectedValue(f"conf-threshold sweep value {v} outside (0, 1]")
     else:
-        values = args.values
         for v in values:
             if v < 0:
                 raise RejectedValue(f"sigma sweep value {v} negative")
@@ -386,13 +316,10 @@ def cmd_sweep(args) -> int:
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
     primary = detect_pair(x1, x2, cfg.f1)
+    labeler = method.labeler(cfg.f1, cfg.f2, cfg.rcva)
 
     def counts_for(sm: SmoothingConfig):
-        if cfg.method == "proposed":
-            return ensemble_counts(x1, x2, cfg.f2, sm, threads=args.threads)
-        if cfg.method == "unified":
-            return ensemble_counts(x1, x2, cfg.f1, sm, threads=args.threads)
-        return ensemble_counts_with(x1, x2, rcva_labeler(cfg.rcva), sm, threads=args.threads)
+        return ensemble_counts_with(x1, x2, labeler, sm, threads=args.threads)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimsMismatch
+from .errors import ShapeMismatch
 from .features import ExtractorSpec, extract, standardize_pair
 from .raster import LabelMap, Raster
 
@@ -60,7 +60,7 @@ class ChangeResult:
 def hypervector(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Per-pixel, per-dim feature difference f2 - f1 (anti-symmetric)."""
     if f1.shape != f2.shape:
-        raise DimsMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
+        raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     return f2 - f1
 
 

@@ -26,11 +26,8 @@ class RejectedValue(ChangeDetectionError):
 
 
 class ShapeMismatch(ChangeDetectionError):
-    """Two gridded inputs do not share the same spatial shape."""
-
-
-class DimsMismatch(ChangeDetectionError):
-    """Two feature stacks do not share the same feature dimensionality."""
+    """Two inputs that must match differ in shape: rasters, label or
+    confidence maps, vote counts, or feature stacks."""
 
 
 class EmptyTapSet(ChangeDetectionError):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimsMismatch, EmptyTapSet, RejectedValue, ShapeMismatch
+from .errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from .raster import Raster, load_raster
 from .rng import ROLE_F1_WEIGHTS, ROLE_F2_WEIGHTS, generator, mix64
 
@@ -177,7 +177,7 @@ def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.nda
     pooled population std is below 1e-12 are zeroed in both outputs.
     """
     if f1.shape != f2.shape:
-        raise DimsMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
+        raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     d = f1.shape[-1]
     pooled = np.concatenate([f1.reshape(-1, d), f2.reshape(-1, d)]).astype(np.float64)
     mu = pooled.mean(axis=0)

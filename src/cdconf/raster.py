@@ -30,6 +30,7 @@ from .errors import (
     IoFailure,
     MalformedHeader,
     RejectedValue,
+    ShapeMismatch,
     UnsupportedFormat,
 )
 
@@ -254,7 +255,7 @@ def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:
     across both rasters maps to 0.5 in each.
     """
     if a.data.shape != b.data.shape:
-        raise DimensionMismatch(f"raster shapes differ: {a.data.shape} vs {b.data.shape}")
+        raise ShapeMismatch(f"raster shapes differ: {a.data.shape} vs {b.data.shape}")
     out_a = np.empty_like(a.data)
     out_b = np.empty_like(b.data)
     for band in range(a.bands):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
 # slack to honor the decimal intent of k_tau * k.
 _KTAU_EPS = 1e-9
 
+# One noisy pair in, binary change labels out: the voter of an ensemble.
+Labeler = Callable[[Raster, Raster], LabelMap]
+
 
 @dataclass(frozen=True)
 class SmoothingConfig:
@@ -43,7 +46,7 @@ class SmoothingConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # NaN too
             raise RejectedValue(f"sigma must be >= 0, got {self.sigma}")
         if self.iterations < 1:
             raise RejectedValue(f"iterations must be >= 1, got {self.iterations}")
@@ -98,25 +101,22 @@ def iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:
 def ensemble_counts_with(
     x1: Raster,
     x2: Raster,
-    labeler: Callable[[Raster, Raster], LabelMap],
+    labeler: Labeler,
     cfg: SmoothingConfig,
     *,
     threads: int = 1,
-    iteration_order: Sequence[int] | None = None,
 ) -> EnsembleCounts:
     """Ensemble scaffolding with a pluggable per-iteration change detector.
 
     Each iteration perturbs both images with independent noise streams
     (correlated noise would cancel in the difference) and calls ``labeler`` on
-    the noisy pair.  ``iteration_order`` reorders execution for
-    order-independence harnesses; the counts are identical for any
-    permutation because the reduction is a commutative integer sum.
+    the noisy pair.  The counts do not depend on the order the iterations
+    run in: iteration k's noise depends only on (master seed, role, k), and
+    the reduction is a commutative integer sum.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
-    order = range(1, cfg.iterations + 1) if iteration_order is None else iteration_order
-    if sorted(order) != list(range(1, cfg.iterations + 1)):
-        raise RejectedValue("iteration_order must permute 1..K")
+    order = range(1, cfg.iterations + 1)
 
     def one(k: int) -> np.ndarray:
         s1, s2 = iteration_seeds(cfg.master_seed, k)
@@ -133,6 +133,12 @@ def ensemble_counts_with(
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
 
+def detector_labeler(spec: ExtractorSpec) -> Labeler:
+    """The full detection chain with ``spec`` (fresh histogram threshold per
+    call), keeping only the labels."""
+    return lambda a, b: detect_pair(a, b, spec).labels
+
+
 def ensemble_counts(
     x1: Raster,
     x2: Raster,
@@ -140,18 +146,10 @@ def ensemble_counts(
     cfg: SmoothingConfig,
     *,
     threads: int = 1,
-    iteration_order: Sequence[int] | None = None,
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
-    changed verdicts per pixel (fresh histogram threshold every iteration)."""
-    return ensemble_counts_with(
-        x1,
-        x2,
-        lambda a, b: detect_pair(a, b, f2spec).labels,
-        cfg,
-        threads=threads,
-        iteration_order=iteration_order,
-    )
+    changed verdicts per pixel."""
+    return ensemble_counts_with(x1, x2, detector_labeler(f2spec), cfg, threads=threads)
 
 
 def fuse_confidence(
@@ -184,12 +182,32 @@ def fuse_confidence(
 class ConfidentDetection:
     """One full run: clean primary detection, vote counts, fused tri-state map.
 
-    counts is None for confidence mechanisms that have no ensemble.
+    counts is None for confidence mechanisms that have no ensemble, and
+    confidence is None for the method that assigns no confidence at all.
     """
 
     primary: ChangeResult
     counts: EnsembleCounts | None
-    confidence: ConfidenceMap
+    confidence: ConfidenceMap | None
+
+
+def run_ensemble(
+    x1: Raster,
+    x2: Raster,
+    f1spec: ExtractorSpec,
+    labeler: Labeler,
+    cfg: SmoothingConfig,
+    *,
+    threads: int = 1,
+) -> ConfidentDetection:
+    """Primary detection on clean inputs, K noisy votes by ``labeler``, fusion.
+
+    Every voting confidence method is this pipeline with its own labeler.
+    """
+    primary = detect_pair(x1, x2, f1spec)
+    counts = ensemble_counts_with(x1, x2, labeler, cfg, threads=threads)
+    fused = fuse_confidence(primary, counts, cfg.conf_threshold)
+    return ConfidentDetection(primary, counts, fused)
 
 
 def run_proposed(
@@ -201,8 +219,5 @@ def run_proposed(
     *,
     threads: int = 1,
 ) -> ConfidentDetection:
-    """Primary detection on clean inputs plus ensemble-fused confidence map."""
-    primary = detect_pair(x1, x2, f1spec)
-    counts = ensemble_counts(x1, x2, f2spec, cfg, threads=threads)
-    fused = fuse_confidence(primary, counts, cfg.conf_threshold)
-    return ConfidentDetection(primary, counts, fused)
+    """Primary detection plus a confidence map voted by the secondary extractor."""
+    return run_ensemble(x1, x2, f1spec, detector_labeler(f2spec), cfg, threads=threads)

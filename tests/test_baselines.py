@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cdconf.baselines import (
+    METHODS,
     RcvaConfig,
     rcva_magnitude,
+    run_method,
     run_conf_rcva,
     run_deep_magnitude,
     run_unified,
@@ -161,6 +163,31 @@ class TestRunConfRcva:
         conf_rcva = run_conf_rcva(x1, x2, _F1, cfg, RcvaConfig(window_radius=1)).confidence
         conf_uni = run_unified(x1, x2, _F1, cfg).confidence
         assert (conf_rcva.states == CU).sum() > (conf_uni.states == CU).sum()
+
+
+class TestMethodTable:
+    def test_each_entry_runs_its_named_pipeline(self):
+        x1, x2 = _pair(12)
+        f2 = ExtractorSpec(depth=1, taps=(1,), channels=6, seed=2)
+        cfg = SmoothingConfig(sigma=0.08, iterations=3, master_seed=5)
+        rcfg = RcvaConfig()
+        named = {
+            "none": None,
+            "deep-magnitude": run_deep_magnitude(x1, x2, _F1),
+            "conf-rcva": run_conf_rcva(x1, x2, _F1, cfg, rcfg),
+            "unified": run_unified(x1, x2, _F1, cfg),
+            "proposed": run_proposed(x1, x2, _F1, f2, cfg),
+        }
+        assert list(METHODS) == list(named)
+        for name, want in named.items():
+            got = run_method(METHODS[name], x1, x2, _F1, f2, cfg, rcfg)
+            if want is None:
+                assert got.counts is None and got.confidence is None
+                continue
+            assert np.array_equal(got.confidence.states, want.confidence.states)
+            assert (got.counts is None) == (want.counts is None)
+            if want.counts is not None:
+                assert np.array_equal(got.counts.k_prime, want.counts.k_prime)
 
 
 class TestRunDeepMagnitude:

@@ -1,11 +1,13 @@
 """End-to-end command-line tests: artifact layout, gating, replay, sweeps."""
 
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cdconf.baselines import METHODS
 from cdconf.cli import main
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
 
@@ -97,16 +99,56 @@ class TestDetect:
         assert "error:" in capsys.readouterr().err
 
 
+def _with(run: dict, *path, value) -> str:
+    """run.json text with the entry at ``path`` set to ``value``."""
+    run = copy.deepcopy(run)
+    inner = run
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return json.dumps(run)
+
+
+def _v010_layout(run: dict) -> str:
+    """The same run as the 0.1.0 layout stored it: flat smoothing fields,
+    the conv kind named "conv", and an aggregate field."""
+    return json.dumps({
+        "method": run["method"], "t1": run["t1"], "t2": run["t2"],
+        "sigma": 0.1, "iterations": 10, "conf_threshold": 1.0, "seed": 0,
+        "f1": {**run["f1"], "kind": "conv"}, "f2": None,
+        "rcva_window": 1, "aggregate": "pooled",
+    })
+
+
+_MALFORMED = {
+    "not-json": lambda run: "{]",
+    "list": lambda run: "[]",
+    "string-extractor": lambda run: _with(run, "f1", value="x"),
+    "unknown-key": lambda run: _with(run, "aggregate", value="pooled"),
+    "unknown-nested-key": lambda run: _with(run, "smoothing", "seed", value=0),
+    "missing-key": lambda run: json.dumps({k: v for k, v in run.items() if k != "rcva"}),
+    "unknown-method": lambda run: _with(run, "method", value="magic"),
+    "unknown-kind": lambda run: _with(run, "f1", "kind", value="conv"),
+    "float-iterations": lambda run: _with(run, "smoothing", "iterations", value=2.5),
+    "nan-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("nan")),
+    "number-path": lambda run: _with(run, "t1", value=5),
+    "v0.1.0-layout": _v010_layout,
+}
+
+
 class TestReplay:
-    def test_byte_identical_and_thread_independent(self, tmp_path):
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_byte_identical_and_thread_independent(self, tmp_path, method):
         s = _synth(tmp_path / "s")
-        d1 = _detect(s, tmp_path / "d1")
+        d1 = _detect(s, tmp_path / "d1", "--method", method)
+        d2 = tmp_path / "d2"
         rc = main(["detect", "--replay", str(d1 / "run.json"),
-                   "--out", str(tmp_path / "d2"), "--threads", "3"])
+                   "--out", str(d2), "--threads", "3"])
         assert rc == 0
-        for name in ("change.pgm", "magnitude.cdr", "tau.json", "run.json",
-                     "confidence.ppm", "counts.cdr"):
-            assert (d1 / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
+        names = sorted(p.name for p in d1.iterdir())
+        assert sorted(p.name for p in d2.iterdir()) == names
+        for name in names:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_replay_refuses_config_flags(self, tmp_path, capsys):
         s = _synth(tmp_path / "s")
@@ -116,10 +158,15 @@ class TestReplay:
         assert rc == 2
         assert "--sigma" in capsys.readouterr().err
 
-    def test_replay_garbage_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_replay_garbage_exits_2(self, tmp_path, capsys, case):
+        s = _synth(tmp_path / "s", size=16)
+        d = _detect(s, tmp_path / "d", "--method", "none")
         bad = tmp_path / "run.json"
-        bad.write_text("{]")
+        bad.write_text(_MALFORMED[case](json.loads((d / "run.json").read_text())))
         assert main(["detect", "--replay", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot replay") and err.count("\n") == 1
 
 
 class TestEvaluate:

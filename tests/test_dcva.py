@@ -14,7 +14,7 @@ from cdconf.dcva import (
     otsu_threshold,
     threshold_labels,
 )
-from cdconf.errors import DimsMismatch
+from cdconf.errors import ShapeMismatch
 from cdconf.features import ExtractorSpec
 from cdconf.raster import Raster
 
@@ -45,7 +45,7 @@ class TestHypervector:
         assert np.array_equal(hypervector(f1, f2), -hypervector(f2, f1))
 
     def test_dims_mismatch(self):
-        with pytest.raises(DimsMismatch):
+        with pytest.raises(ShapeMismatch):
             hypervector(np.zeros((2, 2, 3), np.float32), np.zeros((2, 2, 2), np.float32))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdconf.errors import DimsMismatch, EmptyTapSet, RejectedValue, ShapeMismatch
+from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
@@ -215,5 +215,5 @@ class TestStandardizePair:
         assert not np.all(a[..., 1] == 0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimsMismatch):
+        with pytest.raises(ShapeMismatch):
             standardize_pair(np.zeros((2, 2, 3), np.float32), np.zeros((2, 2, 4), np.float32))

@@ -12,6 +12,7 @@ from cdconf.errors import (
     IoFailure,
     MalformedHeader,
     RejectedValue,
+    ShapeMismatch,
     UnsupportedFormat,
 )
 from cdconf.raster import (
@@ -288,7 +289,7 @@ class TestNormalizePair:
         assert np.array_equal(na.data[:, 2:, 2:], nb.data[:, 2:, 2:])
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             normalize_pair(_raster(np.zeros((1, 2, 2))), _raster(np.zeros((1, 3, 2))))
 
 
