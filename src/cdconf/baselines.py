@@ -155,22 +155,31 @@ class ConfidenceMethod:
 
     A voting method gives ``labeler``, which builds the voter of the noisy
     ensemble from (primary spec, secondary spec, RCVA config); ``secondary``
-    says whether it reads the secondary spec.  A method that does not vote
-    may give ``from_primary`` instead: confidence computed from the clean
-    detection alone.  With neither, the method assigns no confidence.
+    and ``rcva`` say whether it reads the secondary spec and the RCVA config.
+    A method that does not vote may give ``from_primary`` instead: confidence
+    computed from the clean detection alone.  With neither, the method
+    assigns no confidence.
     """
 
     name: str
     title: str
     labeler: Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig], Labeler] | None = None
     secondary: bool = False
+    rcva: bool = False
     from_primary: Callable[[ChangeResult], ConfidenceMap] | None = None
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The configs it reads besides the primary spec: smoothing, f2, rcva."""
+        used = {"smoothing": self.labeler is not None, "f2": self.secondary, "rcva": self.rcva}
+        return tuple(k for k, v in used.items() if v)
 
 
 METHODS = {m.name: m for m in (
     ConfidenceMethod("none", "no selection"),
     ConfidenceMethod("deep-magnitude", "threshold distance", from_primary=threshold_distance),
-    ConfidenceMethod("conf-rcva", "neighborhood vote", lambda f1, f2, r: rcva_labeler(r)),
+    ConfidenceMethod("conf-rcva", "neighborhood vote", lambda f1, f2, r: rcva_labeler(r),
+                     rcva=True),
     ConfidenceMethod("unified", "single extractor", lambda f1, f2, r: detector_labeler(f1)),
     ConfidenceMethod("proposed", "dual extractor", lambda f1, f2, r: detector_labeler(f2),
                      secondary=True),

@@ -7,8 +7,8 @@ weight seeds); replaying that file reproduces all artifacts byte-for-byte,
 which is the only audit trail an unsupervised pipeline has.  The methods
 and what each one runs come from ``baselines.METHODS``.
 
-Exit codes: 0 success, 1 a runtime invariant was violated, 2 usage or I/O
-errors (one-line diagnostic on stderr).
+Exit codes: 0 success, 1 a runtime invariant was violated, 2 usage, I/O or
+out-of-memory errors (one-line diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .metrics import (
     MetricsReport,
     aggregate_mean,
     aggregate_pooled,
-    confusion,
+    evaluate_run,
     format_table,
-    metrics,
 )
 from .raster import (
     Raster,
@@ -166,31 +165,29 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1)
 
 
-_CONFIDENCE_FLAGS = ("sigma", "iterations", "conf_threshold")
-_CONFIG_FLAGS = _CONFIDENCE_FLAGS + (
-    "t1",
-    "t2",
-    "method",
-    "seed",
-    "f1_depth",
-    "f1_taps",
-    "f1_channels",
-    "f2_depth",
-    "f2_taps",
-    "f2_channels",
-    "rcva_window",
+# the flags that set each RunConfig field a method may or may not read
+_FIELD_FLAGS = {
+    "smoothing": ("sigma", "iterations", "conf_threshold"),
+    "f2": ("f2_depth", "f2_taps", "f2_channels"),
+    "rcva": ("rcva_window",),
+}
+_CONFIG_FLAGS = ("t1", "t2", "method", "seed", "f1_depth", "f1_taps", "f1_channels") + tuple(
+    f for flags in _FIELD_FLAGS.values() for f in flags
 )
+
+
+def _flag_list(names) -> str:
+    return ", ".join("--" + f.replace("_", "-") for f in names)
 
 
 def _config_from_flags(args) -> RunConfig:
     if args.t1 is None or args.t2 is None:
         raise RejectedValue("--t1 and --t2 are required")
     method = args.method or "proposed"
-    if method == "none":
-        given = [f for f in _CONFIDENCE_FLAGS if getattr(args, f) is not None]
-        if given:
-            flags = ", ".join("--" + f.replace("_", "-") for f in given)
-            raise RejectedValue(f"method 'none' takes no confidence flags ({flags})")
+    unread = [f for field, flags in _FIELD_FLAGS.items() if field not in METHODS[method].reads
+              for f in flags if getattr(args, f) is not None]
+    if unread:
+        raise RejectedValue(f"method {method!r} does not read {_flag_list(unread)}")
     seed = args.seed if args.seed is not None else 0
     sm = SmoothingConfig(
         sigma=args.sigma if args.sigma is not None else 0.1,
@@ -229,7 +226,7 @@ def cmd_detect(args) -> int:
         given = [f for f in _CONFIG_FLAGS if getattr(args, f) is not None]
         if given:
             raise RejectedValue("--replay takes its configuration from the file; "
-                                "drop " + ", ".join("--" + f.replace("_", "-") for f in given))
+                                "drop " + _flag_list(given))
         try:
             cfg = RunConfig.from_dict(json.loads(Path(args.replay).read_text()))
         except (OSError, ValueError, ChangeDetectionError) as exc:
@@ -253,20 +250,14 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _report_pair(pred_dir: Path, ref_path: str):
-    """(all-pixels report, confident-only report | None, pixel count)."""
+def _load_prediction(pred_dir: Path):
+    """The labels of a detect output dir, and its confidence map if it has one."""
     change = pred_dir / "change.pgm"
     if not change.is_file():
         raise RejectedValue(f"missing prediction artifact {change}")
-    pred = load_label_map(change)
-    ref = load_label_map(ref_path)
-    total = ref.changed.size
-    full = metrics(confusion(pred, ref), total)
     conf_path = pred_dir / "confidence.ppm"
-    if not conf_path.is_file():
-        return full, None, total
-    conf = load_confidence_map(conf_path)
-    return full, metrics(confusion(pred, ref, conf), total), total
+    conf = load_confidence_map(conf_path) if conf_path.is_file() else None
+    return load_label_map(change), conf
 
 
 def cmd_evaluate(args) -> int:
@@ -280,13 +271,15 @@ def cmd_evaluate(args) -> int:
     shown: list[MetricsReport] = []
     totals = 0
     for d, ref in zip(dirs, refs):
-        full, sel, total = _report_pair(d, ref)
+        pred, conf = _load_prediction(d)
+        ref_map = load_label_map(ref)
+        full, sel = evaluate_run(pred, conf, ref_map)
         _write_json(d / "metrics.json", {
             "all_pixels": full.to_dict(),
             "confident": None if sel is None else sel.to_dict(),
         })
         shown.append(sel if sel is not None else full)
-        totals += total
+        totals += ref_map.changed.size
         rows.append((d.name, shown[-1]))
     if len(dirs) > 1:
         if args.aggregate == "mean":
@@ -324,7 +317,6 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shared_counts = counts_for(cfg.smoothing) if args.sweep == "conf-threshold" else None
-    total = ref.changed.size
     curve = []
     for i, v in enumerate(values):
         if args.sweep == "conf-threshold":
@@ -333,7 +325,7 @@ def cmd_sweep(args) -> int:
         else:
             counts = counts_for(dataclasses.replace(cfg.smoothing, sigma=v))
             conf = fuse_confidence(primary, counts, cfg.smoothing.conf_threshold)
-        sel = metrics(confusion(primary.labels, ref, conf), total)
+        _, sel = evaluate_run(primary.labels, conf, ref)
         point = out / f"point_{i:02d}"
         point.mkdir(exist_ok=True)
         render_confidence(conf, point / "confidence.ppm")
@@ -444,6 +436,9 @@ def main(argv=None) -> int:
         return 1
     except (ChangeDetectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -170,22 +170,23 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
 
 
 def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score each feature dimension with moments pooled over BOTH stacks.
+    """Divide each feature dimension of both stacks by its pooled population std.
 
     Pooling keeps the two acquisitions comparable without erasing genuine
-    global change the way per-image standardization would.  Dimensions whose
-    pooled population std is below 1e-12 are zeroed in both outputs.
+    global change the way per-image standardization would.  The pooled mean
+    is not subtracted: the only caller, ``dcva.detect_pair``, differences the
+    two outputs, and a mean shared by both cancels there.  The pooled
+    variance comes from float64 two-pass moments of each stack,
+    (v1 + v2)/2 + ((m1 - m2)/2)^2, exact for two equally sized stacks, so no
+    concatenated or float64 copy of the pair is made.  Dimensions whose pooled
+    std is below 1e-12 are zeroed in both float32 outputs.
     """
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
-    d = f1.shape[-1]
-    pooled = np.concatenate([f1.reshape(-1, d), f2.reshape(-1, d)]).astype(np.float64)
-    mu = pooled.mean(axis=0)
-    sd = pooled.std(axis=0)
-    dead = sd < 1e-12
-    scale = np.where(dead, 1.0, sd)
-    out1 = (f1.astype(np.float64) - mu) / scale
-    out2 = (f2.astype(np.float64) - mu) / scale
-    out1[..., dead] = 0.0
-    out2[..., dead] = 0.0
-    return out1.astype(np.float32), out2.astype(np.float32)
+    axes = tuple(range(f1.ndim - 1))
+    m1, m2 = (f.mean(axis=axes, dtype=np.float64) for f in (f1, f2))
+    v1, v2 = (f.var(axis=axes, dtype=np.float64) for f in (f1, f2))
+    sd = np.sqrt((v1 + v2) / 2 + ((m1 - m2) / 2) ** 2)
+    live = sd >= 1e-12
+    sd = sd.astype(np.float32)
+    return tuple(np.divide(f, sd, out=np.zeros(f.shape, np.float32), where=live) for f in (f1, f2))

@@ -115,18 +115,12 @@ def metrics(c: ConfusionCounts, total_pixels: int) -> MetricsReport:
     )
 
 
-def f1_unchanged_of(report: MetricsReport) -> float:
-    """Unchanged-class F1 recovered from the macro identity."""
-    return 2 * report.f1_macro - report.f1_changed
-
-
-def evaluate_run(result, conf: ConfidenceMap | None, ref: LabelMap):
+def evaluate_run(pred: LabelMap, conf: ConfidenceMap | None, ref: LabelMap):
     """All-pixels report, plus the confident-only report when a map is given.
 
-    ``result`` is a ChangeResult; the pair of reports backs one comparison
-    row: selection-free quality versus quality on the retained pixels.
+    The pair of reports backs one comparison row: selection-free quality
+    versus quality on the retained pixels.
     """
-    pred = result.labels
     total = ref.changed.size
     full = metrics(confusion(pred, ref), total)
     if conf is None:

@@ -7,6 +7,23 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 import numpy as np
 
 
+def zscore_pair_reference(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled z-scores in float64 from the concatenated pair, mean subtracted.
+
+    The textbook formula: mean and population std of each dimension over
+    both stacks together; dimensions with std below 1e-12 are zeroed.
+    """
+    d = f1.shape[-1]
+    pooled = np.concatenate([f1.reshape(-1, d), f2.reshape(-1, d)]).astype(np.float64)
+    mu = pooled.mean(axis=0)
+    sd = pooled.std(axis=0)
+    dead = sd < 1e-12
+    scale = np.where(dead, 1.0, sd)
+    z1 = np.where(dead, 0.0, (f1 - mu) / scale)
+    z2 = np.where(dead, 0.0, (f2 - mu) / scale)
+    return z1, z2
+
+
 def otsu_bin_bruteforce(values: np.ndarray, bins: int = 256) -> int:
     """Between-class-variance argmax by direct per-threshold float64 sweep.
 

@@ -12,10 +12,8 @@ from cdconf.cli import main
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
 
 _SMALL_F1 = ["--f1-depth", "2", "--f1-taps", "1,2", "--f1-channels", "4"]
-_SMALL = [
-    "--iterations", "3", *_SMALL_F1,
-    "--f2-depth", "1", "--f2-taps", "1", "--f2-channels", "4",
-]
+_SMALL_F2 = ["--f2-depth", "1", "--f2-taps", "1", "--f2-channels", "4"]
+_SMALL = ["--iterations", "3", *_SMALL_F1, *_SMALL_F2]
 
 
 def _synth(out: Path, seed=3, size=32) -> Path:
@@ -25,9 +23,19 @@ def _synth(out: Path, seed=3, size=32) -> Path:
     return out
 
 
+def _small_flags(method: str) -> list[str]:
+    """The small-run flags that ``method`` reads; it refuses the others."""
+    flags = list(_SMALL_F1)
+    if METHODS[method].labeler is not None:
+        flags += ["--iterations", "3"]
+    if METHODS[method].secondary:
+        flags += _SMALL_F2
+    return flags
+
+
 def _detect(scene: Path, out: Path, *extra) -> Path:
-    # method none rejects ensemble flags, so it gets the extractor-only set
-    flags = _SMALL_F1 if "none" in extra else _SMALL
+    method = extra[extra.index("--method") + 1] if "--method" in extra else "proposed"
+    flags = _small_flags(method)
     rc = main(["detect", "--t1", str(scene / "t1.cdr"), "--t2", str(scene / "t2.cdr"),
                "--out", str(out), *flags, *extra])
     assert rc == 0
@@ -51,6 +59,17 @@ class TestSynth:
         s = _synth(tmp_path / "s", size=64)
         ref = load_label_map(s / "reference.pgm")
         assert 0.9 * 0.08 <= ref.changed.mean() <= 1.1 * 0.08
+
+
+# (method, flag, value): a flag the method never reads is refused, not stored
+_UNREAD_FLAGS = [
+    *[(m, f, v) for m in ("none", "deep-magnitude")
+      for f, v in (("--sigma", "0.3"), ("--iterations", "99"), ("--conf-threshold", "0.5"))],
+    *[(m, "--f2-channels", "7") for m in ("none", "deep-magnitude", "conf-rcva", "unified")],
+    ("unified", "--f2-depth", "2"),
+    ("conf-rcva", "--f2-taps", "1"),
+    *[(m, "--rcva-window", "3") for m in ("none", "deep-magnitude", "unified", "proposed")],
+]
 
 
 class TestDetect:
@@ -85,12 +104,33 @@ class TestDetect:
         conf = load_confidence_map(d / "confidence.ppm")
         assert conf.states.shape == (32, 32)
 
-    def test_none_rejects_confidence_flags(self, tmp_path, capsys):
-        s = _synth(tmp_path / "s")
+    @pytest.mark.parametrize("method,flag,value", _UNREAD_FLAGS,
+                             ids=[f"{m}{f}" for m, f, _ in _UNREAD_FLAGS])
+    def test_rejects_flags_the_method_does_not_read(self, tmp_path, capsys, method, flag, value):
+        s = _synth(tmp_path / "s", size=16)
         rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
-                   "--out", str(tmp_path / "d"), "--method", "none", "--sigma", "0.2"])
+                   "--out", str(tmp_path / "d"), "--method", method, flag, value])
         assert rc == 2
-        assert "confidence flags" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: method {method!r} does not read {flag}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_conf_rcva_stores_rcva_window(self, tmp_path):
+        s = _synth(tmp_path / "s", size=16)
+        d = _detect(s, tmp_path / "d", "--method", "conf-rcva", "--rcva-window", "2")
+        assert json.loads((d / "run.json").read_text())["rcva"] == {"window_radius": 2}
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def extract(spec, x):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+        monkeypatch.setattr("cdconf.dcva.extract", extract)
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--method", "none"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["detect", "--t1", str(tmp_path / "no.cdr"),
@@ -267,12 +307,14 @@ class TestSweep:
                      "--out", str(tmp_path / "o"),
                      "--sweep", "sigma", "--values", "0.1", *_SMALL]) == 2
 
-    def test_rejects_non_ensemble_method(self, tmp_path):
+    def test_rejects_non_ensemble_method(self, tmp_path, capsys):
         s = _synth(tmp_path / "s")
         assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
                      "--reference", str(s / "reference.pgm"),
                      "--out", str(tmp_path / "o"), "--method", "deep-magnitude",
-                     "--sweep", "conf-threshold", "--values", "1.0,0.9", *_SMALL]) == 2
+                     "--sweep", "conf-threshold", "--values", "1.0,0.9",
+                     *_small_flags("deep-magnitude")]) == 2
+        assert "needs an ensemble method" in capsys.readouterr().err
 
     def test_rejects_out_of_range_threshold(self, tmp_path):
         s = _synth(tmp_path / "s")

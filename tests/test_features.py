@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cdconf.features import (
     standardize_pair,
 )
 from cdconf.raster import Raster, save_raster
+from oracles import zscore_pair_reference
 
 
 def _raster(seed=0, bands=3, h=12, w=10) -> Raster:
@@ -180,21 +183,70 @@ class TestStandardizePair:
         assert np.all(a == 0) and np.all(b == 0)
 
     def test_zscore_arithmetic(self):
-        # one dim, pooled mean 5, population std 2: raw 7 standardizes to 1.0
+        # one dim, pooled mean 5, population std 2: raw 3 and 7 scale to 1.5
+        # and 3.5, a difference of (7 - 3) / 2 = 2.0
         f1 = np.array([[[3.0]], [[3.0]]], dtype=np.float32)
         f2 = np.array([[[7.0]], [[7.0]]], dtype=np.float32)
         a, b = standardize_pair(f1, f2)
-        assert b[0, 0, 0] == pytest.approx(1.0)
-        assert a[0, 0, 0] == pytest.approx(-1.0)
+        assert a.dtype == b.dtype == np.float32
+        assert a[0, 0, 0] == pytest.approx(1.5)
+        assert b[0, 0, 0] == pytest.approx(3.5)
+        assert b[0, 0, 0] - a[0, 0, 0] == pytest.approx(2.0)
 
     def test_pooled_moments_after(self):
         rng = np.random.Generator(np.random.Philox(key=12))
         f1 = rng.normal(3, 5, size=(10, 8, 6)).astype(np.float32)
         f2 = rng.normal(-1, 2, size=(10, 8, 6)).astype(np.float32)
         a, b = standardize_pair(f1, f2)
-        pooled = np.concatenate([a.reshape(-1, 6), b.reshape(-1, 6)])
-        assert np.abs(pooled.mean(axis=0)).max() < 1e-5
-        assert np.abs(pooled.std(axis=0) - 1).max() < 1e-4
+        pooled = np.concatenate([a.reshape(-1, 6), b.reshape(-1, 6)]).astype(np.float64)
+        assert np.abs(pooled.std(axis=0) - 1).max() < 1e-5
+        # each dim is only rescaled, so the difference keeps its direction
+        sd = np.concatenate([f1.reshape(-1, 6), f2.reshape(-1, 6)]).astype(np.float64).std(axis=0)
+        diff = b.astype(np.float64) - a
+        np.testing.assert_allclose(diff, (f2.astype(np.float64) - f1) / sd, rtol=1e-5, atol=1e-6)
+
+    def test_difference_matches_zscore_reference(self):
+        # the pooled mean that the reference subtracts cancels in b - a
+        rng = np.random.Generator(np.random.Philox(key=14))
+        f1 = rng.normal(3, 5, size=(16, 12, 8)).astype(np.float32)
+        f2 = rng.normal(-1, 2, size=(16, 12, 8)).astype(np.float32)
+        f2[..., 3] = f1[..., 3]
+        a, b = standardize_pair(f1, f2)
+        z1, z2 = zscore_pair_reference(f1, f2)
+        ref = z2 - z1
+        diff = b.astype(np.float64) - a
+        assert np.abs(diff - ref).max() <= 1e-6 * np.abs(ref).max()
+
+    def test_constant_non_dyadic_dim_zeroed_at_scale(self):
+        # 0.1 has no exact binary form; a one-pass E[x^2] - mu^2 would leave
+        # a spurious variance here and let the dim through
+        rng = np.random.Generator(np.random.Philox(key=15))
+        f1 = rng.normal(size=(512, 512, 2)).astype(np.float32)
+        f2 = rng.normal(size=(512, 512, 2)).astype(np.float32)
+        f1[..., 0] = f2[..., 0] = np.float32(0.1)
+        a, b = standardize_pair(f1, f2)
+        assert np.all(a[..., 0] == 0) and np.all(b[..., 0] == 0)
+        assert np.all(a[..., 1] != 0)
+
+    def test_dim_constant_at_different_values_kept(self):
+        # a uniform change between the acquisitions is change, not a dead dim
+        f1 = np.full((4, 4, 1), 2.0, dtype=np.float32)
+        f2 = np.full((4, 4, 1), 3.0, dtype=np.float32)
+        a, b = standardize_pair(f1, f2)
+        np.testing.assert_allclose(b - a, 2.0, rtol=1e-6)
+
+    def test_traced_peak_within_three_stacks(self):
+        rng = np.random.Generator(np.random.Philox(key=16))
+        f1 = rng.random(size=(256, 256, 96), dtype=np.float32)
+        f2 = rng.random(size=(256, 256, 96), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = standardize_pair(f1, f2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        assert peak <= 3 * f1.nbytes
 
     def test_idempotent_within_tolerance(self):
         rng = np.random.Generator(np.random.Philox(key=13))

@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdconf.dcva import MagnitudeMap, ChangeResult, threshold_labels
 from cdconf.errors import ShapeMismatch
 from cdconf.metrics import (
     ConfusionCounts,
+    MetricsReport,
     aggregate_mean,
     aggregate_pooled,
     confusion,
     evaluate_run,
-    f1_unchanged_of,
     format_table,
     metrics,
 )
@@ -25,9 +24,9 @@ def _labels(bits) -> LabelMap:
     return LabelMap(np.asarray(bits, dtype=bool))
 
 
-def _result_from(pred: LabelMap) -> ChangeResult:
-    rho = MagnitudeMap(pred.changed.astype(np.float32))
-    return ChangeResult(magnitude=rho, tau=0.5, labels=threshold_labels(rho, 0.5))
+def f1_unchanged_of(report: MetricsReport) -> float:
+    """Unchanged-class F1 recovered from the macro identity."""
+    return 2 * report.f1_macro - report.f1_changed
 
 
 class TestConfusion:
@@ -146,7 +145,7 @@ class TestMetrics:
 class TestEvaluateRun:
     def test_no_confidence_single_report(self):
         pred = _labels([[1, 0], [0, 1]])
-        full, conf_only = evaluate_run(_result_from(pred), None, pred)
+        full, conf_only = evaluate_run(pred, None, pred)
         assert conf_only is None
         assert full.pixel_pct == 100.0
 
@@ -154,7 +153,7 @@ class TestEvaluateRun:
         pred = _labels([[1, 0], [0, 1]])
         ref = _labels([[1, 1], [0, 1]])
         conf = ConfidenceMap(np.zeros((2, 2), dtype=np.uint8))
-        full, conf_only = evaluate_run(_result_from(pred), conf, ref)
+        full, conf_only = evaluate_run(pred, conf, ref)
         assert conf_only is not None
         assert full.to_dict() == conf_only.to_dict()
 
@@ -163,7 +162,7 @@ class TestEvaluateRun:
         ref = _labels([[1, 1], [0, 1]])
         states = np.zeros((2, 2), dtype=np.uint8)
         states[0, 1] = NC
-        _, conf_only = evaluate_run(_result_from(pred), ConfidenceMap(states), ref)
+        _, conf_only = evaluate_run(pred, ConfidenceMap(states), ref)
         assert conf_only.pixel_pct == 75.0
 
 
