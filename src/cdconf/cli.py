@@ -7,8 +7,9 @@ weight seeds); replaying that file reproduces all artifacts byte-for-byte,
 which is the only audit trail an unsupervised pipeline has.  The methods
 and what each one runs come from ``baselines.METHODS``.
 
-Exit codes: 0 success, 1 a runtime invariant was violated, 2 usage, I/O or
-out-of-memory errors (one-line diagnostic on stderr).
+Exit codes: 0 success, 1 a runtime invariant was violated (detect checks its
+result before writing any artifact), 2 usage, I/O or out-of-memory errors
+(one-line diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .raster import (
     render_confidence,
     save_raster,
 )
-from .smoothing import SmoothingConfig, ensemble_counts_with, fuse_confidence
+from .smoothing import SmoothingConfig, check_detection, ensemble_counts_with, fuse_confidence
 from .synth import SceneSpec, generate
 
 
@@ -221,7 +222,13 @@ def _spec_flags(args, prefix: str) -> dict:
 # subcommands
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise RejectedValue(f"--threads must be >= 1, got {args.threads}")
+
+
 def cmd_detect(args) -> int:
+    _check_threads(args)
     if args.replay is not None:
         given = [f for f in _CONFIG_FLAGS if getattr(args, f) is not None]
         if given:
@@ -236,6 +243,7 @@ def cmd_detect(args) -> int:
     x1, x2 = _load_pair(cfg)
     det = run_method(METHODS[cfg.method], x1, x2, cfg.f1, cfg.f2, cfg.smoothing, cfg.rcva,
                      threads=args.threads)
+    check_detection(det)
     primary = det.primary
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -291,6 +299,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_threads(args)
     cfg = _config_from_flags(args)
     method = METHODS[cfg.method]
     if method.labeler is None:

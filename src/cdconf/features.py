@@ -7,7 +7,11 @@ Three extractor kinds:
   drawn once from N(0,1)/sqrt(fan_in), zero bias, rectifier, reflection
   padding keeps spatial size); the channel maps of the tapped layers are
   concatenated per pixel.  Layer indices are 1-based, so taps live in
-  [1, depth] and tapping the last layer is spelled ``depth``.
+  [1, depth] and tapping the last layer is spelled ``depth``.  Each layer
+  is one GEMM per tile of output pixels: in the row-major flattened padded
+  image, the k*k patch entries of consecutive pixels are k*k contiguous
+  slices, so a tile's patch block is filled by plain slice copies and the
+  full-image patch matrix is never built.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
@@ -113,7 +117,11 @@ def default_secondary_spec(master_seed: int = 0, *, depth: int = 3,
 
 @functools.lru_cache(maxsize=64)
 def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
-    """Per-layer im2col weight matrices (channels, c_in*k*k), drawn once per (spec, bands)."""
+    """Per-layer weight matrices (channels, c_in*k*k), drawn once per (spec, bands).
+
+    Columns run over (c, dy, dx) in that order, the order in which
+    ``_conv_relu`` lays out the rows of each patch block.
+    """
     rng = generator(spec.seed)
     k = spec.kernel_size
     mats = []
@@ -126,20 +134,46 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
+# Output pixels per patch block in _conv_relu: a (c_in*k*k, _TILE) float32
+# block stays small while each GEMM is still wide enough to run at speed.
+_TILE = 4096
+
+
 def _conv_relu(stack: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """One convolution + rectifier layer on a (c_in, h, w) stack via im2col."""
-    _, h, w = stack.shape
+    """One convolution + rectifier layer on a (c_in, h, w) stack.
+
+    The reflection-padded stack is viewed as ``flat`` of shape (c_in, hp*wp).
+    Output pixel (y, x) sits at column p = y*wp + x of a (c_out, h*wp) result,
+    and its patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the
+    patches of a run of consecutive p are k*k contiguous slices of ``flat``.
+    Columns are walked in tiles of ``_TILE``: each tile fills one reusable
+    (c_in, k, k, tile) block, runs one GEMM into its result columns and
+    rectifies them.  The last wp - w columns of each row wrap around the
+    padded border and are dropped from the returned (c_out, h, w) view.
+    """
+    c_in, h, w = stack.shape
     pad = k // 2
     if pad and min(h, w) <= pad:
         raise ShapeMismatch(
             f"image {h}x{w} too small for reflection padding of a {k}x{k} kernel"
         )
     padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else stack
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))
-    patches = windows.transpose(1, 2, 0, 3, 4).reshape(h * w, -1)
-    out = patches @ weights.T
-    np.maximum(out, 0.0, out=out)
-    return out.reshape(h, w, -1).transpose(2, 0, 1)
+    wp = w + 2 * pad
+    flat = padded.reshape(c_in, -1)
+    n = (h - 1) * wp + w
+    out = np.empty((weights.shape[0], h * wp), np.float32)
+    block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
+    rows = block.reshape(c_in * k * k, -1)
+    for p0 in range(0, n, _TILE):
+        m = min(_TILE, n - p0)
+        for dy in range(k):
+            for dx in range(k):
+                s = p0 + dy * wp + dx
+                block[:, dy, dx, :m] = flat[:, s:s + m]
+        tile = out[:, p0:p0 + m]
+        np.matmul(weights, rows[:, :m], out=tile)
+        np.maximum(tile, 0.0, out=tile)
+    return out.reshape(-1, h, wp)[:, :, :w]
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
@@ -160,13 +194,14 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
             layers.append(r.data)
         return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
     weights = _conv_weights(spec, x.bands)
+    features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
     stack = x.data
-    tapped = []
     for layer_idx, w in enumerate(weights, start=1):
         stack = _conv_relu(stack, w, spec.kernel_size)
         if layer_idx in spec.taps:
-            tapped.append(stack)
-    return np.ascontiguousarray(np.concatenate(tapped, axis=0).transpose(1, 2, 0))
+            d = spec.taps.index(layer_idx) * spec.channels
+            features[:, :, d:d + spec.channels] = stack.transpose(1, 2, 0)
+    return features
 
 
 def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .dcva import ChangeResult, detect_pair
-from .errors import RejectedValue, ShapeMismatch
+from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
 from .raster import ConfidenceMap, ConfidenceState, LabelMap, Raster
 from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
@@ -189,6 +189,25 @@ class ConfidentDetection:
     primary: ChangeResult
     counts: EnsembleCounts | None
     confidence: ConfidenceMap | None
+
+
+def check_detection(det: ConfidentDetection) -> None:
+    """Raise InvariantViolation unless ``det`` keeps the pipeline's invariants:
+    the labels are exactly rho > tau, every confident pixel carries its
+    primary label, and each vote count lies in [0, K]."""
+    primary = det.primary
+    changed = primary.labels.changed
+    if not np.array_equal(changed, primary.magnitude.rho > np.float64(primary.tau)):
+        raise InvariantViolation("primary labels differ from magnitude > tau")
+    if det.confidence is not None:
+        states = det.confidence.states
+        if ((states == ConfidenceState.CONFIDENT_CHANGED) & ~changed).any() or (
+                (states == ConfidenceState.CONFIDENT_UNCHANGED) & changed).any():
+            raise InvariantViolation("a confident pixel does not carry its primary label")
+    if det.counts is not None:
+        k_prime = det.counts.k_prime
+        if k_prime.min() < 0 or k_prime.max() > det.counts.k:
+            raise InvariantViolation(f"vote counts outside [0, {det.counts.k}]")
 
 
 def run_ensemble(

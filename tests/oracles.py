@@ -24,6 +24,25 @@ def zscore_pair_reference(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, n
     return z1, z2
 
 
+def conv_relu_reference(stack: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """One convolution + rectifier layer in float64 by a sum over kernel offsets.
+
+    ``weights`` is a (c_out, c_in*k*k) matrix with columns in (c, dy, dx)
+    order.  For each offset (dy, dx) the shifted window of the
+    reflect-padded stack is weighted by its (c_out, c_in) slice and added.
+    """
+    c_in, h, w = stack.shape
+    pad = k // 2
+    padded = np.pad(stack.astype(np.float64), ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    wk = weights.astype(np.float64).reshape(-1, c_in, k, k)
+    out = np.zeros((wk.shape[0], h, w))
+    for dy in range(k):
+        for dx in range(k):
+            window = padded[:, dy:dy + h, dx:dx + w]
+            out += np.tensordot(wk[:, :, dy, dx], window, axes=(1, 0))
+    return np.maximum(out, 0.0)
+
+
 def otsu_bin_bruteforce(values: np.ndarray, bins: int = 256) -> int:
     """Between-class-variance argmax by direct per-threshold float64 sweep.
 

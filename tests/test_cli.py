@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdconf.cli
 from cdconf.baselines import METHODS
 from cdconf.cli import main
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
@@ -131,6 +132,31 @@ class TestDetect:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_rejects_threads_below_one(self, tmp_path, capsys, threads):
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_broken_invariant_exits_1_before_writing(self, tmp_path, capsys, monkeypatch):
+        real_run_method = cdconf.cli.run_method
+
+        def run_method(*args, **kwargs):
+            det = real_run_method(*args, **kwargs)
+            det.primary.labels.changed[:] = ~det.primary.labels.changed
+            return det
+
+        monkeypatch.setattr("cdconf.cli.run_method", run_method)
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), *_small_flags("proposed")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: primary labels differ from magnitude > tau\n"
+        assert not (tmp_path / "d").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["detect", "--t1", str(tmp_path / "no.cdr"),
@@ -315,6 +341,15 @@ class TestSweep:
                      "--sweep", "conf-threshold", "--values", "1.0,0.9",
                      *_small_flags("deep-magnitude")]) == 2
         assert "needs an ensemble method" in capsys.readouterr().err
+
+    def test_rejects_threads_below_one(self, tmp_path, capsys):
+        s = _synth(tmp_path / "s", size=16)
+        assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                     "--reference", str(s / "reference.pgm"),
+                     "--out", str(tmp_path / "o"), "--threads", "-5",
+                     "--sweep", "sigma", "--values", "0.05,0.25", *_SMALL]) == 2
+        assert capsys.readouterr().err == "error: --threads must be >= 1, got -5\n"
+        assert not (tmp_path / "o").exists()
 
     def test_rejects_out_of_range_threshold(self, tmp_path):
         s = _synth(tmp_path / "s")

@@ -9,13 +9,14 @@ from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
+    _conv_weights,
     default_primary_spec,
     default_secondary_spec,
     extract,
     standardize_pair,
 )
 from cdconf.raster import Raster, save_raster
-from oracles import zscore_pair_reference
+from oracles import conv_relu_reference, zscore_pair_reference
 
 
 def _raster(seed=0, bands=3, h=12, w=10) -> Raster:
@@ -118,6 +119,34 @@ class TestRandomConv:
         r = _raster(h=1, w=5)
         with pytest.raises(ShapeMismatch):
             extract(ExtractorSpec(depth=1, taps=(1,), kernel_size=3), r)
+
+    # 96x101 spans three blocks of 4096 output columns, the last one partial
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("h,w", [(37, 53), (96, 101)])
+    def test_matches_float64_conv_reference(self, k, h, w):
+        x = _raster(seed=k, bands=4, h=h, w=w)
+        s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
+        stack, tapped = x.data, []
+        for layer_idx, weights in enumerate(_conv_weights(s, x.bands), start=1):
+            stack = conv_relu_reference(stack, weights, k)
+            if layer_idx in s.taps:
+                tapped.append(stack)
+        ref = np.concatenate(tapped).transpose(1, 2, 0)
+        f = extract(s, x)
+        assert f.shape == ref.shape
+        assert np.abs(f - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_traced_peak_within_three_and_a_half_outputs(self):
+        s = default_secondary_spec(0)
+        x = _raster(seed=17, bands=4, h=256, w=256)
+        _conv_weights(s, x.bands)
+        tracemalloc.start()
+        try:
+            f = extract(s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * f.nbytes
 
     @settings(max_examples=20, deadline=None)
     @given(

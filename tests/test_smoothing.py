@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdconf.dcva import ChangeResult, MagnitudeMap, threshold_labels
-from cdconf.errors import RejectedValue, ShapeMismatch
+from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec
 from cdconf.raster import ConfidenceState, Raster
 from cdconf.smoothing import (
+    ConfidentDetection,
     EnsembleCounts,
     SmoothingConfig,
+    check_detection,
     ensemble_counts,
     fuse_confidence,
     iteration_seeds,
@@ -247,3 +249,39 @@ class TestRunProposed:
         b = run_proposed(x1, x2, f1, _F2, cfg, threads=3)
         assert np.array_equal(a.confidence.states, b.confidence.states)
         assert np.array_equal(a.counts.k_prime, b.counts.k_prime)
+
+
+def _checked_detection() -> ConfidentDetection:
+    """A 2x3 detection that keeps every invariant: K = 3, full agreement needed."""
+    rho = MagnitudeMap(np.array([[0.5, 2.0, 3.0], [0.1, 1.5, 0.2]], np.float32))
+    primary = ChangeResult(magnitude=rho, tau=1.0, labels=threshold_labels(rho, 1.0))
+    counts = EnsembleCounts(np.array([[0, 3, 2], [1, 3, 0]], np.int32), 3)
+    return ConfidentDetection(primary, counts, fuse_confidence(primary, counts, 1.0))
+
+
+class TestCheckDetection:
+    def test_intact_detection_passes(self):
+        det = _checked_detection()
+        assert set(det.confidence.states.ravel()) == {CC, CU, NC}
+        check_detection(det)
+        check_detection(ConfidentDetection(det.primary, None, None))
+
+    def test_labels_not_rho_above_tau(self):
+        det = _checked_detection()
+        det.primary.labels.changed[0, 0] = True
+        with pytest.raises(InvariantViolation, match="magnitude > tau"):
+            check_detection(det)
+
+    @pytest.mark.parametrize("pixel,state", [((0, 0), CC), ((0, 1), CU)])
+    def test_confident_pixel_against_primary_label(self, pixel, state):
+        det = _checked_detection()
+        det.confidence.states[pixel] = state
+        with pytest.raises(InvariantViolation, match="primary label"):
+            check_detection(det)
+
+    @pytest.mark.parametrize("value", [-1, 4])
+    def test_count_outside_zero_to_k(self, value):
+        det = _checked_detection()
+        det.counts.k_prime[1, 0] = value
+        with pytest.raises(InvariantViolation, match=r"outside \[0, 3\]"):
+            check_detection(det)
