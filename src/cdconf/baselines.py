@@ -58,16 +58,16 @@ def _directional_min_sq(ref: Raster, cand: Raster, w: int) -> np.ndarray:
 
     Implemented as a loop over window offsets with slice arithmetic; each
     offset updates the running minimum on the sub-rectangle where the offset
-    stays in bounds, which truncates border neighborhoods for free.
+    stays in bounds, which truncates border neighborhoods for free.  Offsets
+    past the image edge touch no pixel, so the loop stops at h-1 and wd-1.
     """
     _, h, wd = ref.data.shape
     best = np.full((h, wd), np.inf)
-    for dy in range(-w, w + 1):
-        for dx in range(-w, w + 1):
+    ry, rx = min(w, h - 1), min(w, wd - 1)
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             y0, y1 = max(0, -dy), min(h, h - dy)
             x0, x1 = max(0, -dx), min(wd, wd - dx)
-            if y0 >= y1 or x0 >= x1:
-                continue
             diff = cand.data[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx] - ref.data[:, y0:y1, x0:x1]
             d2 = np.sum(diff.astype(np.float64) ** 2, axis=0)
             region = best[y0:y1, x0:x1]

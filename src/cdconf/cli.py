@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import METHODS, RcvaConfig, run_method
-from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
 from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from .metrics import (
@@ -48,7 +47,7 @@ from .raster import (
     render_confidence,
     save_raster,
 )
-from .smoothing import SmoothingConfig, check_detection, ensemble_counts_with, fuse_confidence
+from .smoothing import SmoothingConfig, check_detection, fuse_confidence
 from .synth import SceneSpec, generate
 
 
@@ -190,31 +189,27 @@ def _config_from_flags(args) -> RunConfig:
     if unread:
         raise RejectedValue(f"method {method!r} does not read {_flag_list(unread)}")
     seed = args.seed if args.seed is not None else 0
-    sm = SmoothingConfig(
-        sigma=args.sigma if args.sigma is not None else 0.1,
-        iterations=args.iterations if args.iterations is not None else 10,
-        conf_threshold=args.conf_threshold if args.conf_threshold is not None else 1.0,
-        master_seed=seed,
-    )
-    f1 = default_primary_spec(seed, **_spec_flags(args, "f1"))
     f2 = None
     if METHODS[method].secondary:
-        f2 = default_secondary_spec(seed, **_spec_flags(args, "f2"))
-    rcva = RcvaConfig(window_radius=args.rcva_window if args.rcva_window is not None else 1)
+        f2 = default_secondary_spec(seed, **_given(args, _SPEC_FIELDS, "f2_"))
     return RunConfig(
         method=method,
         t1=str(Path(args.t1).resolve()),
         t2=str(Path(args.t2).resolve()),
-        f1=f1,
+        f1=default_primary_spec(seed, **_given(args, _SPEC_FIELDS, "f1_")),
         f2=f2,
-        smoothing=sm,
-        rcva=rcva,
+        smoothing=SmoothingConfig(master_seed=seed, **_given(args, _FIELD_FLAGS["smoothing"])),
+        rcva=RcvaConfig() if args.rcva_window is None else RcvaConfig(args.rcva_window),
     )
 
 
-def _spec_flags(args, prefix: str) -> dict:
-    """The extractor fields given on the command line as --<prefix>-<field>."""
-    given = {f: getattr(args, f"{prefix}_{f}") for f in ("depth", "taps", "channels")}
+_SPEC_FIELDS = ("depth", "taps", "channels")
+
+
+def _given(args, fields, prefix: str = "") -> dict:
+    """The config fields given on the command line as --<prefix><field>; the
+    config dataclasses hold the defaults of the rest."""
+    given = {f: getattr(args, prefix + f) for f in fields}
     return {f: v for f, v in given.items() if v is not None}
 
 
@@ -302,43 +297,32 @@ def cmd_sweep(args) -> int:
     _check_threads(args)
     cfg = _config_from_flags(args)
     method = METHODS[cfg.method]
-    if method.labeler is None:
+    if "smoothing" not in method.reads:
         raise RejectedValue(f"sweep needs an ensemble method, not {cfg.method!r}")
-    values = args.values
-    if args.sweep == "conf-threshold":
-        for v in values:
-            if not 0.0 < v <= 1.0:
-                raise RejectedValue(f"conf-threshold sweep value {v} outside (0, 1]")
-    else:
-        for v in values:
-            if v < 0:
-                raise RejectedValue(f"sigma sweep value {v} negative")
-    if len(values) < 2:
+    if len(args.values) < 2:
         raise RejectedValue("sweep needs at least two values")
+    field = args.sweep.replace("-", "_")
+    # the dataclass refuses every bad value before anything is written
+    points = [dataclasses.replace(cfg.smoothing, **{field: v}) for v in args.values]
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
-    primary = detect_pair(x1, x2, cfg.f1)
-    labeler = method.labeler(cfg.f1, cfg.f2, cfg.rcva)
 
-    def counts_for(sm: SmoothingConfig):
-        return ensemble_counts_with(x1, x2, labeler, sm, threads=args.threads)
+    def run(sm: SmoothingConfig):
+        return run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads)
 
+    # a conf-threshold sweep re-fuses one ensemble; a sigma sweep re-votes per point
+    shared = run(cfg.smoothing) if args.sweep == "conf-threshold" else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    shared_counts = counts_for(cfg.smoothing) if args.sweep == "conf-threshold" else None
     curve = []
-    for i, v in enumerate(values):
-        if args.sweep == "conf-threshold":
-            counts = shared_counts
-            conf = fuse_confidence(primary, counts, v)
-        else:
-            counts = counts_for(dataclasses.replace(cfg.smoothing, sigma=v))
-            conf = fuse_confidence(primary, counts, cfg.smoothing.conf_threshold)
-        _, sel = evaluate_run(primary.labels, conf, ref)
+    for i, (v, sm) in enumerate(zip(args.values, points)):
+        det = shared if shared is not None else run(sm)
+        conf = fuse_confidence(det.primary, det.counts, sm.conf_threshold)
+        _, sel = evaluate_run(det.primary.labels, conf, ref)
         point = out / f"point_{i:02d}"
         point.mkdir(exist_ok=True)
         render_confidence(conf, point / "confidence.ppm")
-        save_raster(Raster(counts.k_prime.astype(np.float32)[None, ...]), point / "counts.cdr")
+        save_raster(Raster(det.counts.k_prime.astype(np.float32)[None, ...]), point / "counts.cdr")
         _write_json(point / "metrics.json", {"value": v, "confident": sel.to_dict()})
         curve.append((v, sel.f1_macro, sel.pixel_pct))
     lines = ["value,f1_macro,pixel_pct"]

@@ -235,15 +235,7 @@ def normalize_bands(r: Raster) -> Raster:
     centered instead of dividing by zero.  Idempotent: normalizing twice is
     bit-identical to normalizing once.
     """
-    out = np.empty_like(r.data)
-    for b in range(r.bands):
-        band = r.data[b].astype(np.float64)
-        lo, hi = band.min(), band.max()
-        if hi > lo:
-            out[b] = ((band - lo) / (hi - lo)).astype(np.float32)
-        else:
-            out[b] = np.float32(0.5)
-    return Raster(out)
+    return normalize_pair(r, r)[0]
 
 
 def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:

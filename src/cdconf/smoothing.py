@@ -15,6 +15,7 @@ commutative integer sum.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -46,8 +47,8 @@ class SmoothingConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 0:  # NaN too
-            raise RejectedValue(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # NaN too
+            raise RejectedValue(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.iterations < 1:
             raise RejectedValue(f"iterations must be >= 1, got {self.iterations}")
         if not 0 < self.conf_threshold <= 1:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ class TestRcvaMagnitude:
             cur = rcva_magnitude(x1, x2, RcvaConfig(window_radius=w)).rho
             assert np.all(cur <= prev + 1e-7)
             prev = cur
+
+    def test_window_past_the_image_is_clamped(self):
+        # on an 8x8 raster every offset beyond 7 touches no pixel
+        x1, x2 = _scene(6, h=8, w=8), _scene(7, h=8, w=8)
+        want = rcva_magnitude(x1, x2, RcvaConfig(window_radius=7)).rho
+        start = time.perf_counter()
+        rho = rcva_magnitude(x1, x2, RcvaConfig(window_radius=10**6)).rho
+        assert time.perf_counter() - start < 1.0
+        assert np.array_equal(rho, want)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

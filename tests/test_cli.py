@@ -142,6 +142,16 @@ class TestDetect:
         assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_rejects_non_finite_sigma(self, tmp_path, capsys, sigma):
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--sigma", sigma])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sigma must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
     def test_broken_invariant_exits_1_before_writing(self, tmp_path, capsys, monkeypatch):
         real_run_method = cdconf.cli.run_method
 
@@ -197,6 +207,7 @@ _MALFORMED = {
     "unknown-kind": lambda run: _with(run, "f1", "kind", value="conv"),
     "float-iterations": lambda run: _with(run, "smoothing", "iterations", value=2.5),
     "nan-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("nan")),
+    "inf-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("inf")),
     "number-path": lambda run: _with(run, "t1", value=5),
     "v0.1.0-layout": _v010_layout,
 }
@@ -349,6 +360,16 @@ class TestSweep:
                      "--out", str(tmp_path / "o"), "--threads", "-5",
                      "--sweep", "sigma", "--values", "0.05,0.25", *_SMALL]) == 2
         assert capsys.readouterr().err == "error: --threads must be >= 1, got -5\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sweep,values", [
+        ("sigma", "0.05,nan"), ("sigma", "0.05,inf"), ("conf-threshold", "1.0,nan")])
+    def test_refused_value_writes_nothing(self, tmp_path, capsys, sweep, values):
+        s = _synth(tmp_path / "s", size=16)
+        assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                     "--reference", str(s / "reference.pgm"), "--out", str(tmp_path / "o"),
+                     "--sweep", sweep, "--values", values, *_SMALL]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_rejects_out_of_range_threshold(self, tmp_path):

@@ -53,6 +53,11 @@ class TestConfigValidation:
         with pytest.raises(RejectedValue):
             SmoothingConfig(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(RejectedValue):
+            SmoothingConfig(sigma=sigma)
+
     def test_bad_iterations(self):
         with pytest.raises(RejectedValue):
             SmoothingConfig(iterations=0)
