@@ -196,11 +196,14 @@ def run_method(
     rcfg: RcvaConfig,
     *,
     threads: int = 1,
+    primary: ChangeResult | None = None,
 ) -> ConfidentDetection:
-    """Run one method of ``METHODS`` on a normalized pair."""
+    """Run one method of ``METHODS`` on a normalized pair; ``primary``, if
+    given, is the clean detection of the pair by f1spec."""
+    if primary is None:
+        primary = detect_pair(x1, x2, f1spec)
     if method.labeler is not None:
         labeler = method.labeler(f1spec, f2spec, rcfg)
-        return run_ensemble(x1, x2, f1spec, labeler, cfg, threads=threads)
-    primary = detect_pair(x1, x2, f1spec)
+        return run_ensemble(x1, x2, f1spec, labeler, cfg, threads=threads, primary=primary)
     conf = None if method.from_primary is None else method.from_primary(primary)
     return ConfidentDetection(primary, None, conf)

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import METHODS, RcvaConfig, run_method
+from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
 from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from .metrics import (
@@ -165,14 +166,16 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1)
 
 
-# the flags that set each RunConfig field a method may or may not read
-_FIELD_FLAGS = {
-    "smoothing": ("sigma", "iterations", "conf_threshold"),
-    "f2": ("f2_depth", "f2_taps", "f2_channels"),
-    "rcva": ("rcva_window",),
+# the flag that sets each field of each config; every method reads f1, and
+# the others only if they are in its ``reads``
+_FLAGS = {
+    "f1": {"depth": "f1_depth", "taps": "f1_taps", "channels": "f1_channels"},
+    "smoothing": {"sigma": "sigma", "iterations": "iterations", "conf_threshold": "conf_threshold"},
+    "f2": {"depth": "f2_depth", "taps": "f2_taps", "channels": "f2_channels"},
+    "rcva": {"window_radius": "rcva_window"},
 }
-_CONFIG_FLAGS = ("t1", "t2", "method", "seed", "f1_depth", "f1_taps", "f1_channels") + tuple(
-    f for flags in _FIELD_FLAGS.values() for f in flags
+_CONFIG_FLAGS = ("t1", "t2", "method", "seed") + tuple(
+    flag for flags in _FLAGS.values() for flag in flags.values()
 )
 
 
@@ -184,33 +187,30 @@ def _config_from_flags(args) -> RunConfig:
     if args.t1 is None or args.t2 is None:
         raise RejectedValue("--t1 and --t2 are required")
     method = args.method or "proposed"
-    unread = [f for field, flags in _FIELD_FLAGS.items() if field not in METHODS[method].reads
-              for f in flags if getattr(args, f) is not None]
+    unread = [f for config, flags in _FLAGS.items() if config not in ("f1", *METHODS[method].reads)
+              for f in flags.values() if getattr(args, f) is not None]
     if unread:
         raise RejectedValue(f"method {method!r} does not read {_flag_list(unread)}")
     seed = args.seed if args.seed is not None else 0
     f2 = None
     if METHODS[method].secondary:
-        f2 = default_secondary_spec(seed, **_given(args, _SPEC_FIELDS, "f2_"))
+        f2 = default_secondary_spec(seed, **_given(args, "f2"))
     return RunConfig(
         method=method,
         t1=str(Path(args.t1).resolve()),
         t2=str(Path(args.t2).resolve()),
-        f1=default_primary_spec(seed, **_given(args, _SPEC_FIELDS, "f1_")),
+        f1=default_primary_spec(seed, **_given(args, "f1")),
         f2=f2,
-        smoothing=SmoothingConfig(master_seed=seed, **_given(args, _FIELD_FLAGS["smoothing"])),
-        rcva=RcvaConfig() if args.rcva_window is None else RcvaConfig(args.rcva_window),
+        smoothing=SmoothingConfig(master_seed=seed, **_given(args, "smoothing")),
+        rcva=RcvaConfig(**_given(args, "rcva")),
     )
 
 
-_SPEC_FIELDS = ("depth", "taps", "channels")
-
-
-def _given(args, fields, prefix: str = "") -> dict:
-    """The config fields given on the command line as --<prefix><field>; the
-    config dataclasses hold the defaults of the rest."""
-    given = {f: getattr(args, prefix + f) for f in fields}
-    return {f: v for f, v in given.items() if v is not None}
+def _given(args, config: str) -> dict:
+    """The fields of ``config`` given on the command line; the config
+    dataclasses hold the defaults of the rest."""
+    given = {field: getattr(args, flag) for field, flag in _FLAGS[config].items()}
+    return {field: v for field, v in given.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +306,29 @@ def cmd_sweep(args) -> int:
     points = [dataclasses.replace(cfg.smoothing, **{field: v}) for v in args.values]
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
+    # every point shares the clean primary detection
+    primary = detect_pair(x1, x2, cfg.f1)
 
     def run(sm: SmoothingConfig):
-        return run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads)
+        det = run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads,
+                         primary=primary)
+        return det.counts, det.confidence
 
     # a conf-threshold sweep re-fuses one ensemble; a sigma sweep re-votes per point
-    shared = run(cfg.smoothing) if args.sweep == "conf-threshold" else None
+    if args.sweep == "conf-threshold":
+        counts = run(cfg.smoothing)[0]
+        results = ((counts, fuse_confidence(primary, counts, sm.conf_threshold)) for sm in points)
+    else:
+        results = (run(sm) for sm in points)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     curve = []
-    for i, (v, sm) in enumerate(zip(args.values, points)):
-        det = shared if shared is not None else run(sm)
-        conf = fuse_confidence(det.primary, det.counts, sm.conf_threshold)
-        _, sel = evaluate_run(det.primary.labels, conf, ref)
+    for i, (v, (counts, conf)) in enumerate(zip(args.values, results)):
+        _, sel = evaluate_run(primary.labels, conf, ref)
         point = out / f"point_{i:02d}"
         point.mkdir(exist_ok=True)
         render_confidence(conf, point / "confidence.ppm")
-        save_raster(Raster(det.counts.k_prime.astype(np.float32)[None, ...]), point / "counts.cdr")
+        save_raster(Raster(counts.k_prime.astype(np.float32)[None, ...]), point / "counts.cdr")
         _write_json(point / "metrics.json", {"value": v, "confident": sel.to_dict()})
         curve.append((v, sel.f1_macro, sel.pixel_pct))
     lines = ["value,f1_macro,pixel_pct"]

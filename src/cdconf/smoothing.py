@@ -219,12 +219,16 @@ def run_ensemble(
     cfg: SmoothingConfig,
     *,
     threads: int = 1,
+    primary: ChangeResult | None = None,
 ) -> ConfidentDetection:
     """Primary detection on clean inputs, K noisy votes by ``labeler``, fusion.
 
     Every voting confidence method is this pipeline with its own labeler.
+    A caller that already holds the clean detection of (x1, x2) by f1spec
+    passes it as ``primary``, and it is not detected again.
     """
-    primary = detect_pair(x1, x2, f1spec)
+    if primary is None:
+        primary = detect_pair(x1, x2, f1spec)
     counts = ensemble_counts_with(x1, x2, labeler, cfg, threads=threads)
     fused = fuse_confidence(primary, counts, cfg.conf_threshold)
     return ConfidentDetection(primary, counts, fused)

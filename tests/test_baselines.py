@@ -12,7 +12,7 @@ from cdconf.baselines import (
     run_deep_magnitude,
     run_unified,
 )
-from cdconf.dcva import hypervector, magnitude, otsu_threshold, threshold_labels
+from cdconf.dcva import detect_pair, hypervector, magnitude, otsu_threshold, threshold_labels
 from cdconf.errors import RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorKind, ExtractorSpec, extract
 from cdconf.raster import ConfidenceState, Raster
@@ -199,6 +199,19 @@ class TestMethodTable:
             assert (got.counts is None) == (want.counts is None)
             if want.counts is not None:
                 assert np.array_equal(got.counts.k_prime, want.counts.k_prime)
+
+    def test_given_primary_is_used_as_is(self):
+        x1, x2 = _pair(12)
+        f2 = ExtractorSpec(depth=1, taps=(1,), channels=6, seed=2)
+        cfg = SmoothingConfig(sigma=0.08, iterations=3, master_seed=5)
+        rcfg = RcvaConfig()
+        primary = detect_pair(x1, x2, _F1)
+        for method in METHODS.values():
+            want = run_method(method, x1, x2, _F1, f2, cfg, rcfg)
+            got = run_method(method, x1, x2, _F1, f2, cfg, rcfg, primary=primary)
+            assert got.primary is primary
+            if want.confidence is not None:
+                assert np.array_equal(got.confidence.states, want.confidence.states)
 
 
 class TestRunDeepMagnitude:

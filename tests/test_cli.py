@@ -337,6 +337,24 @@ class TestSweep:
         assert a != b
         assert len((out / "curve.csv").read_text().splitlines()) == 3
 
+    def test_sigma_sweep_detects_the_primary_once(self, tmp_path, monkeypatch):
+        s = _synth(tmp_path / "s", size=16)
+        calls = []
+        real = cdconf.cli.detect_pair
+
+        def counted(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        # conf-rcva votes in band space, so every detect_pair call is a primary one
+        for mod in ("cli", "baselines", "smoothing"):
+            monkeypatch.setattr(f"cdconf.{mod}.detect_pair", counted)
+        assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                     "--reference", str(s / "reference.pgm"), "--out", str(tmp_path / "o"),
+                     "--method", "conf-rcva", "--sweep", "sigma", "--values", "0.05,0.1,0.25",
+                     *_small_flags("conf-rcva")]) == 0
+        assert len(calls) == 1
+
     def test_rejects_single_value(self, tmp_path):
         s = _synth(tmp_path / "s")
         assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
