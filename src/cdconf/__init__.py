@@ -11,7 +11,6 @@ from .baselines import (
     RcvaConfig,
     rcva_magnitude,
     run_conf_rcva,
-    run_deep_magnitude,
     run_unified,
 )
 from .dcva import (
@@ -77,7 +76,7 @@ from .smoothing import (
 )
 from .synth import SceneSpec, generate
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ChangeDetectionError",
@@ -130,7 +129,6 @@ __all__ = [
     "render_confidence",
     "rcva_magnitude",
     "run_conf_rcva",
-    "run_deep_magnitude",
     "run_proposed",
     "run_unified",
     "save_raster",

@@ -140,14 +140,6 @@ def threshold_distance(primary: ChangeResult) -> ConfidenceMap:
     return ConfidenceMap(states)
 
 
-def run_deep_magnitude(
-    x1: Raster, x2: Raster, f1spec: ExtractorSpec
-) -> ConfidentDetection:
-    """Primary detection with threshold-distance confidence."""
-    primary = detect_pair(x1, x2, f1spec)
-    return ConfidentDetection(primary, None, threshold_distance(primary))
-
-
 @dataclass(frozen=True)
 class ConfidenceMethod:
     """One confidence method: its CLI name, its row title in method tables,
@@ -192,14 +184,15 @@ def run_method(
     x2: Raster,
     f1spec: ExtractorSpec,
     f2spec: ExtractorSpec | None,
-    cfg: SmoothingConfig,
-    rcfg: RcvaConfig,
+    cfg: SmoothingConfig | None,
+    rcfg: RcvaConfig | None,
     *,
     threads: int = 1,
     primary: ChangeResult | None = None,
 ) -> ConfidentDetection:
     """Run one method of ``METHODS`` on a normalized pair; ``primary``, if
-    given, is the clean detection of the pair by f1spec."""
+    given, is the clean detection of the pair by f1spec.  A config the
+    method does not read (see ``ConfidenceMethod.reads``) may be None."""
     if primary is None:
         primary = detect_pair(x1, x2, f1spec)
     if method.labeler is not None:

@@ -2,14 +2,14 @@
 parameter sweeps, scene synthesis, and map rendering.
 
 Every detect run drops a run.json capturing the complete configuration
-(method, paths, smoothing parameters, both extractor specs with their derived
-weight seeds); replaying that file reproduces all artifacts byte-for-byte,
-which is the only audit trail an unsupervised pipeline has.  The methods
-and what each one runs come from ``baselines.METHODS``.
+(method, paths, the configs the method reads, extractor specs with their
+derived weight seeds); replaying that file reproduces all artifacts
+byte-for-byte, which is the only audit trail an unsupervised pipeline has.
+A sweep point is such a run plus the metrics.json that evaluate writes.
 
-Exit codes: 0 success, 1 a runtime invariant was violated (detect checks its
-result before writing any artifact), 2 usage, I/O or out-of-memory errors
-(one-line diagnostic on stderr).
+Exit codes: 0 success, 1 a runtime invariant was violated (detect and sweep
+check every detection before writing any artifact), 2 usage, I/O, a
+non-empty ``--out`` or out of memory (one-line diagnostic on stderr).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .raster import (
     render_confidence,
     save_raster,
 )
-from .smoothing import SmoothingConfig, check_detection, fuse_confidence
+from .smoothing import ConfidentDetection, SmoothingConfig, check_detection, fuse_confidence
 from .synth import SceneSpec, generate
 
 
@@ -99,7 +99,8 @@ class RunConfig:
     """Complete description of one detection run; serialized as run.json.
 
     run.json holds these fields, with each config dataclass as a nested
-    object of its own fields and an extractor kind as its enum value.
+    object of its own fields and an extractor kind as its enum value; a
+    config the method does not read is null.
     """
 
     method: str
@@ -107,14 +108,17 @@ class RunConfig:
     t2: str
     f1: ExtractorSpec
     f2: ExtractorSpec | None
-    smoothing: SmoothingConfig
-    rcva: RcvaConfig
+    smoothing: SmoothingConfig | None
+    rcva: RcvaConfig | None
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise RejectedValue(f"unknown method {self.method!r}")
-        if METHODS[self.method].secondary and self.f2 is None:
-            raise RejectedValue(f"method {self.method!r} needs a secondary extractor")
+        reads = METHODS[self.method].reads
+        for config in ("smoothing", "f2", "rcva"):
+            if (getattr(self, config) is None) == (config in reads):
+                need = "needs" if config in reads else "does not read"
+                raise RejectedValue(f"method {self.method!r} {need} {config}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self, dict_factory=_json_fields)
@@ -187,22 +191,21 @@ def _config_from_flags(args) -> RunConfig:
     if args.t1 is None or args.t2 is None:
         raise RejectedValue("--t1 and --t2 are required")
     method = args.method or "proposed"
-    unread = [f for config, flags in _FLAGS.items() if config not in ("f1", *METHODS[method].reads)
+    reads = METHODS[method].reads
+    unread = [f for config, flags in _FLAGS.items() if config not in ("f1", *reads)
               for f in flags.values() if getattr(args, f) is not None]
     if unread:
         raise RejectedValue(f"method {method!r} does not read {_flag_list(unread)}")
     seed = args.seed if args.seed is not None else 0
-    f2 = None
-    if METHODS[method].secondary:
-        f2 = default_secondary_spec(seed, **_given(args, "f2"))
     return RunConfig(
         method=method,
         t1=str(Path(args.t1).resolve()),
         t2=str(Path(args.t2).resolve()),
         f1=default_primary_spec(seed, **_given(args, "f1")),
-        f2=f2,
-        smoothing=SmoothingConfig(master_seed=seed, **_given(args, "smoothing")),
-        rcva=RcvaConfig(**_given(args, "rcva")),
+        f2=default_secondary_spec(seed, **_given(args, "f2")) if "f2" in reads else None,
+        smoothing=(SmoothingConfig(master_seed=seed, **_given(args, "smoothing"))
+                   if "smoothing" in reads else None),
+        rcva=RcvaConfig(**_given(args, "rcva")) if "rcva" in reads else None,
     )
 
 
@@ -222,6 +225,40 @@ def _check_threads(args) -> None:
         raise RejectedValue(f"--threads must be >= 1, got {args.threads}")
 
 
+def _empty_out(path: str) -> Path:
+    """``--out``, refused unless it is a new path or an empty directory, so no
+    artifact of an earlier run can sit next to this run's."""
+    out = Path(path)
+    if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+        raise RejectedValue(f"--out {out} exists and is not an empty directory")
+    return out
+
+
+def _write_runs(runs: list[tuple[Path, RunConfig, ConfidentDetection]]) -> None:
+    """Check every detection, then write each into its directory: exactly
+    what ``detect --replay <dir>/run.json`` writes again.  A detection that
+    breaks an invariant raises before the first file is written."""
+    for _, _, det in runs:
+        check_detection(det)
+    for out, cfg, det in runs:
+        out.mkdir(parents=True, exist_ok=True)
+        primary = det.primary
+        render_change(primary.labels, out / "change.pgm")
+        save_raster(Raster(primary.magnitude.rho[None, ...]), out / "magnitude.cdr")
+        _write_json(out / "tau.json", {"tau": primary.tau})
+        _write_json(out / "run.json", cfg.to_dict())
+        if det.confidence is not None:
+            render_confidence(det.confidence, out / "confidence.ppm")
+        if det.counts is not None:
+            save_raster(Raster(det.counts.k_prime.astype(np.float32)[None, ...]),
+                        out / "counts.cdr")
+
+
+def _write_metrics(d: Path, full: MetricsReport, sel: MetricsReport | None) -> None:
+    _write_json(d / "metrics.json", {"all_pixels": full.to_dict(),
+                                     "confident": None if sel is None else sel.to_dict()})
+
+
 def cmd_detect(args) -> int:
     _check_threads(args)
     if args.replay is not None:
@@ -235,21 +272,11 @@ def cmd_detect(args) -> int:
             raise RejectedValue(f"cannot replay {args.replay}: {exc}")
     else:
         cfg = _config_from_flags(args)
+    out = _empty_out(args.out)
     x1, x2 = _load_pair(cfg)
     det = run_method(METHODS[cfg.method], x1, x2, cfg.f1, cfg.f2, cfg.smoothing, cfg.rcva,
                      threads=args.threads)
-    check_detection(det)
-    primary = det.primary
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    render_change(primary.labels, out / "change.pgm")
-    save_raster(Raster(primary.magnitude.rho[None, ...]), out / "magnitude.cdr")
-    _write_json(out / "tau.json", {"tau": primary.tau})
-    _write_json(out / "run.json", cfg.to_dict())
-    if det.confidence is not None:
-        render_confidence(det.confidence, out / "confidence.ppm")
-    if det.counts is not None:
-        save_raster(Raster(det.counts.k_prime.astype(np.float32)[None, ...]), out / "counts.cdr")
+    _write_runs([(out, cfg, det)])
     return 0
 
 
@@ -277,10 +304,7 @@ def cmd_evaluate(args) -> int:
         pred, conf = _load_prediction(d)
         ref_map = load_label_map(ref)
         full, sel = evaluate_run(pred, conf, ref_map)
-        _write_json(d / "metrics.json", {
-            "all_pixels": full.to_dict(),
-            "confident": None if sel is None else sel.to_dict(),
-        })
+        _write_metrics(d, full, sel)
         shown.append(sel if sel is not None else full)
         totals += ref_map.changed.size
         rows.append((d.name, shown[-1]))
@@ -304,35 +328,32 @@ def cmd_sweep(args) -> int:
     field = args.sweep.replace("-", "_")
     # the dataclass refuses every bad value before anything is written
     points = [dataclasses.replace(cfg.smoothing, **{field: v}) for v in args.values]
+    out = _empty_out(args.out)
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
     # every point shares the clean primary detection
     primary = detect_pair(x1, x2, cfg.f1)
 
-    def run(sm: SmoothingConfig):
-        det = run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads,
-                         primary=primary)
-        return det.counts, det.confidence
+    def run(sm: SmoothingConfig) -> ConfidentDetection:
+        return run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads,
+                          primary=primary)
 
     # a conf-threshold sweep re-fuses one ensemble; a sigma sweep re-votes per point
     if args.sweep == "conf-threshold":
-        counts = run(cfg.smoothing)[0]
-        results = ((counts, fuse_confidence(primary, counts, sm.conf_threshold)) for sm in points)
+        counts = run(points[0]).counts
+        dets = [ConfidentDetection(primary, counts,
+                                   fuse_confidence(primary, counts, sm.conf_threshold))
+                for sm in points]
     else:
-        results = (run(sm) for sm in points)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    curve = []
-    for i, (v, (counts, conf)) in enumerate(zip(args.values, results)):
-        _, sel = evaluate_run(primary.labels, conf, ref)
-        point = out / f"point_{i:02d}"
-        point.mkdir(exist_ok=True)
-        render_confidence(conf, point / "confidence.ppm")
-        save_raster(Raster(counts.k_prime.astype(np.float32)[None, ...]), point / "counts.cdr")
-        _write_json(point / "metrics.json", {"value": v, "confident": sel.to_dict()})
-        curve.append((v, sel.f1_macro, sel.pixel_pct))
+        dets = [run(sm) for sm in points]
+    reports = [evaluate_run(primary.labels, det.confidence, ref) for det in dets]
+    dirs = [out / f"point_{i:02d}" for i in range(len(points))]
+    _write_runs([(d, dataclasses.replace(cfg, smoothing=sm), det)
+                 for d, sm, det in zip(dirs, points, dets)])
     lines = ["value,f1_macro,pixel_pct"]
-    lines += [f"{v},{f1:.6f},{pct:.6f}" for v, f1, pct in curve]
+    for d, v, (full, sel) in zip(dirs, args.values, reports):
+        _write_metrics(d, full, sel)
+        lines.append(f"{v},{sel.f1_macro:.6f},{sel.pixel_pct:.6f}")
     (out / "curve.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     return 0
 

@@ -8,7 +8,7 @@ machine-comparable without NaNs while staying honest about undefined values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,21 +46,7 @@ class MetricsReport:
     degenerate: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "f1_changed": self.f1_changed,
-            "f1_macro": self.f1_macro,
-            "pixel_pct": self.pixel_pct,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "fn": self.counts.fn,
-                "tn": self.counts.tn,
-            },
-            "degenerate": list(self.degenerate),
-        }
+        return asdict(self)
 
 
 def confusion(

@@ -9,14 +9,19 @@ from cdconf.baselines import (
     rcva_magnitude,
     run_method,
     run_conf_rcva,
-    run_deep_magnitude,
     run_unified,
+    threshold_distance,
 )
 from cdconf.dcva import detect_pair, hypervector, magnitude, otsu_threshold, threshold_labels
 from cdconf.errors import RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorKind, ExtractorSpec, extract
 from cdconf.raster import ConfidenceState, Raster
-from cdconf.smoothing import SmoothingConfig, ensemble_counts_with, run_proposed
+from cdconf.smoothing import (
+    ConfidentDetection,
+    SmoothingConfig,
+    ensemble_counts_with,
+    run_proposed,
+)
 from oracles import otsu_tau_bruteforce, rcva_bruteforce
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
@@ -182,9 +187,10 @@ class TestMethodTable:
         f2 = ExtractorSpec(depth=1, taps=(1,), channels=6, seed=2)
         cfg = SmoothingConfig(sigma=0.08, iterations=3, master_seed=5)
         rcfg = RcvaConfig()
+        primary = detect_pair(x1, x2, _F1)
         named = {
             "none": None,
-            "deep-magnitude": run_deep_magnitude(x1, x2, _F1),
+            "deep-magnitude": ConfidentDetection(primary, None, threshold_distance(primary)),
             "conf-rcva": run_conf_rcva(x1, x2, _F1, cfg, rcfg),
             "unified": run_unified(x1, x2, _F1, cfg),
             "proposed": run_proposed(x1, x2, _F1, f2, cfg),
@@ -214,18 +220,22 @@ class TestMethodTable:
                 assert np.array_equal(got.confidence.states, want.confidence.states)
 
 
+def _deep_magnitude(x1, x2, f1spec):
+    return run_method(METHODS["deep-magnitude"], x1, x2, f1spec, None, None, None)
+
+
 class TestRunDeepMagnitude:
     def test_rho_prime_arithmetic(self):
         # |0.8 - 0.5| = 0.3 style distance from the threshold
         x1, x2 = _pair(12)
-        det = run_deep_magnitude(x1, x2, _F1)
+        det = _deep_magnitude(x1, x2, _F1)
         assert det.counts is None
         rho_prime = np.abs(det.primary.magnitude.rho.astype(np.float64) - det.primary.tau)
         assert rho_prime.min() >= 0
 
     def test_constant_rho_all_not_confident(self):
         x = _scene(13)
-        det = run_deep_magnitude(x, Raster(x.data.copy()), _F1)
+        det = _deep_magnitude(x, Raster(x.data.copy()), _F1)
         assert np.all(det.confidence.states == NC)
 
     def test_trimodal_modes_confident_near_tau_not(self):
@@ -241,7 +251,7 @@ class TestRunDeepMagnitude:
         x1 = Raster(np.zeros((2, 16, 16), dtype=np.float32))
         x2 = Raster(np.stack([v, np.zeros_like(v)]))
         ident = ExtractorSpec(kind=ExtractorKind.IDENTITY)
-        det = run_deep_magnitude(x1, x2, ident)
+        det = _deep_magnitude(x1, x2, ident)
         primary, conf = det.primary, det.confidence
         lowmode = np.isclose(v, 1.0)
         highmode = np.isclose(v, 9.0)
@@ -254,7 +264,7 @@ class TestRunDeepMagnitude:
 
     def test_selected_set_matches_bruteforce_oracle(self):
         x1, x2 = _pair(16)
-        det = run_deep_magnitude(x1, x2, _F1)
+        det = _deep_magnitude(x1, x2, _F1)
         primary, conf = det.primary, det.confidence
         rho_prime = np.abs(primary.magnitude.rho.astype(np.float64) - primary.tau).astype(
             np.float32
@@ -265,7 +275,7 @@ class TestRunDeepMagnitude:
 
     def test_confident_never_at_zero_rho_prime(self):
         x1, x2 = _pair(14)
-        det = run_deep_magnitude(x1, x2, _F1)
+        det = _deep_magnitude(x1, x2, _F1)
         primary, conf = det.primary, det.confidence
         rho_prime = np.abs(primary.magnitude.rho.astype(np.float64) - primary.tau)
         at_zero = rho_prime == 0
@@ -273,7 +283,7 @@ class TestRunDeepMagnitude:
 
     def test_confident_agrees_with_primary(self):
         x1, x2 = _pair(15)
-        det = run_deep_magnitude(x1, x2, _F1)
+        det = _deep_magnitude(x1, x2, _F1)
         primary, conf = det.primary, det.confidence
         changed = primary.labels.changed
         assert not np.any((conf.states == CC) & ~changed)

@@ -34,6 +34,17 @@ def _small_flags(method: str) -> list[str]:
     return flags
 
 
+def _files(d: Path) -> dict[str, bytes]:
+    """Every file under ``d``, by relative path."""
+    return {str(f.relative_to(d)): f.read_bytes() for f in sorted(d.rglob("*")) if f.is_file()}
+
+
+def _sweep_argv(scene: Path, out: Path, sweep: str, values: str, method="proposed") -> list[str]:
+    return ["sweep", "--t1", str(scene / "t1.cdr"), "--t2", str(scene / "t2.cdr"),
+            "--reference", str(scene / "reference.pgm"), "--out", str(out),
+            "--method", method, "--sweep", sweep, "--values", values, *_small_flags(method)]
+
+
 def _detect(scene: Path, out: Path, *extra) -> Path:
     method = extra[extra.index("--method") + 1] if "--method" in extra else "proposed"
     flags = _small_flags(method)
@@ -168,6 +179,13 @@ class TestDetect:
         assert capsys.readouterr().err == "error: primary labels differ from magnitude > tau\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_run_json_holds_only_the_configs_the_method_reads(self, tmp_path, method):
+        s = _synth(tmp_path / "s", size=16)
+        run = json.loads((_detect(s, tmp_path / "d", "--method", method) / "run.json").read_text())
+        present = [c for c in ("smoothing", "f2", "rcva") if run[c] is not None]
+        assert present == list(METHODS[method].reads)
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         rc = main(["detect", "--t1", str(tmp_path / "no.cdr"),
                    "--t2", str(tmp_path / "no.cdr"), "--out", str(tmp_path / "d")])
@@ -210,6 +228,9 @@ _MALFORMED = {
     "inf-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("inf")),
     "number-path": lambda run: _with(run, "t1", value=5),
     "v0.1.0-layout": _v010_layout,
+    "none-with-smoothing": lambda run: json.dumps({**run, "method": "none", "rcva": None}),
+    "proposed-with-rcva": lambda run: json.dumps({**run, "method": "proposed", "f2": run["f1"]}),
+    "proposed-without-f2": lambda run: json.dumps({**run, "method": "proposed", "rcva": None}),
 }
 
 
@@ -237,8 +258,10 @@ class TestReplay:
 
     @pytest.mark.parametrize("case", list(_MALFORMED))
     def test_replay_garbage_exits_2(self, tmp_path, capsys, case):
+        # conf-rcva reads smoothing and rcva but not f2, so every config is
+        # there to corrupt and to carry onto a method that does not read it
         s = _synth(tmp_path / "s", size=16)
-        d = _detect(s, tmp_path / "d", "--method", "none")
+        d = _detect(s, tmp_path / "d", "--method", "conf-rcva")
         bad = tmp_path / "run.json"
         bad.write_text(_MALFORMED[case](json.loads((d / "run.json").read_text())))
         assert main(["detect", "--replay", str(bad), "--out", str(tmp_path / "x")]) == 2
@@ -396,6 +419,105 @@ class TestSweep:
                      "--reference", str(s / "reference.pgm"),
                      "--out", str(tmp_path / "o"),
                      "--sweep", "conf-threshold", "--values", "1.0,0.0", *_SMALL]) == 2
+
+
+    def test_broken_detection_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        real_run_method = cdconf.cli.run_method
+
+        def run_method(method, x1, x2, f1, f2, sm, *args, **kwargs):
+            det = real_run_method(method, x1, x2, f1, f2, sm, *args, **kwargs)
+            if sm.sigma == 0.25:  # only the last point breaks
+                det.counts.k_prime[0, 0] = det.counts.k + 1
+            return det
+
+        monkeypatch.setattr("cdconf.cli.run_method", run_method)
+        s = _synth(tmp_path / "s", size=16)
+        assert main(_sweep_argv(s, tmp_path / "o", "sigma", "0.05,0.1,0.25")) == 1
+        assert capsys.readouterr().err == "error: vote counts outside [0, 3]\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("method", ["proposed", "unified", "conf-rcva"])
+    @pytest.mark.parametrize("sweep,values", [("conf-threshold", "1.0,0.8,0.6"),
+                                              ("sigma", "0.05,0.25")])
+    def test_every_point_is_a_replayable_run(self, tmp_path, method, sweep, values):
+        s = _synth(tmp_path / "s")
+        out = tmp_path / "swp"
+        assert main(_sweep_argv(s, out, sweep, values, method)) == 0
+        points = [f"point_{i:02d}" for i in range(len(values.split(",")))]
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", *points]
+        for point, v in zip(points, values.split(",")):
+            d = out / point
+            run = json.loads((d / "run.json").read_text())
+            assert run["method"] == method
+            assert run["smoothing"][sweep.replace("-", "_")] == float(v)
+            replay = tmp_path / f"replay-{point}"
+            assert main(["detect", "--replay", str(d / "run.json"), "--out", str(replay)]) == 0
+            files = _files(d)
+            metrics = files.pop("metrics.json")
+            assert files == _files(replay)
+            assert main(["evaluate", "--pred", str(d),
+                         "--reference", str(s / "reference.pgm")]) == 0
+            assert (d / "metrics.json").read_bytes() == metrics
+
+
+_REFUSED = "error: --out {} exists and is not an empty directory\n"
+
+
+class TestFreshOut:
+    def test_detect_over_an_earlier_run_exits_2_and_changes_nothing(self, tmp_path, capsys):
+        s = _synth(tmp_path / "s")
+        d = _detect(s, tmp_path / "d")
+        before = _files(d)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(d), "--method", "none", *_small_flags("none")])
+        assert rc == 2
+        assert capsys.readouterr().err == _REFUSED.format(d)
+        assert _files(d) == before
+
+    def test_sweep_over_a_longer_sweep_exits_2_and_changes_nothing(self, tmp_path, capsys):
+        s = _synth(tmp_path / "s", size=16)
+        out = tmp_path / "swp"
+        assert main(_sweep_argv(s, out, "conf-threshold", "1.0,0.9,0.8")) == 0
+        before = _files(out)
+        assert main(_sweep_argv(s, out, "conf-threshold", "1.0,0.9")) == 2
+        assert capsys.readouterr().err == _REFUSED.format(out)
+        assert _files(out) == before
+
+    @pytest.mark.parametrize("cmd", ["detect", "sweep"])
+    def test_refused_before_any_raster_is_read(self, tmp_path, capsys, cmd):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        missing = tmp_path / "no.cdr"
+        argv = [cmd, "--t1", str(missing), "--t2", str(missing), "--out", str(out)]
+        if cmd == "sweep":
+            argv += ["--reference", str(tmp_path / "no.pgm"), "--sweep", "sigma",
+                     "--values", "0.05,0.1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == _REFUSED.format(out)
+        assert _files(out) == {"keep.txt": b"x"}
+
+    def test_a_file_is_refused(self, tmp_path, capsys):
+        s = _synth(tmp_path / "s", size=16)
+        out = tmp_path / "o"
+        out.write_bytes(b"")
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(out), "--method", "none"])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert out.read_bytes() == b""
+
+    def test_an_empty_directory_is_accepted(self, tmp_path):
+        s = _synth(tmp_path / "s", size=16)
+        d = tmp_path / "d"
+        d.mkdir()
+        _detect(s, d, "--method", "none")
+        assert sorted(p.name for p in d.iterdir()) == [
+            "change.pgm", "magnitude.cdr", "run.json", "tau.json"]
+        out = tmp_path / "swp"
+        out.mkdir()
+        assert main(_sweep_argv(s, out, "sigma", "0.05,0.1")) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "point_00", "point_01"]
 
 
 class TestRender:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,21 @@ class TestAggregation:
             [metrics(small, total_pixels=2), metrics(big, total_pixels=100)]
         )
         assert pooled.precision != pytest.approx(mean.precision)
+
+
+class TestToDict:
+    @pytest.mark.parametrize("counts", [ConfusionCounts(2, 1, 1, 6), ConfusionCounts(0, 0, 0, 4)])
+    def test_json_layout(self, counts):
+        r = metrics(counts, total_pixels=10)
+        assert bool(r.degenerate) == (counts.tp == 0)
+        want = {
+            "precision": r.precision, "sensitivity": r.sensitivity,
+            "specificity": r.specificity, "f1_changed": r.f1_changed,
+            "f1_macro": r.f1_macro, "pixel_pct": r.pixel_pct,
+            "counts": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn, "tn": counts.tn},
+            "degenerate": list(r.degenerate),
+        }
+        assert json.dumps(r.to_dict(), sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestFormatting:
