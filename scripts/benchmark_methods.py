@@ -41,6 +41,9 @@ def main(argv=None) -> int:
     ap.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
+    for flag in ("scenes", "threads"):
+        if getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
 
     f1 = default_primary_spec(args.seed)
     f2 = default_secondary_spec(args.seed)

@@ -6,6 +6,14 @@ magnitude, histogram threshold selection (between-class variance maximization
 on a 256-bin min-max histogram), label Changed wherever magnitude exceeds the
 threshold.
 
+``detect_pair`` runs that pipeline on the pooled-standardized features of a
+raster pair without materializing any of its intermediate stacks: once the
+per-dim pooled std is known, the standardized difference and its magnitude
+are computed block by block of pixels, with the same float32 and float64
+arithmetic as ``magnitude(hypervector(*standardize_pair(f1, f2)))``, so the
+magnitude map is bit-identical to that composition.  Past the two feature
+stacks, a detection allocates only its magnitude map and a few blocks.
+
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
 the true argmax with ties broken at the lowest bin index, immune to float
@@ -19,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import ExtractorSpec, extract, standardize_pair
+from .features import ExtractorSpec, _blocks, _pooled_std, extract
 from .raster import LabelMap, Raster
 
 
@@ -79,14 +87,24 @@ def otsu_bin(m: MagnitudeMap, bins: int = 256) -> int:
     compared by cross-multiplication over Python ints.  Raises ValueError on a
     constant map (no histogram spread to split).
     """
+    lo, hi = float(m.rho.min()), float(m.rho.max())
+    if hi == lo:
+        raise ValueError("constant map has no threshold bin")
+    return _otsu_bin(m, lo, hi, bins)
+
+
+def _otsu_bin(m: MagnitudeMap, lo: float, hi: float, bins: int) -> int:
+    """``otsu_bin`` given rho's min and max, lo < hi.  Taken from the float32
+    map, both are exact in float64, so callers need no float64 copy of rho
+    to find them."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
     values = m.rho.astype(np.float64).ravel()
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        raise ValueError("constant map has no threshold bin")
-    idx = np.minimum(((values - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
+    values -= lo
+    values /= hi - lo
+    values *= bins
+    idx = values.astype(np.int64)
+    np.minimum(idx, bins - 1, out=idx)
     counts = np.bincount(idx, minlength=bins)
     n = int(counts.sum())
     total = int((np.arange(bins, dtype=np.int64) * counts).sum())
@@ -114,12 +132,10 @@ def otsu_threshold(m: MagnitudeMap, bins: int = 256) -> float:
     constant map returns the constant itself (every pixel then labels
     Unchanged under a strict > comparison).
     """
-    values = m.rho.astype(np.float64)
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = float(m.rho.min()), float(m.rho.max())
     if hi == lo:
         return lo
-    return lo + (otsu_bin(m, bins) + 1) * (hi - lo) / bins
+    return lo + (_otsu_bin(m, lo, hi, bins) + 1) * (hi - lo) / bins
 
 
 def threshold_labels(m: MagnitudeMap, tau: float) -> LabelMap:
@@ -127,15 +143,40 @@ def threshold_labels(m: MagnitudeMap, tau: float) -> LabelMap:
     return LabelMap(m.rho > np.float64(tau))
 
 
-def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
-    """Full chain on feature stacks: hypervector, magnitude, threshold, labels."""
-    m = magnitude(hypervector(f1, f2))
+def _labelled(m: MagnitudeMap) -> ChangeResult:
+    """Threshold a magnitude map by Otsu and label it."""
     tau = otsu_threshold(m)
     return ChangeResult(magnitude=m, tau=tau, labels=threshold_labels(m, tau))
 
 
+def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
+    """Full chain on feature stacks: hypervector, magnitude, threshold, labels."""
+    return _labelled(magnitude(hypervector(f1, f2)))
+
+
+def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray) -> MagnitudeMap:
+    """``magnitude(hypervector(*standardize_pair(f1, f2)))``, bit for bit,
+    without its image-sized temporaries.
+
+    After the pooled std is known, rho is computed block by block of
+    ``features._TILE`` pixels with the same arithmetic: a float32 divide of
+    each stack by the std (dead dims zeroed), their float32 difference, then
+    a float64 sum of squares over the dims and its square root.
+    """
+    sd, live = _pooled_std(f1, f2)
+    d = f1.shape[-1]
+    a, b = f1.reshape(-1, d), f2.reshape(-1, d)
+    rho = np.empty(len(a), np.float32)
+    for t in _blocks(len(a)):
+        z1, z2 = (np.divide(f[t], sd, out=np.zeros(f[t].shape, np.float32), where=live)
+                  for f in (a, b))
+        z2 -= z1
+        rho[t] = np.sqrt(np.square(z2, dtype=np.float64).sum(axis=-1))
+    return MagnitudeMap(rho.reshape(f1.shape[:-1]))
+
+
 def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec) -> ChangeResult:
     """Detect changes between two co-registered rasters with one extractor:
-    extract both, standardize with pooled moments, run the detection chain."""
-    f1, f2 = standardize_pair(extract(spec, x1), extract(spec, x2))
-    return detect(f1, f2)
+    extract both, take the magnitude of their pooled-standardized difference
+    block by block, then threshold and label as ``detect`` does."""
+    return _labelled(_standardized_magnitude(extract(spec, x1), extract(spec, x2)))

@@ -11,7 +11,10 @@ Three extractor kinds:
   is one GEMM per tile of output pixels: in the row-major flattened padded
   image, the k*k patch entries of consecutive pixels are k*k contiguous
   slices, so a tile's patch block is filled by plain slice copies and the
-  full-image patch matrix is never built.
+  full-image patch matrix is never built.  The input is padded once; each
+  GEMM tile lands in the interior of the next layer's padded buffer, whose
+  border is then filled by reflection in place, so past the input no layer
+  makes a padded copy or a separate output.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
@@ -120,7 +123,7 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     """Per-layer weight matrices (channels, c_in*k*k), drawn once per (spec, bands).
 
     Columns run over (c, dy, dx) in that order, the order in which
-    ``_conv_relu`` lays out the rows of each patch block.
+    ``_conv_layers`` lays out the rows of each patch block.
     """
     rng = generator(spec.seed)
     k = spec.kernel_size
@@ -134,46 +137,84 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-# Output pixels per patch block in _conv_relu: a (c_in*k*k, _TILE) float32
-# block stays small while each GEMM is still wide enough to run at speed.
+# Pixels per block: output columns per patch block of a conv layer, and
+# pixels per block of the moment and magnitude passes.  A (c_in*k*k, _TILE)
+# float32 patch block stays small while each GEMM is still wide enough to
+# run at speed.
 _TILE = 4096
 
 
-def _conv_relu(stack: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """One convolution + rectifier layer on a (c_in, h, w) stack.
+def _blocks(n: int):
+    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
+    return (slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE))
 
-    The reflection-padded stack is viewed as ``flat`` of shape (c_in, hp*wp).
-    Output pixel (y, x) sits at column p = y*wp + x of a (c_out, h*wp) result,
-    and its patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the
-    patches of a run of consecutive p are k*k contiguous slices of ``flat``.
-    Columns are walked in tiles of ``_TILE``: each tile fills one reusable
-    (c_in, k, k, tile) block, runs one GEMM into its result columns and
-    rectifies them.  The last wp - w columns of each row wrap around the
-    padded border and are dropped from the returned (c_out, h, w) view.
+
+def _reflect_border(buf: np.ndarray, pad: int) -> None:
+    """Fill the pad-wide border of a (c, h + 2*pad, w + 2*pad) buffer in place
+    by reflecting its interior, as ``np.pad(mode="reflect")`` does: border
+    columns of the interior rows first, then whole border rows."""
+    if not pad:
+        return
+    hp, wp = buf.shape[1:]
+    rows = buf[:, pad:hp - pad]
+    for i in range(1, pad + 1):
+        rows[:, :, pad - i] = rows[:, :, pad + i]
+        rows[:, :, wp - 1 - pad + i] = rows[:, :, wp - 1 - pad - i]
+    for i in range(1, pad + 1):
+        buf[:, pad - i] = buf[:, pad + i]
+        buf[:, hp - 1 - pad + i] = buf[:, hp - 1 - pad - i]
+
+
+def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
+    """Run the convolution + rectifier layers on a (c_in, h, w) stack and
+    yield each layer's (c_out, h, w) output as a view that stays valid until
+    the next one is yielded.
+
+    Every layer reads a reflect-padded (c, hp, wp) buffer through ``flat`` of
+    shape (c, hp*wp).  Output pixel (y, x) is column p = y*wp + x, and its
+    patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the patches of
+    a run of consecutive p are k*k contiguous slices of ``flat``.  Columns are
+    walked in tiles of ``_TILE``: each tile fills one reusable (c, k, k, tile)
+    block and runs one GEMM whose result is rectified where it lands, at
+    column p + pad*wp + pad of the next layer's padded buffer, which is pixel
+    (y, x) of its interior.  The wp - w columns after each row wrap around
+    into the border, which ``_reflect_border`` then overwrites.  Two padded
+    buffers take turns as input and output, so a layer copies nothing of
+    image size.
     """
-    c_in, h, w = stack.shape
+    c_in, h, w = x.shape
     pad = k // 2
     if pad and min(h, w) <= pad:
         raise ShapeMismatch(
             f"image {h}x{w} too small for reflection padding of a {k}x{k} kernel"
         )
-    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="reflect") if pad else stack
-    wp = w + 2 * pad
-    flat = padded.reshape(c_in, -1)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    src = np.empty((c_in, hp, wp), np.float32)
+    src[:, pad:pad + h, pad:pad + w] = x
+    _reflect_border(src, pad)
     n = (h - 1) * wp + w
-    out = np.empty((weights.shape[0], h * wp), np.float32)
-    block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
-    rows = block.reshape(c_in * k * k, -1)
-    for p0 in range(0, n, _TILE):
-        m = min(_TILE, n - p0)
-        for dy in range(k):
-            for dx in range(k):
-                s = p0 + dy * wp + dx
-                block[:, dy, dx, :m] = flat[:, s:s + m]
-        tile = out[:, p0:p0 + m]
-        np.matmul(weights, rows[:, :m], out=tile)
-        np.maximum(tile, 0.0, out=tile)
-    return out.reshape(-1, h, wp)[:, :, :w]
+    shift = pad * wp + pad
+    spare = None
+    for weights_l in weights:
+        c_in, c_out = len(src), len(weights_l)
+        if spare is None or len(spare) != c_out:
+            spare = np.empty((c_out, hp, wp), np.float32)
+        flat, out = src.reshape(c_in, -1), spare.reshape(c_out, -1)
+        block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
+        rows = block.reshape(c_in * k * k, -1)
+        for t in _blocks(n):
+            m = t.stop - t.start
+            for dy in range(k):
+                for dx in range(k):
+                    s = t.start + dy * wp + dx
+                    block[:, dy, dx, :m] = flat[:, s:s + m]
+            tile = out[:, shift + t.start:shift + t.stop]
+            np.matmul(weights_l, rows[:, :m], out=tile)
+            np.maximum(tile, 0.0, out=tile)
+        del block, rows
+        _reflect_border(spare, pad)
+        yield spare[:, pad:pad + h, pad:pad + w]
+        src, spare = spare, src
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
@@ -195,13 +236,43 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
         return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
     weights = _conv_weights(spec, x.bands)
     features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
-    stack = x.data
-    for layer_idx, w in enumerate(weights, start=1):
-        stack = _conv_relu(stack, w, spec.kernel_size)
+    layers = _conv_layers(x.data, weights, spec.kernel_size)
+    for layer_idx, stack in enumerate(layers, start=1):
         if layer_idx in spec.taps:
             d = spec.taps.index(layer_idx) * spec.channels
             features[:, :, d:d + spec.channels] = stack.transpose(1, 2, 0)
     return features
+
+
+def _pooled_std(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dim pooled population std of two equally shaped stacks as float32,
+    and the mask of live dims, those whose std is at least 1e-12.
+
+    The moments are float64 and taken block by block: each block of
+    ``_TILE`` pixels gives a two-pass mean and sum of squared deviations, and
+    the blocks of both stacks are merged in order by Chan, Golub and
+    LeVeque's pairwise update.  No float64 copy of a whole stack is made, and
+    a dim that is constant over both stacks gets a variance of exactly 0.
+    """
+    if f1.shape != f2.shape:
+        raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
+    d = f1.shape[-1]
+    count, mean, m2 = 0, np.zeros(d), np.zeros(d)
+    for f in (f1, f2):
+        flat = f.reshape(-1, d)
+        for t in _blocks(len(flat)):
+            dev = flat[t].astype(np.float64)
+            n = len(dev)
+            bmean = dev.mean(axis=0)
+            dev -= bmean
+            np.square(dev, out=dev)
+            delta = bmean - mean
+            total = count + n
+            mean += delta * (n / total)
+            m2 += dev.sum(axis=0) + delta ** 2 * (count * n / total)
+            count = total
+    sd = np.sqrt(m2 / count)
+    return sd.astype(np.float32), sd >= 1e-12
 
 
 def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,19 +280,12 @@ def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.nda
 
     Pooling keeps the two acquisitions comparable without erasing genuine
     global change the way per-image standardization would.  The pooled mean
-    is not subtracted: the only caller, ``dcva.detect_pair``, differences the
-    two outputs, and a mean shared by both cancels there.  The pooled
-    variance comes from float64 two-pass moments of each stack,
-    (v1 + v2)/2 + ((m1 - m2)/2)^2, exact for two equally sized stacks, so no
-    concatenated or float64 copy of the pair is made.  Dimensions whose pooled
-    std is below 1e-12 are zeroed in both float32 outputs.
+    is not subtracted: a change detector differences the two outputs, and a
+    mean shared by both cancels there.  The std comes from ``_pooled_std``'s
+    blockwise float64 moments, so no concatenated or float64 copy of the pair
+    is made.  Dimensions whose pooled std is below 1e-12 are zeroed in both
+    float32 outputs.  ``dcva.detect_pair`` does not call this: it applies the
+    same per-dim division block by block inside its magnitude pass.
     """
-    if f1.shape != f2.shape:
-        raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
-    axes = tuple(range(f1.ndim - 1))
-    m1, m2 = (f.mean(axis=axes, dtype=np.float64) for f in (f1, f2))
-    v1, v2 = (f.var(axis=axes, dtype=np.float64) for f in (f1, f2))
-    sd = np.sqrt((v1 + v2) / 2 + ((m1 - m2) / 2) ** 2)
-    live = sd >= 1e-12
-    sd = sd.astype(np.float32)
+    sd, live = _pooled_std(f1, f2)
     return tuple(np.divide(f, sd, out=np.zeros(f.shape, np.float32), where=live) for f in (f1, f2))

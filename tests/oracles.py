@@ -43,6 +43,56 @@ def conv_relu_reference(stack: np.ndarray, weights: np.ndarray, k: int) -> np.nd
     return np.maximum(out, 0.0)
 
 
+def conv_relu_tiled_reference(stack: np.ndarray, weights: np.ndarray, k: int,
+                              tile: int = 4096) -> np.ndarray:
+    """One convolution + rectifier layer by a padded copy and a tile loop.
+
+    The stack is copied into a reflect-padded (c_in, hp, wp) array by
+    ``np.pad``; output column p = y*wp + x of a separate (c_out, h*wp) result
+    is the GEMM of its patch entries ``flat[c, p + dy*wp + dx]`` in
+    (c, dy, dx) order, ``tile`` columns at a time, and the wp - w
+    wrap-around columns of each row are dropped.  The GEMM shapes and
+    operand order match the streamed extractor's, so the two agree bit for
+    bit while sharing none of its buffer layout.
+    """
+    c_in, h, w = stack.shape
+    pad = k // 2
+    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="reflect")
+    wp = w + 2 * pad
+    flat = padded.reshape(c_in, -1)
+    n = (h - 1) * wp + w
+    out = np.empty((weights.shape[0], h * wp), np.float32)
+    for p0 in range(0, n, tile):
+        m = min(tile, n - p0)
+        block = np.empty((c_in, k, k, m), np.float32)
+        for dy in range(k):
+            for dx in range(k):
+                block[:, dy, dx] = flat[:, p0 + dy * wp + dx:p0 + dy * wp + dx + m]
+        out[:, p0:p0 + m] = np.maximum(weights @ block.reshape(c_in * k * k, m), 0.0)
+    return out.reshape(-1, h, wp)[:, :, :w]
+
+
+def standardized_magnitude_reference(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Magnitude of the pooled-standardized difference from whole-stack copies.
+
+    Per-dim pooled std from each stack's ``np.mean``/``np.var`` in float64,
+    (v1 + v2)/2 + ((m1 - m2)/2)^2; both stacks divided by it in float32 with
+    dims below 1e-12 zeroed; then the float32 difference, its float64 sum of
+    squares over the dims and the square root, rounded to float32.  This is
+    ``magnitude(hypervector(*standardize_pair(f1, f2)))`` written out with
+    every intermediate stack materialized.
+    """
+    axes = tuple(range(f1.ndim - 1))
+    m1, m2 = (f.mean(axis=axes, dtype=np.float64) for f in (f1, f2))
+    v1, v2 = (f.var(axis=axes, dtype=np.float64) for f in (f1, f2))
+    sd = np.sqrt((v1 + v2) / 2 + ((m1 - m2) / 2) ** 2)
+    live = sd >= 1e-12
+    sd = sd.astype(np.float32)
+    z1, z2 = (np.divide(f, sd, out=np.zeros(f.shape, np.float32), where=live) for f in (f1, f2))
+    g = z2 - z1
+    return np.sqrt(np.sum(g.astype(np.float64) ** 2, axis=-1)).astype(np.float32)
+
+
 def otsu_bin_bruteforce(values: np.ndarray, bins: int = 256) -> int:
     """Between-class-variance argmax by direct per-threshold float64 sweep.
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cdconf.dcva import (
     ChangeResult,
     MagnitudeMap,
+    _standardized_magnitude,
     detect,
     detect_pair,
     hypervector,
@@ -15,10 +18,17 @@ from cdconf.dcva import (
     threshold_labels,
 )
 from cdconf.errors import ShapeMismatch
-from cdconf.features import ExtractorSpec
-from cdconf.raster import Raster
+from cdconf.features import (
+    ExtractorSpec,
+    default_primary_spec,
+    default_secondary_spec,
+    extract,
+    standardize_pair,
+)
+from cdconf.raster import Raster, normalize_pair
+from cdconf.synth import SceneSpec, generate
 
-from oracles import otsu_bin_bruteforce, otsu_tau_bruteforce
+from oracles import otsu_bin_bruteforce, otsu_tau_bruteforce, standardized_magnitude_reference
 
 
 def _mm(values) -> MagnitudeMap:
@@ -117,6 +127,19 @@ class TestOtsu:
         with pytest.raises(ValueError):
             otsu_threshold(_mm([0.0, 1.0]), bins=1)
 
+    def test_traced_peak_one_float64_copy(self):
+        # the float64 values and their int64 bin indices, 16 bytes a pixel
+        rng = np.random.Generator(np.random.Philox(key=36))
+        m = MagnitudeMap(rng.gamma(2.0, size=(256, 256)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            tau = otsu_threshold(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau == otsu_tau_bruteforce(m.rho)
+        assert peak <= 17 * m.rho.size
+
 
 class TestDetect:
     def test_identical_stacks_all_unchanged(self):
@@ -187,6 +210,75 @@ class TestDetectPair:
         res = detect_pair(x, Raster(x.data.copy()), spec)
         assert res.labels.changed.sum() == 0
         assert res.magnitude.rho.max() == 0.0
+
+    # 300x300 is 21 blocks of 4096 pixels and a ragged last block of 3984
+    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    def test_bit_identical_to_whole_stack_path(self, role):
+        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
+        t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
+        x1, x2 = normalize_pair(t1, t2)
+        res = detect_pair(x1, x2, spec)
+        rho = standardized_magnitude_reference(extract(spec, x1), extract(spec, x2))
+        assert np.array_equal(res.magnitude.rho, rho)
+        assert res.tau == otsu_tau_bruteforce(rho)
+        assert np.array_equal(res.labels.changed, rho > np.float64(res.tau))
+
+
+class TestStandardizedMagnitude:
+    """The streamed magnitude and the whole-stack composition it replaces in
+    ``detect_pair`` both equal the materialized reference bit for bit."""
+
+    def _pair(self, h, w, d, key):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        f1 = np.maximum(rng.normal(size=(h, w, d)), 0).astype(np.float32)
+        f2 = np.maximum(rng.normal(size=(h, w, d)), 0).astype(np.float32)
+        return f1, f2
+
+    def _assert_bit_identical(self, f1, f2):
+        want = standardized_magnitude_reference(f1, f2)
+        assert np.array_equal(_standardized_magnitude(f1, f2).rho, want)
+        assert np.array_equal(magnitude(hypervector(*standardize_pair(f1, f2))).rho, want)
+
+    def test_dead_dims(self):
+        f1, f2 = self._pair(64, 80, 8, 31)
+        f1[..., [0, 5]] = f2[..., [0, 5]] = 0
+        self._assert_bit_identical(f1, f2)
+
+    def test_dim_constant_at_two_values(self):
+        f1, f2 = self._pair(64, 80, 8, 32)
+        f1[..., 3], f2[..., 3] = np.float32(2.0), np.float32(3.0)
+        self._assert_bit_identical(f1, f2)
+
+    def test_small_spread_far_from_zero(self):
+        # E[x^2] - mu^2 cancels all but a few bits of the variance here
+        f1, f2 = self._pair(256, 256, 4, 35)
+        for f in (f1, f2):
+            f[..., 2] = f[..., 2] * np.float32(1e-3) + np.float32(1000)
+        self._assert_bit_identical(f1, f2)
+
+    def test_constant_non_dyadic_dim_at_scale(self):
+        # a constant 0.1 over 512x512 pixels must come out dead, as whole-stack
+        # two-pass moments make it, not carry a rounding-noise variance
+        f1, f2 = self._pair(512, 512, 2, 33)
+        f1[..., 0] = f2[..., 0] = np.float32(0.1)
+        self._assert_bit_identical(f1, f2)
+        rho = _standardized_magnitude(f1, f2).rho
+        f1[..., 0] = f2[..., 0] = 0
+        assert np.array_equal(rho, _standardized_magnitude(f1, f2).rho)
+
+    def test_traced_peak_within_half_a_stack(self):
+        # a few blocks and the map; one whole-stack temporary would exceed it
+        rng = np.random.Generator(np.random.Philox(key=34))
+        f1 = rng.random(size=(256, 256, 96), dtype=np.float32)
+        f2 = rng.random(size=(256, 256, 96), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            m = _standardized_magnitude(f1, f2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del m
+        assert peak <= 0.5 * f1.nbytes
 
 
 class TestChangeResultType:

@@ -16,7 +16,7 @@ from cdconf.features import (
     standardize_pair,
 )
 from cdconf.raster import Raster, save_raster
-from oracles import conv_relu_reference, zscore_pair_reference
+from oracles import conv_relu_reference, conv_relu_tiled_reference, zscore_pair_reference
 
 
 def _raster(seed=0, bands=3, h=12, w=10) -> Raster:
@@ -135,6 +135,35 @@ class TestRandomConv:
         f = extract(s, x)
         assert f.shape == ref.shape
         assert np.abs(f - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    # 96x101 and 130x70 span several tiles with a partial last one; a side of
+    # pad + 1 is the smallest the reflection padding allows
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest"])
+    def test_bit_identical_to_padded_copy_tile_loop(self, k, size):
+        h, w = {"tiles": (96, 101), "tall": (130, 70), "smallest": (k // 2 + 1, 9)}[size]
+        x = _raster(seed=k, bands=4, h=h, w=w)
+        s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
+        stack, tapped = x.data, []
+        for layer_idx, weights in enumerate(_conv_weights(s, x.bands), start=1):
+            stack = conv_relu_tiled_reference(stack, weights, k)
+            if layer_idx in s.taps:
+                tapped.append(stack)
+        assert np.array_equal(extract(s, x), np.concatenate(tapped).transpose(1, 2, 0))
+
+    def test_traced_peak_within_two_and_a_half_outputs(self):
+        # the padded buffers of two layers, one patch block and the output;
+        # a per-layer padded copy or output buffer brings it to 2.8x
+        s = default_secondary_spec(0)
+        x = _raster(seed=17, bands=4, h=256, w=256)
+        _conv_weights(s, x.bands)
+        tracemalloc.start()
+        try:
+            f = extract(s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * f.nbytes
 
     def test_traced_peak_within_three_and_a_half_outputs(self):
         s = default_secondary_spec(0)
