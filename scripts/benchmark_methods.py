@@ -24,6 +24,7 @@ from cdconf import (
     normalize_pair,
 )
 from cdconf.baselines import METHODS, run_method
+from cdconf.features import default_threads
 from cdconf.metrics import aggregate_mean, aggregate_pooled
 
 
@@ -39,7 +40,8 @@ def main(argv=None) -> int:
     ap.add_argument("--sensor-noise", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0, help="master seed for weights/noise")
     ap.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=default_threads(),
+                    help="worker threads inside each detection (default: usable cores)")
     args = ap.parse_args(argv)
     for flag in ("scenes", "threads"):
         if getattr(args, flag) < 1:

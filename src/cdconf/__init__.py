@@ -5,7 +5,17 @@ feature differences are collapsed to a change magnitude, an automatic
 histogram threshold splits changed from unchanged, and a vote over noisy
 re-detections marks each pixel confident-changed, confident-unchanged, or
 not confident.
+
+A detection parallelizes on its own worker threads (``threads``), each of
+which runs its own GEMMs, so OpenBLAS is capped at one thread per caller:
+importing cdconf sets ``OPENBLAS_NUM_THREADS=1`` unless the variable is
+already set.  The cap takes effect only if NumPy has not been imported yet;
+a user's own setting wins either way.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .baselines import (
     RcvaConfig,

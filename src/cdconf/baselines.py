@@ -50,7 +50,8 @@ def run_unified(
     threads: int = 1,
 ) -> ConfidentDetection:
     """Smoothing with the primary extractor doing double duty as the secondary."""
-    return run_ensemble(x1, x2, f1spec, detector_labeler(f1spec), cfg, threads=threads)
+    return run_ensemble(x1, x2, f1spec, detector_labeler(f1spec, threads), cfg,
+                        threads=threads)
 
 
 def _directional_min_sq(ref: Raster, cand: Raster, w: int) -> np.ndarray:
@@ -146,7 +147,8 @@ class ConfidenceMethod:
     and how it assigns confidence to the primary detection.
 
     A voting method gives ``labeler``, which builds the voter of the noisy
-    ensemble from (primary spec, secondary spec, RCVA config); ``secondary``
+    ensemble from (primary spec, secondary spec, RCVA config, threads);
+    ``secondary``
     and ``rcva`` say whether it reads the secondary spec and the RCVA config.
     A method that does not vote may give ``from_primary`` instead: confidence
     computed from the clean detection alone.  With neither, the method
@@ -155,7 +157,8 @@ class ConfidenceMethod:
 
     name: str
     title: str
-    labeler: Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig], Labeler] | None = None
+    labeler: (Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig, int], Labeler]
+              | None) = None
     secondary: bool = False
     rcva: bool = False
     from_primary: Callable[[ChangeResult], ConfidenceMap] | None = None
@@ -170,11 +173,12 @@ class ConfidenceMethod:
 METHODS = {m.name: m for m in (
     ConfidenceMethod("none", "no selection"),
     ConfidenceMethod("deep-magnitude", "threshold distance", from_primary=threshold_distance),
-    ConfidenceMethod("conf-rcva", "neighborhood vote", lambda f1, f2, r: rcva_labeler(r),
-                     rcva=True),
-    ConfidenceMethod("unified", "single extractor", lambda f1, f2, r: detector_labeler(f1)),
-    ConfidenceMethod("proposed", "dual extractor", lambda f1, f2, r: detector_labeler(f2),
-                     secondary=True),
+    ConfidenceMethod("conf-rcva", "neighborhood vote",
+                     lambda f1, f2, r, threads: rcva_labeler(r), rcva=True),
+    ConfidenceMethod("unified", "single extractor",
+                     lambda f1, f2, r, threads: detector_labeler(f1, threads)),
+    ConfidenceMethod("proposed", "dual extractor",
+                     lambda f1, f2, r, threads: detector_labeler(f2, threads), secondary=True),
 )}
 
 
@@ -192,11 +196,12 @@ def run_method(
 ) -> ConfidentDetection:
     """Run one method of ``METHODS`` on a normalized pair; ``primary``, if
     given, is the clean detection of the pair by f1spec.  A config the
-    method does not read (see ``ConfidenceMethod.reads``) may be None."""
+    method does not read (see ``ConfidenceMethod.reads``) may be None.
+    Every detection it makes runs on up to ``threads`` worker threads."""
     if primary is None:
-        primary = detect_pair(x1, x2, f1spec)
+        primary = detect_pair(x1, x2, f1spec, threads=threads)
     if method.labeler is not None:
-        labeler = method.labeler(f1spec, f2spec, rcfg)
-        return run_ensemble(x1, x2, f1spec, labeler, cfg, threads=threads, primary=primary)
+        labeler = method.labeler(f1spec, f2spec, rcfg, threads)
+        return run_ensemble(x1, x2, f1spec, labeler, cfg, primary=primary)
     conf = None if method.from_primary is None else method.from_primary(primary)
     return ConfidentDetection(primary, None, conf)

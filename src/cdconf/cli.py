@@ -28,7 +28,12 @@ import numpy as np
 from .baselines import METHODS, RcvaConfig, run_method
 from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
-from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
+from .features import (
+    ExtractorSpec,
+    default_primary_spec,
+    default_secondary_spec,
+    default_threads,
+)
 from .metrics import (
     MetricsReport,
     aggregate_mean,
@@ -167,7 +172,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f2-taps", type=_taps, default=None)
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=default_threads(),
+                   help="worker threads inside each detection (default: usable cores)")
 
 
 # the flag that sets each field of each config; every method reads f1, and
@@ -332,7 +338,7 @@ def cmd_sweep(args) -> int:
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
     # every point shares the clean primary detection
-    primary = detect_pair(x1, x2, cfg.f1)
+    primary = detect_pair(x1, x2, cfg.f1, threads=args.threads)
 
     def run(sm: SmoothingConfig) -> ConfidentDetection:
         return run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads,

@@ -12,7 +12,8 @@ per-dim pooled std is known, the standardized difference and its magnitude
 are computed block by block of pixels, with the same float32 and float64
 arithmetic as ``magnitude(hypervector(*standardize_pair(f1, f2)))``, so the
 magnitude map is bit-identical to that composition.  Past the two feature
-stacks, a detection allocates only its magnitude map and a few blocks.
+stacks, a detection allocates only its magnitude map and a few blocks per
+worker thread; the blocks run side by side when ``threads`` is above 1.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import ExtractorSpec, _blocks, _pooled_std, extract
+from .features import ExtractorSpec, _blocks, _pool_map, _pooled_std, extract
 from .raster import LabelMap, Raster
 
 
@@ -154,29 +155,36 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     return _labelled(magnitude(hypervector(f1, f2)))
 
 
-def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray) -> MagnitudeMap:
+def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray, threads: int = 1) -> MagnitudeMap:
     """``magnitude(hypervector(*standardize_pair(f1, f2)))``, bit for bit,
     without its image-sized temporaries.
 
     After the pooled std is known, rho is computed block by block of
     ``features._TILE`` pixels with the same arithmetic: a float32 divide of
     each stack by the std (dead dims zeroed), their float32 difference, then
-    a float64 sum of squares over the dims and its square root.
+    a float64 sum of squares over the dims and its square root.  The blocks
+    run on up to ``threads`` worker threads, each writing its own pixels.
     """
-    sd, live = _pooled_std(f1, f2)
+    sd, live = _pooled_std(f1, f2, threads)
     d = f1.shape[-1]
     a, b = f1.reshape(-1, d), f2.reshape(-1, d)
     rho = np.empty(len(a), np.float32)
-    for t in _blocks(len(a)):
+
+    def block(t: slice) -> None:
         z1, z2 = (np.divide(f[t], sd, out=np.zeros(f[t].shape, np.float32), where=live)
                   for f in (a, b))
         z2 -= z1
         rho[t] = np.sqrt(np.square(z2, dtype=np.float64).sum(axis=-1))
+
+    _pool_map(block, _blocks(len(a)), threads)
     return MagnitudeMap(rho.reshape(f1.shape[:-1]))
 
 
-def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec) -> ChangeResult:
+def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec, threads: int = 1) -> ChangeResult:
     """Detect changes between two co-registered rasters with one extractor:
     extract both, take the magnitude of their pooled-standardized difference
-    block by block, then threshold and label as ``detect`` does."""
-    return _labelled(_standardized_magnitude(extract(spec, x1), extract(spec, x2)))
+    block by block, then threshold and label as ``detect`` does.  ``threads``
+    bounds the worker threads of the extraction and the block passes; the
+    result is bit-identical for every value."""
+    return _labelled(_standardized_magnitude(extract(spec, x1, threads),
+                                             extract(spec, x2, threads), threads))

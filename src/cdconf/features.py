@@ -20,11 +20,25 @@ Three extractor kinds:
   ``layer_<i>.cdr`` inside ``feature_dir``.
 
 Feature stacks are plain float32 arrays of shape (height, width, D).
+
+Parallelism lives inside one extraction and one pair of moments: with
+``threads`` above 1, each conv layer's tiles are cut into one run per worker
+(each worker with its own patch block), the tapped layers are copied out in
+row bands, and the moment blocks are taken side by side, all on a pool of at
+most ``threads`` worker threads and never more workers than pieces of work.
+The pieces depend only on the image size, every one is computed as the
+serial loop computes it, and results are merged in the serial order, so the
+output is bit-identical for every thread count.  NumPy releases the
+interpreter lock in the slice copies, the GEMMs and the reductions, which is
+what the workers run.  ``cdconf`` caps OpenBLAS at one thread per caller
+(see the package docstring), so the pool does not fight BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -144,9 +158,27 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
 _TILE = 4096
 
 
-def _blocks(n: int):
-    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
-    return (slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE))
+def _blocks(n: int, size: int = _TILE) -> list[slice]:
+    """Slices covering [0, n) in order, ``size`` long but for a ragged last one."""
+    return [slice(p, min(p + size, n)) for p in range(0, n, size)]
+
+
+def default_threads() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_map(fn, items: list, threads: int) -> list:
+    """``[fn(i) for i in items]``.  With ``threads`` above 1 and more than one
+    item, the calls run on min(threads, len(items)) worker threads; the
+    results still come back in the order of ``items``."""
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(i) for i in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _reflect_border(buf: np.ndarray, pad: int) -> None:
@@ -165,7 +197,7 @@ def _reflect_border(buf: np.ndarray, pad: int) -> None:
         buf[:, hp - 1 - pad + i] = buf[:, hp - 1 - pad - i]
 
 
-def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
+def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int, threads: int = 1):
     """Run the convolution + rectifier layers on a (c_in, h, w) stack and
     yield each layer's (c_out, h, w) output as a view that stays valid until
     the next one is yielded.
@@ -174,13 +206,15 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
     shape (c, hp*wp).  Output pixel (y, x) is column p = y*wp + x, and its
     patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the patches of
     a run of consecutive p are k*k contiguous slices of ``flat``.  Columns are
-    walked in tiles of ``_TILE``: each tile fills one reusable (c, k, k, tile)
+    walked in tiles of ``_TILE``: each tile fills a (c, k, k, tile) patch
     block and runs one GEMM whose result is rectified where it lands, at
     column p + pad*wp + pad of the next layer's padded buffer, which is pixel
-    (y, x) of its interior.  The wp - w columns after each row wrap around
-    into the border, which ``_reflect_border`` then overwrites.  Two padded
-    buffers take turns as input and output, so a layer copies nothing of
-    image size.
+    (y, x) of its interior.  The tiles are cut into min(threads, tiles) runs,
+    one per worker, and each worker reuses one patch block for its run;
+    tiles write disjoint columns, so they need no lock.  The wp - w columns
+    after each row wrap around into the border, which ``_reflect_border``
+    overwrites once every tile has landed.  Two padded buffers take turns as
+    input and output, so a layer copies nothing of image size.
     """
     c_in, h, w = x.shape
     pad = k // 2
@@ -194,33 +228,41 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
     _reflect_border(src, pad)
     n = (h - 1) * wp + w
     shift = pad * wp + pad
+    tiles = _blocks(n)
+    parts = min(threads, len(tiles))
+    runs = [tiles[i * len(tiles) // parts:(i + 1) * len(tiles) // parts] for i in range(parts)]
     spare = None
     for weights_l in weights:
         c_in, c_out = len(src), len(weights_l)
         if spare is None or len(spare) != c_out:
             spare = np.empty((c_out, hp, wp), np.float32)
         flat, out = src.reshape(c_in, -1), spare.reshape(c_out, -1)
-        block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
-        rows = block.reshape(c_in * k * k, -1)
-        for t in _blocks(n):
-            m = t.stop - t.start
-            for dy in range(k):
-                for dx in range(k):
-                    s = t.start + dy * wp + dx
-                    block[:, dy, dx, :m] = flat[:, s:s + m]
-            tile = out[:, shift + t.start:shift + t.stop]
-            np.matmul(weights_l, rows[:, :m], out=tile)
-            np.maximum(tile, 0.0, out=tile)
-        del block, rows
+
+        def run_tiles(run: list[slice]) -> None:
+            block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
+            rows = block.reshape(c_in * k * k, -1)
+            for t in run:
+                m = t.stop - t.start
+                for dy in range(k):
+                    for dx in range(k):
+                        s = t.start + dy * wp + dx
+                        block[:, dy, dx, :m] = flat[:, s:s + m]
+                tile = out[:, shift + t.start:shift + t.stop]
+                np.matmul(weights_l, rows[:, :m], out=tile)
+                np.maximum(tile, 0.0, out=tile)
+
+        _pool_map(run_tiles, runs, threads)
         _reflect_border(spare, pad)
         yield spare[:, pad:pad + h, pad:pad + w]
         src, spare = spare, src
 
 
-def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
+def extract(spec: ExtractorSpec, x: Raster, threads: int = 1) -> np.ndarray:
     """Compute per-pixel features: a float32 (height, width, D) array.
 
-    Pure function of (spec, x): repeated calls are bit-identical.
+    Pure function of (spec, x): repeated calls are bit-identical, whatever
+    ``threads`` is.  A random-conv extraction runs its conv tiles and its
+    tapped-layer copies on up to ``threads`` worker threads.
     """
     if spec.kind is ExtractorKind.IDENTITY:
         return np.ascontiguousarray(x.data.transpose(1, 2, 0))
@@ -236,41 +278,53 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
         return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
     weights = _conv_weights(spec, x.bands)
     features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
-    layers = _conv_layers(x.data, weights, spec.kernel_size)
+    layers = _conv_layers(x.data, weights, spec.kernel_size, threads)
+    bands = _blocks(x.height, max(1, _TILE // x.width))  # rows, about _TILE pixels a band
     for layer_idx, stack in enumerate(layers, start=1):
         if layer_idx in spec.taps:
             d = spec.taps.index(layer_idx) * spec.channels
-            features[:, :, d:d + spec.channels] = stack.transpose(1, 2, 0)
+            dst = features[:, :, d:d + spec.channels]
+
+            def copy_band(r: slice) -> None:
+                dst[r] = stack[:, r].transpose(1, 2, 0)
+
+            _pool_map(copy_band, bands, threads)
     return features
 
 
-def _pooled_std(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pooled_std(f1: np.ndarray, f2: np.ndarray,
+                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-dim pooled population std of two equally shaped stacks as float32,
     and the mask of live dims, those whose std is at least 1e-12.
 
     The moments are float64 and taken block by block: each block of
-    ``_TILE`` pixels gives a two-pass mean and sum of squared deviations, and
-    the blocks of both stacks are merged in order by Chan, Golub and
-    LeVeque's pairwise update.  No float64 copy of a whole stack is made, and
-    a dim that is constant over both stacks gets a variance of exactly 0.
+    ``_TILE`` pixels gives its count, two-pass mean and sum of squared
+    deviations, on up to ``threads`` worker threads, and the caller merges
+    the blocks of both stacks in order by Chan, Golub and LeVeque's pairwise
+    update, so the result does not depend on ``threads``.  No float64 copy of
+    a whole stack is made, and a dim that is constant over both stacks gets a
+    variance of exactly 0.
     """
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     d = f1.shape[-1]
+    def moments(block: tuple[np.ndarray, slice]) -> tuple[int, np.ndarray, np.ndarray]:
+        flat, t = block
+        dev = flat[t].astype(np.float64)
+        bmean = dev.mean(axis=0)
+        dev -= bmean
+        np.square(dev, out=dev)
+        return len(dev), bmean, dev.sum(axis=0)
+
+    blocks = [(flat, t) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
+              for t in _blocks(len(flat))]
     count, mean, m2 = 0, np.zeros(d), np.zeros(d)
-    for f in (f1, f2):
-        flat = f.reshape(-1, d)
-        for t in _blocks(len(flat)):
-            dev = flat[t].astype(np.float64)
-            n = len(dev)
-            bmean = dev.mean(axis=0)
-            dev -= bmean
-            np.square(dev, out=dev)
-            delta = bmean - mean
-            total = count + n
-            mean += delta * (n / total)
-            m2 += dev.sum(axis=0) + delta ** 2 * (count * n / total)
-            count = total
+    for n, bmean, bm2 in _pool_map(moments, blocks, threads):
+        delta = bmean - mean
+        total = count + n
+        mean += delta * (n / total)
+        m2 += bm2 + delta ** 2 * (count * n / total)
+        count = total
     sd = np.sqrt(m2 / count)
     return sd.astype(np.float32), sd >= 1e-12
 

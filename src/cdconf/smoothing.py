@@ -9,14 +9,16 @@ verdict, and not-confident otherwise.
 
 Every iteration draws its noise from a private counter-based stream derived
 from (master_seed, image role, iteration index), so results are bit-identical
-regardless of execution order or thread count: the reduction into K' is a
-commutative integer sum.
+regardless of execution order: the reduction into K' is a commutative integer
+sum.  The iterations run one after another.  ``threads`` parallelizes inside
+each detection instead (see ``features``), so a run holds one noisy
+detection at a time whatever the thread count, and its results do not
+depend on the thread count either.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,40 +106,29 @@ def ensemble_counts_with(
     x2: Raster,
     labeler: Labeler,
     cfg: SmoothingConfig,
-    *,
-    threads: int = 1,
 ) -> EnsembleCounts:
     """Ensemble scaffolding with a pluggable per-iteration change detector.
 
-    Each iteration perturbs both images with independent noise streams
-    (correlated noise would cancel in the difference) and calls ``labeler`` on
-    the noisy pair.  The counts do not depend on the order the iterations
-    run in: iteration k's noise depends only on (master seed, role, k), and
-    the reduction is a commutative integer sum.
+    Iterations 1..K run in order.  Each perturbs both images with independent
+    noise streams (correlated noise would cancel in the difference) and calls
+    ``labeler`` on the noisy pair; a labeler that runs on several threads
+    holds its own thread count.  The counts do not depend on the order the
+    iterations run in: iteration k's noise depends only on (master seed,
+    role, k), and the reduction is a commutative integer sum.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
-    order = range(1, cfg.iterations + 1)
-
-    def one(k: int) -> np.ndarray:
-        s1, s2 = iteration_seeds(cfg.master_seed, k)
-        return labeler(perturb(x1, cfg.sigma, s1), perturb(x2, cfg.sigma, s2)).changed
-
     k_prime = np.zeros((x1.height, x1.width), dtype=np.int32)
-    if threads <= 1:
-        for k in order:
-            k_prime += one(k)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for changed in pool.map(one, order):
-                k_prime += changed
+    for k in range(1, cfg.iterations + 1):
+        s1, s2 = iteration_seeds(cfg.master_seed, k)
+        k_prime += labeler(perturb(x1, cfg.sigma, s1), perturb(x2, cfg.sigma, s2)).changed
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
 
-def detector_labeler(spec: ExtractorSpec) -> Labeler:
+def detector_labeler(spec: ExtractorSpec, threads: int = 1) -> Labeler:
     """The full detection chain with ``spec`` (fresh histogram threshold per
-    call), keeping only the labels."""
-    return lambda a, b: detect_pair(a, b, spec).labels
+    call) on up to ``threads`` worker threads, keeping only the labels."""
+    return lambda a, b: detect_pair(a, b, spec, threads=threads).labels
 
 
 def ensemble_counts(
@@ -150,7 +141,7 @@ def ensemble_counts(
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
     changed verdicts per pixel."""
-    return ensemble_counts_with(x1, x2, detector_labeler(f2spec), cfg, threads=threads)
+    return ensemble_counts_with(x1, x2, detector_labeler(f2spec, threads), cfg)
 
 
 def fuse_confidence(
@@ -225,11 +216,12 @@ def run_ensemble(
 
     Every voting confidence method is this pipeline with its own labeler.
     A caller that already holds the clean detection of (x1, x2) by f1spec
-    passes it as ``primary``, and it is not detected again.
+    passes it as ``primary``, and it is not detected again; otherwise the
+    primary detection runs on up to ``threads`` worker threads.
     """
     if primary is None:
-        primary = detect_pair(x1, x2, f1spec)
-    counts = ensemble_counts_with(x1, x2, labeler, cfg, threads=threads)
+        primary = detect_pair(x1, x2, f1spec, threads=threads)
+    counts = ensemble_counts_with(x1, x2, labeler, cfg)
     fused = fuse_confidence(primary, counts, cfg.conf_threshold)
     return ConfidentDetection(primary, counts, fused)
 
@@ -244,4 +236,5 @@ def run_proposed(
     threads: int = 1,
 ) -> ConfidentDetection:
     """Primary detection plus a confidence map voted by the secondary extractor."""
-    return run_ensemble(x1, x2, f1spec, detector_labeler(f2spec), cfg, threads=threads)
+    return run_ensemble(x1, x2, f1spec, detector_labeler(f2spec, threads), cfg,
+                        threads=threads)

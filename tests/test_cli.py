@@ -10,6 +10,7 @@ import pytest
 import cdconf.cli
 from cdconf.baselines import METHODS
 from cdconf.cli import main
+from cdconf.features import default_threads
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
 
 _SMALL_F1 = ["--f1-depth", "2", "--f1-taps", "1,2", "--f1-channels", "4"]
@@ -84,7 +85,34 @@ _UNREAD_FLAGS = [
 ]
 
 
+def _record_threads(monkeypatch) -> list:
+    """Record the ``threads`` of every ``detect_pair`` call, under each
+    module's binding of it."""
+    seen = []
+    real = cdconf.cli.detect_pair
+
+    def recorded(*a, threads=1, **kw):
+        seen.append(threads)
+        return real(*a, threads=threads, **kw)
+
+    for mod in ("cli", "baselines", "smoothing"):
+        monkeypatch.setattr(f"cdconf.{mod}.detect_pair", recorded)
+    return seen
+
+
+# (given flags, expected threads): --threads defaults to the usable cores
+_THREADS = [(["--threads", "3"], 3), ([], default_threads())]
+
+
 class TestDetect:
+    @pytest.mark.parametrize("flags,threads", _THREADS, ids=["given", "default"])
+    def test_every_detection_runs_on_the_given_threads(self, tmp_path, monkeypatch,
+                                                       flags, threads):
+        s = _synth(tmp_path / "s")
+        seen = _record_threads(monkeypatch)
+        _detect(s, tmp_path / "d", *flags)
+        assert seen == [threads] * 4  # the primary and three noisy votes
+
     def test_method_none_gates_confidence_artifacts(self, tmp_path):
         s = _synth(tmp_path / "s")
         d = _detect(s, tmp_path / "d", "--method", "none")
@@ -133,7 +161,7 @@ class TestDetect:
         assert json.loads((d / "run.json").read_text())["rcva"] == {"window_radius": 2}
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def extract(spec, x):
+        def extract(spec, x, threads=1):
             raise MemoryError("Unable to allocate 3.64 TiB for an array")
 
         monkeypatch.setattr("cdconf.dcva.extract", extract)
@@ -332,6 +360,17 @@ class TestEvaluate:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("sweep,values", [("conf-threshold", "1.0,0.8"),
+                                              ("sigma", "0.05,0.1")])
+    def test_every_detection_runs_on_the_given_threads(self, tmp_path, monkeypatch,
+                                                       sweep, values):
+        s = _synth(tmp_path / "s", size=16)
+        seen = _record_threads(monkeypatch)
+        argv = _sweep_argv(s, tmp_path / "o", sweep, values)
+        assert main([*argv, "--threads", "3"]) == 0
+        # the shared primary, then three votes per ensemble drawn
+        assert seen == [3] * (1 + 3 * (1 if sweep == "conf-threshold" else 2))
+
     def test_conf_threshold_reuses_ensemble(self, tmp_path):
         s = _synth(tmp_path / "s")
         out = tmp_path / "swp"

@@ -223,6 +223,16 @@ class TestDetectPair:
         assert res.tau == otsu_tau_bruteforce(rho)
         assert np.array_equal(res.labels.changed, rho > np.float64(res.tau))
 
+    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    def test_same_bits_on_worker_threads(self, role):
+        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
+        t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
+        x1, x2 = normalize_pair(t1, t2)
+        one, three = detect_pair(x1, x2, spec), detect_pair(x1, x2, spec, threads=3)
+        assert np.array_equal(one.magnitude.rho, three.magnitude.rho)
+        assert one.tau == three.tau
+        assert np.array_equal(one.labels.changed, three.labels.changed)
+
 
 class TestStandardizedMagnitude:
     """The streamed magnitude and the whole-stack composition it replaces in

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdconf.features
+from cdconf.dcva import detect_pair
 from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
+    _pooled_std,
     default_primary_spec,
     default_secondary_spec,
     extract,
@@ -141,15 +145,45 @@ class TestRandomConv:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("size", ["tiles", "tall", "smallest"])
     def test_bit_identical_to_padded_copy_tile_loop(self, k, size):
-        h, w = {"tiles": (96, 101), "tall": (130, 70), "smallest": (k // 2 + 1, 9)}[size]
-        x = _raster(seed=k, bands=4, h=h, w=w)
-        s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
-        stack, tapped = x.data, []
-        for layer_idx, weights in enumerate(_conv_weights(s, x.bands), start=1):
-            stack = conv_relu_tiled_reference(stack, weights, k)
-            if layer_idx in s.taps:
-                tapped.append(stack)
-        assert np.array_equal(extract(s, x), np.concatenate(tapped).transpose(1, 2, 0))
+        x, s, want = _tiled_case(k, size)
+        assert np.array_equal(extract(s, x), want)
+
+    # three tiles split into runs of one and two, or one each; the smallest
+    # side has a single tile, fewer than the workers
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest"])
+    def test_bit_identical_on_worker_threads(self, k, size, threads):
+        x, s, want = _tiled_case(k, size)
+        assert np.array_equal(extract(s, x, threads), want)
+
+    def test_more_workers_than_cores_with_fast_switching(self):
+        # workers write disjoint columns of shared buffers; a switch every
+        # microsecond interleaves them as finely as the interpreter allows
+        x, s, want = _tiled_case(3, "tiles")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = extract(s, x, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_no_more_workers_than_tiles(self, monkeypatch):
+        # a 64x64 layer is two tiles of 4096 columns; the recorder refuses a
+        # larger pool before any thread starts
+        sizes = []
+
+        class Recorded(cdconf.features.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                assert max_workers <= 2
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cdconf.features, "ThreadPoolExecutor", Recorded)
+        x1, x2 = _raster(seed=3, bands=4, h=64, w=64), _raster(seed=4, bands=4, h=64, w=64)
+        detect_pair(x1, x2, default_secondary_spec(0), threads=10**6)
+        assert sizes and max(sizes) == 2
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
         # the padded buffers of two layers, one patch block and the output;
@@ -192,6 +226,20 @@ class TestRandomConv:
         f = extract(s, _raster(seed=seed, bands=bands, h=h, w=w))
         assert f.shape == (h, w, s.expected_dims(bands))
         assert np.isfinite(f).all()
+
+
+def _tiled_case(k: int, size: str):
+    """A raster, a 3-layer spec with kernel k, and its features from the
+    reference per-layer padded copy and tile loop."""
+    h, w = {"tiles": (96, 101), "tall": (130, 70), "smallest": (k // 2 + 1, 9)}[size]
+    x = _raster(seed=k, bands=4, h=h, w=w)
+    s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
+    stack, tapped = x.data, []
+    for layer_idx, weights in enumerate(_conv_weights(s, x.bands), start=1):
+        stack = conv_relu_tiled_reference(stack, weights, k)
+        if layer_idx in s.taps:
+            tapped.append(stack)
+    return x, s, np.concatenate(tapped).transpose(1, 2, 0)
 
 
 class TestPrecomputed:
@@ -323,6 +371,21 @@ class TestStandardizePair:
         a, b = standardize_pair(f1, f2)
         assert np.all(a[..., 0] == 0)
         assert not np.all(a[..., 1] == 0)
+
+    def test_pooled_std_same_bits_on_worker_threads(self):
+        # 300x300 is 22 blocks a stack, the last one ragged; dim 2 is a small
+        # spread far from zero, where the variance keeps the fewest bits
+        rng = np.random.Generator(np.random.Philox(key=36))
+        f1 = rng.normal(size=(300, 300, 6)).astype(np.float32)
+        f2 = rng.normal(size=(300, 300, 6)).astype(np.float32)
+        for f in (f1, f2):
+            f[..., 2] = f[..., 2] * np.float32(1e-3) + np.float32(1000)
+        f1[..., 4] = f2[..., 4] = 0
+        sd1, live1 = _pooled_std(f1, f2)
+        sd3, live3 = _pooled_std(f1, f2, threads=3)
+        assert np.array_equal(sd1, sd3)
+        assert np.array_equal(live1, live3)
+        assert not live1[4] and live1[2]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -23,3 +23,18 @@ class TestBenchmarkMethods:
         err = capsys.readouterr()
         assert err.err.splitlines()[-1].endswith(f"error: {flag} must be >= 1, got {value}")
         assert err.out == ""
+
+    def test_threads_default_to_the_usable_cores(self, capsys):
+        from cdconf.features import default_threads
+
+        module = _benchmark_methods()
+        seen = []
+        real = module.run_method
+
+        def recorded(*a, threads, **kw):
+            seen.append(threads)
+            return real(*a, threads=threads, **kw)
+
+        module.run_method = recorded
+        assert module.main(["--scenes", "1", "--size", "16", "-k", "2"]) == 0
+        assert seen and set(seen) == {default_threads()}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,14 @@ from hypothesis import strategies as st
 
 from cdconf.dcva import ChangeResult, MagnitudeMap, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
-from cdconf.features import ExtractorSpec
-from cdconf.raster import ConfidenceState, Raster
+from cdconf.features import (
+    _TILE,
+    ExtractorSpec,
+    _conv_weights,
+    default_primary_spec,
+    default_secondary_spec,
+)
+from cdconf.raster import ConfidenceState, Raster, normalize_pair
 from cdconf.smoothing import (
     ConfidentDetection,
     EnsembleCounts,
@@ -18,6 +26,7 @@ from cdconf.smoothing import (
     perturb,
     run_proposed,
 )
+from cdconf.synth import SceneSpec, generate
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
 CU = int(ConfidenceState.CONFIDENT_UNCHANGED)
@@ -254,6 +263,26 @@ class TestRunProposed:
         b = run_proposed(x1, x2, f1, _F2, cfg, threads=3)
         assert np.array_equal(a.confidence.states, b.confidence.states)
         assert np.array_equal(a.counts.k_prime, b.counts.k_prime)
+
+    def test_an_extra_worker_costs_one_patch_block(self):
+        # the iterations run one after another whatever the thread count, so
+        # a second worker adds its own patch block, not a second noisy
+        # detection (two 256x256x96 float32 stacks and more); 64 KiB is left
+        # for the pool's own threads, queue and futures
+        t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=4))
+        x1, x2 = normalize_pair(t1, t2)
+        f1, f2 = default_primary_spec(0), default_secondary_spec(0)
+        cfg = SmoothingConfig(iterations=2)
+        block = max(w.shape[1] for s in (f1, f2) for w in _conv_weights(s, x1.bands)) * _TILE * 4
+        peaks = {}
+        for threads in (1, 2):
+            tracemalloc.start()
+            try:
+                run_proposed(x1, x2, f1, f2, cfg, threads=threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= peaks[1] + block + 2**16
 
 
 def _checked_detection() -> ConfidentDetection:
