@@ -8,14 +8,18 @@ not confident.
 
 A detection parallelizes on its own worker threads (``threads``), each of
 which runs its own GEMMs, so OpenBLAS is capped at one thread per caller:
-importing cdconf sets ``OPENBLAS_NUM_THREADS=1`` unless the variable is
-already set.  The cap takes effect only if NumPy has not been imported yet;
-a user's own setting wins either way.
+importing cdconf before NumPy sets ``OPENBLAS_NUM_THREADS=1`` unless the
+variable is already set.  Once NumPy is loaded the variable no longer acts,
+so it is then left alone.  Calls that give no ``threads`` use the cores
+exactly when the cap is in force (``features.default_threads``), and run
+serially on BLAS's own threads otherwise.
 """
 
 import os
+import sys
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .baselines import (
     RcvaConfig,

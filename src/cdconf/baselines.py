@@ -47,7 +47,7 @@ def run_unified(
     f1spec: ExtractorSpec,
     cfg: SmoothingConfig,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConfidentDetection:
     """Smoothing with the primary extractor doing double duty as the secondary."""
     return run_ensemble(x1, x2, f1spec, detector_labeler(f1spec, threads), cfg,
@@ -110,7 +110,7 @@ def run_conf_rcva(
     cfg: SmoothingConfig,
     rcfg: RcvaConfig,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConfidentDetection:
     """Deep primary detection validated by a noisy band-space ensemble.
 
@@ -148,8 +148,8 @@ class ConfidenceMethod:
 
     A voting method gives ``labeler``, which builds the voter of the noisy
     ensemble from (primary spec, secondary spec, RCVA config, threads);
-    ``secondary``
-    and ``rcva`` say whether it reads the secondary spec and the RCVA config.
+    ``secondary`` and ``rcva`` say whether it reads the secondary spec and the
+    RCVA config.
     A method that does not vote may give ``from_primary`` instead: confidence
     computed from the clean detection alone.  With neither, the method
     assigns no confidence.
@@ -157,7 +157,7 @@ class ConfidenceMethod:
 
     name: str
     title: str
-    labeler: (Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig, int], Labeler]
+    labeler: (Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig, int | None], Labeler]
               | None) = None
     secondary: bool = False
     rcva: bool = False
@@ -191,7 +191,7 @@ def run_method(
     cfg: SmoothingConfig | None,
     rcfg: RcvaConfig | None,
     *,
-    threads: int = 1,
+    threads: int | None = None,
     primary: ChangeResult | None = None,
 ) -> ConfidentDetection:
     """Run one method of ``METHODS`` on a normalized pair; ``primary``, if

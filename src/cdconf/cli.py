@@ -29,6 +29,7 @@ from .baselines import METHODS, RcvaConfig, run_method
 from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
 from .features import (
+    _MAX_WORKERS,
     ExtractorSpec,
     default_primary_spec,
     default_secondary_spec,
@@ -173,7 +174,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
-                   help="worker threads inside each detection (default: usable cores)")
+                   help=f"worker threads inside each detection, at most {_MAX_WORKERS} a pass "
+                        "(default: the usable cores when OpenBLAS runs one thread, else 1)")
 
 
 # the flag that sets each field of each config; every method reads f1, and

@@ -155,7 +155,8 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     return _labelled(magnitude(hypervector(f1, f2)))
 
 
-def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray, threads: int = 1) -> MagnitudeMap:
+def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray,
+                            threads: int | None = None) -> MagnitudeMap:
     """``magnitude(hypervector(*standardize_pair(f1, f2)))``, bit for bit,
     without its image-sized temporaries.
 
@@ -180,11 +181,13 @@ def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray, threads: int = 1) ->
     return MagnitudeMap(rho.reshape(f1.shape[:-1]))
 
 
-def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec, threads: int = 1) -> ChangeResult:
+def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
+                threads: int | None = None) -> ChangeResult:
     """Detect changes between two co-registered rasters with one extractor:
     extract both, take the magnitude of their pooled-standardized difference
     block by block, then threshold and label as ``detect`` does.  ``threads``
-    bounds the worker threads of the extraction and the block passes; the
-    result is bit-identical for every value."""
+    bounds the worker threads of the extraction and the block passes (None:
+    ``features.default_threads()``); the result is bit-identical for every
+    value."""
     return _labelled(_standardized_magnitude(extract(spec, x1, threads),
                                              extract(spec, x2, threads), threads))

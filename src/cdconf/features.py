@@ -23,15 +23,16 @@ Feature stacks are plain float32 arrays of shape (height, width, D).
 
 Parallelism lives inside one extraction and one pair of moments: with
 ``threads`` above 1, each conv layer's tiles are cut into one run per worker
-(each worker with its own patch block), the tapped layers are copied out in
-row bands, and the moment blocks are taken side by side, all on a pool of at
-most ``threads`` worker threads and never more workers than pieces of work.
-The pieces depend only on the image size, every one is computed as the
-serial loop computes it, and results are merged in the serial order, so the
-output is bit-identical for every thread count.  NumPy releases the
-interpreter lock in the slice copies, the GEMMs and the reductions, which is
-what the workers run.  ``cdconf`` caps OpenBLAS at one thread per caller
-(see the package docstring), so the pool does not fight BLAS's own threads.
+(each worker with its own patch block) and the moment blocks are taken side
+by side, on a pool of at most ``threads`` and at most ``_MAX_WORKERS`` worker
+threads, and never more workers than pieces of work.  The pieces depend only
+on the image size, every one is computed as the serial loop computes it, and
+results are merged in the serial order, so the output is bit-identical for
+every thread count.  NumPy releases the interpreter lock in the slice copies,
+the GEMMs and the reductions, which is what the workers run.  A caller that
+gives no ``threads`` gets ``default_threads()``, which uses the cores only
+when OpenBLAS runs one thread per call (see the package docstring), so the
+pool never fights BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -158,24 +159,48 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
 _TILE = 4096
 
 
-def _blocks(n: int, size: int = _TILE) -> list[slice]:
-    """Slices covering [0, n) in order, ``size`` long but for a ragged last one."""
-    return [slice(p, min(p + size, n)) for p in range(0, n, size)]
+def _blocks(n: int) -> list[slice]:
+    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
+    return [slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE)]
+
+
+# Most worker threads one pass runs on, whatever ``threads`` asks for.  A
+# conv worker holds its own patch block, up to 48*3*3*_TILE float32 (6.75 MiB)
+# with the stock extractors, and a magnitude worker about as much, so this
+# bounds what the pool adds to peak memory on a host with many cores.
+_MAX_WORKERS = 8
 
 
 def default_threads() -> int:
-    """The number of cores this process may run on."""
+    """Worker threads a detection runs on when its caller gives none.
+
+    When OpenBLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``, which
+    importing cdconf sets if NumPy is not loaded yet), the cores in this
+    process's affinity mask; otherwise 1, leaving the parallelism to
+    OpenBLAS's own threads.  A CPU quota is not counted.
+    """
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _pool_map(fn, items: list, threads: int) -> list:
-    """``[fn(i) for i in items]``.  With ``threads`` above 1 and more than one
-    item, the calls run on min(threads, len(items)) worker threads; the
-    results still come back in the order of ``items``."""
-    workers = min(threads, len(items))
-    if workers <= 1:
+def _workers(threads: int | None, items: int) -> int:
+    """Worker threads for ``items`` pieces of work: ``threads`` (None means
+    ``default_threads()``, and below 1 counts as 1), but at most
+    ``_MAX_WORKERS`` and at most ``items``."""
+    if threads is None:
+        threads = default_threads()
+    return max(1, min(threads, items, _MAX_WORKERS))
+
+
+def _pool_map(fn, items: list, threads: int | None) -> list:
+    """``[fn(i) for i in items]``, on ``_workers(threads, len(items))`` worker
+    threads when that is above 1; the results come back in the order of
+    ``items`` either way."""
+    workers = _workers(threads, len(items))
+    if workers == 1:
         return [fn(i) for i in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -197,7 +222,8 @@ def _reflect_border(buf: np.ndarray, pad: int) -> None:
         buf[:, hp - 1 - pad + i] = buf[:, hp - 1 - pad - i]
 
 
-def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int, threads: int = 1):
+def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
+                 threads: int | None = None):
     """Run the convolution + rectifier layers on a (c_in, h, w) stack and
     yield each layer's (c_out, h, w) output as a view that stays valid until
     the next one is yielded.
@@ -209,11 +235,11 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int, threads
     walked in tiles of ``_TILE``: each tile fills a (c, k, k, tile) patch
     block and runs one GEMM whose result is rectified where it lands, at
     column p + pad*wp + pad of the next layer's padded buffer, which is pixel
-    (y, x) of its interior.  The tiles are cut into min(threads, tiles) runs,
-    one per worker, and each worker reuses one patch block for its run;
-    tiles write disjoint columns, so they need no lock.  The wp - w columns
-    after each row wrap around into the border, which ``_reflect_border``
-    overwrites once every tile has landed.  Two padded buffers take turns as
+    (y, x) of its interior.  The tiles are cut into ``_workers(threads,
+    tiles)`` runs, one per worker, and each worker reuses one patch block for
+    its run; tiles write disjoint columns, so they need no lock.  The wp - w
+    columns after each row wrap around into the border, which
+    ``_reflect_border`` overwrites once every tile has landed.  Two padded buffers take turns as
     input and output, so a layer copies nothing of image size.
     """
     c_in, h, w = x.shape
@@ -229,7 +255,7 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int, threads
     n = (h - 1) * wp + w
     shift = pad * wp + pad
     tiles = _blocks(n)
-    parts = min(threads, len(tiles))
+    parts = _workers(threads, len(tiles))
     runs = [tiles[i * len(tiles) // parts:(i + 1) * len(tiles) // parts] for i in range(parts)]
     spare = None
     for weights_l in weights:
@@ -257,12 +283,12 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int, threads
         src, spare = spare, src
 
 
-def extract(spec: ExtractorSpec, x: Raster, threads: int = 1) -> np.ndarray:
+def extract(spec: ExtractorSpec, x: Raster, threads: int | None = None) -> np.ndarray:
     """Compute per-pixel features: a float32 (height, width, D) array.
 
     Pure function of (spec, x): repeated calls are bit-identical, whatever
-    ``threads`` is.  A random-conv extraction runs its conv tiles and its
-    tapped-layer copies on up to ``threads`` worker threads.
+    ``threads`` is.  A random-conv extraction runs its conv tiles on up to
+    ``threads`` worker threads (None: ``default_threads()``).
     """
     if spec.kind is ExtractorKind.IDENTITY:
         return np.ascontiguousarray(x.data.transpose(1, 2, 0))
@@ -279,21 +305,15 @@ def extract(spec: ExtractorSpec, x: Raster, threads: int = 1) -> np.ndarray:
     weights = _conv_weights(spec, x.bands)
     features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
     layers = _conv_layers(x.data, weights, spec.kernel_size, threads)
-    bands = _blocks(x.height, max(1, _TILE // x.width))  # rows, about _TILE pixels a band
     for layer_idx, stack in enumerate(layers, start=1):
         if layer_idx in spec.taps:
             d = spec.taps.index(layer_idx) * spec.channels
-            dst = features[:, :, d:d + spec.channels]
-
-            def copy_band(r: slice) -> None:
-                dst[r] = stack[:, r].transpose(1, 2, 0)
-
-            _pool_map(copy_band, bands, threads)
+            features[:, :, d:d + spec.channels] = stack.transpose(1, 2, 0)
     return features
 
 
 def _pooled_std(f1: np.ndarray, f2: np.ndarray,
-                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-dim pooled population std of two equally shaped stacks as float32,
     and the mask of live dims, those whose std is at least 1e-12.
 
@@ -308,6 +328,7 @@ def _pooled_std(f1: np.ndarray, f2: np.ndarray,
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     d = f1.shape[-1]
+
     def moments(block: tuple[np.ndarray, slice]) -> tuple[int, np.ndarray, np.ndarray]:
         flat, t = block
         dev = flat[t].astype(np.float64)

@@ -11,9 +11,10 @@ Every iteration draws its noise from a private counter-based stream derived
 from (master_seed, image role, iteration index), so results are bit-identical
 regardless of execution order: the reduction into K' is a commutative integer
 sum.  The iterations run one after another.  ``threads`` parallelizes inside
-each detection instead (see ``features``), so a run holds one noisy
-detection at a time whatever the thread count, and its results do not
-depend on the thread count either.
+each detection instead (see ``features``; None, the default, means
+``features.default_threads()``), so a run holds one noisy detection at a
+time whatever the thread count, and its results do not depend on the thread
+count either.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def ensemble_counts_with(
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
 
-def detector_labeler(spec: ExtractorSpec, threads: int = 1) -> Labeler:
+def detector_labeler(spec: ExtractorSpec, threads: int | None = None) -> Labeler:
     """The full detection chain with ``spec`` (fresh histogram threshold per
     call) on up to ``threads`` worker threads, keeping only the labels."""
     return lambda a, b: detect_pair(a, b, spec, threads=threads).labels
@@ -137,7 +138,7 @@ def ensemble_counts(
     f2spec: ExtractorSpec,
     cfg: SmoothingConfig,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
     changed verdicts per pixel."""
@@ -209,7 +210,7 @@ def run_ensemble(
     labeler: Labeler,
     cfg: SmoothingConfig,
     *,
-    threads: int = 1,
+    threads: int | None = None,
     primary: ChangeResult | None = None,
 ) -> ConfidentDetection:
     """Primary detection on clean inputs, K noisy votes by ``labeler``, fusion.
@@ -233,7 +234,7 @@ def run_proposed(
     f2spec: ExtractorSpec,
     cfg: SmoothingConfig,
     *,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> ConfidentDetection:
     """Primary detection plus a confidence map voted by the secondary extractor."""
     return run_ensemble(x1, x2, f1spec, detector_labeler(f2spec, threads), cfg,

@@ -91,7 +91,7 @@ def _record_threads(monkeypatch) -> list:
     seen = []
     real = cdconf.cli.detect_pair
 
-    def recorded(*a, threads=1, **kw):
+    def recorded(*a, threads=None, **kw):
         seen.append(threads)
         return real(*a, threads=threads, **kw)
 
@@ -100,7 +100,7 @@ def _record_threads(monkeypatch) -> list:
     return seen
 
 
-# (given flags, expected threads): --threads defaults to the usable cores
+# (given flags, expected threads): --threads defaults to default_threads()
 _THREADS = [(["--threads", "3"], 3), ([], default_threads())]
 
 

@@ -228,7 +228,7 @@ class TestDetectPair:
         spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
         t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
         x1, x2 = normalize_pair(t1, t2)
-        one, three = detect_pair(x1, x2, spec), detect_pair(x1, x2, spec, threads=3)
+        one, three = detect_pair(x1, x2, spec, threads=1), detect_pair(x1, x2, spec, threads=3)
         assert np.array_equal(one.magnitude.rho, three.magnitude.rho)
         assert one.tau == three.tau
         assert np.array_equal(one.labels.changed, three.labels.changed)
@@ -283,7 +283,7 @@ class TestStandardizedMagnitude:
         f2 = rng.random(size=(256, 256, 96), dtype=np.float32)
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(f1, f2)
+            m = _standardized_magnitude(f1, f2, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +13,21 @@ import cdconf.features
 from cdconf.dcva import detect_pair
 from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
+    _MAX_WORKERS,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
     _pooled_std,
     default_primary_spec,
     default_secondary_spec,
+    default_threads,
     extract,
     standardize_pair,
 )
 from cdconf.raster import Raster, save_raster
 from oracles import conv_relu_reference, conv_relu_tiled_reference, zscore_pair_reference
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _raster(seed=0, bands=3, h=12, w=10) -> Raster:
@@ -170,20 +177,35 @@ class TestRandomConv:
         assert np.array_equal(got, want)
 
     def test_no_more_workers_than_tiles(self, monkeypatch):
-        # a 64x64 layer is two tiles of 4096 columns; the recorder refuses a
-        # larger pool before any thread starts
-        sizes = []
-
-        class Recorded(cdconf.features.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                assert max_workers <= 2
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(cdconf.features, "ThreadPoolExecutor", Recorded)
+        # a 64x64 layer is two tiles of 4096 columns
+        sizes = _record_pools(monkeypatch, 2)
         x1, x2 = _raster(seed=3, bands=4, h=64, w=64), _raster(seed=4, bands=4, h=64, w=64)
         detect_pair(x1, x2, default_secondary_spec(0), threads=10**6)
         assert sizes and max(sizes) == 2
+
+    def test_no_more_workers_than_the_cap(self, monkeypatch):
+        # a 256x256 layer is 17 tiles and a stack 16 moment blocks, more
+        # pieces than the cap
+        sizes = _record_pools(monkeypatch, _MAX_WORKERS)
+        x1, x2 = _raster(seed=3, bands=4, h=256, w=256), _raster(seed=4, bands=4, h=256, w=256)
+        s = ExtractorSpec(depth=2, taps=(2,), channels=4, seed=3)
+        detect_pair(x1, x2, s, threads=10**6)
+        assert sizes and set(sizes) == {_MAX_WORKERS}
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_run_serially(self, monkeypatch, threads):
+        # every tile is still written: the features are the reference's
+        sizes = _record_pools(monkeypatch, 0)
+        x, s, want = _tiled_case(3, "tiles")
+        assert np.array_equal(extract(s, x, threads), want)
+        assert sizes == []
+
+    def test_no_threads_given_means_the_default(self, monkeypatch):
+        monkeypatch.setattr(cdconf.features, "default_threads", lambda: 2)
+        sizes = _record_pools(monkeypatch, 2)
+        x, s, want = _tiled_case(3, "tiles")
+        assert np.array_equal(extract(s, x), want)
+        assert sizes == [2] * s.depth
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
         # the padded buffers of two layers, one patch block and the output;
@@ -193,7 +215,7 @@ class TestRandomConv:
         _conv_weights(s, x.bands)
         tracemalloc.start()
         try:
-            f = extract(s, x)
+            f = extract(s, x, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -205,7 +227,7 @@ class TestRandomConv:
         _conv_weights(s, x.bands)
         tracemalloc.start()
         try:
-            f = extract(s, x)
+            f = extract(s, x, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,6 +248,50 @@ class TestRandomConv:
         f = extract(s, _raster(seed=seed, bands=bands, h=h, w=w))
         assert f.shape == (h, w, s.expected_dims(bands))
         assert np.isfinite(f).all()
+
+
+def _record_pools(monkeypatch, limit: int) -> list[int]:
+    """Record the size of every worker pool ``features`` starts; a pool of
+    more than ``limit`` workers is refused before any of its threads starts."""
+    sizes = []
+
+    class Recorded(cdconf.features.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            assert max_workers <= limit
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cdconf.features, "ThreadPoolExecutor", Recorded)
+    return sizes
+
+
+class TestDefaultThreads:
+    def test_the_cores_when_blas_runs_one_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert default_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("blas", ["4", None])
+    def test_serial_when_blas_has_its_own_threads(self, monkeypatch, blas):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        assert default_threads() == 1
+
+    # the cap acts only when OpenBLAS reads it at load; with NumPy loaded
+    # first it would only reach the processes the program starts
+    @pytest.mark.parametrize("first,given,seen", [("cdconf", None, "1"), ("numpy", None, None),
+                                                  ("cdconf", "3", "3")],
+                             ids=["cdconf-first", "numpy-first", "users-setting"])
+    def test_import_caps_blas_only_before_numpy(self, first, given, seen):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(_SRC), env.get("PYTHONPATH", "")])
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        code = f"import {first}, cdconf, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == str(seen)
 
 
 def _tiled_case(k: int, size: str):
@@ -381,7 +447,7 @@ class TestStandardizePair:
         for f in (f1, f2):
             f[..., 2] = f[..., 2] * np.float32(1e-3) + np.float32(1000)
         f1[..., 4] = f2[..., 4] = 0
-        sd1, live1 = _pooled_std(f1, f2)
+        sd1, live1 = _pooled_std(f1, f2, threads=1)
         sd3, live3 = _pooled_std(f1, f2, threads=3)
         assert np.array_equal(sd1, sd3)
         assert np.array_equal(live1, live3)
