@@ -162,19 +162,23 @@ def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray,
 
     After the pooled std is known, rho is computed block by block of
     ``features._TILE`` pixels with the same arithmetic: a float32 divide of
-    each stack by the std (dead dims zeroed), their float32 difference, then
-    a float64 sum of squares over the dims and its square root.  The blocks
-    run on up to ``threads`` worker threads, each writing its own pixels.
+    each stack by the std, their float32 difference, then a float64 sum of
+    squares over the dims and its square root.  Dead dims are divided by 1
+    and then zeroed, which gives the zeros of ``standardize_pair`` without
+    its masked divide.  The blocks run on up to ``threads`` worker threads,
+    each writing its own pixels.
     """
     sd, live = _pooled_std(f1, f2, threads)
+    dead = np.flatnonzero(~live)
+    sd[dead] = 1
     d = f1.shape[-1]
     a, b = f1.reshape(-1, d), f2.reshape(-1, d)
     rho = np.empty(len(a), np.float32)
 
     def block(t: slice) -> None:
-        z1, z2 = (np.divide(f[t], sd, out=np.zeros(f[t].shape, np.float32), where=live)
-                  for f in (a, b))
+        z1, z2 = a[t] / sd, b[t] / sd
         z2 -= z1
+        z2[:, dead] = 0
         rho[t] = np.sqrt(np.square(z2, dtype=np.float64).sum(axis=-1))
 
     _pool_map(block, _blocks(len(a)), threads)

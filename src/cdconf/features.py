@@ -11,10 +11,13 @@ Three extractor kinds:
   is one GEMM per tile of output pixels: in the row-major flattened padded
   image, the k*k patch entries of consecutive pixels are k*k contiguous
   slices, so a tile's patch block is filled by plain slice copies and the
-  full-image patch matrix is never built.  The input is padded once; each
-  GEMM tile lands in the interior of the next layer's padded buffer, whose
-  border is then filled by reflection in place, so past the input no layer
-  makes a padded copy or a separate output.
+  full-image patch matrix is never built.  Each GEMM tile lands in the
+  interior of the next layer's padded rows, whose border is then filled by
+  reflection in place, so no layer makes a padded copy or a separate
+  output.  Unless the image is small, a layer holds only a ring of its
+  padded rows, and the next layer takes each row as soon as it is final,
+  so past the feature stack an extraction holds a few dozen rows a layer.
+  Only the layers up to the deepest tap run.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
@@ -22,11 +25,12 @@ Three extractor kinds:
 Feature stacks are plain float32 arrays of shape (height, width, D).
 
 Parallelism lives inside one extraction and one pair of moments: with
-``threads`` above 1, each conv layer's tiles are cut into one run per worker
-(each worker with its own patch block) and the moment blocks are taken side
-by side, on a pool of at most ``threads`` and at most ``_MAX_WORKERS`` worker
-threads, and never more workers than pieces of work.  The pieces depend only
-on the image size, every one is computed as the serial loop computes it, and
+``threads`` above 1, the conv tiles of all layers are handed to the workers
+of one pool per extraction as their input rows become final (each worker
+with its own patch block), and the moment blocks are taken side by side, on
+pools of at most ``threads`` and at most ``_MAX_WORKERS`` worker threads,
+and never more workers than pieces of work.  The pieces depend only on the
+image size, every one is computed as the serial loop computes it, and
 results are merged in the serial order, so the output is bit-identical for
 every thread count.  NumPy releases the interpreter lock in the slice copies,
 the GEMMs and the reductions, which is what the workers run.  A caller that
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -170,20 +175,56 @@ def _blocks(n: int) -> list[slice]:
 # bounds what the pool adds to peak memory on a host with many cores.
 _MAX_WORKERS = 8
 
+# Tiles a layer's ring has room for past the rows the next layer still
+# reads (see ``_ring_rows``): enough for every worker to have a tile in
+# flight, whatever ``threads`` is, so the rings do not grow with it.
+_AHEAD = 8
+
+# Multiply-adds a worker is handed at once, at least one tile: about a
+# millisecond of GEMM, so the hand-off costs little next to the work.
+_TASK = 2**25
+
+
+# Where the cgroup file systems are mounted, read by ``_cpu_quota``.
+_CGROUP = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota(root: Path | None = None) -> int | None:
+    """Whole CPUs the CPU quota of this process's cgroup allows, rounded up,
+    or None when there is none: cgroup v2's ``cpu.max`` ("quota period", or
+    "max period"), else cgroup v1's ``cpu/cpu.cfs_quota_us`` (-1 for none)
+    over ``cpu/cpu.cfs_period_us``, under ``root`` (None: ``_CGROUP``)."""
+    root = _CGROUP if root is None else root
+    try:
+        try:
+            quota, period = (root / "cpu.max").read_text().split()
+        except FileNotFoundError:
+            quota, period = ((root / "cpu" / f"cpu.cfs_{f}_us").read_text().strip()
+                             for f in ("quota", "period"))
+        if quota in ("max", "-1"):
+            return None
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError):
+        return None
+
 
 def default_threads() -> int:
     """Worker threads a detection runs on when its caller gives none.
 
     When OpenBLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``, which
     importing cdconf sets if NumPy is not loaded yet), the cores in this
-    process's affinity mask; otherwise 1, leaving the parallelism to
-    OpenBLAS's own threads.  A CPU quota is not counted.
+    process's affinity mask, but no more than a CPU quota allows
+    (``_cpu_quota``); otherwise 1, leaving the parallelism to OpenBLAS's own
+    threads.
     """
     if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cores if quota is None else min(cores, quota)
 
 
 def _workers(threads: int | None, items: int) -> int:
@@ -206,41 +247,115 @@ def _pool_map(fn, items: list, threads: int | None) -> list:
         return list(pool.map(fn, items))
 
 
-def _reflect_border(buf: np.ndarray, pad: int) -> None:
-    """Fill the pad-wide border of a (c, h + 2*pad, w + 2*pad) buffer in place
-    by reflecting its interior, as ``np.pad(mode="reflect")`` does: border
-    columns of the interior rows first, then whole border rows."""
-    if not pad:
-        return
-    hp, wp = buf.shape[1:]
-    rows = buf[:, pad:hp - pad]
-    for i in range(1, pad + 1):
-        rows[:, :, pad - i] = rows[:, :, pad + i]
-        rows[:, :, wp - 1 - pad + i] = rows[:, :, wp - 1 - pad - i]
-    for i in range(1, pad + 1):
-        buf[:, pad - i] = buf[:, pad + i]
-        buf[:, hp - 1 - pad + i] = buf[:, hp - 1 - pad - i]
+def _ring_rows(hp: int, wp: int, pad: int, chans: list[int]) -> list[int]:
+    """Padded rows of the ring each stage of ``_conv_layers`` holds, for
+    stages of ``chans`` channels (the input first).
+
+    ``_AHEAD`` tiles write at most ``span`` rows, and the next layer's first
+    unfinished tile reads at most ``reach`` rows.  A ring that is not the
+    last holds both and the pad-wide bottom border; the last one feeds no
+    layer and holds ``span``.  Each ring also has a tail of one tile for the
+    GEMM that wraps around it.  When these rings, all live at once, would
+    take no less memory than the whole padded buffers of two adjacent
+    layers, every ring is the whole buffer instead, and the layers run one
+    after another.
+    """
+    def rows(positions: int) -> int:
+        return -(-positions // wp) + 1
+
+    span, reach = rows(_AHEAD * _TILE), rows(_TILE) + 2 * pad + 1
+    want = [min(span + reach + pad, hp)] * (len(chans) - 1) + [min(span, hp)]
+    whole = hp * wp * max(a + b for a, b in zip(chans, chans[1:]))
+    if sum(c * (r * wp + _TILE) for c, r in zip(chans, want)) >= whole:
+        return [hp] * len(chans)
+    return want
+
+
+class _Stage:
+    """The input (stage 0) or one layer's output in ``_conv_layers``.
+
+    While the stage is live, ``win`` is a ring of ``rows`` rows of its
+    reflect-padded (c, hp, wp) buffer: padded row r sits in row r % rows,
+    so position q of the flattened buffer sits at q % size of ``flat``,
+    which runs ``tail`` positions past the ring for a GEMM that wraps.
+    ``next`` is the next tile to hand out (the next image row to copy, for
+    the input), ``done`` marks the tiles done and ``prefix`` counts the
+    leading ones.  Padded rows below ``filled`` have their interior written;
+    rows below ``final`` have their border too, and the next layer may read
+    them.
+    """
+
+    __slots__ = ("channels", "rows", "size", "tail", "win", "flat",
+                 "next", "prefix", "done", "filled", "final")
+
+    def __init__(self, channels: int, rows: int, tail: int, wp: int, pad: int, tiles: int):
+        self.channels, self.rows, self.size, self.tail = channels, rows, rows * wp, tail
+        self.win = self.flat = None
+        self.next = self.prefix = self.final = 0
+        self.done = bytearray(tiles)
+        self.filled = pad
+
+    def start(self) -> None:
+        self.flat = np.empty((self.channels, self.size + self.tail), np.float32)
+        self.win = self.flat[:, :self.size].reshape(self.channels, self.rows, -1)
+
+    def stop(self) -> None:
+        self.win = self.flat = None
+
+    def pieces(self, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
+        """Padded rows [lo, hi) as (first row, view) pieces: one, or two
+        where the rows wrap around the ring."""
+        out = []
+        while lo < hi:
+            a = lo % self.rows
+            n = min(hi - lo, self.rows - a)
+            out.append((lo, self.win[:, a:a + n]))
+            lo += n
+        return out
+
+    def read(self, dst: np.ndarray, q: int) -> None:
+        """Copy flattened positions [q, q + m) into the (c, m) ``dst``."""
+        m, o = dst.shape[-1], q % self.size
+        n = min(m, self.size - o)
+        dst[:, :n] = self.flat[:, o:o + n]
+        if n < m:
+            dst[:, n:] = self.flat[:, :m - n]
 
 
 def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
                  threads: int | None = None):
     """Run the convolution + rectifier layers on a (c_in, h, w) stack and
-    yield each layer's (c_out, h, w) output as a view that stays valid until
-    the next one is yielded.
+    yield ``(layer, y, band)`` for each band of finished rows: ``band`` is a
+    (c_out, rows, w) view of image rows y.. of the 1-based ``layer``'s
+    output, valid until the next band is yielded.
 
     Every layer reads a reflect-padded (c, hp, wp) buffer through ``flat`` of
     shape (c, hp*wp).  Output pixel (y, x) is column p = y*wp + x, and its
     patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the patches of
     a run of consecutive p are k*k contiguous slices of ``flat``.  Columns are
-    walked in tiles of ``_TILE``: each tile fills a (c, k, k, tile) patch
-    block and runs one GEMM whose result is rectified where it lands, at
-    column p + pad*wp + pad of the next layer's padded buffer, which is pixel
-    (y, x) of its interior.  The tiles are cut into ``_workers(threads,
-    tiles)`` runs, one per worker, and each worker reuses one patch block for
-    its run; tiles write disjoint columns, so they need no lock.  The wp - w
-    columns after each row wrap around into the border, which
-    ``_reflect_border`` overwrites once every tile has landed.  Two padded buffers take turns as
-    input and output, so a layer copies nothing of image size.
+    walked in the tiles of ``_blocks(n)``, the same for every layer and every
+    image height: each tile fills a (c, k, k, tile) patch block and runs one
+    GEMM whose result is rectified where it lands, at column p + pad*wp + pad
+    of the next layer's padded buffer, which is pixel (y, x) of its interior.
+    The wp - w columns after each row wrap around into the border, which is
+    reflected over them once the row is written.
+
+    Unless the image is small, no layer holds its whole padded buffer but a
+    ring of rows (``_ring_rows``), and the layers advance as a wavefront.
+    A tile is handed out once the rows it reads are final and the rows it
+    writes are free, the deepest layer's first, a few consecutive tiles at
+    once where tiles are cheap (``_TASK``).  Up to two hand-outs a worker
+    are in flight; each worker takes the next one as it finishes, with one
+    patch block for the whole extraction, and tiles write disjoint columns,
+    so no step waits for a whole batch and no lock is needed.  Meanwhile
+    this thread reflects the borders of finished rows and hands them on.
+    A layer starts once nothing else can run (the layer before it is done
+    or has filled its ring), and its ring is freed once the next layer is
+    done.  A tile whose slices wrap around a ring is copied in two pieces,
+    and a GEMM that wraps lands in the ring's tail and is moved to its start,
+    so every GEMM has the operands and shape it would have with whole
+    buffers, and the output does not depend on the rings, the order of the
+    tiles or ``threads``.
     """
     c_in, h, w = x.shape
     pad = k // 2
@@ -249,46 +364,184 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
             f"image {h}x{w} too small for reflection padding of a {k}x{k} kernel"
         )
     hp, wp = h + 2 * pad, w + 2 * pad
-    src = np.empty((c_in, hp, wp), np.float32)
-    src[:, pad:pad + h, pad:pad + w] = x
-    _reflect_border(src, pad)
     n = (h - 1) * wp + w
     shift = pad * wp + pad
     tiles = _blocks(n)
-    parts = _workers(threads, len(tiles))
-    runs = [tiles[i * len(tiles) // parts:(i + 1) * len(tiles) // parts] for i in range(parts)]
-    spare = None
-    for weights_l in weights:
-        c_in, c_out = len(src), len(weights_l)
-        if spare is None or len(spare) != c_out:
-            spare = np.empty((c_out, hp, wp), np.float32)
-        flat, out = src.reshape(c_in, -1), spare.reshape(c_out, -1)
+    width = min(_TILE, n)
+    workers = _workers(threads, len(tiles))
+    chans = [c_in] + [len(weights_l) for weights_l in weights]
+    last = len(weights)
+    stages = [_Stage(c, r, width if r < hp else 0, wp, pad, len(tiles))
+              for c, r in zip(chans, _ring_rows(hp, wp, pad, chans))]
+    step = -(-_AHEAD * _TILE // wp)
+    # tiles handed out at once: enough multiply-adds to outweigh the hand-off
+    group = [0] + [max(1, _TASK // (len(wl) * wl.shape[1] * width)) for wl in weights]
 
-        def run_tiles(run: list[slice]) -> None:
-            block = np.empty((c_in, k, k, min(_TILE, n)), np.float32)
-            rows = block.reshape(c_in * k * k, -1)
-            for t in run:
-                m = t.stop - t.start
-                for dy in range(k):
-                    for dx in range(k):
-                        s = t.start + dy * wp + dx
-                        block[:, dy, dx, :m] = flat[:, s:s + m]
-                tile = out[:, shift + t.start:shift + t.stop]
-                np.matmul(weights_l, rows[:, :m], out=tile)
-                np.maximum(tile, 0.0, out=tile)
+    def new_block() -> np.ndarray:
+        return np.empty(max(chans[:-1]) * k * k * width, np.float32)
 
-        _pool_map(run_tiles, runs, threads)
-        _reflect_border(spare, pad)
-        yield spare[:, pad:pad + h, pad:pad + w]
-        src, spare = spare, src
+    def keep(s: int) -> int:
+        """First padded row of stage s that a tile may still read or write."""
+        st = stages[s]
+        if s == last:
+            return st.filled
+        after = stages[s + 1]
+        if after.win is None:
+            return 0
+        return min(st.filled, tiles[after.prefix].start // wp)
+
+    def ready(s: int) -> bool:
+        """Whether layer s can take its next tile now."""
+        st = stages[s]
+        j = st.next
+        if j == len(tiles) or (tiles[j].stop - 1 + 2 * shift) // wp >= stages[s - 1].final:
+            return False
+        end = hp - 1 if j + 1 == len(tiles) and s < last else (shift + tiles[j].stop - 1) // wp
+        return end < keep(s) + st.rows
+
+    def input_end() -> int:
+        """Image row up to which the input can be copied now."""
+        st = stages[0]
+        room = keep(0) + st.rows
+        end = min(h, st.next + step, room - pad)
+        return h - 1 if end == h and hp > room else end
+
+    def copy_input(end: int) -> None:
+        """Copy image rows up to ``end`` into the input's ring."""
+        st = stages[0]
+        for r, band in st.pieces(pad + st.next, pad + end):
+            band[:, :, pad:pad + w] = x[:, r - pad:r - pad + band.shape[1]]
+        st.next = end
+
+    def run_tiles(buf: np.ndarray, s: int, lo: int, hi: int) -> None:
+        """Run tiles [lo, hi) of layer s with the patch block ``buf``."""
+        src, st, weights_l = stages[s - 1], stages[s], weights[s - 1]
+        c_in = src.channels
+        block = buf[:c_in * k * k * width].reshape(c_in, k, k, width)
+        for t in tiles[lo:hi]:
+            m = t.stop - t.start
+            for dy in range(k):
+                for dx in range(k):
+                    src.read(block[:, dy, dx, :m], t.start + dy * wp + dx)
+            rows = block.reshape(c_in * k * k, width)[:, :m]
+            o = (shift + t.start) % st.size
+            tile = st.flat[:, o:o + m]
+            np.matmul(weights_l, rows, out=tile)
+            np.maximum(tile, 0.0, out=tile)
+            if o + m > st.size:
+                st.flat[:, :o + m - st.size] = st.flat[:, st.size:o + m]
+
+    def worker(tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+        """Run tiles from ``tasks`` until a None, reporting each to ``results``."""
+        buf = new_block()
+        while (task := tasks.get()) is not None:
+            try:
+                run_tiles(buf, *task)
+                results.put((task, None))
+            except BaseException as e:  # noqa: BLE001 - re-raised by the scheduler
+                results.put((task, e))
+
+    def advance(s: int, filled: int):
+        """Take stage s's interior as written up to padded row ``filled``:
+        reflect the border of the new rows as ``np.pad(mode="reflect")``
+        does (their border columns, the top rows once rows up to 2*pad are
+        in, the bottom rows at the end), mark them final, and yield them."""
+        st = stages[s]
+        lo, st.filled = st.filled, filled
+        if s < last:
+            for _, band in st.pieces(lo, filled):
+                for i in range(1, pad + 1):
+                    band[:, :, pad - i] = band[:, :, pad + i]
+                    band[:, :, wp - 1 - pad + i] = band[:, :, wp - 1 - pad - i]
+            if lo <= 2 * pad < filled:
+                # the ring has not wrapped yet: no layer reads it before this
+                for i in range(1, pad + 1):
+                    st.win[:, pad - i] = st.win[:, pad + i]
+            if filled == pad + h:
+                for i in range(1, pad + 1):
+                    st.win[:, (hp - 1 - pad + i) % st.rows] = st.win[:, (hp - 1 - pad - i) % st.rows]
+                st.final = hp
+            elif filled > 2 * pad:
+                st.final = filled
+        if s:
+            for r, band in st.pieces(lo, filled):
+                yield s, r - pad, band[:, :, pad:pad + w]
+
+    def finished(s: int, lo: int, hi: int):
+        """Record tiles [lo, hi) of layer s as done and take what they
+        complete."""
+        st = stages[s]
+        st.done[lo:hi] = b"\1" * (hi - lo)
+        if st.prefix < len(tiles) and st.done[st.prefix]:
+            while st.prefix < len(tiles) and st.done[st.prefix]:
+                st.prefix += 1
+            if st.prefix == len(tiles):
+                yield from advance(s, pad + h)
+                stages[s - 1].stop()
+            else:
+                yield from advance(s, (shift + tiles[st.prefix - 1].stop) // wp)
+
+    def wavefront(tasks: queue.SimpleQueue | None, results: queue.SimpleQueue | None):
+        """Hand out tiles until the last layer is done: to the workers
+        through ``tasks``, at most two a worker in flight, or run them here
+        when ``tasks`` is None."""
+        buf = new_block() if tasks is None else None
+        live, inflight = 0, 0
+        stages[0].start()
+        while stages[last].prefix < len(tiles):
+            s = next((s for s in range(live, 0, -1) if ready(s)), None)
+            if s is not None and inflight < 2 * workers:
+                st = stages[s]
+                lo = st.next
+                st.next += 1
+                while st.next - lo < group[s] and ready(s):
+                    st.next += 1
+                if tasks is None:
+                    run_tiles(buf, s, lo, st.next)
+                    yield from finished(s, lo, st.next)
+                else:
+                    tasks.put((s, lo, st.next))
+                    inflight += 1
+            elif stages[0].next < h and input_end() > stages[0].next:
+                end = input_end()
+                copy_input(end)
+                yield from advance(0, pad + end)
+            elif inflight:
+                task, error = results.get()
+                inflight -= 1
+                if error is not None:
+                    raise error
+                yield from finished(*task)
+            elif live < last:
+                live += 1
+                stages[live].start()
+            else:
+                raise RuntimeError("conv layer rings too small to advance")
+
+    if workers == 1:
+        yield from wavefront(None, None)
+        return
+    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in range(workers):
+            pool.submit(worker, tasks, results)
+        try:
+            yield from wavefront(tasks, results)
+        finally:
+            for _ in range(workers):
+                tasks.put(None)
 
 
 def extract(spec: ExtractorSpec, x: Raster, threads: int | None = None) -> np.ndarray:
     """Compute per-pixel features: a float32 (height, width, D) array.
 
     Pure function of (spec, x): repeated calls are bit-identical, whatever
-    ``threads`` is.  A random-conv extraction runs its conv tiles on up to
-    ``threads`` worker threads (None: ``default_threads()``).
+    ``threads`` is.  A random-conv extraction runs only the layers up to its
+    deepest tap, its conv tiles on up to ``threads`` worker threads (None:
+    ``default_threads()``), and copies each finished row band of a tapped
+    layer into the stack as the band comes out of ``_conv_layers``; past
+    the stack it holds the rings of padded layer rows and one patch block
+    per worker.
     """
     if spec.kind is ExtractorKind.IDENTITY:
         return np.ascontiguousarray(x.data.transpose(1, 2, 0))
@@ -302,13 +555,12 @@ def extract(spec: ExtractorSpec, x: Raster, threads: int | None = None) -> np.nd
                 )
             layers.append(r.data)
         return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
-    weights = _conv_weights(spec, x.bands)
+    weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
     features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
-    layers = _conv_layers(x.data, weights, spec.kernel_size, threads)
-    for layer_idx, stack in enumerate(layers, start=1):
-        if layer_idx in spec.taps:
-            d = spec.taps.index(layer_idx) * spec.channels
-            features[:, :, d:d + spec.channels] = stack.transpose(1, 2, 0)
+    for layer, y, band in _conv_layers(x.data, weights, spec.kernel_size, threads):
+        if layer in spec.taps:
+            d = spec.taps.index(layer) * spec.channels
+            features[y:y + band.shape[1], :, d:d + spec.channels] = band.transpose(1, 2, 0)
     return features
 
 

@@ -14,10 +14,13 @@ from cdconf.dcva import detect_pair
 from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
     _MAX_WORKERS,
+    _TILE,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
+    _cpu_quota,
     _pooled_std,
+    _ring_rows,
     default_primary_spec,
     default_secondary_spec,
     default_threads,
@@ -148,21 +151,52 @@ class TestRandomConv:
         assert np.abs(f - ref).max() <= 1e-5 * np.abs(ref).max()
 
     # 96x101 and 130x70 span several tiles with a partial last one; a side of
-    # pad + 1 is the smallest the reflection padding allows
+    # pad + 1 is the smallest the reflection padding allows; 300x700 and
+    # 2500x40 run the layers in rings of rows, 1000x40 and 40x1000 in whole
+    # buffers (see test_rings_only_where_they_save_memory)
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest"])
+    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
+                                      "rings", "narrow-rings"])
     def test_bit_identical_to_padded_copy_tile_loop(self, k, size):
         x, s, want = _tiled_case(k, size)
         assert np.array_equal(extract(s, x), want)
 
-    # three tiles split into runs of one and two, or one each; the smallest
-    # side has a single tile, fewer than the workers
-    @pytest.mark.parametrize("threads", [2, 3])
+    # three tiles handed to one, two or three workers; the smallest side has
+    # a single tile, fewer than the workers; in rings, tiles wrap around
+    @pytest.mark.parametrize("threads", [2, 3, 1])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest"])
+    @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
+                                      "rings", "narrow-rings"])
     def test_bit_identical_on_worker_threads(self, k, size, threads):
         x, s, want = _tiled_case(k, size)
         assert np.array_equal(extract(s, x, threads), want)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_rings_only_where_they_save_memory(self, k):
+        # channels of the input and of the three layers of _tiled_case
+        pad, chans = k // 2, [4, 5, 5, 5]
+        for size, rings in [("rings", True), ("narrow-rings", True), ("narrow", False),
+                            ("wide", False), ("tiles", False)]:
+            h, w = _SIZES[size]
+            rows = _ring_rows(h + 2 * pad, w + 2 * pad, pad, chans)
+            assert (max(rows) < h + 2 * pad) == rings, size
+
+    def test_runs_only_up_to_the_deepest_tap(self, monkeypatch):
+        # the weights are drawn layer by layer, so the first two layers of a
+        # six-layer spec are those of a two-layer one with the same seed
+        layers = []
+        conv_layers = cdconf.features._conv_layers
+
+        def recorded(x, weights, k, threads=None):
+            layers.append(len(weights))
+            return conv_layers(x, weights, k, threads)
+
+        monkeypatch.setattr(cdconf.features, "_conv_layers", recorded)
+        x = _raster(seed=21, bands=4, h=70, w=90)
+        deep = extract(ExtractorSpec(depth=6, taps=(2,), channels=6, seed=4), x)
+        shallow = extract(ExtractorSpec(depth=2, taps=(2,), channels=6, seed=4), x)
+        assert np.array_equal(deep, shallow)
+        assert layers == [2, 2]
 
     def test_more_workers_than_cores_with_fast_switching(self):
         # workers write disjoint columns of shared buffers; a switch every
@@ -205,7 +239,7 @@ class TestRandomConv:
         sizes = _record_pools(monkeypatch, 2)
         x, s, want = _tiled_case(3, "tiles")
         assert np.array_equal(extract(s, x), want)
-        assert sizes == [2] * s.depth
+        assert sizes and set(sizes) == {2}
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
         # the padded buffers of two layers, one patch block and the output;
@@ -232,6 +266,47 @@ class TestRandomConv:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * f.nbytes
+
+    @pytest.mark.parametrize("size", [128, 256])
+    @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
+                             ids=["primary", "secondary"])
+    def test_traced_peak_of_a_small_image_within_two_whole_buffers(self, spec, size):
+        # the features, the whole padded buffers of two layers and one patch
+        # block, with 128 KiB for the interpreter's own objects: an image
+        # whose rings would take more than two whole buffers runs in those
+        x = _raster(seed=19, bands=4, h=size, w=size)
+        _conv_weights(spec, x.bands)
+        tracemalloc.start()
+        try:
+            f = extract(spec, x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = spec.channels * (size + 2) ** 2 * 4
+        block = spec.channels * 9 * _TILE * 4
+        assert peak <= f.nbytes + 2 * whole + block + 2**17
+
+    def test_traced_peak_of_a_tall_raster_does_not_grow_with_its_height(self):
+        # past the features, the rings of the layers and one patch block,
+        # whose sizes depend on the width only; whole padded buffers would
+        # add 2 * 48 * 1024 * 130 float32 (51 MB) from one height to the next
+        s = default_secondary_spec(0)
+        held = {}
+        for h in (1024, 2048):
+            x = _raster(seed=18, bands=4, h=h, w=128)
+            _conv_weights(s, x.bands)
+            tracemalloc.start()
+            try:
+                f = extract(s, x, 1)
+                held[h] = tracemalloc.get_traced_memory()[1] - f.nbytes
+            finally:
+                tracemalloc.stop()
+            del f
+        assert held[2048] <= held[1024] + 2**20
+        # all the rings together hold less than one whole padded buffer
+        whole = s.channels * 1026 * 130 * 4
+        block = s.channels * 9 * _TILE * 4
+        assert held[1024] <= whole + block
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -266,9 +341,39 @@ def _record_pools(monkeypatch, limit: int) -> list[int]:
 
 
 class TestDefaultThreads:
-    def test_the_cores_when_blas_runs_one_thread(self, monkeypatch):
+    def test_the_cores_when_blas_runs_one_thread(self, monkeypatch, tmp_path):
+        # no CPU quota: the cgroup files are not there
+        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("quota,cpus", [(50_000, 1), (100_000, 1), (150_000, 2)])
+    def test_the_cores_capped_by_a_cpu_quota(self, monkeypatch, tmp_path, quota, cpus):
+        (tmp_path / "cpu.max").write_text(f"{quota} 100000\n")
+        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert default_threads() == min(cpus, len(os.sched_getaffinity(0)))
+
+    def test_a_quota_above_the_cores_leaves_the_cores(self, monkeypatch, tmp_path):
+        (tmp_path / "cpu.max").write_text("6400000 100000\n")
+        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert default_threads() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("files,cpus", [
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"cpu.max": "250000 100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "250000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "20000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({"cpu.max": "garbled\n"}, None),
+        ({}, None),
+    ], ids=["v2-none", "v2", "v1-none", "v1", "v1-fraction", "garbled", "absent"])
+    def test_cpu_quota_files(self, tmp_path, files, cpus):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        assert _cpu_quota(tmp_path) == cpus
 
     @pytest.mark.parametrize("blas", ["4", None])
     def test_serial_when_blas_has_its_own_threads(self, monkeypatch, blas):
@@ -294,10 +399,14 @@ class TestDefaultThreads:
         assert out.strip() == str(seen)
 
 
+_SIZES = {"tiles": (96, 101), "tall": (130, 70), "narrow": (1000, 40), "wide": (40, 1000),
+          "rings": (300, 700), "narrow-rings": (2500, 40)}
+
+
 def _tiled_case(k: int, size: str):
     """A raster, a 3-layer spec with kernel k, and its features from the
     reference per-layer padded copy and tile loop."""
-    h, w = {"tiles": (96, 101), "tall": (130, 70), "smallest": (k // 2 + 1, 9)}[size]
+    h, w = (k // 2 + 1, 9) if size == "smallest" else _SIZES[size]
     x = _raster(seed=k, bands=4, h=h, w=w)
     s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
     stack, tapped = x.data, []
