@@ -438,7 +438,7 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
             try:
                 run_tiles(buf, *task)
                 results.put((task, None))
-            except BaseException as e:  # noqa: BLE001 - re-raised by the scheduler
+            except BaseException as e:  # raised again on the scheduling thread
                 results.put((task, e))
 
     def advance(s: int, filled: int):
@@ -472,14 +472,14 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
         complete."""
         st = stages[s]
         st.done[lo:hi] = b"\1" * (hi - lo)
-        if st.prefix < len(tiles) and st.done[st.prefix]:
-            while st.prefix < len(tiles) and st.done[st.prefix]:
-                st.prefix += 1
-            if st.prefix == len(tiles):
-                yield from advance(s, pad + h)
-                stages[s - 1].stop()
-            else:
-                yield from advance(s, (shift + tiles[st.prefix - 1].stop) // wp)
+        before = st.prefix
+        while st.prefix < len(tiles) and st.done[st.prefix]:
+            st.prefix += 1
+        if st.prefix == len(tiles):
+            yield from advance(s, pad + h)
+            stages[s - 1].stop()
+        elif st.prefix > before:
+            yield from advance(s, (shift + tiles[st.prefix - 1].stop) // wp)
 
     def wavefront(tasks: queue.SimpleQueue | None, results: queue.SimpleQueue | None):
         """Hand out tiles until the last layer is done: to the workers

@@ -242,8 +242,9 @@ class TestRandomConv:
         assert sizes and set(sizes) == {2}
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
-        # the padded buffers of two layers, one patch block and the output;
-        # a per-layer padded copy or output buffer brings it to 2.8x
+        # the layers' padded rows (never more than two whole padded
+        # buffers), one patch block and the output; a per-layer padded copy
+        # or output buffer brings it to 2.8x
         s = default_secondary_spec(0)
         x = _raster(seed=17, bands=4, h=256, w=256)
         _conv_weights(s, x.bands)
