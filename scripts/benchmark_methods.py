@@ -41,7 +41,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="master seed for weights/noise")
     ap.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled")
     ap.add_argument("--threads", type=int, default=default_threads(),
-                    help="worker threads inside each detection (cap and default as for "
+                    help="worker threads inside each detection: its two extractions and "
+                         "its moment and magnitude blocks (cap and default as for "
                          "cdconf detect --threads)")
     args = ap.parse_args(argv)
     for flag in ("scenes", "threads"):

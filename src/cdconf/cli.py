@@ -174,7 +174,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
-                   help=f"worker threads inside each detection, at most {_MAX_WORKERS} a pass "
+                   help="worker threads inside each detection: its two extractions run side "
+                        f"by side, its moment and magnitude blocks on at most {_MAX_WORKERS} "
                         "(default: the usable cores when OpenBLAS runs one thread, else 1)")
 
 

@@ -11,9 +11,11 @@ raster pair without materializing any of its intermediate stacks: once the
 per-dim pooled std is known, the standardized difference and its magnitude
 are computed block by block of pixels, with the same float32 and float64
 arithmetic as ``magnitude(hypervector(*standardize_pair(f1, f2)))``, so the
-magnitude map is bit-identical to that composition.  Past the two feature
-stacks, a detection allocates only its magnitude map and a few blocks per
-worker thread; the blocks run side by side when ``threads`` is above 1.
+magnitude map is bit-identical to that composition.  With ``threads`` above
+1, the two extractions of the pair run side by side, one a worker thread,
+and so do the blocks.  Past the two feature stacks, a detection allocates
+only its magnitude map, the conv rings and patch block of each extraction
+while it runs, and a few blocks per worker thread.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -188,10 +190,11 @@ def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray,
 def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
                 threads: int | None = None) -> ChangeResult:
     """Detect changes between two co-registered rasters with one extractor:
-    extract both, take the magnitude of their pooled-standardized difference
-    block by block, then threshold and label as ``detect`` does.  ``threads``
-    bounds the worker threads of the extraction and the block passes (None:
+    extract both, side by side when ``threads`` is above 1, take the
+    magnitude of their pooled-standardized difference block by block, then
+    threshold and label as ``detect`` does.  ``threads`` bounds the worker
+    threads of the extractions and of the block passes (None:
     ``features.default_threads()``); the result is bit-identical for every
     value."""
-    return _labelled(_standardized_magnitude(extract(spec, x1, threads),
-                                             extract(spec, x2, threads), threads))
+    f1, f2 = _pool_map(lambda x: extract(spec, x), [x1, x2], threads)
+    return _labelled(_standardized_magnitude(f1, f2, threads))

@@ -17,33 +17,31 @@ Three extractor kinds:
   output.  Unless the image is small, a layer holds only a ring of its
   padded rows, and the next layer takes each row as soon as it is final,
   so past the feature stack an extraction holds a few dozen rows a layer.
-  Only the layers up to the deepest tap run.
+  Only the layers up to the deepest tap run, one tile at a time.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
 
 Feature stacks are plain float32 arrays of shape (height, width, D).
 
-Parallelism lives inside one extraction and one pair of moments: with
-``threads`` above 1, the conv tiles of all layers are handed to the workers
-of one pool per extraction as their input rows become final (each worker
-with its own patch block), and the moment blocks are taken side by side, on
-pools of at most ``threads`` and at most ``_MAX_WORKERS`` worker threads,
-and never more workers than pieces of work.  The pieces depend only on the
-image size, every one is computed as the serial loop computes it, and
-results are merged in the serial order, so the output is bit-identical for
-every thread count.  NumPy releases the interpreter lock in the slice copies,
-the GEMMs and the reductions, which is what the workers run.  A caller that
-gives no ``threads`` gets ``default_threads()``, which uses the cores only
-when OpenBLAS runs one thread per call (see the package docstring), so the
-pool never fights BLAS's own threads.
+An extraction runs on the thread that calls it.  ``dcva.detect_pair`` runs
+the two extractions of a pair side by side, and the moment blocks of
+``_pooled_std`` and its own magnitude blocks too, each on ``_pool_map``: at
+most ``threads`` and at most ``_MAX_WORKERS`` worker threads, and never more
+workers than pieces of work.  The pieces depend only on the image size,
+every one is computed as the serial loop computes it, and results are
+merged in the serial order, so the output is bit-identical for every thread
+count.  NumPy releases the interpreter lock in the slice copies, the GEMMs
+and the reductions, which is what the workers run.  A caller that gives no
+``threads`` gets ``default_threads()``, which uses the cores only when
+OpenBLAS runs one thread per call (see the package docstring), so the pool
+never fights BLAS's own threads.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -170,19 +168,12 @@ def _blocks(n: int) -> list[slice]:
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# conv worker holds its own patch block, up to 48*3*3*_TILE float32 (6.75 MiB)
-# with the stock extractors, and a magnitude worker about as much, so this
-# bounds what the pool adds to peak memory on a host with many cores.
+# magnitude worker holds about 6 MiB of blocks with the stock extractors and
+# a moment worker half that, so this bounds what a pass adds to peak memory
+# on a host with many cores.  The extractions of a pair are two pieces of
+# work, so they take at most two workers, each with its own rings and patch
+# block.
 _MAX_WORKERS = 8
-
-# Tiles a layer's ring has room for past the rows the next layer still
-# reads (see ``_ring_rows``): enough for every worker to have a tile in
-# flight, whatever ``threads`` is, so the rings do not grow with it.
-_AHEAD = 8
-
-# Multiply-adds a worker is handed at once, at least one tile: about a
-# millisecond of GEMM, so the hand-off costs little next to the work.
-_TASK = 2**25
 
 
 # Where the cgroup file systems are mounted, read by ``_cpu_quota``.
@@ -251,11 +242,11 @@ def _ring_rows(hp: int, wp: int, pad: int, chans: list[int]) -> list[int]:
     """Padded rows of the ring each stage of ``_conv_layers`` holds, for
     stages of ``chans`` channels (the input first).
 
-    ``_AHEAD`` tiles write at most ``span`` rows, and the next layer's first
-    unfinished tile reads at most ``reach`` rows.  A ring that is not the
-    last holds both and the pad-wide bottom border; the last one feeds no
-    layer and holds ``span``.  Each ring also has a tail of one tile for the
-    GEMM that wraps around it.  When these rings, all live at once, would
+    A tile writes at most ``span`` rows, and the next layer's next tile
+    reads at most ``reach`` rows.  A ring that is not the last holds both
+    and the pad-wide bottom border; the last one feeds no layer and holds
+    ``span``.  Each ring also has a tail of one tile for the GEMM that
+    wraps around it.  When these rings, all live at once, would
     take no less memory than the whole padded buffers of two adjacent
     layers, every ring is the whole buffer instead, and the layers run one
     after another.
@@ -263,7 +254,8 @@ def _ring_rows(hp: int, wp: int, pad: int, chans: list[int]) -> list[int]:
     def rows(positions: int) -> int:
         return -(-positions // wp) + 1
 
-    span, reach = rows(_AHEAD * _TILE), rows(_TILE) + 2 * pad + 1
+    span = rows(_TILE)
+    reach = span + 2 * pad + 1
     want = [min(span + reach + pad, hp)] * (len(chans) - 1) + [min(span, hp)]
     whole = hp * wp * max(a + b for a, b in zip(chans, chans[1:]))
     if sum(c * (r * wp + _TILE) for c, r in zip(chans, want)) >= whole:
@@ -278,21 +270,17 @@ class _Stage:
     reflect-padded (c, hp, wp) buffer: padded row r sits in row r % rows,
     so position q of the flattened buffer sits at q % size of ``flat``,
     which runs ``tail`` positions past the ring for a GEMM that wraps.
-    ``next`` is the next tile to hand out (the next image row to copy, for
-    the input), ``done`` marks the tiles done and ``prefix`` counts the
-    leading ones.  Padded rows below ``filled`` have their interior written;
-    rows below ``final`` have their border too, and the next layer may read
-    them.
+    ``next`` is the next tile to run (the next image row to copy, for the
+    input).  Padded rows below ``filled`` have their interior written; rows
+    below ``final`` have their border too, and the next layer may read them.
     """
 
-    __slots__ = ("channels", "rows", "size", "tail", "win", "flat",
-                 "next", "prefix", "done", "filled", "final")
+    __slots__ = ("channels", "rows", "size", "tail", "win", "flat", "next", "filled", "final")
 
-    def __init__(self, channels: int, rows: int, tail: int, wp: int, pad: int, tiles: int):
+    def __init__(self, channels: int, rows: int, tail: int, wp: int, pad: int):
         self.channels, self.rows, self.size, self.tail = channels, rows, rows * wp, tail
         self.win = self.flat = None
-        self.next = self.prefix = self.final = 0
-        self.done = bytearray(tiles)
+        self.next = self.final = 0
         self.filled = pad
 
     def start(self) -> None:
@@ -322,8 +310,7 @@ class _Stage:
             dst[:, n:] = self.flat[:, :m - n]
 
 
-def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
-                 threads: int | None = None):
+def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
     """Run the convolution + rectifier layers on a (c_in, h, w) stack and
     yield ``(layer, y, band)`` for each band of finished rows: ``band`` is a
     (c_out, rows, w) view of image rows y.. of the 1-based ``layer``'s
@@ -342,20 +329,17 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
 
     Unless the image is small, no layer holds its whole padded buffer but a
     ring of rows (``_ring_rows``), and the layers advance as a wavefront.
-    A tile is handed out once the rows it reads are final and the rows it
-    writes are free, the deepest layer's first, a few consecutive tiles at
-    once where tiles are cheap (``_TASK``).  Up to two hand-outs a worker
-    are in flight; each worker takes the next one as it finishes, with one
-    patch block for the whole extraction, and tiles write disjoint columns,
-    so no step waits for a whole batch and no lock is needed.  Meanwhile
-    this thread reflects the borders of finished rows and hands them on.
-    A layer starts once nothing else can run (the layer before it is done
-    or has filled its ring), and its ring is freed once the next layer is
-    done.  A tile whose slices wrap around a ring is copied in two pieces,
-    and a GEMM that wraps lands in the ring's tail and is moved to its start,
-    so every GEMM has the operands and shape it would have with whole
-    buffers, and the output does not depend on the rings, the order of the
-    tiles or ``threads``.
+    Each step runs the next tile of the deepest layer whose tile reads only
+    final rows and writes only free ones, with the one patch block of the
+    extraction; else it copies as many input rows as fit; else it starts the
+    next layer, once nothing else can run (the layer before it is done or
+    has filled its ring).  A step reflects the borders of the rows it
+    finished and hands them on, and a layer's ring is freed once the next
+    layer is done.  A tile whose slices wrap around a ring is copied in two
+    pieces, and a GEMM that wraps lands in the ring's tail and is moved to
+    its start, so every GEMM has the operands and shape it would have with
+    whole buffers, and the output does not depend on the rings or on the
+    order of the tiles.
     """
     c_in, h, w = x.shape
     pad = k // 2
@@ -368,17 +352,11 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     shift = pad * wp + pad
     tiles = _blocks(n)
     width = min(_TILE, n)
-    workers = _workers(threads, len(tiles))
     chans = [c_in] + [len(weights_l) for weights_l in weights]
     last = len(weights)
-    stages = [_Stage(c, r, width if r < hp else 0, wp, pad, len(tiles))
+    stages = [_Stage(c, r, width if r < hp else 0, wp, pad)
               for c, r in zip(chans, _ring_rows(hp, wp, pad, chans))]
-    step = -(-_AHEAD * _TILE // wp)
-    # tiles handed out at once: enough multiply-adds to outweigh the hand-off
-    group = [0] + [max(1, _TASK // (len(wl) * wl.shape[1] * width)) for wl in weights]
-
-    def new_block() -> np.ndarray:
-        return np.empty(max(chans[:-1]) * k * k * width, np.float32)
+    buf = np.empty(max(chans[:-1]) * k * k * width, np.float32)
 
     def keep(s: int) -> int:
         """First padded row of stage s that a tile may still read or write."""
@@ -388,10 +366,10 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
         after = stages[s + 1]
         if after.win is None:
             return 0
-        return min(st.filled, tiles[after.prefix].start // wp)
+        return min(st.filled, tiles[after.next].start // wp)
 
     def ready(s: int) -> bool:
-        """Whether layer s can take its next tile now."""
+        """Whether layer s can run its next tile now."""
         st = stages[s]
         j = st.next
         if j == len(tiles) or (tiles[j].stop - 1 + 2 * shift) // wp >= stages[s - 1].final:
@@ -401,9 +379,8 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
 
     def input_end() -> int:
         """Image row up to which the input can be copied now."""
-        st = stages[0]
-        room = keep(0) + st.rows
-        end = min(h, st.next + step, room - pad)
+        room = keep(0) + stages[0].rows
+        end = min(h, room - pad)
         return h - 1 if end == h and hp > room else end
 
     def copy_input(end: int) -> None:
@@ -413,33 +390,29 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
             band[:, :, pad:pad + w] = x[:, r - pad:r - pad + band.shape[1]]
         st.next = end
 
-    def run_tiles(buf: np.ndarray, s: int, lo: int, hi: int) -> None:
-        """Run tiles [lo, hi) of layer s with the patch block ``buf``."""
+    def run_tile(s: int) -> int:
+        """Run layer s's next tile; return the padded row its stage is now
+        written up to."""
         src, st, weights_l = stages[s - 1], stages[s], weights[s - 1]
         c_in = src.channels
         block = buf[:c_in * k * k * width].reshape(c_in, k, k, width)
-        for t in tiles[lo:hi]:
-            m = t.stop - t.start
-            for dy in range(k):
-                for dx in range(k):
-                    src.read(block[:, dy, dx, :m], t.start + dy * wp + dx)
-            rows = block.reshape(c_in * k * k, width)[:, :m]
-            o = (shift + t.start) % st.size
-            tile = st.flat[:, o:o + m]
-            np.matmul(weights_l, rows, out=tile)
-            np.maximum(tile, 0.0, out=tile)
-            if o + m > st.size:
-                st.flat[:, :o + m - st.size] = st.flat[:, st.size:o + m]
-
-    def worker(tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
-        """Run tiles from ``tasks`` until a None, reporting each to ``results``."""
-        buf = new_block()
-        while (task := tasks.get()) is not None:
-            try:
-                run_tiles(buf, *task)
-                results.put((task, None))
-            except BaseException as e:  # raised again on the scheduling thread
-                results.put((task, e))
+        t = tiles[st.next]
+        st.next += 1
+        m = t.stop - t.start
+        for dy in range(k):
+            for dx in range(k):
+                src.read(block[:, dy, dx, :m], t.start + dy * wp + dx)
+        rows = block.reshape(c_in * k * k, width)[:, :m]
+        o = (shift + t.start) % st.size
+        tile = st.flat[:, o:o + m]
+        np.matmul(weights_l, rows, out=tile)
+        np.maximum(tile, 0.0, out=tile)
+        if o + m > st.size:
+            # channel by channel: NumPy would buffer a copy between two
+            # column ranges of the whole 2-d ring, whose extents overlap
+            for row in st.flat:
+                row[:o + m - st.size] = row[st.size:o + m]
+        return pad + h if st.next == len(tiles) else (shift + t.stop) // wp
 
     def advance(s: int, filled: int):
         """Take stage s's interior as written up to padded row ``filled``:
@@ -467,81 +440,32 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
             for r, band in st.pieces(lo, filled):
                 yield s, r - pad, band[:, :, pad:pad + w]
 
-    def finished(s: int, lo: int, hi: int):
-        """Record tiles [lo, hi) of layer s as done and take what they
-        complete."""
-        st = stages[s]
-        st.done[lo:hi] = b"\1" * (hi - lo)
-        before = st.prefix
-        while st.prefix < len(tiles) and st.done[st.prefix]:
-            st.prefix += 1
-        if st.prefix == len(tiles):
-            yield from advance(s, pad + h)
-            stages[s - 1].stop()
-        elif st.prefix > before:
-            yield from advance(s, (shift + tiles[st.prefix - 1].stop) // wp)
-
-    def wavefront(tasks: queue.SimpleQueue | None, results: queue.SimpleQueue | None):
-        """Hand out tiles until the last layer is done: to the workers
-        through ``tasks``, at most two a worker in flight, or run them here
-        when ``tasks`` is None."""
-        buf = new_block() if tasks is None else None
-        live, inflight = 0, 0
-        stages[0].start()
-        while stages[last].prefix < len(tiles):
-            s = next((s for s in range(live, 0, -1) if ready(s)), None)
-            if s is not None and inflight < 2 * workers:
-                st = stages[s]
-                lo = st.next
-                st.next += 1
-                while st.next - lo < group[s] and ready(s):
-                    st.next += 1
-                if tasks is None:
-                    run_tiles(buf, s, lo, st.next)
-                    yield from finished(s, lo, st.next)
-                else:
-                    tasks.put((s, lo, st.next))
-                    inflight += 1
-            elif stages[0].next < h and input_end() > stages[0].next:
-                end = input_end()
-                copy_input(end)
-                yield from advance(0, pad + end)
-            elif inflight:
-                task, error = results.get()
-                inflight -= 1
-                if error is not None:
-                    raise error
-                yield from finished(*task)
-            elif live < last:
-                live += 1
-                stages[live].start()
-            else:
-                raise RuntimeError("conv layer rings too small to advance")
-
-    if workers == 1:
-        yield from wavefront(None, None)
-        return
-    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in range(workers):
-            pool.submit(worker, tasks, results)
-        try:
-            yield from wavefront(tasks, results)
-        finally:
-            for _ in range(workers):
-                tasks.put(None)
+    live = 0
+    stages[0].start()
+    while stages[last].next < len(tiles):
+        s = next((s for s in range(live, 0, -1) if ready(s)), None)
+        if s is not None:
+            yield from advance(s, run_tile(s))
+            if stages[s].next == len(tiles):
+                stages[s - 1].stop()
+        elif stages[0].next < h and (end := input_end()) > stages[0].next:
+            copy_input(end)
+            yield from advance(0, pad + end)
+        elif live < last:
+            live += 1
+            stages[live].start()
+        else:
+            raise RuntimeError("conv layer rings too small to advance")
 
 
-def extract(spec: ExtractorSpec, x: Raster, threads: int | None = None) -> np.ndarray:
+def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
     """Compute per-pixel features: a float32 (height, width, D) array.
 
-    Pure function of (spec, x): repeated calls are bit-identical, whatever
-    ``threads`` is.  A random-conv extraction runs only the layers up to its
-    deepest tap, its conv tiles on up to ``threads`` worker threads (None:
-    ``default_threads()``), and copies each finished row band of a tapped
-    layer into the stack as the band comes out of ``_conv_layers``; past
-    the stack it holds the rings of padded layer rows and one patch block
-    per worker.
+    Pure function of (spec, x): repeated calls are bit-identical.  A
+    random-conv extraction runs only the layers up to its deepest tap, on the
+    calling thread, and copies each finished row band of a tapped layer into
+    the stack as the band comes out of ``_conv_layers``; past the stack it
+    holds the rings of padded layer rows and one patch block.
     """
     if spec.kind is ExtractorKind.IDENTITY:
         return np.ascontiguousarray(x.data.transpose(1, 2, 0))
@@ -557,7 +481,7 @@ def extract(spec: ExtractorSpec, x: Raster, threads: int | None = None) -> np.nd
         return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
     weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
     features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
-    for layer, y, band in _conv_layers(x.data, weights, spec.kernel_size, threads):
+    for layer, y, band in _conv_layers(x.data, weights, spec.kernel_size):
         if layer in spec.taps:
             d = spec.taps.index(layer) * spec.channels
             features[y:y + band.shape[1], :, d:d + spec.channels] = band.transpose(1, 2, 0)

@@ -161,7 +161,7 @@ class TestDetect:
         assert json.loads((d / "run.json").read_text())["rcva"] == {"window_radius": 2}
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def extract(spec, x, threads=1):
+        def extract(spec, x):
             raise MemoryError("Unable to allocate 3.64 TiB for an array")
 
         monkeypatch.setattr("cdconf.dcva.extract", extract)

@@ -19,6 +19,7 @@ from cdconf.features import (
     ExtractorSpec,
     _conv_weights,
     _cpu_quota,
+    _pool_map,
     _pooled_std,
     _ring_rows,
     default_primary_spec,
@@ -28,7 +29,12 @@ from cdconf.features import (
     standardize_pair,
 )
 from cdconf.raster import Raster, save_raster
-from oracles import conv_relu_reference, conv_relu_tiled_reference, zscore_pair_reference
+from oracles import (
+    conv_relu_reference,
+    conv_relu_tiled_reference,
+    standardized_magnitude_reference,
+    zscore_pair_reference,
+)
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -150,10 +156,10 @@ class TestRandomConv:
         assert f.shape == ref.shape
         assert np.abs(f - ref).max() <= 1e-5 * np.abs(ref).max()
 
-    # 96x101 and 130x70 span several tiles with a partial last one; a side of
-    # pad + 1 is the smallest the reflection padding allows; 300x700 and
-    # 2500x40 run the layers in rings of rows, 1000x40 and 40x1000 in whole
-    # buffers (see test_rings_only_where_they_save_memory)
+    # 96x101 and 130x70 span several tiles with a partial last one and run
+    # the layers in whole buffers; a side of pad + 1 is the smallest the
+    # reflection padding allows; the other four run the layers in rings of
+    # rows (see test_rings_only_where_they_save_memory)
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
                                       "rings", "narrow-rings"])
@@ -161,22 +167,24 @@ class TestRandomConv:
         x, s, want = _tiled_case(k, size)
         assert np.array_equal(extract(s, x), want)
 
-    # three tiles handed to one, two or three workers; the smallest side has
-    # a single tile, fewer than the workers; in rings, tiles wrap around
+    # one, two or three extractions of the same raster side by side, as
+    # detect_pair runs the two of a pair: each holds its own rings and patch
+    # block, and shares only the cached weights
     @pytest.mark.parametrize("threads", [2, 3, 1])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
                                       "rings", "narrow-rings"])
     def test_bit_identical_on_worker_threads(self, k, size, threads):
         x, s, want = _tiled_case(k, size)
-        assert np.array_equal(extract(s, x, threads), want)
+        for got in _pool_map(lambda _: extract(s, x), range(threads), threads):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_rings_only_where_they_save_memory(self, k):
         # channels of the input and of the three layers of _tiled_case
         pad, chans = k // 2, [4, 5, 5, 5]
-        for size, rings in [("rings", True), ("narrow-rings", True), ("narrow", False),
-                            ("wide", False), ("tiles", False)]:
+        for size, rings in [("rings", True), ("narrow-rings", True), ("narrow", True),
+                            ("wide", True), ("tiles", False), ("tall", False)]:
             h, w = _SIZES[size]
             rows = _ring_rows(h + 2 * pad, w + 2 * pad, pad, chans)
             assert (max(rows) < h + 2 * pad) == rings, size
@@ -187,9 +195,9 @@ class TestRandomConv:
         layers = []
         conv_layers = cdconf.features._conv_layers
 
-        def recorded(x, weights, k, threads=None):
+        def recorded(x, weights, k):
             layers.append(len(weights))
-            return conv_layers(x, weights, k, threads)
+            return conv_layers(x, weights, k)
 
         monkeypatch.setattr(cdconf.features, "_conv_layers", recorded)
         x = _raster(seed=21, bands=4, h=70, w=90)
@@ -199,16 +207,17 @@ class TestRandomConv:
         assert layers == [2, 2]
 
     def test_more_workers_than_cores_with_fast_switching(self):
-        # workers write disjoint columns of shared buffers; a switch every
-        # microsecond interleaves them as finely as the interpreter allows
-        x, s, want = _tiled_case(3, "tiles")
+        # the two extractions, then six moment and three magnitude blocks,
+        # side by side; a switch every microsecond interleaves them as
+        # finely as the interpreter allows
+        x1, x2, s, want = _tiled_pair(3, "tiles")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = extract(s, x, 8)
+            got = detect_pair(x1, x2, s, threads=8)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got.magnitude.rho, want)
 
     def test_no_more_workers_than_tiles(self, monkeypatch):
         # a 64x64 layer is two tiles of 4096 columns
@@ -218,27 +227,28 @@ class TestRandomConv:
         assert sizes and max(sizes) == 2
 
     def test_no_more_workers_than_the_cap(self, monkeypatch):
-        # a 256x256 layer is 17 tiles and a stack 16 moment blocks, more
-        # pieces than the cap
+        # a pair is two extractions; a 256x256 stack is 16 moment blocks and
+        # a pair 16 magnitude blocks, more pieces than the cap
         sizes = _record_pools(monkeypatch, _MAX_WORKERS)
         x1, x2 = _raster(seed=3, bands=4, h=256, w=256), _raster(seed=4, bands=4, h=256, w=256)
         s = ExtractorSpec(depth=2, taps=(2,), channels=4, seed=3)
         detect_pair(x1, x2, s, threads=10**6)
-        assert sizes and set(sizes) == {_MAX_WORKERS}
+        assert sorted(sizes) == [2, _MAX_WORKERS, _MAX_WORKERS]
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_run_serially(self, monkeypatch, threads):
-        # every tile is still written: the features are the reference's
+        # every tile and block is still computed: the magnitude is the
+        # reference's
         sizes = _record_pools(monkeypatch, 0)
-        x, s, want = _tiled_case(3, "tiles")
-        assert np.array_equal(extract(s, x, threads), want)
+        x1, x2, s, want = _tiled_pair(3, "tiles")
+        assert np.array_equal(detect_pair(x1, x2, s, threads=threads).magnitude.rho, want)
         assert sizes == []
 
     def test_no_threads_given_means_the_default(self, monkeypatch):
         monkeypatch.setattr(cdconf.features, "default_threads", lambda: 2)
         sizes = _record_pools(monkeypatch, 2)
-        x, s, want = _tiled_case(3, "tiles")
-        assert np.array_equal(extract(s, x), want)
+        x1, x2, s, want = _tiled_pair(3, "tiles")
+        assert np.array_equal(detect_pair(x1, x2, s).magnitude.rho, want)
         assert sizes and set(sizes) == {2}
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
@@ -250,23 +260,11 @@ class TestRandomConv:
         _conv_weights(s, x.bands)
         tracemalloc.start()
         try:
-            f = extract(s, x, 1)
+            f = extract(s, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * f.nbytes
-
-    def test_traced_peak_within_three_and_a_half_outputs(self):
-        s = default_secondary_spec(0)
-        x = _raster(seed=17, bands=4, h=256, w=256)
-        _conv_weights(s, x.bands)
-        tracemalloc.start()
-        try:
-            f = extract(s, x, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * f.nbytes
 
     @pytest.mark.parametrize("size", [128, 256])
     @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
@@ -279,7 +277,7 @@ class TestRandomConv:
         _conv_weights(spec, x.bands)
         tracemalloc.start()
         try:
-            f = extract(spec, x, 1)
+            f = extract(spec, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -298,7 +296,7 @@ class TestRandomConv:
             _conv_weights(s, x.bands)
             tracemalloc.start()
             try:
-                f = extract(s, x, 1)
+                f = extract(s, x)
                 held[h] = tracemalloc.get_traced_memory()[1] - f.nbytes
             finally:
                 tracemalloc.stop()
@@ -404,11 +402,12 @@ _SIZES = {"tiles": (96, 101), "tall": (130, 70), "narrow": (1000, 40), "wide": (
           "rings": (300, 700), "narrow-rings": (2500, 40)}
 
 
-def _tiled_case(k: int, size: str):
-    """A raster, a 3-layer spec with kernel k, and its features from the
-    reference per-layer padded copy and tile loop."""
+def _tiled_case(k: int, size: str, seed: int | None = None):
+    """A raster (seeded ``seed``, None: k), a 3-layer spec with kernel k,
+    and its features from the reference per-layer padded copy and tile
+    loop."""
     h, w = (k // 2 + 1, 9) if size == "smallest" else _SIZES[size]
-    x = _raster(seed=k, bands=4, h=h, w=w)
+    x = _raster(seed=k if seed is None else seed, bands=4, h=h, w=w)
     s = ExtractorSpec(depth=3, taps=(1, 3), channels=5, kernel_size=k, seed=k)
     stack, tapped = x.data, []
     for layer_idx, weights in enumerate(_conv_weights(s, x.bands), start=1):
@@ -416,6 +415,14 @@ def _tiled_case(k: int, size: str):
         if layer_idx in s.taps:
             tapped.append(stack)
     return x, s, np.concatenate(tapped).transpose(1, 2, 0)
+
+
+def _tiled_pair(k: int, size: str):
+    """Two rasters of ``_tiled_case``'s spec and the reference magnitude of
+    their pooled-standardized difference."""
+    x1, s, f1 = _tiled_case(k, size)
+    x2, _, f2 = _tiled_case(k, size, seed=k + 100)
+    return x1, x2, s, standardized_magnitude_reference(f1, f2)
 
 
 class TestPrecomputed:

@@ -11,6 +11,7 @@ from cdconf.features import (
     _TILE,
     ExtractorSpec,
     _conv_weights,
+    _ring_rows,
     default_primary_spec,
     default_secondary_spec,
 )
@@ -266,14 +267,16 @@ class TestRunProposed:
 
     def test_an_extra_worker_costs_one_patch_block(self):
         # the iterations run one after another whatever the thread count, so
-        # a second worker adds its own patch block, not a second noisy
-        # detection (two 256x256x96 float32 stacks and more); 64 KiB is left
-        # for the pool's own threads, queue and futures
+        # a second worker adds the rings and the patch block of the
+        # extraction it runs beside the other one of the pair, not a second
+        # noisy detection (two 256x256x96 float32 stacks and more); 64 KiB
+        # is left for the pool's own threads and futures
         t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=4))
         x1, x2 = normalize_pair(t1, t2)
         f1, f2 = default_primary_spec(0), default_secondary_spec(0)
         cfg = SmoothingConfig(iterations=2)
         block = max(w.shape[1] for s in (f1, f2) for w in _conv_weights(s, x1.bands)) * _TILE * 4
+        rings = max(_rings_nbytes(s, x1) for s in (f1, f2))
         peaks = {}
         for threads in (1, 2):
             tracemalloc.start()
@@ -282,7 +285,16 @@ class TestRunProposed:
                 peaks[threads] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[2] <= peaks[1] + block + 2**16
+        assert peaks[2] <= peaks[1] + rings + block + 2**16
+
+
+def _rings_nbytes(spec: ExtractorSpec, x: Raster) -> int:
+    """Bytes of the conv layer rings one extraction of ``x`` holds at most."""
+    pad = spec.kernel_size // 2
+    hp, wp = x.height + 2 * pad, x.width + 2 * pad
+    chans = [x.bands] + [spec.channels] * spec.taps[-1]
+    rows = _ring_rows(hp, wp, pad, chans)
+    return 4 * sum(c * (r * wp + (_TILE if r < hp else 0)) for c, r in zip(chans, rows))
 
 
 def _checked_detection() -> ConfidentDetection:
