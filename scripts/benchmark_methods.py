@@ -24,8 +24,8 @@ from cdconf import (
     normalize_pair,
 )
 from cdconf.baselines import METHODS, run_method
-from cdconf.features import default_threads
 from cdconf.metrics import aggregate_mean, aggregate_pooled
+from cdconf.pool import default_threads
 
 
 def main(argv=None) -> int:
@@ -41,8 +41,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="master seed for weights/noise")
     ap.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled")
     ap.add_argument("--threads", type=int, default=default_threads(),
-                    help="worker threads inside each detection: its two extractions and "
-                         "its moment and magnitude blocks (cap and default as for "
+                    help="worker threads inside each detection: its strips of rows and "
+                         "its magnitude blocks (cap and default as for "
                          "cdconf detect --threads)")
     args = ap.parse_args(argv)
     for flag in ("scenes", "threads"):

@@ -12,7 +12,7 @@ importing cdconf before NumPy sets ``OPENBLAS_NUM_THREADS=1`` unless the
 variable is already set.  Once NumPy is loaded the variable no longer acts,
 so it is then left alone.  Calls that give no ``threads`` use the cores,
 no more than a CPU quota allows, exactly when the cap is in force
-(``features.default_threads``), and run serially on BLAS's own threads
+(``pool.default_threads``), and run serially on BLAS's own threads
 otherwise.
 """
 
@@ -91,7 +91,7 @@ from .smoothing import (
 )
 from .synth import SceneSpec, generate
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ChangeDetectionError",

@@ -28,13 +28,7 @@ import numpy as np
 from .baselines import METHODS, RcvaConfig, run_method
 from .dcva import detect_pair
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
-from .features import (
-    _MAX_WORKERS,
-    ExtractorSpec,
-    default_primary_spec,
-    default_secondary_spec,
-    default_threads,
-)
+from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from .metrics import (
     MetricsReport,
     aggregate_mean,
@@ -42,6 +36,7 @@ from .metrics import (
     evaluate_run,
     format_table,
 )
+from .pool import _MAX_WORKERS, default_threads
 from .raster import (
     Raster,
     _write_pnm,
@@ -174,8 +169,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
-                   help="worker threads inside each detection: its two extractions run side "
-                        f"by side, its moment and magnitude blocks on at most {_MAX_WORKERS} "
+                   help="worker threads inside each detection, on at most "
+                        f"{_MAX_WORKERS}: its strips of rows, then its magnitude blocks "
                         "(default: the usable cores when OpenBLAS runs one thread, else 1)")
 
 

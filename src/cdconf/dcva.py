@@ -7,15 +7,14 @@ on a 256-bin min-max histogram), label Changed wherever magnitude exceeds the
 threshold.
 
 ``detect_pair`` runs that pipeline on the pooled-standardized features of a
-raster pair without materializing any of its intermediate stacks: once the
-per-dim pooled std is known, the standardized difference and its magnitude
-are computed block by block of pixels, with the same float32 and float64
-arithmetic as ``magnitude(hypervector(*standardize_pair(f1, f2)))``, so the
-magnitude map is bit-identical to that composition.  With ``threads`` above
-1, the two extractions of the pair run side by side, one a worker thread,
-and so do the blocks.  Past the two feature stacks, a detection allocates
-only its magnitude map, the conv rings and patch block of each extraction
-while it runs, and a few blocks per worker thread.
+raster pair without holding either feature stack: the two rasters go
+through the extractor's strips of rows in lockstep (``_difference``), each
+strip writing its rows of the difference stack g = f2 - f1 and returning the
+per-dim moments of both, and once the pooled std s is merged from those, one
+pass computes rho = sqrt(sum_d (g_d / s_d)^2) block by block of pixels.  So a
+detection holds g, its magnitude map, and one strip's buffers a worker
+thread; the strips and then the blocks run on up to ``threads`` workers, and
+the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import ExtractorSpec, _blocks, _pool_map, _pooled_std, extract
+from .features import ExtractorSpec, _blocks, _Extraction, _moments, _pooled, _strips
+from .pool import _pool_map
 from .raster import LabelMap, Raster
 
 
@@ -157,44 +157,83 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     return _labelled(magnitude(hypervector(f1, f2)))
 
 
-def _standardized_magnitude(f1: np.ndarray, f2: np.ndarray,
-                            threads: int | None = None) -> MagnitudeMap:
-    """``magnitude(hypervector(*standardize_pair(f1, f2)))``, bit for bit,
-    without its image-sized temporaries.
+def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster,
+                threads: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The difference stack g = f2 - f1 of the features of a raster pair,
+    float32 of shape (D, height, width), with the pooled std of f1 and f2
+    and its live mask (as ``features._pooled_std`` gives them), without either
+    feature stack.
 
-    After the pooled std is known, rho is computed block by block of
-    ``features._TILE`` pixels with the same arithmetic: a float32 divide of
-    each stack by the std, their float32 difference, then a float64 sum of
-    squares over the dims and its square root.  Dead dims are divided by 1
-    and then zeroed, which gives the zeros of ``standardize_pair`` without
-    its masked divide.  The blocks run on up to ``threads`` worker threads,
-    each writing its own pixels.
+    The strips of ``_strips`` run on up to ``threads`` worker threads, each
+    worker with one set of scratch buffers for the whole pair.  A strip
+    writes f1's rows into g and takes their moments, then takes the moments
+    of f2's rows and subtracts g's rows from them in place; the moment
+    blocks are merged in strip order, so the result does not depend on
+    ``threads``.
     """
-    sd, live = _pooled_std(f1, f2, threads)
+    if x1.data.shape != x2.data.shape:
+        raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
+    e1, e2 = _Extraction(spec, x1), _Extraction(spec, x2)
+    strips = _strips(x1.height, x1.width)
+    rows = max(y1 - y0 for y0, y1 in strips)
+    g = np.empty((e1.dims, x1.height, x1.width), np.float32)
+    free = []
+
+    def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        y0, y1 = bounds
+        try:
+            scratch = free.pop()
+        except IndexError:
+            scratch = e1.scratch(rows)
+        blocks = []
+        for ex in (e1, e2):
+            count, mean, m2 = 0, np.empty(ex.dims), np.empty(ex.dims)
+            for d, band in ex.strip(y0, y1, scratch):
+                dims = slice(d, d + len(band))
+                count, mean[dims], m2[dims] = _moments(band)
+                if ex is e1:
+                    g[dims, y0:y1] = band
+                else:
+                    np.subtract(band, g[dims, y0:y1], out=g[dims, y0:y1])
+            blocks.append((count, mean, m2))
+        free.append(scratch)
+        return blocks
+
+    sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
+    return g, sd, live
+
+
+def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
+                            threads: int | None = None) -> MagnitudeMap:
+    """rho = sqrt(sum_d (g_d / s_d)^2) of a (D, height, width) difference
+    stack g and a per-dim std s, block by block of ``features._TILE`` pixels.
+
+    Each block is divided by the std in float32, its dead dims (``live``
+    false) are zeroed, and the squares are summed over the dims in their
+    order in float64 before the square root.  The blocks run on up to
+    ``threads`` worker threads, each writing its own pixels.
+    """
+    d = len(g)
+    flat = g.reshape(d, -1)
     dead = np.flatnonzero(~live)
-    sd[dead] = 1
-    d = f1.shape[-1]
-    a, b = f1.reshape(-1, d), f2.reshape(-1, d)
-    rho = np.empty(len(a), np.float32)
+    sd = np.where(live, sd, np.float32(1))[:, None]
+    rho = np.empty(flat.shape[1], np.float32)
 
     def block(t: slice) -> None:
-        z1, z2 = a[t] / sd, b[t] / sd
-        z2 -= z1
-        z2[:, dead] = 0
-        rho[t] = np.sqrt(np.square(z2, dtype=np.float64).sum(axis=-1))
+        z = flat[:, t] / sd
+        z[dead] = 0
+        rho[t] = np.sqrt(np.square(z, dtype=np.float64).sum(axis=0))
 
-    _pool_map(block, _blocks(len(a)), threads)
-    return MagnitudeMap(rho.reshape(f1.shape[:-1]))
+    _pool_map(block, _blocks(len(rho)), threads)
+    return MagnitudeMap(rho.reshape(g.shape[1:]))
 
 
 def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
                 threads: int | None = None) -> ChangeResult:
     """Detect changes between two co-registered rasters with one extractor:
-    extract both, side by side when ``threads`` is above 1, take the
-    magnitude of their pooled-standardized difference block by block, then
-    threshold and label as ``detect`` does.  ``threads`` bounds the worker
-    threads of the extractions and of the block passes (None:
-    ``features.default_threads()``); the result is bit-identical for every
-    value."""
-    f1, f2 = _pool_map(lambda x: extract(spec, x), [x1, x2], threads)
-    return _labelled(_standardized_magnitude(f1, f2, threads))
+    build the difference stack of their features strip by strip, take the
+    magnitude of its pooled-standardized form, then threshold and label as
+    ``detect`` does.  ``threads`` bounds the worker threads of the strips
+    and of the magnitude blocks (None: ``pool.default_threads()``); the
+    result is bit-identical for every value."""
+    return _labelled(_standardized_magnitude(*_difference(spec, x1, x2, threads), threads))

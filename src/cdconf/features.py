@@ -7,42 +7,30 @@ Three extractor kinds:
   drawn once from N(0,1)/sqrt(fan_in), zero bias, rectifier, reflection
   padding keeps spatial size); the channel maps of the tapped layers are
   concatenated per pixel.  Layer indices are 1-based, so taps live in
-  [1, depth] and tapping the last layer is spelled ``depth``.  Each layer
-  is one GEMM per tile of output pixels: in the row-major flattened padded
-  image, the k*k patch entries of consecutive pixels are k*k contiguous
-  slices, so a tile's patch block is filled by plain slice copies and the
-  full-image patch matrix is never built.  Each GEMM tile lands in the
-  interior of the next layer's padded rows, whose border is then filled by
-  reflection in place, so no layer makes a padded copy or a separate
-  output.  Unless the image is small, a layer holds only a ring of its
-  padded rows, and the next layer takes each row as soon as it is final,
-  so past the feature stack an extraction holds a few dozen rows a layer.
-  Only the layers up to the deepest tap run, one tile at a time.
+  [1, depth] and tapping the last layer is spelled ``depth``.  Only the
+  layers up to the deepest tap run, strip by strip of image rows
+  (``_conv_layers``): a strip holds its rows of two layers and one patch
+  block, whatever the image's height, and gives its rows the bits a
+  whole-image pass gives them.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
 
-Feature stacks are plain float32 arrays of shape (height, width, D).
+``extract`` returns a plain float32 (height, width, D) feature stack.
+``dcva.detect_pair`` runs the two rasters of a pair through the strips in
+lockstep instead (``dcva._difference``) and keeps only their difference.
 
-An extraction runs on the thread that calls it.  ``dcva.detect_pair`` runs
-the two extractions of a pair side by side, and the moment blocks of
-``_pooled_std`` and its own magnitude blocks too, each on ``_pool_map``: at
-most ``threads`` and at most ``_MAX_WORKERS`` worker threads, and never more
-workers than pieces of work.  The pieces depend only on the image size,
-every one is computed as the serial loop computes it, and results are
-merged in the serial order, so the output is bit-identical for every thread
-count.  NumPy releases the interpreter lock in the slice copies, the GEMMs
-and the reductions, which is what the workers run.  A caller that gives no
-``threads`` gets ``default_threads()``, which uses the cores only when
-OpenBLAS runs one thread per call (see the package docstring), so the pool
-never fights BLAS's own threads.
+The pieces of a pass (strips, or blocks of pixels) run on ``pool._pool_map``.
+They depend only on the image size, every one is computed as the serial
+loop computes it, and results are merged in the serial order, so the output
+is bit-identical for every thread count.  NumPy releases the interpreter
+lock in the slice copies, the GEMMs and the reductions, which is what the
+workers run.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -50,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyTapSet, RejectedValue, ShapeMismatch
+from .pool import _pool_map
 from .raster import Raster, load_raster
 from .rng import ROLE_F1_WEIGHTS, ROLE_F2_WEIGHTS, generator, mix64
 
@@ -162,368 +151,212 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
 _TILE = 4096
 
 
-def _blocks(n: int) -> list[slice]:
-    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
-    return [slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE)]
+def _blocks(n: int, start: int = 0) -> list[slice]:
+    """Slices covering [0, n) in order, cut where ``start`` plus the position
+    is a multiple of ``_TILE``: from the default start, _TILE long but for a
+    ragged last one."""
+    cuts = [0, *range(-start % _TILE or _TILE, n, _TILE), n]
+    return [slice(p, q) for p, q in zip(cuts, cuts[1:])]
 
 
-# Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# magnitude worker holds about 6 MiB of blocks with the stock extractors and
-# a moment worker half that, so this bounds what a pass adds to peak memory
-# on a host with many cores.  The extractions of a pair are two pieces of
-# work, so they take at most two workers, each with its own rings and patch
-# block.
-_MAX_WORKERS = 8
+# Output pixels per strip, the piece of work of an extraction: a 128 x 128
+# image is one strip, and a 512-wide one has strips of 32 rows.  A strip
+# recomputes up to 2*pad rows a layer of its neighbours', so smaller strips
+# hold less memory and repeat more work.  At 2 * _TILE or more, every strip
+# of a cut image has _TILE pixels or more, so the last strip holds the start
+# of the image's last tile (see ``_conv_layers``).
+_STRIP = 16384
 
 
-# Where the cgroup file systems are mounted, read by ``_cpu_quota``.
-_CGROUP = Path("/sys/fs/cgroup")
+def _strips(h: int, w: int) -> list[tuple[int, int]]:
+    """Row ranges [y0, y1) covering an h x w image in order: as few strips
+    of near-equal height as hold at most about ``_STRIP`` pixels each."""
+    n = min(h, -(-h * w // _STRIP))
+    return [(h * i // n, h * (i + 1) // n) for i in range(n)]
 
 
-def _cpu_quota(root: Path | None = None) -> int | None:
-    """Whole CPUs the CPU quota of this process's cgroup allows, rounded up,
-    or None when there is none: cgroup v2's ``cpu.max`` ("quota period", or
-    "max period"), else cgroup v1's ``cpu/cpu.cfs_quota_us`` (-1 for none)
-    over ``cpu/cpu.cfs_period_us``, under ``root`` (None: ``_CGROUP``)."""
-    root = _CGROUP if root is None else root
-    try:
-        try:
-            quota, period = (root / "cpu.max").read_text().split()
-        except FileNotFoundError:
-            quota, period = ((root / "cpu" / f"cpu.cfs_{f}_us").read_text().strip()
-                             for f in ("quota", "period"))
-        if quota in ("max", "-1"):
-            return None
-        return max(1, -(-int(quota) // int(period)))
-    except (OSError, ValueError):
-        return None
+def _reflect(st: np.ndarray, pad: int, rows: int, top: bool, bottom: bool) -> None:
+    """Fill the border of a stage of ``rows`` interior rows as
+    ``np.pad(mode="reflect")`` does, the border rows only at the image's
+    ``top`` or ``bottom``.  Every copy is one-dimensional, which NumPy makes
+    in place, where overlapping 2-d views would take a temporary."""
+    flat, wp = st.reshape(-1, st.shape[-1]), st.shape[-1]
+    for i in range(1, pad + 1):
+        flat[:, pad - i] = flat[:, pad + i]
+        flat[:, wp - 1 - pad + i] = flat[:, wp - 1 - pad - i]
+    for chan in st if top or bottom else ():
+        for i in range(1, pad + 1):
+            if top:
+                chan[pad - i] = chan[pad + i]
+            if bottom:
+                chan[pad + rows - 1 + i] = chan[pad + rows - 1 - i]
 
 
-def default_threads() -> int:
-    """Worker threads a detection runs on when its caller gives none.
+def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
+                 y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
+    """Run the convolution + rectifier layers on image rows [y0, y1) of a
+    (c_in, h, w) stack; yield ``(layer, band)`` for each 1-based layer, a
+    (c_out, y1 - y0, w) view of those rows valid until the generator resumes.
 
-    When OpenBLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``, which
-    importing cdconf sets if NumPy is not loaded yet), the cores in this
-    process's affinity mask, but no more than a CPU quota allows
-    (``_cpu_quota``); otherwise 1, leaving the parallelism to OpenBLAS's own
-    threads.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cores if quota is None else min(cores, quota)
-
-
-def _workers(threads: int | None, items: int) -> int:
-    """Worker threads for ``items`` pieces of work: ``threads`` (None means
-    ``default_threads()``, and below 1 counts as 1), but at most
-    ``_MAX_WORKERS`` and at most ``items``."""
-    if threads is None:
-        threads = default_threads()
-    return max(1, min(threads, items, _MAX_WORKERS))
-
-
-def _pool_map(fn, items: list, threads: int | None) -> list:
-    """``[fn(i) for i in items]``, on ``_workers(threads, len(items))`` worker
-    threads when that is above 1; the results come back in the order of
-    ``items`` either way."""
-    workers = _workers(threads, len(items))
-    if workers == 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _ring_rows(hp: int, wp: int, pad: int, chans: list[int]) -> list[int]:
-    """Padded rows of the ring each stage of ``_conv_layers`` holds, for
-    stages of ``chans`` channels (the input first).
-
-    A tile writes at most ``span`` rows, and the next layer's next tile
-    reads at most ``reach`` rows.  A ring that is not the last holds both
-    and the pad-wide bottom border; the last one feeds no layer and holds
-    ``span``.  Each ring also has a tail of one tile for the GEMM that
-    wraps around it.  When these rings, all live at once, would
-    take no less memory than the whole padded buffers of two adjacent
-    layers, every ring is the whole buffer instead, and the layers run one
-    after another.
-    """
-    def rows(positions: int) -> int:
-        return -(-positions // wp) + 1
-
-    span = rows(_TILE)
-    reach = span + 2 * pad + 1
-    want = [min(span + reach + pad, hp)] * (len(chans) - 1) + [min(span, hp)]
-    whole = hp * wp * max(a + b for a, b in zip(chans, chans[1:]))
-    if sum(c * (r * wp + _TILE) for c, r in zip(chans, want)) >= whole:
-        return [hp] * len(chans)
-    return want
-
-
-class _Stage:
-    """The input (stage 0) or one layer's output in ``_conv_layers``.
-
-    While the stage is live, ``win`` is a ring of ``rows`` rows of its
-    reflect-padded (c, hp, wp) buffer: padded row r sits in row r % rows,
-    so position q of the flattened buffer sits at q % size of ``flat``,
-    which runs ``tail`` positions past the ring for a GEMM that wraps.
-    ``next`` is the next tile to run (the next image row to copy, for the
-    input).  Padded rows below ``filled`` have their interior written; rows
-    below ``final`` have their border too, and the next layer may read them.
-    """
-
-    __slots__ = ("channels", "rows", "size", "tail", "win", "flat", "next", "filled", "final")
-
-    def __init__(self, channels: int, rows: int, tail: int, wp: int, pad: int):
-        self.channels, self.rows, self.size, self.tail = channels, rows, rows * wp, tail
-        self.win = self.flat = None
-        self.next = self.final = 0
-        self.filled = pad
-
-    def start(self) -> None:
-        self.flat = np.empty((self.channels, self.size + self.tail), np.float32)
-        self.win = self.flat[:, :self.size].reshape(self.channels, self.rows, -1)
-
-    def stop(self) -> None:
-        self.win = self.flat = None
-
-    def pieces(self, lo: int, hi: int) -> list[tuple[int, np.ndarray]]:
-        """Padded rows [lo, hi) as (first row, view) pieces: one, or two
-        where the rows wrap around the ring."""
-        out = []
-        while lo < hi:
-            a = lo % self.rows
-            n = min(hi - lo, self.rows - a)
-            out.append((lo, self.win[:, a:a + n]))
-            lo += n
-        return out
-
-    def read(self, dst: np.ndarray, q: int) -> None:
-        """Copy flattened positions [q, q + m) into the (c, m) ``dst``."""
-        m, o = dst.shape[-1], q % self.size
-        n = min(m, self.size - o)
-        dst[:, :n] = self.flat[:, o:o + n]
-        if n < m:
-            dst[:, n:] = self.flat[:, :m - n]
-
-
-def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int):
-    """Run the convolution + rectifier layers on a (c_in, h, w) stack and
-    yield ``(layer, y, band)`` for each band of finished rows: ``band`` is a
-    (c_out, rows, w) view of image rows y.. of the 1-based ``layer``'s
-    output, valid until the next band is yielded.
-
-    Every layer reads a reflect-padded (c, hp, wp) buffer through ``flat`` of
-    shape (c, hp*wp).  Output pixel (y, x) is column p = y*wp + x, and its
-    patch entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the patches of
-    a run of consecutive p are k*k contiguous slices of ``flat``.  Columns are
-    walked in the tiles of ``_blocks(n)``, the same for every layer and every
-    image height: each tile fills a (c, k, k, tile) patch block and runs one
-    GEMM whose result is rectified where it lands, at column p + pad*wp + pad
-    of the next layer's padded buffer, which is pixel (y, x) of its interior.
-    The wp - w columns after each row wrap around into the border, which is
-    reflected over them once the row is written.
-
-    Unless the image is small, no layer holds its whole padded buffer but a
-    ring of rows (``_ring_rows``), and the layers advance as a wavefront.
-    Each step runs the next tile of the deepest layer whose tile reads only
-    final rows and writes only free ones, with the one patch block of the
-    extraction; else it copies as many input rows as fit; else it starts the
-    next layer, once nothing else can run (the layer before it is done or
-    has filled its ring).  A step reflects the borders of the rows it
-    finished and hands them on, and a layer's ring is freed once the next
-    layer is done.  A tile whose slices wrap around a ring is copied in two
-    pieces, and a GEMM that wraps lands in the ring's tail and is moved to
-    its start, so every GEMM has the operands and shape it would have with
-    whole buffers, and the output does not depend on the rings or on the
-    order of the tiles.
+    Layer l computes rows [y0 - (depth - l)*pad, y1 + (depth - l)*pad),
+    clipped to the image, into a reflect-padded (c, hp, wp) stage, in the
+    two stage buffers of ``scratch`` by turns.  Output pixel (y, x) is
+    column p = y*wp + x, whose patch entry (c, dy, dx) is
+    ``flat[c, p + dy*wp + dx]``, so a tile of columns is k*k slice copies.
+    The tiles are the whole image's ``_blocks``, each zero-padded to a
+    multiple of 16 columns: a GEMM column's bits then do not depend on the
+    call's width (``tests/test_features.py`` checks the running BLAS), nor
+    on the strips.  The image's last tile keeps its ragged width, and so its
+    bits, as in a whole-image pass.  A GEMM lands rectified in
+    the next stage's interior; the columns that wrap past a row's end land
+    in the border, which is reflected over them.
     """
     c_in, h, w = x.shape
-    pad = k // 2
-    if pad and min(h, w) <= pad:
-        raise ShapeMismatch(
-            f"image {h}x{w} too small for reflection padding of a {k}x{k} kernel"
-        )
-    hp, wp = h + 2 * pad, w + 2 * pad
-    n = (h - 1) * wp + w
-    shift = pad * wp + pad
-    tiles = _blocks(n)
-    width = min(_TILE, n)
-    chans = [c_in] + [len(weights_l) for weights_l in weights]
-    last = len(weights)
-    stages = [_Stage(c, r, width if r < hp else 0, wp, pad)
-              for c, r in zip(chans, _ring_rows(hp, wp, pad, chans))]
-    buf = np.empty(max(chans[:-1]) * k * k * width, np.float32)
+    pad, depth = k // 2, len(weights)
+    wp = w + 2 * pad
+    shift, last = pad * wp + pad, (h - 1) * wp + w
+    patch, *bufs = scratch
 
-    def keep(s: int) -> int:
-        """First padded row of stage s that a tile may still read or write."""
-        st = stages[s]
-        if s == last:
-            return st.filled
-        after = stages[s + 1]
-        if after.win is None:
-            return 0
-        return min(st.filled, tiles[after.next].start // wp)
+    def stage(s: int, c: int, rows: int) -> np.ndarray:
+        # rows past the border hold the padded columns of the last GEMM
+        return bufs[s % 2][:c * (rows + 2 * pad - (-16 // wp)) * wp].reshape(c, -1, wp)
 
-    def ready(s: int) -> bool:
-        """Whether layer s can run its next tile now."""
-        st = stages[s]
-        j = st.next
-        if j == len(tiles) or (tiles[j].stop - 1 + 2 * shift) // wp >= stages[s - 1].final:
-            return False
-        end = hp - 1 if j + 1 == len(tiles) and s < last else (shift + tiles[j].stop - 1) // wp
-        return end < keep(s) + st.rows
+    lo, hi = max(0, y0 - depth * pad), min(h, y1 + depth * pad)
+    src = stage(0, c_in, hi - lo)
+    src[:, pad:pad + hi - lo, pad:pad + w] = x[:, lo:hi]
+    _reflect(src, pad, hi - lo, lo == 0, hi == h)
+    for layer, weights_l in enumerate(weights, start=1):
+        c_in, c_out = len(src), len(weights_l)
+        a, b = max(0, y0 - (depth - layer) * pad), min(h, y1 + (depth - layer) * pad)
+        dst = stage(layer, c_out, b - a)
+        src_flat, dst_flat = src.reshape(c_in, -1), dst.reshape(c_out, -1)
+        for t in _blocks((b - a - 1) * wp + w, a * wp):
+            m = t.stop - t.start
+            cols = m if a * wp + t.stop == last else -(-m // 16) * 16
+            block = patch[:c_in * k * k * cols].reshape(c_in, k, k, cols)
+            for dy in range(k):
+                for dx in range(k):
+                    o = (a - lo) * wp + t.start + dy * wp + dx
+                    block[:, dy, dx, :m] = src_flat[:, o:o + m]
+            block[..., m:] = 0
+            tile = dst_flat[:, shift + t.start:shift + t.start + cols]
+            np.matmul(weights_l, block.reshape(c_in * k * k, cols), out=tile)
+            np.maximum(tile, 0.0, out=tile)
+        if layer < depth:
+            _reflect(dst, pad, b - a, a == 0, b == h)
+        yield layer, dst[:, pad + y0 - a:pad + y1 - a, pad:pad + w]
+        src, lo = dst, a
 
-    def input_end() -> int:
-        """Image row up to which the input can be copied now."""
-        room = keep(0) + stages[0].rows
-        end = min(h, room - pad)
-        return h - 1 if end == h and hp > room else end
 
-    def copy_input(end: int) -> None:
-        """Copy image rows up to ``end`` into the input's ring."""
-        st = stages[0]
-        for r, band in st.pieces(pad + st.next, pad + end):
-            band[:, :, pad:pad + w] = x[:, r - pad:r - pad + band.shape[1]]
-        st.next = end
+class _Extraction:
+    """One extractor on one raster, strip by strip: ``dims`` is its D, and
+    ``strip`` yields the tapped layers of a row range, computed in a
+    random-conv extraction's ``scratch`` buffers, or sliced from the whole
+    stored (c, height, width) layers of the other kinds."""
 
-    def run_tile(s: int) -> int:
-        """Run layer s's next tile; return the padded row its stage is now
-        written up to."""
-        src, st, weights_l = stages[s - 1], stages[s], weights[s - 1]
-        c_in = src.channels
-        block = buf[:c_in * k * k * width].reshape(c_in, k, k, width)
-        t = tiles[st.next]
-        st.next += 1
-        m = t.stop - t.start
-        for dy in range(k):
-            for dx in range(k):
-                src.read(block[:, dy, dx, :m], t.start + dy * wp + dx)
-        rows = block.reshape(c_in * k * k, width)[:, :m]
-        o = (shift + t.start) % st.size
-        tile = st.flat[:, o:o + m]
-        np.matmul(weights_l, rows, out=tile)
-        np.maximum(tile, 0.0, out=tile)
-        if o + m > st.size:
-            # channel by channel: NumPy would buffer a copy between two
-            # column ranges of the whole 2-d ring, whose extents overlap
-            for row in st.flat:
-                row[:o + m - st.size] = row[st.size:o + m]
-        return pad + h if st.next == len(tiles) else (shift + t.stop) // wp
+    def __init__(self, spec: ExtractorSpec, x: Raster):
+        self.spec, self.x, self.stored = spec, x, [x.data]
+        if spec.kind is ExtractorKind.RANDOM_CONV:
+            pad = spec.kernel_size // 2
+            if pad and min(x.height, x.width) <= pad:
+                raise ShapeMismatch(f"image {x.height}x{x.width} too small for reflection "
+                                    f"padding of a {spec.kernel_size}x{spec.kernel_size} kernel")
+            self.weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
+            self.stored = None
+        elif spec.kind is ExtractorKind.PRECOMPUTED:
+            self.stored = [load_raster(Path(spec.feature_dir) / f"layer_{t}.cdr").data
+                           for t in spec.taps]
+            for t, a in zip(spec.taps, self.stored):
+                if a.shape[1:] != (x.height, x.width):
+                    raise ShapeMismatch(f"layer_{t}.cdr is {a.shape[1]}x{a.shape[2]}, "
+                                        f"image is {x.height}x{x.width}")
+        self.dims = spec.expected_dims(x.bands) or sum(len(a) for a in self.stored)
 
-    def advance(s: int, filled: int):
-        """Take stage s's interior as written up to padded row ``filled``:
-        reflect the border of the new rows as ``np.pad(mode="reflect")``
-        does (their border columns, the top rows once rows up to 2*pad are
-        in, the bottom rows at the end), mark them final, and yield them."""
-        st = stages[s]
-        lo, st.filled = st.filled, filled
-        if s < last:
-            for _, band in st.pieces(lo, filled):
-                for i in range(1, pad + 1):
-                    band[:, :, pad - i] = band[:, :, pad + i]
-                    band[:, :, wp - 1 - pad + i] = band[:, :, wp - 1 - pad - i]
-            if lo <= 2 * pad < filled:
-                # the ring has not wrapped yet: no layer reads it before this
-                for i in range(1, pad + 1):
-                    st.win[:, pad - i] = st.win[:, pad + i]
-            if filled == pad + h:
-                for i in range(1, pad + 1):
-                    st.win[:, (hp - 1 - pad + i) % st.rows] = st.win[:, (hp - 1 - pad - i) % st.rows]
-                st.final = hp
-            elif filled > 2 * pad:
-                st.final = filled
-        if s:
-            for r, band in st.pieces(lo, filled):
-                yield s, r - pad, band[:, :, pad:pad + w]
+    def scratch(self, rows: int) -> tuple[np.ndarray, ...] | None:
+        """The patch block and two stage buffers that ``_conv_layers`` runs
+        any strip of at most ``rows`` rows in (None for the stored kinds)."""
+        if self.stored is not None:
+            return None
+        pad = self.spec.kernel_size // 2
+        wp = self.x.width + 2 * pad
+        held = min(self.x.height, rows + 2 * len(self.weights) * pad) + 2 * pad - (-16 // wp)
+        stage = max(self.x.bands, self.spec.channels) * held * wp
+        patch = max(w.shape[1] for w in self.weights) * _TILE
+        return tuple(np.empty(n, np.float32) for n in (patch, stage, stage))
 
-    live = 0
-    stages[0].start()
-    while stages[last].next < len(tiles):
-        s = next((s for s in range(live, 0, -1) if ready(s)), None)
-        if s is not None:
-            yield from advance(s, run_tile(s))
-            if stages[s].next == len(tiles):
-                stages[s - 1].stop()
-        elif stages[0].next < h and (end := input_end()) > stages[0].next:
-            copy_input(end)
-            yield from advance(0, pad + end)
-        elif live < last:
-            live += 1
-            stages[live].start()
-        else:
-            raise RuntimeError("conv layer rings too small to advance")
+    def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...] | None):
+        """Yield ``(d, band)`` for each tapped layer in order: ``band`` is a
+        (c, y1 - y0, width) view of image rows [y0, y1) of feature dims
+        [d, d + c), valid until the generator resumes."""
+        if self.stored is not None:
+            for i, a in enumerate(self.stored):
+                yield sum(len(b) for b in self.stored[:i]), a[:, y0:y1]
+            return
+        taps, c = self.spec.taps, self.spec.channels
+        for layer, band in _conv_layers(self.x.data, self.weights, self.spec.kernel_size,
+                                        y0, y1, scratch):
+            if layer in taps:
+                yield taps.index(layer) * c, band
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
     """Compute per-pixel features: a float32 (height, width, D) array.
 
     Pure function of (spec, x): repeated calls are bit-identical.  A
-    random-conv extraction runs only the layers up to its deepest tap, on the
-    calling thread, and copies each finished row band of a tapped layer into
-    the stack as the band comes out of ``_conv_layers``; past the stack it
-    holds the rings of padded layer rows and one patch block.
+    random-conv extraction runs only the layers up to its deepest tap, strip
+    by strip on the calling thread, and copies each strip's tapped rows into
+    the stack; past the stack it holds one strip's buffers.
     """
-    if spec.kind is ExtractorKind.IDENTITY:
-        return np.ascontiguousarray(x.data.transpose(1, 2, 0))
-    if spec.kind is ExtractorKind.PRECOMPUTED:
-        layers = []
-        for tap in spec.taps:
-            r = load_raster(Path(spec.feature_dir) / f"layer_{tap}.cdr")
-            if (r.height, r.width) != (x.height, x.width):
-                raise ShapeMismatch(
-                    f"layer_{tap}.cdr is {r.height}x{r.width}, image is {x.height}x{x.width}"
-                )
-            layers.append(r.data)
-        return np.ascontiguousarray(np.concatenate(layers, axis=0).transpose(1, 2, 0))
-    weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
-    features = np.empty((x.height, x.width, spec.expected_dims(x.bands)), np.float32)
-    for layer, y, band in _conv_layers(x.data, weights, spec.kernel_size):
-        if layer in spec.taps:
-            d = spec.taps.index(layer) * spec.channels
-            features[y:y + band.shape[1], :, d:d + spec.channels] = band.transpose(1, 2, 0)
+    ex = _Extraction(spec, x)
+    strips = _strips(x.height, x.width)
+    scratch = ex.scratch(max(y1 - y0 for y0, y1 in strips))
+    features = np.empty((x.height, x.width, ex.dims), np.float32)
+    for y0, y1 in strips:
+        for d, band in ex.strip(y0, y1, scratch):
+            features[y0:y1, :, d:d + len(band)] = band.transpose(1, 2, 0)
     return features
+
+
+def _moments(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, per-dim mean and per-dim sum of squared deviations of a block
+    whose first axis is the feature dim, in float64 by two passes."""
+    dev = a.astype(np.float64).reshape(len(a), -1)
+    mean = dev.mean(axis=1)
+    dev -= mean[:, None]
+    np.square(dev, out=dev)
+    return dev.shape[1], mean, dev.sum(axis=1)
+
+
+def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dim pooled population std as float32, and the mask of live dims,
+    those whose std is at least 1e-12, from ``_moments`` blocks merged in
+    their order by Chan, Golub and LeVeque's pairwise update.
+
+    No float64 copy of a whole stack is needed, and a dim that is constant
+    over every block gets a variance of exactly 0.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for n, bmean, bm2 in blocks:
+        delta = bmean - mean
+        total = count + n
+        mean = mean + delta * (n / total)
+        m2 = m2 + bm2 + delta ** 2 * (count * n / total)
+        count = total
+    sd = np.sqrt(m2 / count)
+    return sd.astype(np.float32), sd >= 1e-12
 
 
 def _pooled_std(f1: np.ndarray, f2: np.ndarray,
                 threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dim pooled population std of two equally shaped stacks as float32,
-    and the mask of live dims, those whose std is at least 1e-12.
-
-    The moments are float64 and taken block by block: each block of
-    ``_TILE`` pixels gives its count, two-pass mean and sum of squared
-    deviations, on up to ``threads`` worker threads, and the caller merges
-    the blocks of both stacks in order by Chan, Golub and LeVeque's pairwise
-    update, so the result does not depend on ``threads``.  No float64 copy of
-    a whole stack is made, and a dim that is constant over both stacks gets a
-    variance of exactly 0.
-    """
+    """``_pooled``'s std and live mask of two equally shaped (..., D) stacks,
+    from the moments of blocks of ``_TILE`` pixels, all of f1's and then all
+    of f2's, taken on up to ``threads`` worker threads."""
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     d = f1.shape[-1]
-
-    def moments(block: tuple[np.ndarray, slice]) -> tuple[int, np.ndarray, np.ndarray]:
-        flat, t = block
-        dev = flat[t].astype(np.float64)
-        bmean = dev.mean(axis=0)
-        dev -= bmean
-        np.square(dev, out=dev)
-        return len(dev), bmean, dev.sum(axis=0)
-
     blocks = [(flat, t) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
               for t in _blocks(len(flat))]
-    count, mean, m2 = 0, np.zeros(d), np.zeros(d)
-    for n, bmean, bm2 in _pool_map(moments, blocks, threads):
-        delta = bmean - mean
-        total = count + n
-        mean += delta * (n / total)
-        m2 += bm2 + delta ** 2 * (count * n / total)
-        count = total
-    sd = np.sqrt(m2 / count)
-    return sd.astype(np.float32), sd >= 1e-12
+    return _pooled(_pool_map(lambda b: _moments(b[0][b[1]].T), blocks, threads))
 
 
 def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,8 +368,8 @@ def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.nda
     mean shared by both cancels there.  The std comes from ``_pooled_std``'s
     blockwise float64 moments, so no concatenated or float64 copy of the pair
     is made.  Dimensions whose pooled std is below 1e-12 are zeroed in both
-    float32 outputs.  ``dcva.detect_pair`` does not call this: it applies the
-    same per-dim division block by block inside its magnitude pass.
+    float32 outputs.  ``dcva.detect_pair`` does not call this: it divides
+    the difference of the stacks instead.
     """
     sd, live = _pooled_std(f1, f2)
     return tuple(np.divide(f, sd, out=np.zeros(f.shape, np.float32), where=live) for f in (f1, f2))

@@ -11,11 +11,11 @@ Every iteration draws its noise from a private counter-based stream derived
 from (master_seed, image role, iteration index), so results are bit-identical
 regardless of execution order: the reduction into K' is a commutative integer
 sum.  The iterations run one after another.  ``threads`` parallelizes inside
-each detection instead: its two extractions run side by side, and so do its
-moment and magnitude blocks (see ``dcva.detect_pair``; None, the default,
-means ``features.default_threads()``).  So a run holds one noisy detection
-at a time whatever the thread count, and its results do not depend on the
-thread count either.
+each detection instead: its strips of rows run side by side, and so do its
+magnitude blocks (see ``dcva.detect_pair``; None, the default, means
+``pool.default_threads()``).  So a run holds one noisy detection at a time
+whatever the thread count, and its results do not depend on the thread
+count either.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 
 import numpy as np
 
+from cdconf.features import _TILE, _strips
+
 
 def zscore_pair_reference(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled z-scores in float64 from the concatenated pair, mean subtracted.
@@ -76,11 +78,11 @@ def standardized_magnitude_reference(f1: np.ndarray, f2: np.ndarray) -> np.ndarr
     """Magnitude of the pooled-standardized difference from whole-stack copies.
 
     Per-dim pooled std from each stack's ``np.mean``/``np.var`` in float64,
-    (v1 + v2)/2 + ((m1 - m2)/2)^2; both stacks divided by it in float32 with
-    dims below 1e-12 zeroed; then the float32 difference, its float64 sum of
-    squares over the dims and the square root, rounded to float32.  This is
-    ``magnitude(hypervector(*standardize_pair(f1, f2)))`` written out with
-    every intermediate stack materialized.
+    (v1 + v2)/2 + ((m1 - m2)/2)^2, rounded to float32; the float32
+    difference g = f2 - f1 of the whole stacks; each dim of g divided by its
+    std in float32, dims whose std is below 1e-12 left out; then the float64
+    sum of their squares, added one dim at a time in dim order, and its
+    square root, rounded to float32.
     """
     axes = tuple(range(f1.ndim - 1))
     m1, m2 = (f.mean(axis=axes, dtype=np.float64) for f in (f1, f2))
@@ -88,9 +90,11 @@ def standardized_magnitude_reference(f1: np.ndarray, f2: np.ndarray) -> np.ndarr
     sd = np.sqrt((v1 + v2) / 2 + ((m1 - m2) / 2) ** 2)
     live = sd >= 1e-12
     sd = sd.astype(np.float32)
-    z1, z2 = (np.divide(f, sd, out=np.zeros(f.shape, np.float32), where=live) for f in (f1, f2))
-    g = z2 - z1
-    return np.sqrt(np.sum(g.astype(np.float64) ** 2, axis=-1)).astype(np.float32)
+    g = f2 - f1
+    total = np.zeros(g.shape[:-1])
+    for d in np.flatnonzero(live):
+        total += (g[..., d] / sd[d]).astype(np.float64) ** 2
+    return np.sqrt(total).astype(np.float32)
 
 
 def otsu_bin_bruteforce(values: np.ndarray, bins: int = 256) -> int:
@@ -159,3 +163,19 @@ def rcva_bruteforce(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarray:
                     best21 = min(best21, d21)
             rho[y, x] = max(np.sqrt(best12), np.sqrt(best21))
     return rho
+
+
+def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
+    """Bytes one strip worker of a random-conv extraction of an h x w image
+    may hold, counted from the strip layout alone: a patch block of the
+    widest fan-in and ``_TILE`` columns; two stage buffers of the most
+    channels, each with the tallest strip's rows, the halo rows of every
+    layer up to the deepest tap, the border rows and a tail row; and a
+    float64 copy of one tapped layer's rows for their moments."""
+    rows = max(y1 - y0 for y0, y1 in _strips(h, w))
+    pad = spec.kernel_size // 2
+    wp = w + 2 * pad
+    c = max(bands, spec.channels)
+    stage = c * (rows + 2 * spec.taps[-1] * pad + 2 * pad + 16 // wp + 1) * wp * 4
+    patch = c * spec.kernel_size ** 2 * _TILE * 4
+    return patch + 2 * stage + spec.channels * rows * w * 8

@@ -10,7 +10,7 @@ import pytest
 import cdconf.cli
 from cdconf.baselines import METHODS
 from cdconf.cli import main
-from cdconf.features import default_threads
+from cdconf.pool import default_threads
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
 
 _SMALL_F1 = ["--f1-depth", "2", "--f1-taps", "1,2", "--f1-channels", "4"]
@@ -161,10 +161,10 @@ class TestDetect:
         assert json.loads((d / "run.json").read_text())["rcva"] == {"window_radius": 2}
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def extract(spec, x):
+        def difference(spec, x1, x2, threads):
             raise MemoryError("Unable to allocate 3.64 TiB for an array")
 
-        monkeypatch.setattr("cdconf.dcva.extract", extract)
+        monkeypatch.setattr("cdconf.dcva._difference", difference)
         s = _synth(tmp_path / "s", size=16)
         rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
                    "--out", str(tmp_path / "d"), "--method", "none"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cdconf.dcva import (
     ChangeResult,
     MagnitudeMap,
+    _difference,
     _standardized_magnitude,
     detect,
     detect_pair,
@@ -19,16 +20,23 @@ from cdconf.dcva import (
 )
 from cdconf.errors import ShapeMismatch
 from cdconf.features import (
+    ExtractorKind,
     ExtractorSpec,
+    _conv_weights,
+    _pooled_std,
     default_primary_spec,
     default_secondary_spec,
     extract,
-    standardize_pair,
 )
 from cdconf.raster import Raster, normalize_pair
 from cdconf.synth import SceneSpec, generate
 
-from oracles import otsu_bin_bruteforce, otsu_tau_bruteforce, standardized_magnitude_reference
+from oracles import (
+    otsu_bin_bruteforce,
+    otsu_tau_bruteforce,
+    standardized_magnitude_reference,
+    strip_worker_nbytes,
+)
 
 
 def _mm(values) -> MagnitudeMap:
@@ -211,14 +219,18 @@ class TestDetectPair:
         assert res.labels.changed.sum() == 0
         assert res.magnitude.rho.max() == 0.0
 
-    # 300x300 is 21 blocks of 4096 pixels and a ragged last block of 3984
+    # 300x300 is 6 strips, 21 blocks of 4096 pixels and a ragged last block
+    # of 3984
     @pytest.mark.parametrize("role", ["primary", "secondary"])
     def test_bit_identical_to_whole_stack_path(self, role):
         spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
         t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
         x1, x2 = normalize_pair(t1, t2)
         res = detect_pair(x1, x2, spec)
-        rho = standardized_magnitude_reference(extract(spec, x1), extract(spec, x2))
+        f1, f2 = extract(spec, x1), extract(spec, x2)
+        g = _difference(spec, x1, x2)[0]
+        assert np.array_equal(g, (f2 - f1).transpose(2, 0, 1))
+        rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
         assert np.array_equal(res.labels.changed, rho > np.float64(res.tau))
@@ -234,9 +246,32 @@ class TestDetectPair:
         assert np.array_equal(one.labels.changed, three.labels.changed)
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    def test_traced_peak_within_one_stack_and_the_strip_workers(self, role, threads):
+        # the difference stack, the magnitude map and each worker's strip
+        # buffers, with 128 KiB for the interpreter's own objects; each
+        # feature stack held whole would add as much again as the first
+        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
+        t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
+        x1, x2 = normalize_pair(t1, t2)
+        _conv_weights(spec, x1.bands)
+        tracemalloc.start()
+        try:
+            detect_pair(x1, x2, spec, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pixels = 256 * 256
+        stack = spec.expected_dims(x1.bands) * pixels * 4
+        strip = strip_worker_nbytes(spec, x1.bands, 256, 256)
+        assert peak <= stack + pixels * 4 + threads * strip + 2**17
+
+
 class TestStandardizedMagnitude:
-    """The streamed magnitude and the whole-stack composition it replaces in
-    ``detect_pair`` both equal the materialized reference bit for bit."""
+    """The magnitude pass on a difference stack, and ``detect_pair`` on
+    rasters whose identity features are the stacks, both equal the
+    materialized reference bit for bit."""
 
     def _pair(self, h, w, d, key):
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -244,10 +279,18 @@ class TestStandardizedMagnitude:
         f2 = np.maximum(rng.normal(size=(h, w, d)), 0).astype(np.float32)
         return f1, f2
 
+    def _rho(self, f1, f2):
+        """The magnitude of the (h, w, D) stacks through ``detect_pair``'s
+        strips with identity features, checked against the magnitude pass
+        on the whole difference stack."""
+        x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
+        rho = detect_pair(x1, x2, ExtractorSpec(kind=ExtractorKind.IDENTITY)).magnitude.rho
+        g = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
+        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2)).rho, rho)
+        return rho
+
     def _assert_bit_identical(self, f1, f2):
-        want = standardized_magnitude_reference(f1, f2)
-        assert np.array_equal(_standardized_magnitude(f1, f2).rho, want)
-        assert np.array_equal(magnitude(hypervector(*standardize_pair(f1, f2))).rho, want)
+        assert np.array_equal(self._rho(f1, f2), standardized_magnitude_reference(f1, f2))
 
     def test_dead_dims(self):
         f1, f2 = self._pair(64, 80, 8, 31)
@@ -260,11 +303,17 @@ class TestStandardizedMagnitude:
         self._assert_bit_identical(f1, f2)
 
     def test_small_spread_far_from_zero(self):
-        # E[x^2] - mu^2 cancels all but a few bits of the variance here
+        # E[x^2] - mu^2 cancels all but a few bits of the variance here; the
+        # std merged from strip moments keeps float64 precision
         f1, f2 = self._pair(256, 256, 4, 35)
         for f in (f1, f2):
             f[..., 2] = f[..., 2] * np.float32(1e-3) + np.float32(1000)
         self._assert_bit_identical(f1, f2)
+        x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
+        _, sd, live = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
+        pooled = np.concatenate([f1[..., 2].ravel(), f2[..., 2].ravel()]).astype(np.float64)
+        want = np.sqrt(np.mean((pooled - pooled.mean()) ** 2))
+        assert live[2] and abs(float(sd[2]) - want) <= 1e-6 * want
 
     def test_constant_non_dyadic_dim_at_scale(self):
         # a constant 0.1 over 512x512 pixels must come out dead, as whole-stack
@@ -272,23 +321,24 @@ class TestStandardizedMagnitude:
         f1, f2 = self._pair(512, 512, 2, 33)
         f1[..., 0] = f2[..., 0] = np.float32(0.1)
         self._assert_bit_identical(f1, f2)
-        rho = _standardized_magnitude(f1, f2).rho
+        rho = self._rho(f1, f2)
         f1[..., 0] = f2[..., 0] = 0
-        assert np.array_equal(rho, _standardized_magnitude(f1, f2).rho)
+        assert np.array_equal(rho, self._rho(f1, f2))
 
     def test_traced_peak_within_half_a_stack(self):
-        # a few blocks and the map; one whole-stack temporary would exceed it
+        # a few blocks and the map; one stack-sized temporary would exceed it
         rng = np.random.Generator(np.random.Philox(key=34))
-        f1 = rng.random(size=(256, 256, 96), dtype=np.float32)
-        f2 = rng.random(size=(256, 256, 96), dtype=np.float32)
+        g = rng.random(size=(96, 256, 256), dtype=np.float32)
+        sd = rng.random(size=96, dtype=np.float32) + np.float32(0.5)
+        live = np.arange(96) % 7 != 0
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(f1, f2, 1)
+            m = _standardized_magnitude(g, sd, live, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         del m
-        assert peak <= 0.5 * f1.nbytes
+        assert peak <= 0.5 * g.nbytes
 
 
 class TestChangeResultType:

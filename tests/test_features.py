@@ -10,24 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdconf.features
+import cdconf.pool
 from cdconf.dcva import detect_pair
 from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
 from cdconf.features import (
-    _MAX_WORKERS,
+    _STRIP,
     _TILE,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
-    _cpu_quota,
-    _pool_map,
     _pooled_std,
-    _ring_rows,
+    _strips,
     default_primary_spec,
     default_secondary_spec,
-    default_threads,
     extract,
     standardize_pair,
 )
+from cdconf.pool import _MAX_WORKERS, _cpu_quota, _pool_map, default_threads
 from cdconf.raster import Raster, save_raster
 from oracles import (
     conv_relu_reference,
@@ -156,10 +155,9 @@ class TestRandomConv:
         assert f.shape == ref.shape
         assert np.abs(f - ref).max() <= 1e-5 * np.abs(ref).max()
 
-    # 96x101 and 130x70 span several tiles with a partial last one and run
-    # the layers in whole buffers; a side of pad + 1 is the smallest the
-    # reflection padding allows; the other four run the layers in rings of
-    # rows (see test_rings_only_where_they_save_memory)
+    # 96x101 and 130x70 are one strip of several tiles with a partial last
+    # one; a side of pad + 1 is the smallest the reflection padding allows;
+    # the other four are 3 to 13 strips
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
                                       "rings", "narrow-rings"])
@@ -167,9 +165,8 @@ class TestRandomConv:
         x, s, want = _tiled_case(k, size)
         assert np.array_equal(extract(s, x), want)
 
-    # one, two or three extractions of the same raster side by side, as
-    # detect_pair runs the two of a pair: each holds its own rings and patch
-    # block, and shares only the cached weights
+    # one, two or three extractions of the same raster side by side: each
+    # holds its own strip buffers, and shares only the cached weights
     @pytest.mark.parametrize("threads", [2, 3, 1])
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("size", ["tiles", "tall", "smallest", "narrow", "wide",
@@ -179,15 +176,41 @@ class TestRandomConv:
         for got in _pool_map(lambda _: extract(s, x), range(threads), threads):
             assert np.array_equal(got, want)
 
+    # 13, 9 or 1 strips of a 2500x40 image, each cut where its own size puts
+    # it, must leave the bits of the whole-image pass
+    @pytest.mark.parametrize("strip", [2 * _TILE, 3 * _TILE, 10**9])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_rings_only_where_they_save_memory(self, k):
-        # channels of the input and of the three layers of _tiled_case
-        pad, chans = k // 2, [4, 5, 5, 5]
-        for size, rings in [("rings", True), ("narrow-rings", True), ("narrow", True),
-                            ("wide", True), ("tiles", False), ("tall", False)]:
-            h, w = _SIZES[size]
-            rows = _ring_rows(h + 2 * pad, w + 2 * pad, pad, chans)
-            assert (max(rows) < h + 2 * pad) == rings, size
+    def test_bit_identical_for_every_strip_height(self, monkeypatch, k, strip):
+        x, s, want = _tiled_case(k, "narrow-rings")
+        monkeypatch.setattr(cdconf.features, "_STRIP", strip)
+        assert np.array_equal(extract(s, x), want)
+
+    # the stock extractors on a size whose whole-image tiles end in a
+    # ragged one, cut into strips of 8, 17 and 64 rows
+    @pytest.mark.parametrize("rows", [8, 17, 64])
+    @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
+                             ids=["primary", "secondary"])
+    def test_stock_extractors_bit_identical_for_every_strip_height(self, monkeypatch,
+                                                                 spec, rows):
+        x = _raster(seed=23, bands=4, h=257, w=513)
+        monkeypatch.setattr(cdconf.features, "_STRIP", 10**9)
+        whole = extract(spec, x)
+        monkeypatch.setattr(cdconf.features, "_STRIP", rows * 513)
+        assert np.array_equal(extract(spec, x), whole)
+
+    def test_strips_follow_the_image_size(self):
+        for h, w in [(1, 1), (128, 128), (512, 512), (257, 513), (2500, 40), (3, 10**5)]:
+            strips = _strips(h, w)
+            assert strips[0][0] == 0 and strips[-1][1] == h
+            assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+            heights = {y1 - y0 for y0, y1 in strips}
+            assert min(heights) >= 1 and max(heights) - min(heights) <= 1
+            assert len(strips) == min(h, -(-h * w // _STRIP))
+            # so the last strip reaches back to the image's last tile, which
+            # keeps its ragged width (see _conv_layers)
+            assert len(strips) == 1 or min(heights) * w >= _TILE
+        assert _strips(128, 128) == [(0, 128)]
+        assert len(_strips(512, 512)) == 16
 
     def test_runs_only_up_to_the_deepest_tap(self, monkeypatch):
         # the weights are drawn layer by layer, so the first two layers of a
@@ -195,9 +218,9 @@ class TestRandomConv:
         layers = []
         conv_layers = cdconf.features._conv_layers
 
-        def recorded(x, weights, k):
+        def recorded(x, weights, *args):
             layers.append(len(weights))
-            return conv_layers(x, weights, k)
+            return conv_layers(x, weights, *args)
 
         monkeypatch.setattr(cdconf.features, "_conv_layers", recorded)
         x = _raster(seed=21, bands=4, h=70, w=90)
@@ -207,10 +230,10 @@ class TestRandomConv:
         assert layers == [2, 2]
 
     def test_more_workers_than_cores_with_fast_switching(self):
-        # the two extractions, then six moment and three magnitude blocks,
-        # side by side; a switch every microsecond interleaves them as
-        # finely as the interpreter allows
-        x1, x2, s, want = _tiled_pair(3, "tiles")
+        # seven strips of both images writing one difference stack, then
+        # 25 magnitude blocks, side by side; a switch every microsecond
+        # interleaves them as finely as the interpreter allows
+        x1, x2, s, want = _tiled_pair(3, "narrow-rings")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -220,24 +243,24 @@ class TestRandomConv:
         assert np.array_equal(got.magnitude.rho, want)
 
     def test_no_more_workers_than_tiles(self, monkeypatch):
-        # a 64x64 layer is two tiles of 4096 columns
-        sizes = _record_pools(monkeypatch, 2)
-        x1, x2 = _raster(seed=3, bands=4, h=64, w=64), _raster(seed=4, bands=4, h=64, w=64)
+        # a 160x128 image is two strips and five blocks of 4096 pixels
+        sizes = _record_pools(monkeypatch, 5)
+        x1, x2 = _raster(seed=3, bands=4, h=160, w=128), _raster(seed=4, bands=4, h=160, w=128)
         detect_pair(x1, x2, default_secondary_spec(0), threads=10**6)
-        assert sizes and max(sizes) == 2
+        assert sorted(sizes) == [2, 5]
 
     def test_no_more_workers_than_the_cap(self, monkeypatch):
-        # a pair is two extractions; a 256x256 stack is 16 moment blocks and
-        # a pair 16 magnitude blocks, more pieces than the cap
+        # a 384x512 image is 12 strips and 48 magnitude blocks, more pieces
+        # than the cap
         sizes = _record_pools(monkeypatch, _MAX_WORKERS)
-        x1, x2 = _raster(seed=3, bands=4, h=256, w=256), _raster(seed=4, bands=4, h=256, w=256)
+        x1, x2 = _raster(seed=3, bands=4, h=384, w=512), _raster(seed=4, bands=4, h=384, w=512)
         s = ExtractorSpec(depth=2, taps=(2,), channels=4, seed=3)
         detect_pair(x1, x2, s, threads=10**6)
-        assert sorted(sizes) == [2, _MAX_WORKERS, _MAX_WORKERS]
+        assert sorted(sizes) == [_MAX_WORKERS, _MAX_WORKERS]
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_threads_below_one_run_serially(self, monkeypatch, threads):
-        # every tile and block is still computed: the magnitude is the
+        # every strip and block is still computed: the magnitude is the
         # reference's
         sizes = _record_pools(monkeypatch, 0)
         x1, x2, s, want = _tiled_pair(3, "tiles")
@@ -245,16 +268,15 @@ class TestRandomConv:
         assert sizes == []
 
     def test_no_threads_given_means_the_default(self, monkeypatch):
-        monkeypatch.setattr(cdconf.features, "default_threads", lambda: 2)
+        monkeypatch.setattr(cdconf.pool, "default_threads", lambda: 2)
         sizes = _record_pools(monkeypatch, 2)
         x1, x2, s, want = _tiled_pair(3, "tiles")
         assert np.array_equal(detect_pair(x1, x2, s).magnitude.rho, want)
         assert sizes and set(sizes) == {2}
 
     def test_traced_peak_within_two_and_a_half_outputs(self):
-        # the layers' padded rows (never more than two whole padded
-        # buffers), one patch block and the output; a per-layer padded copy
-        # or output buffer brings it to 2.8x
+        # one strip's padded rows of two layers, one patch block and the
+        # output; a per-layer padded copy or output buffer brings it to 2.8x
         s = default_secondary_spec(0)
         x = _raster(seed=17, bands=4, h=256, w=256)
         _conv_weights(s, x.bands)
@@ -270,9 +292,9 @@ class TestRandomConv:
     @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
                              ids=["primary", "secondary"])
     def test_traced_peak_of_a_small_image_within_two_whole_buffers(self, spec, size):
-        # the features, the whole padded buffers of two layers and one patch
-        # block, with 128 KiB for the interpreter's own objects: an image
-        # whose rings would take more than two whole buffers runs in those
+        # the features, the padded buffers of two layers and one patch
+        # block, with 128 KiB for the interpreter's own objects: a 128x128
+        # image is one strip, which holds two whole padded layers
         x = _raster(seed=19, bands=4, h=size, w=size)
         _conv_weights(spec, x.bands)
         tracemalloc.start()
@@ -286,9 +308,10 @@ class TestRandomConv:
         assert peak <= f.nbytes + 2 * whole + block + 2**17
 
     def test_traced_peak_of_a_tall_raster_does_not_grow_with_its_height(self):
-        # past the features, the rings of the layers and one patch block,
-        # whose sizes depend on the width only; whole padded buffers would
-        # add 2 * 48 * 1024 * 130 float32 (51 MB) from one height to the next
+        # past the features, one strip's padded rows of two layers and one
+        # patch block, whose sizes depend on the width only; whole padded
+        # buffers would add 2 * 48 * 1024 * 130 float32 (51 MB) from one
+        # height to the next
         s = default_secondary_spec(0)
         held = {}
         for h in (1024, 2048):
@@ -302,7 +325,7 @@ class TestRandomConv:
                 tracemalloc.stop()
             del f
         assert held[2048] <= held[1024] + 2**20
-        # all the rings together hold less than one whole padded buffer
+        # the strip holds less than one whole padded buffer
         whole = s.channels * 1026 * 130 * 4
         block = s.channels * 9 * _TILE * 4
         assert held[1024] <= whole + block
@@ -324,38 +347,63 @@ class TestRandomConv:
         assert np.isfinite(f).all()
 
 
+# (c_out, c_in*k*k) of the stock extractors' 3x3 layers on 4 bands, and of
+# narrower ones
+_GEMM_SHAPES = [(8, 36), (8, 72), (16, 36), (16, 144), (24, 216), (48, 36), (48, 432)]
+
+
+@pytest.mark.parametrize("shape", _GEMM_SHAPES, ids=[f"{c}x{n}" for c, n in _GEMM_SHAPES])
+def test_gemm_column_bits_do_not_depend_on_a_multiple_of_16_width(shape):
+    # _conv_layers pads every GEMM but the image's last to a multiple of 16
+    # columns so that the strips cannot change a bit; on a BLAS where a
+    # column's bits depend on such a call's width or offset, this must fail
+    # rather than let the strips drift
+    c, fan_in = shape
+    rng = np.random.Generator(np.random.Philox(key=c * 1000 + fan_in))
+    weights = (rng.standard_normal(shape) / np.sqrt(fan_in)).astype(np.float32)
+    patches = rng.random((fan_in, _TILE + 64), dtype=np.float32)
+    wide = weights @ patches
+    out = np.empty((c, _TILE + 80), np.float32)
+    for width in [*range(16, 257, 16), 512, 1008, 2032, 4080, _TILE]:
+        for offset in (0, 16, 48):
+            # a contiguous patch block, its result landing in a wider array
+            tile = out[:, 16:16 + width]
+            np.matmul(weights, np.ascontiguousarray(patches[:, offset:offset + width]), out=tile)
+            assert np.array_equal(tile, wide[:, offset:offset + width]), (width, offset)
+
+
 def _record_pools(monkeypatch, limit: int) -> list[int]:
-    """Record the size of every worker pool ``features`` starts; a pool of
+    """Record the size of every worker pool ``_pool_map`` starts; a pool of
     more than ``limit`` workers is refused before any of its threads starts."""
     sizes = []
 
-    class Recorded(cdconf.features.ThreadPoolExecutor):
+    class Recorded(cdconf.pool.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             assert max_workers <= limit
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cdconf.features, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(cdconf.pool, "ThreadPoolExecutor", Recorded)
     return sizes
 
 
 class TestDefaultThreads:
     def test_the_cores_when_blas_runs_one_thread(self, monkeypatch, tmp_path):
         # no CPU quota: the cgroup files are not there
-        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
+        monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("quota,cpus", [(50_000, 1), (100_000, 1), (150_000, 2)])
     def test_the_cores_capped_by_a_cpu_quota(self, monkeypatch, tmp_path, quota, cpus):
         (tmp_path / "cpu.max").write_text(f"{quota} 100000\n")
-        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
+        monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == min(cpus, len(os.sched_getaffinity(0)))
 
     def test_a_quota_above_the_cores_leaves_the_cores(self, monkeypatch, tmp_path):
         (tmp_path / "cpu.max").write_text("6400000 100000\n")
-        monkeypatch.setattr(cdconf.features, "_CGROUP", tmp_path)
+        monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == len(os.sched_getaffinity(0))
 

@@ -25,7 +25,7 @@ class TestBenchmarkMethods:
         assert err.out == ""
 
     def test_threads_default_to_the_usable_cores(self, capsys):
-        from cdconf.features import default_threads
+        from cdconf.pool import default_threads
 
         module = _benchmark_methods()
         seen = []

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from cdconf.dcva import ChangeResult, MagnitudeMap, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
-from cdconf.features import (
-    _TILE,
-    ExtractorSpec,
-    _conv_weights,
-    _ring_rows,
-    default_primary_spec,
-    default_secondary_spec,
-)
+from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from cdconf.raster import ConfidenceState, Raster, normalize_pair
 from cdconf.smoothing import (
     ConfidentDetection,
@@ -28,6 +21,7 @@ from cdconf.smoothing import (
     run_proposed,
 )
 from cdconf.synth import SceneSpec, generate
+from oracles import strip_worker_nbytes
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
 CU = int(ConfidenceState.CONFIDENT_UNCHANGED)
@@ -265,18 +259,17 @@ class TestRunProposed:
         assert np.array_equal(a.confidence.states, b.confidence.states)
         assert np.array_equal(a.counts.k_prime, b.counts.k_prime)
 
-    def test_an_extra_worker_costs_one_patch_block(self):
+    def test_an_extra_worker_costs_one_strips_buffers(self):
         # the iterations run one after another whatever the thread count, so
-        # a second worker adds the rings and the patch block of the
-        # extraction it runs beside the other one of the pair, not a second
-        # noisy detection (two 256x256x96 float32 stacks and more); 64 KiB
-        # is left for the pool's own threads and futures
+        # a second worker adds the buffers of the strips it runs beside the
+        # first worker's, not a second noisy detection (a 256x256x96 float32
+        # difference stack and more); 64 KiB is left for the pool's own
+        # threads and futures
         t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=4))
         x1, x2 = normalize_pair(t1, t2)
         f1, f2 = default_primary_spec(0), default_secondary_spec(0)
         cfg = SmoothingConfig(iterations=2)
-        block = max(w.shape[1] for s in (f1, f2) for w in _conv_weights(s, x1.bands)) * _TILE * 4
-        rings = max(_rings_nbytes(s, x1) for s in (f1, f2))
+        strip = max(strip_worker_nbytes(s, x1.bands, 256, 256) for s in (f1, f2))
         peaks = {}
         for threads in (1, 2):
             tracemalloc.start()
@@ -285,16 +278,7 @@ class TestRunProposed:
                 peaks[threads] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[2] <= peaks[1] + rings + block + 2**16
-
-
-def _rings_nbytes(spec: ExtractorSpec, x: Raster) -> int:
-    """Bytes of the conv layer rings one extraction of ``x`` holds at most."""
-    pad = spec.kernel_size // 2
-    hp, wp = x.height + 2 * pad, x.width + 2 * pad
-    chans = [x.bands] + [spec.channels] * spec.taps[-1]
-    rows = _ring_rows(hp, wp, pad, chans)
-    return 4 * sum(c * (r * wp + (_TILE if r < hp else 0)) for c, r in zip(chans, rows))
+        assert peaks[2] <= peaks[1] + strip + 2**16
 
 
 def _checked_detection() -> ConfidentDetection:
