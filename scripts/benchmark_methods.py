@@ -18,6 +18,7 @@ from cdconf import (
     confusion,
     default_primary_spec,
     default_secondary_spec,
+    detect_pair,
     format_table,
     generate,
     metrics,
@@ -66,8 +67,10 @@ def main(argv=None) -> int:
         x1, x2 = normalize_pair(t1, t2)
         total = ref.changed.size
         totals += total
+        primary = detect_pair(x1, x2, f1, threads=args.threads)
         for m in METHODS.values():
-            det = run_method(m, x1, x2, f1, f2, sm, rcfg, threads=args.threads)
+            det = run_method(m, x1, x2, f1, f2, sm, rcfg, threads=args.threads,
+                             primary=primary)
             per_method[m.title].append(
                 metrics(confusion(det.primary.labels, ref, det.confidence), total)
             )

@@ -10,22 +10,19 @@ Three extractor kinds:
   [1, depth] and tapping the last layer is spelled ``depth``.  Only the
   layers up to the deepest tap run, strip by strip of image rows
   (``_conv_layers``): a strip holds its rows of two layers and one patch
-  block, whatever the image's height, and gives its rows the bits a
-  whole-image pass gives them.
+  block, whatever the image's height.  Every GEMM is zero-padded to a
+  multiple of 16 columns, so a strip gives its rows the bits a whole-image
+  pass gives them, whatever the strip's height.
 * ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
   CNN), stored as one full-resolution CDR raster per tapped layer named
   ``layer_<i>.cdr`` inside ``feature_dir``.
 
-``extract`` returns a plain float32 (height, width, D) feature stack.
-``dcva.detect_pair`` runs the two rasters of a pair through the strips in
-lockstep instead (``dcva._difference``) and keeps only their difference.
-
-The pieces of a pass (strips, or blocks of pixels) run on ``pool._pool_map``.
-They depend only on the image size, every one is computed as the serial
-loop computes it, and results are merged in the serial order, so the output
-is bit-identical for every thread count.  NumPy releases the interpreter
-lock in the slice copies, the GEMMs and the reductions, which is what the
-workers run.
+``extract`` returns a plain float32 (height, width, D) feature stack,
+computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
+through the strips in lockstep instead (``dcva._difference``), keeps only
+their difference, and runs the strips on ``pool._pool_map``: they depend
+only on the image size and their moments are merged in strip order, so the
+output is bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyTapSet, RejectedValue, ShapeMismatch
-from .pool import _pool_map
 from .raster import Raster, load_raster
 from .rng import ROLE_F1_WEIGHTS, ROLE_F2_WEIGHTS, generator, mix64
 
@@ -151,20 +147,15 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
 _TILE = 4096
 
 
-def _blocks(n: int, start: int = 0) -> list[slice]:
-    """Slices covering [0, n) in order, cut where ``start`` plus the position
-    is a multiple of ``_TILE``: from the default start, _TILE long but for a
-    ragged last one."""
-    cuts = [0, *range(-start % _TILE or _TILE, n, _TILE), n]
-    return [slice(p, q) for p, q in zip(cuts, cuts[1:])]
+def _blocks(n: int) -> list[slice]:
+    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
+    return [slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE)]
 
 
 # Output pixels per strip, the piece of work of an extraction: a 128 x 128
 # image is one strip, and a 512-wide one has strips of 32 rows.  A strip
 # recomputes up to 2*pad rows a layer of its neighbours', so smaller strips
-# hold less memory and repeat more work.  At 2 * _TILE or more, every strip
-# of a cut image has _TILE pixels or more, so the last strip holds the start
-# of the image's last tile (see ``_conv_layers``).
+# hold less memory and repeat more work.  Any size gives the same bits.
 _STRIP = 16384
 
 
@@ -173,6 +164,12 @@ def _strips(h: int, w: int) -> list[tuple[int, int]]:
     of near-equal height as hold at most about ``_STRIP`` pixels each."""
     n = min(h, -(-h * w // _STRIP))
     return [(h * i // n, h * (i + 1) // n) for i in range(n)]
+
+
+def _stage_rows(rows: int, pad: int, wp: int) -> int:
+    """Rows of a stage of ``rows`` interior rows, with its border rows and
+    the rows that the zero-padded columns of its last GEMM spill into."""
+    return rows + 2 * pad - (-16 // wp)
 
 
 def _reflect(st: np.ndarray, pad: int, rows: int, top: bool, bottom: bool) -> None:
@@ -203,23 +200,22 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     two stage buffers of ``scratch`` by turns.  Output pixel (y, x) is
     column p = y*wp + x, whose patch entry (c, dy, dx) is
     ``flat[c, p + dy*wp + dx]``, so a tile of columns is k*k slice copies.
-    The tiles are the whole image's ``_blocks``, each zero-padded to a
-    multiple of 16 columns: a GEMM column's bits then do not depend on the
-    call's width (``tests/test_features.py`` checks the running BLAS), nor
-    on the strips.  The image's last tile keeps its ragged width, and so its
-    bits, as in a whole-image pass.  A GEMM lands rectified in
-    the next stage's interior; the columns that wrap past a row's end land
-    in the border, which is reflected over them.
+    The tiles are the ``_blocks`` of the layer's rows from their first
+    column, each zero-padded to a multiple of 16 columns: a GEMM column's
+    bits then depend neither on the call's width nor on where the column
+    sits in it (``tests/test_features.py`` checks the running BLAS), so not
+    on the strips.  A GEMM lands rectified in the next stage's interior; the
+    columns that wrap past a row's end land in the border, which is
+    reflected over them.
     """
     c_in, h, w = x.shape
     pad, depth = k // 2, len(weights)
     wp = w + 2 * pad
-    shift, last = pad * wp + pad, (h - 1) * wp + w
+    shift = pad * wp + pad
     patch, *bufs = scratch
 
     def stage(s: int, c: int, rows: int) -> np.ndarray:
-        # rows past the border hold the padded columns of the last GEMM
-        return bufs[s % 2][:c * (rows + 2 * pad - (-16 // wp)) * wp].reshape(c, -1, wp)
+        return bufs[s % 2][:c * _stage_rows(rows, pad, wp) * wp].reshape(c, -1, wp)
 
     lo, hi = max(0, y0 - depth * pad), min(h, y1 + depth * pad)
     src = stage(0, c_in, hi - lo)
@@ -230,9 +226,9 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
         a, b = max(0, y0 - (depth - layer) * pad), min(h, y1 + (depth - layer) * pad)
         dst = stage(layer, c_out, b - a)
         src_flat, dst_flat = src.reshape(c_in, -1), dst.reshape(c_out, -1)
-        for t in _blocks((b - a - 1) * wp + w, a * wp):
+        for t in _blocks((b - a - 1) * wp + w):
             m = t.stop - t.start
-            cols = m if a * wp + t.stop == last else -(-m // 16) * 16
+            cols = -(-m // 16) * 16
             block = patch[:c_in * k * k * cols].reshape(c_in, k, k, cols)
             for dy in range(k):
                 for dx in range(k):
@@ -279,7 +275,7 @@ class _Extraction:
             return None
         pad = self.spec.kernel_size // 2
         wp = self.x.width + 2 * pad
-        held = min(self.x.height, rows + 2 * len(self.weights) * pad) + 2 * pad - (-16 // wp)
+        held = _stage_rows(min(self.x.height, rows + 2 * len(self.weights) * pad), pad, wp)
         stage = max(self.x.bands, self.spec.channels) * held * wp
         patch = max(w.shape[1] for w in self.weights) * _TILE
         return tuple(np.empty(n, np.float32) for n in (patch, stage, stage))
@@ -346,17 +342,15 @@ def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:
     return sd.astype(np.float32), sd >= 1e-12
 
 
-def _pooled_std(f1: np.ndarray, f2: np.ndarray,
-                threads: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _pooled_std(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pooled``'s std and live mask of two equally shaped (..., D) stacks,
     from the moments of blocks of ``_TILE`` pixels, all of f1's and then all
-    of f2's, taken on up to ``threads`` worker threads."""
+    of f2's."""
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
     d = f1.shape[-1]
-    blocks = [(flat, t) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
-              for t in _blocks(len(flat))]
-    return _pooled(_pool_map(lambda b: _moments(b[0][b[1]].T), blocks, threads))
+    return _pooled(_moments(flat[t].T) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
+                   for t in _blocks(len(flat)))
 
 
 def standardize_pair(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -52,10 +52,11 @@ def conv_relu_tiled_reference(stack: np.ndarray, weights: np.ndarray, k: int,
     The stack is copied into a reflect-padded (c_in, hp, wp) array by
     ``np.pad``; output column p = y*wp + x of a separate (c_out, h*wp) result
     is the GEMM of its patch entries ``flat[c, p + dy*wp + dx]`` in
-    (c, dy, dx) order, ``tile`` columns at a time, and the wp - w
-    wrap-around columns of each row are dropped.  The GEMM shapes and
-    operand order match the streamed extractor's, so the two agree bit for
-    bit while sharing none of its buffer layout.
+    (c, dy, dx) order, ``tile`` columns at a time from p = 0, each block
+    zero-padded to a multiple of 16 columns, and the wp - w wrap-around
+    columns of each row are dropped.  Every GEMM width and the operand order
+    match the streamed extractor's, so the two agree bit for bit while
+    sharing none of its buffer layout or its cuts into strips.
     """
     c_in, h, w = stack.shape
     pad = k // 2
@@ -66,11 +67,12 @@ def conv_relu_tiled_reference(stack: np.ndarray, weights: np.ndarray, k: int,
     out = np.empty((weights.shape[0], h * wp), np.float32)
     for p0 in range(0, n, tile):
         m = min(tile, n - p0)
-        block = np.empty((c_in, k, k, m), np.float32)
+        block = np.zeros((c_in, k, k, -(-m // 16) * 16), np.float32)
         for dy in range(k):
             for dx in range(k):
-                block[:, dy, dx] = flat[:, p0 + dy * wp + dx:p0 + dy * wp + dx + m]
-        out[:, p0:p0 + m] = np.maximum(weights @ block.reshape(c_in * k * k, m), 0.0)
+                block[:, dy, dx, :m] = flat[:, p0 + dy * wp + dx:p0 + dy * wp + dx + m]
+        gemm = weights @ block.reshape(c_in * k * k, -1)
+        out[:, p0:p0 + m] = np.maximum(gemm[:, :m], 0.0)
     return out.reshape(-1, h, wp)[:, :, :w]
 
 
