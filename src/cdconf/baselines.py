@@ -6,28 +6,25 @@ the same ConfidentDetection bundle as the dual-model pipeline so evaluations
 compare like with like, and all three keep the fusion invariant that a
 confident pixel always carries its primary label.
 
-``METHODS`` declares each method once: the voting ones differ only in the
-labeler their noisy ensemble votes with.
+``METHODS`` declares each method once, and ``run_method`` is the one
+pipeline: it detects the primary, and a voting method then votes with its
+voter, a ``smoothing.Detector`` like the primary detection itself, and fuses.
+The voting methods differ only in that voter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .dcva import ChangeResult, MagnitudeMap, detect_pair, otsu_threshold, threshold_labels
+from .dcva import ChangeResult, MagnitudeMap, detect_pair, otsu_threshold, threshold_magnitude
 from .errors import RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
-from .raster import ConfidenceMap, ConfidenceState, LabelMap, Raster
-from .smoothing import (
-    ConfidentDetection,
-    Labeler,
-    SmoothingConfig,
-    detector_labeler,
-    run_ensemble,
-)
+from .raster import ConfidenceMap, Raster
+from .smoothing import ConfidentDetection, Detector, SmoothingConfig, confidence_map, vote
 
 
 @dataclass(frozen=True)
@@ -39,19 +36,6 @@ class RcvaConfig:
     def __post_init__(self):
         if self.window_radius < 0:
             raise RejectedValue(f"window_radius must be >= 0, got {self.window_radius}")
-
-
-def run_unified(
-    x1: Raster,
-    x2: Raster,
-    f1spec: ExtractorSpec,
-    cfg: SmoothingConfig,
-    *,
-    threads: int | None = None,
-) -> ConfidentDetection:
-    """Smoothing with the primary extractor doing double duty as the secondary."""
-    return run_ensemble(x1, x2, f1spec, detector_labeler(f1spec, threads), cfg,
-                        threads=threads)
 
 
 def _directional_min_sq(ref: Raster, cand: Raster, w: int) -> np.ndarray:
@@ -93,32 +77,10 @@ def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     return MagnitudeMap(np.maximum(rho12, rho21).astype(np.float32))
 
 
-def rcva_labeler(rcfg: RcvaConfig) -> Labeler:
-    """Binary labeler for ensemble voting: thresholded neighborhood magnitude."""
-
-    def labeler(a: Raster, b: Raster) -> LabelMap:
-        rho = rcva_magnitude(a, b, rcfg)
-        return threshold_labels(rho, otsu_threshold(rho))
-
-    return labeler
-
-
-def run_conf_rcva(
-    x1: Raster,
-    x2: Raster,
-    f1spec: ExtractorSpec,
-    cfg: SmoothingConfig,
-    rcfg: RcvaConfig,
-    *,
-    threads: int | None = None,
-) -> ConfidentDetection:
-    """Deep primary detection validated by a noisy band-space ensemble.
-
-    Same scaffolding as the dual-extractor pipeline, but each noisy
-    iteration's labels come from histogram-thresholded neighborhood-robust
-    magnitudes on the raw bands instead of a second feature extractor.
-    """
-    return run_ensemble(x1, x2, f1spec, rcva_labeler(rcfg), cfg, threads=threads)
+def rcva_detect(x1: Raster, x2: Raster, cfg: RcvaConfig) -> ChangeResult:
+    """Detection in band space: the histogram-thresholded neighborhood
+    magnitude, the voter of the neighborhood vote."""
+    return threshold_magnitude(rcva_magnitude(x1, x2, cfg))
 
 
 def threshold_distance(primary: ChangeResult) -> ConfidenceMap:
@@ -133,52 +95,40 @@ def threshold_distance(primary: ChangeResult) -> ConfidenceMap:
         np.abs(primary.magnitude.rho.astype(np.float64) - primary.tau).astype(np.float32)
     )
     tau_prime = otsu_threshold(rho_prime)
-    confident = rho_prime.rho > np.float64(tau_prime)
-    changed = primary.labels.changed
-    states = np.full(changed.shape, int(ConfidenceState.NOT_CONFIDENT), dtype=np.uint8)
-    states[confident & changed] = int(ConfidenceState.CONFIDENT_CHANGED)
-    states[confident & ~changed] = int(ConfidenceState.CONFIDENT_UNCHANGED)
-    return ConfidenceMap(states)
+    return confidence_map(primary.labels.changed, rho_prime.rho > np.float64(tau_prime))
 
 
 @dataclass(frozen=True)
 class ConfidenceMethod:
     """One confidence method: its CLI name, its row title in method tables,
-    and how it assigns confidence to the primary detection.
+    the configs it reads besides the primary spec (of "smoothing", "f2" and
+    "rcva", in that order), and how it assigns confidence to the primary
+    detection.
 
-    A voting method gives ``labeler``, which builds the voter of the noisy
-    ensemble from (primary spec, secondary spec, RCVA config, threads);
-    ``secondary`` and ``rcva`` say whether it reads the secondary spec and the
-    RCVA config.
-    A method that does not vote may give ``from_primary`` instead: confidence
-    computed from the clean detection alone.  With neither, the method
-    assigns no confidence.
+    A voting method reads "smoothing" and gives ``voter``, which builds the
+    ``Detector`` of the noisy ensemble from (primary spec, secondary spec,
+    RCVA config, threads).  A method that does not vote may give
+    ``from_primary`` instead: confidence computed from the clean detection
+    alone.  With neither, the method assigns no confidence.
     """
 
     name: str
     title: str
-    labeler: (Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig, int | None], Labeler]
-              | None) = None
-    secondary: bool = False
-    rcva: bool = False
+    reads: tuple[str, ...] = ()
+    voter: (Callable[[ExtractorSpec, ExtractorSpec | None, RcvaConfig | None, int | None],
+                     Detector] | None) = None
     from_primary: Callable[[ChangeResult], ConfidenceMap] | None = None
-
-    @property
-    def reads(self) -> tuple[str, ...]:
-        """The configs it reads besides the primary spec: smoothing, f2, rcva."""
-        used = {"smoothing": self.labeler is not None, "f2": self.secondary, "rcva": self.rcva}
-        return tuple(k for k, v in used.items() if v)
 
 
 METHODS = {m.name: m for m in (
     ConfidenceMethod("none", "no selection"),
     ConfidenceMethod("deep-magnitude", "threshold distance", from_primary=threshold_distance),
-    ConfidenceMethod("conf-rcva", "neighborhood vote",
-                     lambda f1, f2, r, threads: rcva_labeler(r), rcva=True),
-    ConfidenceMethod("unified", "single extractor",
-                     lambda f1, f2, r, threads: detector_labeler(f1, threads)),
-    ConfidenceMethod("proposed", "dual extractor",
-                     lambda f1, f2, r, threads: detector_labeler(f2, threads), secondary=True),
+    ConfidenceMethod("conf-rcva", "neighborhood vote", ("smoothing", "rcva"),
+                     lambda f1, f2, r, threads: partial(rcva_detect, cfg=r)),
+    ConfidenceMethod("unified", "single extractor", ("smoothing",),
+                     lambda f1, f2, r, threads: partial(detect_pair, spec=f1, threads=threads)),
+    ConfidenceMethod("proposed", "dual extractor", ("smoothing", "f2"),
+                     lambda f1, f2, r, threads: partial(detect_pair, spec=f2, threads=threads)),
 )}
 
 
@@ -200,8 +150,20 @@ def run_method(
     Every detection it makes runs on up to ``threads`` worker threads."""
     if primary is None:
         primary = detect_pair(x1, x2, f1spec, threads=threads)
-    if method.labeler is not None:
-        labeler = method.labeler(f1spec, f2spec, rcfg, threads)
-        return run_ensemble(x1, x2, f1spec, labeler, cfg, primary=primary)
+    if method.voter is not None:
+        return vote(primary, x1, x2, method.voter(f1spec, f2spec, rcfg, threads), cfg)
     conf = None if method.from_primary is None else method.from_primary(primary)
     return ConfidentDetection(primary, None, conf)
+
+
+def run_unified(x1: Raster, x2: Raster, f1spec: ExtractorSpec, cfg: SmoothingConfig, *,
+                threads: int | None = None) -> ConfidentDetection:
+    """Smoothing with the primary extractor doing double duty as the secondary."""
+    return run_method(METHODS["unified"], x1, x2, f1spec, None, cfg, None, threads=threads)
+
+
+def run_conf_rcva(x1: Raster, x2: Raster, f1spec: ExtractorSpec, cfg: SmoothingConfig,
+                  rcfg: RcvaConfig, *, threads: int | None = None) -> ConfidentDetection:
+    """Deep primary detection validated by a noisy band-space ensemble: the
+    dual-extractor pipeline with ``rcva_detect`` as the voter."""
+    return run_method(METHODS["conf-rcva"], x1, x2, f1spec, None, cfg, rcfg, threads=threads)

@@ -146,7 +146,7 @@ def threshold_labels(m: MagnitudeMap, tau: float) -> LabelMap:
     return LabelMap(m.rho > np.float64(tau))
 
 
-def _labelled(m: MagnitudeMap) -> ChangeResult:
+def threshold_magnitude(m: MagnitudeMap) -> ChangeResult:
     """Threshold a magnitude map by Otsu and label it."""
     tau = otsu_threshold(m)
     return ChangeResult(magnitude=m, tau=tau, labels=threshold_labels(m, tau))
@@ -154,7 +154,7 @@ def _labelled(m: MagnitudeMap) -> ChangeResult:
 
 def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     """Full chain on feature stacks: hypervector, magnitude, threshold, labels."""
-    return _labelled(magnitude(hypervector(f1, f2)))
+    return threshold_magnitude(magnitude(hypervector(f1, f2)))
 
 
 def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster,
@@ -236,4 +236,5 @@ def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
     ``detect`` does.  ``threads`` bounds the worker threads of the strips
     and of the magnitude blocks (None: ``pool.default_threads()``); the
     result is bit-identical for every value."""
-    return _labelled(_standardized_magnitude(*_difference(spec, x1, x2, threads), threads))
+    g, sd, live = _difference(spec, x1, x2, threads)
+    return threshold_magnitude(_standardized_magnitude(g, sd, live, threads))

@@ -315,12 +315,17 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
 
 def _moments(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, per-dim mean and per-dim sum of squared deviations of a block
-    whose first axis is the feature dim, in float64 by two passes."""
-    dev = a.astype(np.float64).reshape(len(a), -1)
-    mean = dev.mean(axis=1)
-    dev -= mean[:, None]
-    np.square(dev, out=dev)
-    return dev.shape[1], mean, dev.sum(axis=1)
+    whose first axis is the feature dim, in float64 by two passes over one
+    float64 buffer that takes one dim at a time."""
+    dev = np.empty(a.shape[1:])
+    mean, m2 = np.empty(len(a)), np.empty(len(a))
+    for d, band in enumerate(a):
+        np.copyto(dev, band)
+        mean[d] = dev.mean()
+        dev -= mean[d]
+        np.square(dev, out=dev)
+        m2[d] = dev.sum()
+    return dev.size, mean, m2
 
 
 def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,13 @@
 """Confidence estimation by noisy re-detection.
 
 The primary detection runs once on the clean pair with the primary extractor.
-A secondary extractor then re-runs the full detection chain K times on
-Gaussian-perturbed copies of the inputs (fresh threshold each time), and the
-per-pixel count of changed verdicts K' is fused with the primary label: a
-pixel is confident when enough of the noisy ensemble agrees with the primary
-verdict, and not-confident otherwise.
+A voter then re-runs a detection K times on Gaussian-perturbed copies of the
+inputs (fresh threshold each time), and the per-pixel count of changed
+verdicts K' is fused with the primary label: a pixel is confident when
+enough of the noisy ensemble agrees with the primary verdict, and
+not-confident otherwise.  The voter is a ``Detector``, the same kind of
+function as the primary detection; the proposed method's voter is the full
+detection chain with the secondary extractor.
 
 Every iteration draws its noise from a private counter-based stream derived
 from (master_seed, image role, iteration index), so results are bit-identical
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from .dcva import ChangeResult, detect_pair
 from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
-from .raster import ConfidenceMap, ConfidenceState, LabelMap, Raster
+from .raster import ConfidenceMap, ConfidenceState, Raster
 from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
 
 # Decimal confidence thresholds like 0.9 have no exact binary representation
@@ -37,8 +40,8 @@ from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
 # slack to honor the decimal intent of k_tau * k.
 _KTAU_EPS = 1e-9
 
-# One noisy pair in, binary change labels out: the voter of an ensemble.
-Labeler = Callable[[Raster, Raster], LabelMap]
+# A pair in, its change detection out: the primary detection and every voter.
+Detector = Callable[[Raster, Raster], ChangeResult]
 
 
 @dataclass(frozen=True)
@@ -106,31 +109,27 @@ def iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:
 def ensemble_counts_with(
     x1: Raster,
     x2: Raster,
-    labeler: Labeler,
+    detector: Detector,
     cfg: SmoothingConfig,
 ) -> EnsembleCounts:
     """Ensemble scaffolding with a pluggable per-iteration change detector.
 
     Iterations 1..K run in order.  Each perturbs both images with independent
-    noise streams (correlated noise would cancel in the difference) and calls
-    ``labeler`` on the noisy pair; a labeler that runs on several threads
-    holds its own thread count.  The counts do not depend on the order the
-    iterations run in: iteration k's noise depends only on (master seed,
-    role, k), and the reduction is a commutative integer sum.
+    noise streams (correlated noise would cancel in the difference) and
+    counts the changed labels of ``detector`` on the noisy pair; a detector
+    that runs on several threads holds its own thread count.  The counts do
+    not depend on the order the iterations run in: iteration k's noise
+    depends only on (master seed, role, k), and the reduction is a
+    commutative integer sum.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
     k_prime = np.zeros((x1.height, x1.width), dtype=np.int32)
     for k in range(1, cfg.iterations + 1):
         s1, s2 = iteration_seeds(cfg.master_seed, k)
-        k_prime += labeler(perturb(x1, cfg.sigma, s1), perturb(x2, cfg.sigma, s2)).changed
+        noisy = detector(perturb(x1, cfg.sigma, s1), perturb(x2, cfg.sigma, s2))
+        k_prime += noisy.labels.changed
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
-
-
-def detector_labeler(spec: ExtractorSpec, threads: int | None = None) -> Labeler:
-    """The full detection chain with ``spec`` (fresh histogram threshold per
-    call) on up to ``threads`` worker threads, keeping only the labels."""
-    return lambda a, b: detect_pair(a, b, spec, threads=threads).labels
 
 
 def ensemble_counts(
@@ -143,7 +142,7 @@ def ensemble_counts(
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
     changed verdicts per pixel."""
-    return ensemble_counts_with(x1, x2, detector_labeler(f2spec, threads), cfg)
+    return ensemble_counts_with(x1, x2, partial(detect_pair, spec=f2spec, threads=threads), cfg)
 
 
 def fuse_confidence(
@@ -164,11 +163,17 @@ def fuse_confidence(
             f"primary {changed.shape} vs counts {counts.k_prime.shape}"
         )
     need = k_tau * counts.k - _KTAU_EPS
-    agree_changed = counts.k_prime >= need
-    agree_unchanged = (counts.k - counts.k_prime) >= need
+    agree = np.where(changed, counts.k_prime, counts.k - counts.k_prime) >= need
+    return confidence_map(changed, agree)
+
+
+def confidence_map(changed: np.ndarray, confident: np.ndarray) -> ConfidenceMap:
+    """The tri-state map of boolean ``changed`` labels and a boolean
+    ``confident`` mask: a confident pixel keeps its label, ConfidentChanged
+    or ConfidentUnchanged, and every other pixel is NotConfident."""
     states = np.full(changed.shape, int(ConfidenceState.NOT_CONFIDENT), dtype=np.uint8)
-    states[changed & agree_changed] = int(ConfidenceState.CONFIDENT_CHANGED)
-    states[~changed & agree_unchanged] = int(ConfidenceState.CONFIDENT_UNCHANGED)
+    states[confident & changed] = int(ConfidenceState.CONFIDENT_CHANGED)
+    states[confident & ~changed] = int(ConfidenceState.CONFIDENT_UNCHANGED)
     return ConfidenceMap(states)
 
 
@@ -204,39 +209,17 @@ def check_detection(det: ConfidentDetection) -> None:
             raise InvariantViolation(f"vote counts outside [0, {det.counts.k}]")
 
 
-def run_ensemble(
-    x1: Raster,
-    x2: Raster,
-    f1spec: ExtractorSpec,
-    labeler: Labeler,
-    cfg: SmoothingConfig,
-    *,
-    threads: int | None = None,
-    primary: ChangeResult | None = None,
-) -> ConfidentDetection:
-    """Primary detection on clean inputs, K noisy votes by ``labeler``, fusion.
-
-    Every voting confidence method is this pipeline with its own labeler.
-    A caller that already holds the clean detection of (x1, x2) by f1spec
-    passes it as ``primary``, and it is not detected again; otherwise the
-    primary detection runs on up to ``threads`` worker threads.
-    """
-    if primary is None:
-        primary = detect_pair(x1, x2, f1spec, threads=threads)
-    counts = ensemble_counts_with(x1, x2, labeler, cfg)
+def vote(primary: ChangeResult, x1: Raster, x2: Raster, detector: Detector,
+         cfg: SmoothingConfig) -> ConfidentDetection:
+    """K noisy votes by ``detector`` on (x1, x2), fused with ``primary``, the
+    clean detection of the pair: every voting confidence method ends here."""
+    counts = ensemble_counts_with(x1, x2, detector, cfg)
     fused = fuse_confidence(primary, counts, cfg.conf_threshold)
     return ConfidentDetection(primary, counts, fused)
 
 
-def run_proposed(
-    x1: Raster,
-    x2: Raster,
-    f1spec: ExtractorSpec,
-    f2spec: ExtractorSpec,
-    cfg: SmoothingConfig,
-    *,
-    threads: int | None = None,
-) -> ConfidentDetection:
+def run_proposed(x1: Raster, x2: Raster, f1spec: ExtractorSpec, f2spec: ExtractorSpec,
+                 cfg: SmoothingConfig, *, threads: int | None = None) -> ConfidentDetection:
     """Primary detection plus a confidence map voted by the secondary extractor."""
-    return run_ensemble(x1, x2, f1spec, detector_labeler(f2spec, threads), cfg,
-                        threads=threads)
+    return vote(detect_pair(x1, x2, f1spec, threads=threads), x1, x2,
+                partial(detect_pair, spec=f2spec, threads=threads), cfg)

@@ -173,11 +173,11 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     widest fan-in and ``_TILE`` columns; two stage buffers of the most
     channels, each with the tallest strip's rows, the halo rows of every
     layer up to the deepest tap, the border rows and a tail row; and a
-    float64 copy of one tapped layer's rows for their moments."""
+    float64 copy of one channel's rows for their moments."""
     rows = max(y1 - y0 for y0, y1 in _strips(h, w))
     pad = spec.kernel_size // 2
     wp = w + 2 * pad
     c = max(bands, spec.channels)
     stage = c * (rows + 2 * spec.taps[-1] * pad + 2 * pad + 16 // wp + 1) * wp * 4
     patch = c * spec.kernel_size ** 2 * _TILE * 4
-    return patch + 2 * stage + spec.channels * rows * w * 8
+    return patch + 2 * stage + rows * w * 8

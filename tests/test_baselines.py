@@ -12,14 +12,25 @@ from cdconf.baselines import (
     run_unified,
     threshold_distance,
 )
-from cdconf.dcva import detect_pair, hypervector, magnitude, otsu_threshold, threshold_labels
+from cdconf.dcva import (
+    ChangeResult,
+    detect_pair,
+    hypervector,
+    magnitude,
+    otsu_threshold,
+    threshold_labels,
+)
 from cdconf.errors import RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorKind, ExtractorSpec, extract
 from cdconf.raster import ConfidenceState, Raster
 from cdconf.smoothing import (
     ConfidentDetection,
     SmoothingConfig,
+    check_detection,
     ensemble_counts_with,
+    fuse_confidence,
+    iteration_seeds,
+    perturb,
     run_proposed,
 )
 from oracles import otsu_tau_bruteforce, rcva_bruteforce
@@ -41,6 +52,17 @@ def _pair(seed=0):
     data = x1.data.copy()
     data[:, 3:7, 2:6] += 0.4
     return x1, Raster(data)
+
+
+def _rcva_voter(rcfg):
+    """The neighborhood vote's voter, built from the primitives."""
+
+    def voter(a, b):
+        rho = rcva_magnitude(a, b, rcfg)
+        tau = otsu_threshold(rho)
+        return ChangeResult(magnitude=rho, tau=tau, labels=threshold_labels(rho, tau))
+
+    return voter
 
 
 class TestRcvaConfig:
@@ -133,11 +155,7 @@ class TestRunConfRcva:
         x1, x2 = _pair(8)
         cfg = SmoothingConfig(sigma=0.0, iterations=3, conf_threshold=1.0, master_seed=2)
 
-        def labeler(a, b):
-            rho = rcva_magnitude(a, b, RcvaConfig())
-            return threshold_labels(rho, otsu_threshold(rho))
-
-        counts = ensemble_counts_with(x1, x2, labeler, cfg)
+        counts = ensemble_counts_with(x1, x2, _rcva_voter(RcvaConfig()), cfg)
         assert set(np.unique(counts.k_prime)) <= {0, 3}
         det = run_conf_rcva(x1, x2, _F1, cfg, RcvaConfig())
         assert set(np.unique(det.confidence.states)) <= {CC, CU, NC}
@@ -183,21 +201,30 @@ class TestRunConfRcva:
 
 class TestMethodTable:
     def test_each_entry_runs_its_named_pipeline(self):
+        # the expected maps come from the primitives, not from run_method
         x1, x2 = _pair(12)
         f2 = ExtractorSpec(depth=1, taps=(1,), channels=6, seed=2)
         cfg = SmoothingConfig(sigma=0.08, iterations=3, master_seed=5)
         rcfg = RcvaConfig()
         primary = detect_pair(x1, x2, _F1)
+
+        def voted(voter):
+            counts = ensemble_counts_with(x1, x2, voter, cfg)
+            fused = fuse_confidence(primary, counts, cfg.conf_threshold)
+            return ConfidentDetection(primary, counts, fused)
+
         named = {
             "none": None,
             "deep-magnitude": ConfidentDetection(primary, None, threshold_distance(primary)),
-            "conf-rcva": run_conf_rcva(x1, x2, _F1, cfg, rcfg),
-            "unified": run_unified(x1, x2, _F1, cfg),
-            "proposed": run_proposed(x1, x2, _F1, f2, cfg),
+            "conf-rcva": voted(_rcva_voter(rcfg)),
+            "unified": voted(lambda a, b: detect_pair(a, b, _F1)),
+            "proposed": voted(lambda a, b: detect_pair(a, b, f2)),
         }
         assert list(METHODS) == list(named)
         for name, want in named.items():
             got = run_method(METHODS[name], x1, x2, _F1, f2, cfg, rcfg)
+            assert got.primary.tau == primary.tau
+            assert np.array_equal(got.primary.magnitude.rho, primary.magnitude.rho)
             if want is None:
                 assert got.counts is None and got.confidence is None
                 continue
@@ -205,6 +232,24 @@ class TestMethodTable:
             assert (got.counts is None) == (want.counts is None)
             if want.counts is not None:
                 assert np.array_equal(got.counts.k_prime, want.counts.k_prime)
+
+    @pytest.mark.parametrize("name", [n for n, m in METHODS.items() if m.voter is not None])
+    def test_voter_returns_a_detection_labelled_rho_above_tau(self, name):
+        x1, x2 = _pair(17)
+        f2 = ExtractorSpec(depth=1, taps=(1,), channels=6, seed=2)
+        s1, s2 = iteration_seeds(7, 1)
+        voter = METHODS[name].voter(_F1, f2, RcvaConfig(), 1)
+        det = voter(perturb(x1, 0.08, s1), perturb(x2, 0.08, s2))
+        assert isinstance(det, ChangeResult)
+        assert det.labels.changed.shape == (x1.height, x1.width)
+        assert det.labels.changed.any() and not det.labels.changed.all()
+        check_detection(ConfidentDetection(det, None, None))
+
+    def test_a_method_votes_exactly_when_it_reads_smoothing(self):
+        for method in METHODS.values():
+            assert ("smoothing" in method.reads) == (method.voter is not None)
+            assert list(method.reads) == [c for c in ("smoothing", "f2", "rcva")
+                                          if c in method.reads]
 
     def test_given_primary_is_used_as_is(self):
         x1, x2 = _pair(12)

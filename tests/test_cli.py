@@ -28,9 +28,9 @@ def _synth(out: Path, seed=3, size=32) -> Path:
 def _small_flags(method: str) -> list[str]:
     """The small-run flags that ``method`` reads; it refuses the others."""
     flags = list(_SMALL_F1)
-    if METHODS[method].labeler is not None:
+    if "smoothing" in METHODS[method].reads:
         flags += ["--iterations", "3"]
-    if METHODS[method].secondary:
+    if "f2" in METHODS[method].reads:
         flags += _SMALL_F2
     return flags
 
