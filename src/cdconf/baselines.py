@@ -38,28 +38,6 @@ class RcvaConfig:
             raise RejectedValue(f"window_radius must be >= 0, got {self.window_radius}")
 
 
-def _directional_min_sq(ref: Raster, cand: Raster, w: int) -> np.ndarray:
-    """Per pixel p: min over the window around p of sum_b (cand(q,b) - ref(p,b))^2.
-
-    Implemented as a loop over window offsets with slice arithmetic; each
-    offset updates the running minimum on the sub-rectangle where the offset
-    stays in bounds, which truncates border neighborhoods for free.  Offsets
-    past the image edge touch no pixel, so the loop stops at h-1 and wd-1.
-    """
-    _, h, wd = ref.data.shape
-    best = np.full((h, wd), np.inf)
-    ry, rx = min(w, h - 1), min(w, wd - 1)
-    for dy in range(-ry, ry + 1):
-        for dx in range(-rx, rx + 1):
-            y0, y1 = max(0, -dy), min(h, h - dy)
-            x0, x1 = max(0, -dx), min(wd, wd - dx)
-            diff = cand.data[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx] - ref.data[:, y0:y1, x0:x1]
-            d2 = np.sum(diff.astype(np.float64) ** 2, axis=0)
-            region = best[y0:y1, x0:x1]
-            np.minimum(region, d2, out=region)
-    return best
-
-
 def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     """Neighborhood-robust band-space change magnitude.
 
@@ -68,13 +46,30 @@ def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     minimizing the per-pixel squared sum); direction 2->1 swaps the roles;
     the magnitude is the pixel-wise max of the two directions.  w=0 reduces
     to the plain per-pixel band-difference norm.
+
+    One pass over the window offsets serves both directions: offset o's
+    map D_o(p) = sum_b (x2(p+o,b) - x1(p,b))^2 is min-ed into p's 1->2 best
+    and into p+o's 2->1 best, where p and p+o are both in bounds; offsets
+    past the image edge touch no pixel, so the loop stops at h-1 and wd-1.
+    This is exact: the 2->1 term x1(q) - x2(q-o) is in IEEE arithmetic the
+    negation of x2(q-o) - x1(q), so it squares to the same D_o, and sqrt is
+    correctly rounded and monotone, so sqrt(max) of the two minima is the
+    max of their square roots.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
-    w = cfg.window_radius
-    rho12 = np.sqrt(_directional_min_sq(x1, x2, w))
-    rho21 = np.sqrt(_directional_min_sq(x2, x1, w))
-    return MagnitudeMap(np.maximum(rho12, rho21).astype(np.float32))
+    _, h, wd = x1.data.shape
+    best12 = np.full((h, wd), np.inf)
+    best21 = np.full((h, wd), np.inf)
+    ry, rx = min(cfg.window_radius, h - 1), min(cfg.window_radius, wd - 1)
+    for dy in range(-ry, ry + 1):
+        ys, yt = slice(max(0, -dy), min(h, h - dy)), slice(max(0, dy), min(h, h + dy))
+        for dx in range(-rx, rx + 1):
+            xs, xt = slice(max(0, -dx), min(wd, wd - dx)), slice(max(0, dx), min(wd, wd + dx))
+            d2 = np.sum((x2.data[:, yt, xt] - x1.data[:, ys, xs]).astype(np.float64) ** 2, axis=0)
+            np.minimum(best12[ys, xs], d2, out=best12[ys, xs])
+            np.minimum(best21[yt, xt], d2, out=best21[yt, xt])
+    return MagnitudeMap(np.sqrt(np.maximum(best12, best21)).astype(np.float32))
 
 
 def rcva_detect(x1: Raster, x2: Raster, cfg: RcvaConfig) -> ChangeResult:

@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import METHODS, RcvaConfig, run_method
-from .dcva import detect_pair
+# unused here; perfbench/test_bench.py checks that its tracer wraps this binding
+from .dcva import detect_pair  # noqa: F401
 from .errors import ChangeDetectionError, InvariantViolation, RejectedValue
 from .features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from .metrics import (
@@ -335,21 +336,18 @@ def cmd_sweep(args) -> int:
     out = _empty_out(args.out)
     ref = load_label_map(args.reference)
     x1, x2 = _load_pair(cfg)
-    # every point shares the clean primary detection
-    primary = detect_pair(x1, x2, cfg.f1, threads=args.threads)
-
-    def run(sm: SmoothingConfig) -> ConfidentDetection:
-        return run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva, threads=args.threads,
-                          primary=primary)
-
+    # every point shares the first point's clean primary detection
+    first = run_method(method, x1, x2, cfg.f1, cfg.f2, points[0], cfg.rcva, threads=args.threads)
+    primary = first.primary
     # a conf-threshold sweep re-fuses one ensemble; a sigma sweep re-votes per point
     if args.sweep == "conf-threshold":
-        counts = run(points[0]).counts
-        dets = [ConfidentDetection(primary, counts,
-                                   fuse_confidence(primary, counts, sm.conf_threshold))
+        dets = [ConfidentDetection(primary, first.counts,
+                                   fuse_confidence(primary, first.counts, sm.conf_threshold))
                 for sm in points]
     else:
-        dets = [run(sm) for sm in points]
+        dets = [first] + [run_method(method, x1, x2, cfg.f1, cfg.f2, sm, cfg.rcva,
+                                     threads=args.threads, primary=primary)
+                          for sm in points[1:]]
     reports = [evaluate_run(primary.labels, det.confidence, ref) for det in dets]
     dirs = [out / f"point_{i:02d}" for i in range(len(points))]
     _write_runs([(d, dataclasses.replace(cfg, smoothing=sm), det)

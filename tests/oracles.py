@@ -167,6 +167,34 @@ def rcva_bruteforce(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarray:
     return rho
 
 
+def _directional_min_sq(ref: np.ndarray, cand: np.ndarray, w: int) -> np.ndarray:
+    """Per pixel p: min over the window around p of sum_b (cand(q,b) - ref(p,b))^2,
+    by a loop over window offsets on the in-bounds sub-rectangle of each."""
+    _, h, wd = ref.shape
+    best = np.full((h, wd), np.inf)
+    ry, rx = min(w, h - 1), min(w, wd - 1)
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
+            y0, y1 = max(0, -dy), min(h, h - dy)
+            x0, x1 = max(0, -dx), min(wd, wd - dx)
+            diff = cand[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx] - ref[:, y0:y1, x0:x1]
+            d2 = np.sum(diff.astype(np.float64) ** 2, axis=0)
+            region = best[y0:y1, x0:x1]
+            np.minimum(region, d2, out=region)
+    return best
+
+
+def rcva_two_pass_reference(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarray:
+    """Neighborhood-robust magnitude with one pass over the window offsets
+    per match direction: each direction computes its own squared band
+    distance maps, and the float32 result is the max of the two minima's
+    square roots.  Same arithmetic per value as the library's shared map,
+    so the two agree bit for bit."""
+    rho12 = np.sqrt(_directional_min_sq(x1, x2, w))
+    rho21 = np.sqrt(_directional_min_sq(x2, x1, w))
+    return np.maximum(rho12, rho21).astype(np.float32)
+
+
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     """Bytes one strip worker of a random-conv extraction of an h x w image
     may hold, counted from the strip layout alone: a patch block of the

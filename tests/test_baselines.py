@@ -33,7 +33,8 @@ from cdconf.smoothing import (
     perturb,
     run_proposed,
 )
-from oracles import otsu_tau_bruteforce, rcva_bruteforce
+from cdconf.synth import SceneSpec, generate
+from oracles import otsu_tau_bruteforce, rcva_bruteforce, rcva_two_pass_reference
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
 CU = int(ConfidenceState.CONFIDENT_UNCHANGED)
@@ -107,6 +108,25 @@ class TestRcvaMagnitude:
         rho = rcva_magnitude(x1, x2, RcvaConfig(window_radius=w)).rho
         want = rcva_bruteforce(x1.data, x2.data, w)
         np.testing.assert_allclose(rho, want, atol=1e-6)
+
+    # (bands, height, width): 1xN and Nx1 strips, non-square and square
+    @pytest.mark.parametrize("shape", [(1, 1, 9), (4, 9, 1), (17, 5, 11), (1, 13, 6), (4, 8, 8)])
+    @pytest.mark.parametrize("w", [0, 1, 2, 3, 20])
+    def test_pinned_to_two_pass_bit_for_bit(self, shape, w):
+        rng = np.random.Generator(np.random.Philox(key=sum(shape) + w))
+        x1, x2 = (rng.normal(size=shape).astype(np.float32) for _ in range(2))
+        rho = rcva_magnitude(Raster(x1), Raster(x2), RcvaConfig(window_radius=w)).rho
+        want = rcva_two_pass_reference(x1, x2, w)
+        assert np.array_equal(rho.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("bands,shift", [(1, 1), (4, 1), (17, 2)])
+    def test_pinned_to_two_pass_on_misregistered_scenes(self, bands, shift):
+        t1, t2, _ = generate(SceneSpec(width=24, height=17, bands=bands,
+                                       misregistration_shift=shift, seed=bands))
+        for w in (0, 1, 2, 3):
+            rho = rcva_magnitude(t1, t2, RcvaConfig(window_radius=w)).rho
+            want = rcva_two_pass_reference(t1.data, t2.data, w)
+            assert np.array_equal(rho.view(np.uint32), want.view(np.uint32))
 
     def test_window_growth_never_increases_rho(self):
         x1, x2 = _pair(5)
