@@ -16,7 +16,7 @@ from pathlib import Path
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# strip worker holds one strip's buffers (about 20 MiB with the stock
+# strip worker holds one strip's buffers (about 14 MiB with the stock
 # secondary extractor at a width of 512) and a magnitude worker about 5 MiB
 # of blocks, so this bounds what a pass adds to peak memory on a host with
 # many cores.

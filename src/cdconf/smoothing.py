@@ -94,8 +94,10 @@ def perturb(x: Raster, sigma: float, stream_seed: int) -> Raster:
     """
     if sigma == 0:
         return x
-    noise = generator(stream_seed).standard_normal(x.data.shape) * sigma
-    return Raster((x.data.astype(np.float64) + noise).astype(np.float32))
+    noise = generator(stream_seed).standard_normal(x.data.shape)
+    noise *= sigma
+    noise += x.data
+    return Raster(noise.astype(np.float32))
 
 
 def iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:

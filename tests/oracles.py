@@ -9,17 +9,28 @@ import numpy as np
 from cdconf.features import _TILE, _strips
 
 
+def live_reference(sd: np.ndarray) -> np.ndarray:
+    """Live dims of a float64 per-dim std by ``np.median``: at least 1e-12,
+    and at least a tenth of the median std of the dims that pass 1e-12
+    (all dims dead when none does)."""
+    passed = sd >= 1e-12
+    if not passed.any():
+        return passed
+    return passed & (sd >= 0.1 * np.median(sd[passed]))
+
+
 def zscore_pair_reference(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pooled z-scores in float64 from the concatenated pair, mean subtracted.
 
     The textbook formula: mean and population std of each dimension over
-    both stacks together; dimensions with std below 1e-12 are zeroed.
+    both stacks together; dimensions that ``live_reference`` finds dead are
+    zeroed.
     """
     d = f1.shape[-1]
     pooled = np.concatenate([f1.reshape(-1, d), f2.reshape(-1, d)]).astype(np.float64)
     mu = pooled.mean(axis=0)
     sd = pooled.std(axis=0)
-    dead = sd < 1e-12
+    dead = ~live_reference(sd)
     scale = np.where(dead, 1.0, sd)
     z1 = np.where(dead, 0.0, (f1 - mu) / scale)
     z2 = np.where(dead, 0.0, (f2 - mu) / scale)
@@ -82,15 +93,15 @@ def standardized_magnitude_reference(f1: np.ndarray, f2: np.ndarray) -> np.ndarr
     Per-dim pooled std from each stack's ``np.mean``/``np.var`` in float64,
     (v1 + v2)/2 + ((m1 - m2)/2)^2, rounded to float32; the float32
     difference g = f2 - f1 of the whole stacks; each dim of g divided by its
-    std in float32, dims whose std is below 1e-12 left out; then the float64
-    sum of their squares, added one dim at a time in dim order, and its
-    square root, rounded to float32.
+    std in float32, the dims that ``live_reference`` finds dead left out;
+    then the float64 sum of their squares, added one dim at a time in dim
+    order, and its square root, rounded to float32.
     """
     axes = tuple(range(f1.ndim - 1))
     m1, m2 = (f.mean(axis=axes, dtype=np.float64) for f in (f1, f2))
     v1, v2 = (f.var(axis=axes, dtype=np.float64) for f in (f1, f2))
     sd = np.sqrt((v1 + v2) / 2 + ((m1 - m2) / 2) ** 2)
-    live = sd >= 1e-12
+    live = live_reference(sd)
     sd = sd.astype(np.float32)
     g = f2 - f1
     total = np.zeros(g.shape[:-1])

@@ -19,6 +19,7 @@ from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
+    _pooled,
     _pooled_std,
     _strips,
     default_primary_spec,
@@ -31,6 +32,7 @@ from cdconf.raster import Raster, save_raster
 from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
+    live_reference,
     standardized_magnitude_reference,
     zscore_pair_reference,
 )
@@ -614,16 +616,36 @@ class TestStandardizePair:
         assert not np.all(a[..., 1] == 0)
 
     def test_pooled_std_keeps_a_small_spread_live_and_a_zero_dim_dead(self):
-        # 300x300 is 22 blocks a stack, the last one ragged; dim 2 is a small
-        # spread far from zero, where the variance keeps the fewest bits
+        # 300x300 is 22 blocks a stack, the last one ragged; every dim has a
+        # small spread, and dim 2's sits far from zero, where the variance
+        # keeps the fewest bits
         rng = np.random.Generator(np.random.Philox(key=36))
         f1 = rng.normal(size=(300, 300, 6)).astype(np.float32)
         f2 = rng.normal(size=(300, 300, 6)).astype(np.float32)
         for f in (f1, f2):
-            f[..., 2] = f[..., 2] * np.float32(1e-3) + np.float32(1000)
+            f *= np.float32(1e-3)
+            f[..., 2] += np.float32(1000)
         f1[..., 4] = f2[..., 4] = 0
         _, live = _pooled_std(f1, f2)
         assert not live[4] and live[2]
+
+    @pytest.mark.parametrize("stds, want", [
+        # six dims pass 1e-12, median (0.5 + 1) / 2: 0.09 is live, 0.06 dead;
+        # a lower or an upper middle value alone would flip one of them
+        ([4, 2, 1, 0.5, 0.09, 0.06, 0, 1e-13], [1, 1, 1, 1, 1, 0, 0, 0]),
+        # five pass, median 1: a tenth of it is live, just below it is dead
+        ([3, 1, 2, 0.1, 0.0999], [1, 1, 1, 1, 0]),
+        ([1e-6, 1e-6, 2e-8], [1, 1, 0]),
+        ([5.0], [1]),
+        ([0, 1e-13, 0], [0, 0, 0]),
+    ])
+    def test_dead_below_a_tenth_of_the_median_live_std(self, stds, want):
+        sd = np.array(stds, np.float64)
+        n = 1000
+        sd_out, live = _pooled([(n, np.full(len(sd), 7.0), n * sd ** 2)])
+        assert live.tolist() == [bool(v) for v in want]
+        assert np.array_equal(live, live_reference(sd))
+        assert np.array_equal(sd_out, sd.astype(np.float32))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

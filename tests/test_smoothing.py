@@ -9,6 +9,7 @@ from cdconf.dcva import ChangeResult, MagnitudeMap, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from cdconf.raster import ConfidenceState, Raster, normalize_pair
+from cdconf.rng import generator
 from cdconf.smoothing import (
     ConfidentDetection,
     EnsembleCounts,
@@ -95,6 +96,17 @@ class TestPerturb:
         delta = perturb(x, 0.1, 77).data.astype(np.float64)
         assert abs(delta.mean()) < 0.003
         assert abs(delta.std() - 0.1) < 0.001
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.37, 1e-6])
+    def test_pinned_to_float64_sum_bit_for_bit(self, sigma):
+        # the float64 noise is scaled and summed in place: the same bits as
+        # adding it to a float64 copy of the raster, then rounding
+        x = _scene(4, bands=3, h=33, w=17)
+        noise = generator(55).standard_normal(x.data.shape) * sigma
+        want = (x.data.astype(np.float64) + noise).astype(np.float32)
+        got = perturb(x, sigma, 55).data
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_role_streams_independent(self):
         s1, s2 = iteration_seeds(0, 1)
