@@ -10,11 +10,14 @@ threshold.
 raster pair without holding either feature stack: the two rasters go
 through the extractor's strips of rows in lockstep (``_difference``), each
 strip writing its rows of the difference stack g = f2 - f1 and returning the
-per-dim moments of both, and once the pooled std s is merged from those, one
-pass computes rho = sqrt(sum_d (g_d / s_d)^2) block by block of pixels.  So a
-detection holds g, its magnitude map, and one strip's buffers a worker
-thread; the strips and then the blocks run on up to ``threads`` workers, and
-the result does not depend on how many.
+per-dim moments of both, and once the pooled std s is merged from those, a
+second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
+keeps only the dims that are dear to recompute: a leading layer-1 tap that
+costs fewer multiply-adds than the deeper layers (half the stock secondary
+extractor's dims) is recomputed strip by strip in the second pass instead.
+So a detection holds the held part of g, its magnitude map, and one
+strip's buffers a worker thread; both passes run on up to ``threads``
+workers, and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -24,12 +27,13 @@ rounding in the comparison itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import ExtractorSpec, _blocks, _Extraction, _moments, _pooled, _strips
+from .features import ExtractorSpec, _Extraction, _moments, _pooled, _strips
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -157,75 +161,117 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     return threshold_magnitude(magnitude(hypervector(f1, f2)))
 
 
-def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster,
-                threads: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The difference stack g = f2 - f1 of the features of a raster pair,
-    float32 of shape (D, height, width), with the pooled std of f1 and f2
-    and its live mask (as ``features._pooled_std`` gives them), without either
-    feature stack.
+def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable | None]:
+    """The held part of the difference stack g = f2 - f1 of the features of
+    a raster pair, the pooled std of f1 and f2 with its live mask (as
+    ``features._pooled_std`` gives them), and ``lead``, which recomputes the
+    rest; neither feature stack is held.
+
+    g is float32 of shape (D - L, height, width): every dim but the L
+    leading ones of the extraction's ``lead``, which cost less to recompute
+    than to hold (0 for the stock primary extractor, 48 of the secondary's
+    96).  ``lead(y0, y1, out)`` writes rows [y0, y1) of f2 - f1 of those L
+    dims into a float32 (L, y1 - y0, width) ``out``, with the bits the
+    strips give them; it is None when L is 0.
 
     The strips of ``_strips`` run on up to ``threads`` worker threads, each
-    worker with one set of scratch buffers for the whole pair.  A strip
-    writes f1's rows into g and takes their moments, then takes the moments
-    of f2's rows and subtracts g's rows from them in place; the moment
-    blocks are merged in strip order, so the result does not depend on
-    ``threads``.
+    worker with one set of scratch buffers for the whole pair, which ``lead``
+    reuses.  A strip takes the moments of f1's rows and writes its held dims
+    into g, then takes the moments of f2's rows and subtracts g's rows from
+    the held ones in place; the moment blocks are merged in strip order, so
+    the result does not depend on ``threads``.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
     e1, e2 = _Extraction(spec, x1), _Extraction(spec, x2)
     strips = _strips(x1.height, x1.width)
     rows = max(y1 - y0 for y0, y1 in strips)
-    g = np.empty((e1.dims, x1.height, x1.width), np.float32)
+    skip = e1.lead
+    g = np.empty((e1.dims - skip, x1.height, x1.width), np.float32)
     free = []
+
+    def take_scratch() -> tuple[np.ndarray, ...] | None:
+        try:
+            return free.pop()
+        except IndexError:
+            return e1.scratch(rows)
 
     def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
         y0, y1 = bounds
-        try:
-            scratch = free.pop()
-        except IndexError:
-            scratch = e1.scratch(rows)
+        scratch = take_scratch()
         blocks = []
         for ex in (e1, e2):
             count, mean, m2 = 0, np.empty(ex.dims), np.empty(ex.dims)
             for d, band in ex.strip(y0, y1, scratch):
                 dims = slice(d, d + len(band))
                 count, mean[dims], m2[dims] = _moments(band)
+                if d < skip:
+                    continue
+                held = g[d - skip:dims.stop - skip, y0:y1]
                 if ex is e1:
-                    g[dims, y0:y1] = band
+                    held[...] = band
                 else:
-                    np.subtract(band, g[dims, y0:y1], out=g[dims, y0:y1])
+                    np.subtract(band, held, out=held)
             blocks.append((count, mean, m2))
         free.append(scratch)
         return blocks
 
+    def lead(y0: int, y1: int, out: np.ndarray) -> None:
+        scratch = take_scratch()
+        np.copyto(out, e1.leading(y0, y1, scratch))
+        np.subtract(e2.leading(y0, y1, scratch), out, out=out)
+        free.append(scratch)
+
     sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
-    return g, sd, live
+    return g, sd, live, (lead if skip else None)
 
 
 def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
-                            threads: int | None = None) -> MagnitudeMap:
-    """rho = sqrt(sum_d (g_d / s_d)^2) of a (D, height, width) difference
-    stack g and a per-dim std s, block by block of ``features._TILE`` pixels.
+                            threads: int | None = None,
+                            lead: Callable | None = None) -> MagnitudeMap:
+    """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
+    std s, strip by strip of ``features._strips``: g's held dims are the
+    (D - L, height, width) array ``g``, and the L = len(s) - len(g) leading
+    ones are recomputed strip by strip by ``lead`` (see ``_difference``).
 
-    Each block is divided by the std in float32, its dead dims (``live``
-    false) are zeroed, and the squares are summed over the dims in their
-    order in float64 before the square root.  The blocks run on up to
-    ``threads`` worker threads, each writing its own pixels.
+    Each live dim (``live`` true) of a strip is divided by its std in
+    float32, and its square is added in float64, one dim at a time in dim
+    order, before the square root; a dead dim is skipped, where zeroed it
+    would add an exact 0.  Every pixel's sum thus makes the additions of a
+    sum over the dims of the whole stack, whatever the strips.  The strips
+    run on up to ``threads`` worker threads, each writing its own rows of
+    rho and reusing one set of strip-sized buffers.
     """
-    d = len(g)
-    flat = g.reshape(d, -1)
-    dead = np.flatnonzero(~live)
-    sd = np.where(live, sd, np.float32(1))[:, None]
-    rho = np.empty(flat.shape[1], np.float32)
+    skip = len(sd) - len(g)
+    h, w = g.shape[1:]
+    strips = _strips(h, w)
+    rows = max(y1 - y0 for y0, y1 in strips)
+    dims = np.flatnonzero(live)
+    rho = np.empty((h, w), np.float32)
+    free = []
 
-    def block(t: slice) -> None:
-        z = flat[:, t] / sd
-        z[dead] = 0
-        rho[t] = np.sqrt(np.square(z, dtype=np.float64).sum(axis=0))
+    def strip(bounds: tuple[int, int]) -> None:
+        y0, y1 = bounds
+        try:
+            ahead, z, square, total = free.pop()
+        except IndexError:
+            ahead = np.empty((skip, rows, w), np.float32)
+            z = np.empty((rows, w), np.float32)
+            square, total = np.empty((rows, w)), np.empty((rows, w))
+        n = y1 - y0
+        if skip:
+            lead(y0, y1, ahead[:, :n])
+        total[:n] = 0
+        for d in dims:
+            np.divide(ahead[d, :n] if d < skip else g[d - skip, y0:y1], sd[d], out=z[:n])
+            np.square(z[:n], out=square[:n], dtype=np.float64)
+            total[:n] += square[:n]
+        rho[y0:y1] = np.sqrt(total[:n], out=total[:n])
+        free.append((ahead, z, square, total))
 
-    _pool_map(block, _blocks(len(rho)), threads)
-    return MagnitudeMap(rho.reshape(g.shape[1:]))
+    _pool_map(strip, strips, threads)
+    return MagnitudeMap(rho)
 
 
 def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
@@ -236,5 +282,5 @@ def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
     ``detect`` does.  ``threads`` bounds the worker threads of the strips
     and of the magnitude blocks (None: ``pool.default_threads()``); the
     result is bit-identical for every value."""
-    g, sd, live = _difference(spec, x1, x2, threads)
-    return threshold_magnitude(_standardized_magnitude(g, sd, live, threads))
+    g, sd, live, lead = _difference(spec, x1, x2, threads)
+    return threshold_magnitude(_standardized_magnitude(g, sd, live, threads, lead))

@@ -20,9 +20,11 @@ Three extractor kinds:
 ``extract`` returns a plain float32 (height, width, D) feature stack,
 computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
 through the strips in lockstep instead (``dcva._difference``), keeps only
-their difference, and runs the strips on ``pool._pool_map``: they depend
-only on the image size and their moments are merged in strip order, so the
-output is bit-identical for every thread count.
+their difference, less a cheap leading tap that it recomputes strip by
+strip (``_Extraction.leading``) when it takes the magnitude, and runs the
+strips on ``pool._pool_map``: they depend only on the image size and their
+moments are merged in strip order, so the output is bit-identical for
+every thread count.
 """
 
 from __future__ import annotations
@@ -141,16 +143,26 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-# Pixels per block: output columns per patch block of a conv layer, and
-# pixels per block of the moment and magnitude passes.  A (c_in*k*k, _TILE)
-# float32 patch block stays small while each GEMM is still wide enough to
-# run at speed.
+# Pixels per block: the most output columns per patch block of a conv
+# layer, and the pixels per block of ``_pooled_std``'s moments.  Each GEMM
+# is still wide enough to run at speed.
 _TILE = 4096
 
+# Most float32 entries of a patch block: a 432-deep layer (48 channels of
+# 3 x 3) runs tiles of 2048 columns, shallower ones of up to ``_TILE``.
+# Wider tiles of a deep layer only grow each strip worker's buffers.
+_PATCH = 432 * 2048
 
-def _blocks(n: int) -> list[slice]:
-    """Slices covering [0, n) in order, _TILE long but for a ragged last one."""
-    return [slice(p, min(p + _TILE, n)) for p in range(0, n, _TILE)]
+
+def _tile(fan_in: int) -> int:
+    """Columns per patch block of a layer of ``fan_in`` rows:
+    ``_PATCH // fan_in`` rounded down to 16, between 16 and ``_TILE``."""
+    return max(16, min(_TILE, _PATCH // fan_in) // 16 * 16)
+
+
+def _blocks(n: int, size: int = _TILE) -> list[slice]:
+    """Slices covering [0, n) in order, ``size`` long but for a ragged last one."""
+    return [slice(p, min(p + size, n)) for p in range(0, n, size)]
 
 
 # Output pixels per strip, the piece of work of an extraction: a 128 x 128
@@ -201,11 +213,11 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     two stage buffers of ``scratch`` by turns.  Output pixel (y, x) is
     column p = y*wp + x, whose patch entry (c, dy, dx) is
     ``flat[c, p + dy*wp + dx]``, so a tile of columns is k*k slice copies.
-    The tiles are the ``_blocks`` of the layer's rows from their first
-    column, each zero-padded to a multiple of 16 columns: a GEMM column's
-    bits then depend neither on the call's width nor on where the column
-    sits in it (``tests/test_features.py`` checks the running BLAS), so not
-    on the strips.  A GEMM lands rectified in the next stage's interior; the
+    The tiles are the ``_blocks`` of ``_tile`` columns of the layer's rows
+    from their first column, each zero-padded to a multiple of 16 columns:
+    a GEMM column's bits then depend neither on the call's width nor on
+    where the column sits in it (``tests/test_features.py`` checks the
+    running BLAS), so not on the strips.  A GEMM lands rectified in the next stage's interior; the
     columns that wrap past a row's end land in the border, which is
     reflected over them.
     """
@@ -227,7 +239,7 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
         a, b = max(0, y0 - (depth - layer) * pad), min(h, y1 + (depth - layer) * pad)
         dst = stage(layer, c_out, b - a)
         src_flat, dst_flat = src.reshape(c_in, -1), dst.reshape(c_out, -1)
-        for t in _blocks((b - a - 1) * wp + w):
+        for t in _blocks((b - a - 1) * wp + w, _tile(c_in * k * k)):
             m = t.stop - t.start
             cols = -(-m // 16) * 16
             block = patch[:c_in * k * k * cols].reshape(c_in, k, k, cols)
@@ -249,10 +261,15 @@ class _Extraction:
     """One extractor on one raster, strip by strip: ``dims`` is its D, and
     ``strip`` yields the tapped layers of a row range, computed in a
     random-conv extraction's ``scratch`` buffers, or sliced from the whole
-    stored (c, height, width) layers of the other kinds."""
+    stored (c, height, width) layers of the other kinds.
+
+    ``lead`` counts the leading dims that are cheaper to recompute than to
+    hold: layer 1's channels, when layer 1 is tapped beside a deeper layer
+    and costs fewer multiply-adds a pixel than the layers after it up to
+    the deepest tap (0 otherwise).  ``leading`` recomputes them."""
 
     def __init__(self, spec: ExtractorSpec, x: Raster):
-        self.spec, self.x, self.stored = spec, x, [x.data]
+        self.spec, self.x, self.stored, self.lead = spec, x, [x.data], 0
         if spec.kind is ExtractorKind.RANDOM_CONV:
             pad = spec.kernel_size // 2
             if pad and min(x.height, x.width) <= pad:
@@ -260,6 +277,9 @@ class _Extraction:
                                     f"padding of a {spec.kernel_size}x{spec.kernel_size} kernel")
             self.weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
             self.stored = None
+            first, *rest = self.weights
+            if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
+                self.lead = spec.channels
         elif spec.kind is ExtractorKind.PRECOMPUTED:
             self.stored = [load_raster(Path(spec.feature_dir) / f"layer_{t}.cdr").data
                            for t in spec.taps]
@@ -278,7 +298,7 @@ class _Extraction:
         wp = self.x.width + 2 * pad
         held = _stage_rows(min(self.x.height, rows + 2 * len(self.weights) * pad), pad, wp)
         stage = max(self.x.bands, self.spec.channels) * held * wp
-        patch = max(w.shape[1] for w in self.weights) * _TILE
+        patch = max(w.shape[1] * _tile(w.shape[1]) for w in self.weights)
         return tuple(np.empty(n, np.float32) for n in (patch, stage, stage))
 
     def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...] | None):
@@ -294,6 +314,13 @@ class _Extraction:
                                         y0, y1, scratch):
             if layer in taps:
                 yield taps.index(layer) * c, band
+
+    def leading(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+        """The (lead, y1 - y0, width) rows [y0, y1) of the ``lead`` leading
+        dims, by layer 1 alone in ``scratch``: a view valid until
+        ``scratch`` is next used.  They have the bits ``strip`` gives them."""
+        return next(_conv_layers(self.x.data, self.weights[:1], self.spec.kernel_size,
+                                 y0, y1, scratch))[1]
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:

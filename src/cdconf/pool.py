@@ -16,10 +16,10 @@ from pathlib import Path
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# strip worker holds one strip's buffers (about 14 MiB with the stock
-# secondary extractor at a width of 512) and a magnitude worker about 5 MiB
-# of blocks, so this bounds what a pass adds to peak memory on a host with
-# many cores.
+# worker holds one strip's buffers (about 10.7 MiB with the stock secondary
+# extractor at a width of 512), and 3.4 MiB more in the magnitude pass,
+# where it recomputes the extractor's layer-1 tap of the strip's rows, so
+# this bounds what a pass adds to peak memory on a host with many cores.
 _MAX_WORKERS = 8
 
 

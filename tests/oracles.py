@@ -6,7 +6,7 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 
 import numpy as np
 
-from cdconf.features import _TILE, _strips
+from cdconf.features import ExtractorKind, _strips
 
 
 def live_reference(sd: np.ndarray) -> np.ndarray:
@@ -206,17 +206,62 @@ def rcva_two_pass_reference(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarra
     return np.maximum(rho12, rho21).astype(np.float32)
 
 
+def patch_columns(fan_in: int) -> int:
+    """Columns of a patch block of a layer with ``fan_in`` rows: as many as
+    keep the block within 432 x 2048 float32 entries, rounded down to 16,
+    but at least 16 and at most 4096."""
+    return max(16, min(4096, 432 * 2048 // fan_in) // 16 * 16)
+
+
+def recomputed_dims(spec, bands: int) -> int:
+    """Leading feature dims a detection recomputes rather than holds: the
+    channels of layer 1 of a random-conv spec that taps layer 1 and a deeper
+    layer, when layer 1's multiply-adds a pixel (channels * bands * k * k)
+    are fewer than those of layers 2 to the deepest tap (channels *
+    channels * k * k each); 0 otherwise."""
+    if spec.kind is not ExtractorKind.RANDOM_CONV or spec.taps[0] != 1 or len(spec.taps) == 1:
+        return 0
+    k2 = spec.kernel_size ** 2
+    first = spec.channels * bands * k2
+    rest = (spec.taps[-1] - 1) * spec.channels * spec.channels * k2
+    return spec.channels if first < rest else 0
+
+
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
-    """Bytes one strip worker of a random-conv extraction of an h x w image
-    may hold, counted from the strip layout alone: a patch block of the
-    widest fan-in and ``_TILE`` columns; two stage buffers of the most
-    channels, each with the tallest strip's rows, the halo rows of every
-    layer up to the deepest tap, the border rows and a tail row; and a
-    float64 copy of one channel's rows for their moments."""
+    """Bytes one strip worker of a random-conv detection of an h x w image
+    may hold, counted from the strip layout alone.  Always: a patch block
+    of the most entries over the layers up to the deepest tap, each
+    ``patch_columns`` wide; and two stage buffers of the most channels, each
+    with the tallest strip's rows, the halo rows of every layer up to the
+    deepest tap, the border rows and a tail row.  Beside those, the larger
+    of the moments' float64 copy of one channel's rows and the magnitude
+    pass's rows: the ``recomputed_dims`` in float32, one dim's z in float32,
+    two float64 rows, and the float64 buffer of ``np.getbufsize()`` entries
+    through which NumPy casts z to square it."""
     rows = max(y1 - y0 for y0, y1 in _strips(h, w))
+    k2 = spec.kernel_size ** 2
     pad = spec.kernel_size // 2
     wp = w + 2 * pad
     c = max(bands, spec.channels)
     stage = c * (rows + 2 * spec.taps[-1] * pad + 2 * pad + 16 // wp + 1) * wp * 4
-    patch = c * spec.kernel_size ** 2 * _TILE * 4
-    return patch + 2 * stage + rows * w * 8
+    fan_ins = [bands * k2] + [spec.channels * k2] * (spec.taps[-1] - 1)
+    patch = max(k * patch_columns(k) for k in fan_ins) * 4
+    pixels = rows * w
+    magnitude = (4 * recomputed_dims(spec, bands) + 20) * pixels + 8 * np.getbufsize()
+    return patch + 2 * stage + max(8 * pixels, magnitude)
+
+
+def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """rho of a whole (D, height, width) difference stack and a float32
+    per-dim std with its live mask, as a detection took it while it held
+    every dim of g: blocks of 4096 pixels, each divided by the std in
+    float32 with its dead dims zeroed, whose float64 squares are summed
+    over the dims by ``np.sum`` and rooted, rounded to float32."""
+    flat = g.reshape(len(g), -1)
+    scale = np.where(live, sd, np.float32(1))[:, None]
+    rho = np.empty(flat.shape[1], np.float32)
+    for p in range(0, len(rho), 4096):
+        z = flat[:, p:p + 4096] / scale
+        z[~live] = 0
+        rho[p:p + 4096] = np.sqrt(np.square(z, dtype=np.float64).sum(axis=0))
+    return rho.reshape(g.shape[1:])

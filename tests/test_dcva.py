@@ -18,12 +18,14 @@ from cdconf.dcva import (
     otsu_threshold,
     threshold_labels,
 )
+import cdconf.features
 from cdconf.errors import ShapeMismatch
 from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
     _pooled_std,
+    _strips,
     default_primary_spec,
     default_secondary_spec,
     extract,
@@ -35,8 +37,10 @@ from cdconf.synth import SceneSpec, generate
 from oracles import (
     otsu_bin_bruteforce,
     otsu_tau_bruteforce,
+    recomputed_dims,
     standardized_magnitude_reference,
     strip_worker_nbytes,
+    whole_stack_magnitude_reference,
 )
 
 
@@ -229,8 +233,17 @@ class TestDetectPair:
         x1, x2 = normalize_pair(t1, t2)
         res = detect_pair(x1, x2, spec)
         f1, f2 = extract(spec, x1), extract(spec, x2)
-        g = _difference(spec, x1, x2)[0]
-        assert np.array_equal(g, (f2 - f1).transpose(2, 0, 1))
+        g, _, _, lead = _difference(spec, x1, x2)
+        whole = (f2 - f1).transpose(2, 0, 1)
+        skip = recomputed_dims(spec, x1.bands)
+        assert np.array_equal(g, whole[skip:])
+        if skip:
+            ahead = np.empty((skip, 300, 300), np.float32)
+            for y0, y1 in _strips(300, 300):
+                lead(y0, y1, ahead[:, y0:y1])
+            assert np.array_equal(ahead, whole[:skip])
+        else:
+            assert lead is None
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -260,12 +273,38 @@ class TestDetectPair:
         assert np.array_equal(one.labels.changed, three.labels.changed)
 
 
+    # the stock secondary recomputes its layer-1 tap; the primary, and the
+    # secondary on 100 bands, whose layer 1 costs more than its layer 2,
+    # hold every dim
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("size", ["128x128", "257x513", "one-row-strips"])
+    @pytest.mark.parametrize("role", ["primary", "secondary", "secondary-100-bands"])
+    def test_bit_identical_to_the_magnitude_of_the_whole_stack(self, monkeypatch, role,
+                                                               size, threads):
+        h, w = {"128x128": (128, 128), "257x513": (257, 513), "one-row-strips": (40, 96)}[size]
+        if size == "one-row-strips":
+            monkeypatch.setattr(cdconf.features, "_STRIP", w)
+        rng = np.random.Generator(np.random.Philox(key=h * w))
+        bands = 100 if role == "secondary-100-bands" else 4
+        x1, x2 = (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
+        spec = (default_primary_spec if role == "primary" else default_secondary_spec)(0)
+        g, sd, live, lead = _difference(spec, x1, x2, threads)
+        f1, f2 = extract(spec, x1), extract(spec, x2)
+        whole = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
+        skip = recomputed_dims(spec, bands)
+        assert skip == (48 if role == "secondary" else 0)
+        assert np.array_equal(g, whole[skip:])
+        rho = _standardized_magnitude(g, sd, live, threads, lead).rho
+        assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
+        assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("role", ["primary", "secondary"])
     def test_traced_peak_within_one_stack_and_the_strip_workers(self, role, threads):
-        # the difference stack, the magnitude map and each worker's strip
-        # buffers, with 128 KiB for the interpreter's own objects; each
-        # feature stack held whole would add as much again as the first
+        # the held dims of the difference stack, the magnitude map and each
+        # worker's strip buffers, with 128 KiB for the interpreter's own
+        # objects; holding the secondary's recomputed dims too would add a
+        # quarter of its budget
         spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
         t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
         x1, x2 = normalize_pair(t1, t2)
@@ -277,7 +316,7 @@ class TestDetectPair:
         finally:
             tracemalloc.stop()
         pixels = 256 * 256
-        stack = spec.expected_dims(x1.bands) * pixels * 4
+        stack = (spec.expected_dims(x1.bands) - recomputed_dims(spec, x1.bands)) * pixels * 4
         strip = strip_worker_nbytes(spec, x1.bands, 256, 256)
         assert peak <= stack + pixels * 4 + threads * strip + 2**17
 
@@ -327,7 +366,7 @@ class TestStandardizedMagnitude:
             f[..., 2] += np.float32(1000)
         self._assert_bit_identical(f1, f2)
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
-        _, sd, live = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
+        _, sd, live, _ = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
         pooled = np.concatenate([f1[..., 2].ravel(), f2[..., 2].ravel()]).astype(np.float64)
         want = np.sqrt(np.mean((pooled - pooled.mean()) ** 2))
         assert live[2] and abs(float(sd[2]) - want) <= 1e-6 * want
