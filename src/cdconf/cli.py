@@ -170,8 +170,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
-                   help="worker threads inside each detection, on at most "
-                        f"{_MAX_WORKERS}: its strips of rows, then its magnitude blocks "
+                   help="worker threads of each detection's strips of rows, at most "
+                        f"{_MAX_WORKERS} a pass, and of each vote's two noise draws "
                         "(default: the usable cores when OpenBLAS runs one thread, else 1)")
 
 

@@ -22,7 +22,8 @@ workers, and the result does not depend on how many.
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
 the true argmax with ties broken at the lowest bin index, immune to float
-rounding in the comparison itself.
+rounding in the comparison itself.  Float64 ratios of exact int64
+numerators, taken over every bin at once, only narrow the bins to compare.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import ExtractorSpec, _Extraction, _moments, _pooled, _strips
+from .features import _BLOCK, ExtractorSpec, _Extraction, _moments, _pooled, _strips
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -112,21 +113,35 @@ def _otsu_bin(m: MagnitudeMap, lo: float, hi: float, bins: int) -> int:
     values *= bins
     idx = values.astype(np.int64)
     np.minimum(idx, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins)
-    n = int(counts.sum())
-    total = int((np.arange(bins, dtype=np.int64) * counts).sum())
-    best_t = 0
-    best_a = -1
-    best_b = 1
-    c0 = 0
-    s0 = 0
-    for t in range(bins):
-        c0 += int(counts[t])
-        s0 += t * int(counts[t])
-        if c0 == 0 or c0 == n:
-            continue
-        a = (n * s0 - total * c0) ** 2
-        b = c0 * (n - c0)
+    return _otsu_split(np.bincount(idx, minlength=bins))
+
+
+def _otsu_split(counts: np.ndarray) -> int:
+    """The bin t of a histogram of non-negative int64 ``counts`` whose split
+    into bins [0, t] and the rest maximizes between-class variance, ties to
+    the lowest bin (0 when no split leaves both classes occupied).
+
+    With c0 and s0 the count and the bin-index sum of bins [0, t], n and S
+    their totals, sigma_b^2(t) is proportional to A/B with A = (n*s0 -
+    S*c0)^2 and B = c0*(n - c0).  Where (bins - 1)*n^2 fits in int64,
+    n*s0 - S*c0 is exact in int64, and its float64 ratio A/B is within a
+    few units in the last place of the true one, so only the bins whose
+    ratio is within 1e-9 of the largest can hold the argmax; those, or
+    else every split, are compared by cross-multiplication over Python
+    ints."""
+    c0 = np.cumsum(counts, dtype=np.int64)
+    s0 = np.cumsum(np.arange(len(counts), dtype=np.int64) * counts)
+    n, total = int(c0[-1]), int(s0[-1])
+    splits = np.flatnonzero((c0 > 0) & (c0 < n))
+    if len(splits) and (len(counts) - 1) * n * n <= np.iinfo(np.int64).max:
+        c, s = c0[splits], s0[splits]
+        ratio = np.square((n * s - total * c).astype(np.float64)) / (c * (n - c))
+        splits = splits[ratio >= ratio.max() * (1 - 1e-9)]
+    best_t, best_a, best_b = 0, -1, 1
+    for t in splits.tolist():
+        c, s = int(c0[t]), int(s0[t])
+        a = (n * s - total * c) ** 2
+        b = c * (n - c)
         if a * best_b > best_a * b:
             best_t, best_a, best_b = t, a, b
     return best_t
@@ -171,16 +186,22 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     g is float32 of shape (D - L, height, width): every dim but the L
     leading ones of the extraction's ``lead``, which cost less to recompute
     than to hold (0 for the stock primary extractor, 48 of the secondary's
-    96).  ``lead(y0, y1, out)`` writes rows [y0, y1) of f2 - f1 of those L
-    dims into a float32 (L, y1 - y0, width) ``out``, with the bits the
-    strips give them; it is None when L is 0.
+    96).  ``lead(y0, y1, out, then=None)`` writes rows [y0, y1) of f2 - f1
+    of those L dims into a float32 (L, y1 - y0, width) ``out``, with the
+    bits the strips give them, and then, given ``then``, calls
+    ``then(scratch)`` with a worker's scratch buffers, idle by then,
+    before it frees them: the magnitude pass works in them, so it holds no
+    buffers of its own but ``out``.  ``lead`` is None for the extractor
+    kinds that run in no scratch buffers.
 
     The strips of ``_strips`` run on up to ``threads`` worker threads, each
     worker with one set of scratch buffers for the whole pair, which ``lead``
     reuses.  A strip takes the moments of f1's rows and writes its held dims
     into g, then takes the moments of f2's rows and subtracts g's rows from
-    the held ones in place; the moment blocks are merged in strip order, so
-    the result does not depend on ``threads``.
+    the held ones in place; the moments take their float64 copies in the
+    worker's patch block, idle while the extraction yields a tapped layer.
+    The moment blocks are merged in strip order, so the result does not
+    depend on ``threads``.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
@@ -200,12 +221,13 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
         y0, y1 = bounds
         scratch = take_scratch()
+        patch = None if scratch is None else scratch[0].view(np.float64)
         blocks = []
         for ex in (e1, e2):
             count, mean, m2 = 0, np.empty(ex.dims), np.empty(ex.dims)
             for d, band in ex.strip(y0, y1, scratch):
                 dims = slice(d, d + len(band))
-                count, mean[dims], m2[dims] = _moments(band)
+                count, mean[dims], m2[dims] = _moments(band, patch)
                 if d < skip:
                     continue
                 held = g[d - skip:dims.stop - skip, y0:y1]
@@ -217,14 +239,29 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
         free.append(scratch)
         return blocks
 
-    def lead(y0: int, y1: int, out: np.ndarray) -> None:
+    def lead(y0: int, y1: int, out: np.ndarray, then: Callable | None = None) -> None:
         scratch = take_scratch()
-        np.copyto(out, e1.leading(y0, y1, scratch))
-        np.subtract(e2.leading(y0, y1, scratch), out, out=out)
+        if skip:
+            np.copyto(out, e1.leading(y0, y1, scratch))
+            np.subtract(e2.leading(y0, y1, scratch), out, out=out)
+        if then is not None:
+            then(scratch)
         free.append(scratch)
 
     sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
-    return g, sd, live, (lead if skip else None)
+    return g, sd, live, (lead if e1.stored is None else None)
+
+
+def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
+    """Ranges [d0, d1) that cover the sorted dims ``dims`` in order: each of
+    consecutive dims, at most ``size`` of them, all below ``skip`` or none."""
+    runs = []
+    for d in dims.tolist():
+        if runs and runs[-1][1] == d != skip and d - runs[-1][0] < size:
+            runs[-1][1] = d + 1
+        else:
+            runs.append([d, d + 1])
+    return runs
 
 
 def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
@@ -235,13 +272,20 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
     (D - L, height, width) array ``g``, and the L = len(s) - len(g) leading
     ones are recomputed strip by strip by ``lead`` (see ``_difference``).
 
-    Each live dim (``live`` true) of a strip is divided by its std in
-    float32, and its square is added in float64, one dim at a time in dim
-    order, before the square root; a dead dim is skipped, where zeroed it
-    would add an exact 0.  Every pixel's sum thus makes the additions of a
-    sum over the dims of the whole stack, whatever the strips.  The strips
-    run on up to ``threads`` worker threads, each writing its own rows of
-    rho and reusing one set of strip-sized buffers.
+    The live dims (``live`` true) of a strip go in blocks of consecutive
+    dims: a block is divided by its stds in float32, its squares land in
+    float64 rows 1.. of a block whose row 0 is the running total, and
+    ``np.add.reduce`` over the block's first axis adds those rows in order,
+    so every pixel still adds its dims one at a time in dim order before
+    the square root.  A dead dim is skipped, where zeroed it would add an
+    exact 0.  Every pixel's sum thus makes the additions of a sum over the
+    dims of the whole stack, whatever the strips or the blocks.  The float64
+    block, of at most ``features._BLOCK`` entries with the total beside it,
+    lies in the patch block and the float32 quotients in a stage buffer of
+    the scratch that ``lead`` lends, idle once it has recomputed; without
+    ``lead`` a worker holds a buffer of ``_BLOCK`` entries of each type.
+    The strips run on up to ``threads`` worker threads, each writing its
+    own rows of rho and reusing one set of strip-sized buffers.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
@@ -254,21 +298,37 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
     def strip(bounds: tuple[int, int]) -> None:
         y0, y1 = bounds
         try:
-            ahead, z, square, total = free.pop()
+            ahead, own = free.pop()
         except IndexError:
             ahead = np.empty((skip, rows, w), np.float32)
-            z = np.empty((rows, w), np.float32)
-            square, total = np.empty((rows, w)), np.empty((rows, w))
-        n = y1 - y0
-        if skip:
-            lead(y0, y1, ahead[:, :n])
-        total[:n] = 0
-        for d in dims:
-            np.divide(ahead[d, :n] if d < skip else g[d - skip, y0:y1], sd[d], out=z[:n])
-            np.square(z[:n], out=square[:n], dtype=np.float64)
-            total[:n] += square[:n]
-        rho[y0:y1] = np.sqrt(total[:n], out=total[:n])
-        free.append((ahead, z, square, total))
+            own = None if lead is not None else (np.empty(_BLOCK), np.empty(_BLOCK, np.float32))
+        n = (y1 - y0) * w
+
+        def add(wide: np.ndarray, narrow: np.ndarray) -> None:
+            per = min(min(len(wide), _BLOCK) // n - 2, len(narrow) // n)
+            if n == 1:
+                # a one-pixel strip's block is a column, which NumPy reduces
+                # as its first entry plus the pairwise sum of the rest
+                per = min(per, 1)
+            if per < 1:
+                wide, narrow, per = np.empty(3 * n), np.empty(n, np.float32), 1
+            total = wide[(per + 1) * n:(per + 2) * n]
+            total[...] = 0
+            for d0, d1 in _runs(dims, skip, per):
+                src = ahead[d0:d1, :y1 - y0] if d0 < skip else g[d0 - skip:d1 - skip, y0:y1]
+                z = narrow[:(d1 - d0) * n].reshape(src.shape)
+                np.divide(src, sd[d0:d1, None, None], out=z)
+                block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
+                block[0] = total
+                np.square(z, out=block[1:].reshape(src.shape), dtype=np.float64)
+                np.add.reduce(block, axis=0, out=total)
+            rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
+
+        if lead is not None:
+            lead(y0, y1, ahead[:, :y1 - y0], lambda s: add(s[0].view(np.float64), s[1]))
+        else:
+            add(*own)
+        free.append((ahead, own))
 
     _pool_map(strip, strips, threads)
     return MagnitudeMap(rho)
@@ -280,7 +340,9 @@ def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
     build the difference stack of their features strip by strip, take the
     magnitude of its pooled-standardized form, then threshold and label as
     ``detect`` does.  ``threads`` bounds the worker threads of the strips
-    and of the magnitude blocks (None: ``pool.default_threads()``); the
-    result is bit-identical for every value."""
+    in both passes (None: ``pool.default_threads()``); the result is
+    bit-identical for every value."""
     g, sd, live, lead = _difference(spec, x1, x2, threads)
-    return threshold_magnitude(_standardized_magnitude(g, sd, live, threads, lead))
+    m = _standardized_magnitude(g, sd, live, threads, lead)
+    del g, lead  # the stack and the strip buffers, before the threshold's copies of rho
+    return threshold_magnitude(m)

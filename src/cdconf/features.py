@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyTapSet, RejectedValue, ShapeMismatch
+from .errors import EmptyTapSet, InvariantViolation, RejectedValue, ShapeMismatch
 from .raster import Raster, load_raster
 from .rng import ROLE_F1_WEIGHTS, ROLE_F2_WEIGHTS, generator, mix64
 
@@ -160,6 +160,14 @@ def _tile(fan_in: int) -> int:
     return max(16, min(_TILE, _PATCH // fan_in) // 16 * 16)
 
 
+# Most float64 entries of a block of feature dims that ``_moments`` and
+# the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
+# call: 1 MiB, 8 dims of a strip of 16384 pixels, stays in a core's cache
+# over the block's passes.  One dim a call spends its time in the calls;
+# blocks of 16 dims and more ran slower again on a 2 MiB L2 cache.
+_BLOCK = 2**17
+
+
 def _blocks(n: int, size: int = _TILE) -> list[slice]:
     """Slices covering [0, n) in order, ``size`` long but for a ragged last one."""
     return [slice(p, min(p + size, n)) for p in range(0, n, size)]
@@ -202,22 +210,44 @@ def _reflect(st: np.ndarray, pad: int, rows: int, top: bool, bottom: bool) -> No
                 chan[pad + rows - 1 + i] = chan[pad + rows - 1 - i]
 
 
+def _im2col(stage: np.ndarray, start: int, out: np.ndarray) -> None:
+    """Copy the patch entries of columns [start, start + m) of a (c, rows,
+    wp) stage into ``out``, a (c, k, k, m) view of a patch block: entry
+    (c, dy, dx, j) is ``flat[c, start + j + dy*wp + dx]`` of the stage's
+    rows flattened.  One copy from a read-only strided view of the stage,
+    after a check that the view's last entry lies inside the stage: past
+    it, the view would read the next channel's rows or the buffer's tail
+    without a word, so there it raises InvariantViolation."""
+    c, rows, wp = stage.shape
+    k, m = out.shape[1], out.shape[-1]
+    if start + (k - 1) * (wp + 1) + m > rows * wp:
+        raise InvariantViolation(f"patch columns [{start}, {start + m}) of a {k}x{k} kernel "
+                                 f"read past a stage of {rows} rows of {wp}")
+    step = stage.strides[-1]
+    np.copyto(out, np.lib.stride_tricks.as_strided(
+        stage.reshape(c, -1)[:, start:], out.shape,
+        (stage.strides[0], wp * step, step, step), writeable=False))
+
+
 def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
                  y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
     """Run the convolution + rectifier layers on image rows [y0, y1) of a
     (c_in, h, w) stack; yield ``(layer, band)`` for each 1-based layer, a
     (c_out, y1 - y0, w) view of those rows valid until the generator resumes.
+    The patch block, ``scratch[0]``, is idle while the generator is
+    suspended, so the caller may use it until it resumes.
 
     Layer l computes rows [y0 - (depth - l)*pad, y1 + (depth - l)*pad),
     clipped to the image, into a reflect-padded (c, hp, wp) stage, in the
     two stage buffers of ``scratch`` by turns.  Output pixel (y, x) is
     column p = y*wp + x, whose patch entry (c, dy, dx) is
-    ``flat[c, p + dy*wp + dx]``, so a tile of columns is k*k slice copies.
-    The tiles are the ``_blocks`` of ``_tile`` columns of the layer's rows
-    from their first column, each zero-padded to a multiple of 16 columns:
-    a GEMM column's bits then depend neither on the call's width nor on
-    where the column sits in it (``tests/test_features.py`` checks the
-    running BLAS), so not on the strips.  A GEMM lands rectified in the next stage's interior; the
+    ``flat[c, p + dy*wp + dx]``, so a tile of columns is one strided copy
+    (``_im2col``).  The tiles are the ``_blocks`` of ``_tile`` columns of
+    the layer's rows from their first column, each zero-padded to a
+    multiple of 16 columns: a GEMM column's bits then depend neither on the
+    call's width nor on where the column sits in it
+    (``tests/test_features.py`` checks the running BLAS), so not on the
+    strips.  A GEMM lands rectified in the next stage's interior; the
     columns that wrap past a row's end land in the border, which is
     reflected over them.
     """
@@ -238,15 +268,12 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
         c_in, c_out = len(src), len(weights_l)
         a, b = max(0, y0 - (depth - layer) * pad), min(h, y1 + (depth - layer) * pad)
         dst = stage(layer, c_out, b - a)
-        src_flat, dst_flat = src.reshape(c_in, -1), dst.reshape(c_out, -1)
+        dst_flat = dst.reshape(c_out, -1)
         for t in _blocks((b - a - 1) * wp + w, _tile(c_in * k * k)):
             m = t.stop - t.start
             cols = -(-m // 16) * 16
             block = patch[:c_in * k * k * cols].reshape(c_in, k, k, cols)
-            for dy in range(k):
-                for dx in range(k):
-                    o = (a - lo) * wp + t.start + dy * wp + dx
-                    block[:, dy, dx, :m] = src_flat[:, o:o + m]
+            _im2col(src, (a - lo) * wp + t.start, block[..., :m])
             block[..., m:] = 0
             tile = dst_flat[:, shift + t.start:shift + t.start + cols]
             np.matmul(weights_l, block.reshape(c_in * k * k, cols), out=tile)
@@ -341,19 +368,29 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
     return features
 
 
-def _moments(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _moments(a: np.ndarray, buf: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, per-dim mean and per-dim sum of squared deviations of a block
-    whose first axis is the feature dim, in float64 by two passes over one
-    float64 buffer that takes one dim at a time."""
-    dev = np.empty(a.shape[1:])
+    whose first axis is the feature dim, in float64 by two passes over a
+    float64 copy of as many dims at a time as the flat float64 ``buf``
+    holds, up to ``_BLOCK`` entries (of one dim, in a buffer of its own,
+    when it holds none).  The copy is C-contiguous, so the sums of each dim
+    are NumPy's one-dimensional pairwise sums along its last axis, whatever
+    the number of dims it takes, and its mean is that sum divided by the
+    count, as ``ndarray.mean`` takes it."""
+    n = a[0].size
+    per = 0 if buf is None else min(len(buf), _BLOCK) // n
+    if per == 0:
+        buf, per = np.empty(n), 1
     mean, m2 = np.empty(len(a)), np.empty(len(a))
-    for d, band in enumerate(a):
-        np.copyto(dev, band)
-        mean[d] = dev.mean()
-        dev -= mean[d]
+    for d in range(0, len(a), per):
+        dev = buf[:len(a[d:d + per]) * n].reshape(-1, n)
+        np.copyto(dev.reshape(-1, *a.shape[1:]), a[d:d + per])
+        np.add.reduce(dev, axis=1, out=mean[d:d + per])
+        mean[d:d + per] /= n
+        dev -= mean[d:d + per, None]
         np.square(dev, out=dev)
-        m2[d] = dev.sum()
-    return dev.size, mean, m2
+        np.add.reduce(dev, axis=1, out=m2[d:d + per])
+    return n, mean, m2
 
 
 def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,11 @@ Every iteration draws its noise from a private counter-based stream derived
 from (master_seed, image role, iteration index), so results are bit-identical
 regardless of execution order: the reduction into K' is a commutative integer
 sum.  The iterations run one after another.  ``threads`` parallelizes inside
-each detection instead: its strips of rows run side by side, and so do its
-magnitude blocks (see ``dcva.detect_pair``; None, the default, means
-``pool.default_threads()``).  So a run holds one noisy detection at a time
-whatever the thread count, and its results do not depend on the thread
-count either.
+each iteration instead: the pair's two noise draws run side by side, and so
+do the detection's strips of rows, in both of its passes (see
+``dcva.detect_pair``; None, the default, means ``pool.default_threads()``).
+So a run holds one noisy pair and one noisy detection at a time whatever
+the thread count, and its results do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .dcva import ChangeResult, detect_pair
 from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
+from .pool import _pool_map
 from .raster import ConfidenceMap, ConfidenceState, Raster
 from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
 
@@ -90,14 +91,22 @@ def perturb(x: Raster, sigma: float, stream_seed: int) -> Raster:
     """Add i.i.d. Gaussian(0, sigma^2) noise from the given stream, unclamped.
 
     Values may leave [0, 1]: clamping would bias the ensemble near the range
-    edges.  sigma=0 returns the input itself, bit for bit.
+    edges.  sigma=0 returns the input itself, bit for bit.  The noise is
+    drawn band by band into one float64 band, in the stream's order, and
+    added in float64 before the rounding to float32, so only one band of
+    float64 is held.
     """
     if sigma == 0:
         return x
-    noise = generator(stream_seed).standard_normal(x.data.shape)
-    noise *= sigma
-    noise += x.data
-    return Raster(noise.astype(np.float32))
+    rng = generator(stream_seed)
+    out = np.empty(x.data.shape, np.float32)
+    noise = np.empty(x.data.shape[1:])
+    for band, noisy in zip(x.data, out):
+        rng.standard_normal(out=noise)
+        noise *= sigma
+        noise += band
+        noisy[...] = noise
+    return Raster(out)
 
 
 def iteration_seeds(master_seed: int, iteration: int) -> tuple[int, int]:
@@ -113,23 +122,25 @@ def ensemble_counts_with(
     x2: Raster,
     detector: Detector,
     cfg: SmoothingConfig,
+    threads: int | None = None,
 ) -> EnsembleCounts:
     """Ensemble scaffolding with a pluggable per-iteration change detector.
 
     Iterations 1..K run in order.  Each perturbs both images with independent
-    noise streams (correlated noise would cancel in the difference) and
-    counts the changed labels of ``detector`` on the noisy pair; a detector
-    that runs on several threads holds its own thread count.  The counts do
-    not depend on the order the iterations run in: iteration k's noise
-    depends only on (master seed, role, k), and the reduction is a
-    commutative integer sum.
+    noise streams (correlated noise would cancel in the difference), the
+    two draws side by side on up to ``threads`` worker threads (None:
+    ``pool.default_threads()``), and counts the changed labels of
+    ``detector`` on the noisy pair; a detector that runs on several threads
+    holds its own thread count.  The counts do not depend on the order the
+    iterations or the draws run in: iteration k's noise depends only on
+    (master seed, role, k), and the reduction is a commutative integer sum.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
     k_prime = np.zeros((x1.height, x1.width), dtype=np.int32)
     for k in range(1, cfg.iterations + 1):
-        s1, s2 = iteration_seeds(cfg.master_seed, k)
-        noisy = detector(perturb(x1, cfg.sigma, s1), perturb(x2, cfg.sigma, s2))
+        draws = zip((x1, x2), iteration_seeds(cfg.master_seed, k))
+        noisy = detector(*_pool_map(lambda d: perturb(d[0], cfg.sigma, d[1]), list(draws), threads))
         k_prime += noisy.labels.changed
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
@@ -144,7 +155,8 @@ def ensemble_counts(
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
     changed verdicts per pixel."""
-    return ensemble_counts_with(x1, x2, partial(detect_pair, spec=f2spec, threads=threads), cfg)
+    return ensemble_counts_with(x1, x2, partial(detect_pair, spec=f2spec, threads=threads), cfg,
+                                threads)
 
 
 def fuse_confidence(
@@ -212,10 +224,11 @@ def check_detection(det: ConfidentDetection) -> None:
 
 
 def vote(primary: ChangeResult, x1: Raster, x2: Raster, detector: Detector,
-         cfg: SmoothingConfig) -> ConfidentDetection:
+         cfg: SmoothingConfig, threads: int | None = None) -> ConfidentDetection:
     """K noisy votes by ``detector`` on (x1, x2), fused with ``primary``, the
-    clean detection of the pair: every voting confidence method ends here."""
-    counts = ensemble_counts_with(x1, x2, detector, cfg)
+    clean detection of the pair: every voting confidence method ends here.
+    ``threads`` bounds the worker threads of each vote's two noise draws."""
+    counts = ensemble_counts_with(x1, x2, detector, cfg, threads)
     fused = fuse_confidence(primary, counts, cfg.conf_threshold)
     return ConfidentDetection(primary, counts, fused)
 
@@ -224,4 +237,4 @@ def run_proposed(x1: Raster, x2: Raster, f1spec: ExtractorSpec, f2spec: Extracto
                  cfg: SmoothingConfig, *, threads: int | None = None) -> ConfidentDetection:
     """Primary detection plus a confidence map voted by the secondary extractor."""
     return vote(detect_pair(x1, x2, f1spec, threads=threads), x1, x2,
-                partial(detect_pair, spec=f2spec, threads=threads), cfg)
+                partial(detect_pair, spec=f2spec, threads=threads), cfg, threads)

@@ -265,3 +265,57 @@ def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndar
         z[~live] = 0
         rho[p:p + 4096] = np.sqrt(np.square(z, dtype=np.float64).sum(axis=0))
     return rho.reshape(g.shape[1:])
+
+
+def im2col_slices(stage: np.ndarray, start: int, out: np.ndarray) -> None:
+    """The patch block of ``features._im2col`` by k*k slice copies: for
+    each kernel offset (dy, dx), columns [start + dy*wp + dx, ... + m) of
+    the (c, rows, wp) stage's flattened rows land in ``out[:, dy, dx]``."""
+    c, _, wp = stage.shape
+    k, m = out.shape[1], out.shape[-1]
+    flat = stage.reshape(c, -1)
+    for dy in range(k):
+        for dx in range(k):
+            o = start + dy * wp + dx
+            out[:, dy, dx] = flat[:, o:o + m]
+
+
+def moments_per_channel(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, per-dim mean and per-dim sum of squared deviations of a block
+    whose first axis is the feature dim, one dim at a time: a float64 copy
+    of the dim, its ``mean()``, less the mean, squared, and its ``sum()``."""
+    mean, m2 = np.empty(len(a)), np.empty(len(a))
+    for d, band in enumerate(a):
+        dev = band.astype(np.float64)
+        mean[d] = dev.mean()
+        m2[d] = np.square(dev - mean[d]).sum()
+    return a[0].size, mean, m2
+
+
+def perturb_reference(data: np.ndarray, sigma: float, stream_seed: int) -> np.ndarray:
+    """A noisy float32 copy of a (bands, height, width) raster: the whole
+    array of float64 noise drawn at once from the stream, times sigma,
+    plus the data, rounded to float32."""
+    noise = np.random.Generator(np.random.Philox(key=stream_seed)).standard_normal(data.shape)
+    return (noise * sigma + data).astype(np.float32)
+
+
+def otsu_split_loop(counts: np.ndarray) -> int:
+    """The between-class-variance argmax of a histogram by one loop over its
+    bins in Python ints: class 0 is bins [0, t], A = (n*s0 - S*c0)^2 and
+    B = c0*(n - c0) of its count c0 and bin-index sum s0, compared by
+    cross-multiplication, ties to the lowest bin (0 when no split leaves
+    both classes occupied)."""
+    n = int(counts.sum())
+    total = sum(t * int(c) for t, c in enumerate(counts))
+    best_t, best_a, best_b, c0, s0 = 0, -1, 1, 0, 0
+    for t, c in enumerate(counts):
+        c0 += int(c)
+        s0 += t * int(c)
+        if c0 == 0 or c0 == n:
+            continue
+        a = (n * s0 - total * c0) ** 2
+        b = c0 * (n - c0)
+        if a * best_b > best_a * b:
+            best_t, best_a, best_b = t, a, b
+    return best_t

@@ -9,6 +9,8 @@ from cdconf.dcva import (
     ChangeResult,
     MagnitudeMap,
     _difference,
+    _otsu_split,
+    _runs,
     _standardized_magnitude,
     detect,
     detect_pair,
@@ -18,9 +20,11 @@ from cdconf.dcva import (
     otsu_threshold,
     threshold_labels,
 )
+import cdconf.dcva
 import cdconf.features
 from cdconf.errors import ShapeMismatch
 from cdconf.features import (
+    _STRIP,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
@@ -36,6 +40,7 @@ from cdconf.synth import SceneSpec, generate
 
 from oracles import (
     otsu_bin_bruteforce,
+    otsu_split_loop,
     otsu_tau_bruteforce,
     recomputed_dims,
     standardized_magnitude_reference,
@@ -154,6 +159,54 @@ class TestOtsu:
         assert peak <= 17 * m.rho.size
 
 
+def _histogram(occupied: dict[int, int], bins: int = 256) -> np.ndarray:
+    counts = np.zeros(bins, np.int64)
+    for t, c in occupied.items():
+        counts[t] = c
+    return counts
+
+
+class TestOtsuSplit:
+    """The float64-narrowed argmax of a histogram equals the exact loop over
+    its bins, ties included."""
+
+    @pytest.mark.parametrize("occupied", [{0: 1, 255: 1}, {3: 7, 200: 2}, {0: 5, 1: 5}])
+    def test_two_occupied_bins(self, occupied):
+        counts = _histogram(occupied)
+        assert _otsu_split(counts) == otsu_split_loop(counts) == min(occupied)
+
+    # a histogram symmetric about its middle has two splits of the same
+    # variance, at t and 254 - t when it mirrors about 127.5
+    @pytest.mark.parametrize("occupied", [{0: 4, 100: 1, 155: 1, 255: 4},
+                                          {10: 3, 20: 1, 235: 1, 245: 3},
+                                          {0: 1, 1: 1, 254: 1, 255: 1}])
+    def test_symmetric_ties_go_to_the_lowest_bin(self, occupied):
+        counts = _histogram(occupied)
+        assert _otsu_split(counts) == otsu_split_loop(counts)
+
+    @pytest.mark.parametrize("n", [10**3, 10**6, 10**9])
+    def test_one_dominant_bin(self, n):
+        counts = _histogram({0: 1, 17: n, 40: 2, 255: 1})
+        assert _otsu_split(counts) == otsu_split_loop(counts)
+
+    def test_random_counts(self):
+        rng = np.random.Generator(np.random.Philox(key=41))
+        for trial in range(300):
+            bins = int(rng.integers(2, 300))
+            counts = rng.integers(0, 1000, bins) * (rng.uniform(size=bins) < 0.2 * (trial % 5 + 1))
+            assert _otsu_split(counts) == otsu_split_loop(counts), trial
+
+    def test_past_int64_the_exact_comparison_takes_every_split(self):
+        # 255 * n^2 overflows int64 once n passes about 1.9e8 samples
+        counts = _histogram({0: 10**9, 100: 5 * 10**8, 101: 5 * 10**8 + 1, 255: 10**9})
+        assert 255 * int(counts.sum()) ** 2 > np.iinfo(np.int64).max
+        assert _otsu_split(counts) == otsu_split_loop(counts)
+
+    def test_no_split_is_bin_zero(self):
+        assert _otsu_split(_histogram({}, 8)) == otsu_split_loop(_histogram({}, 8)) == 0
+        assert _otsu_split(_histogram({5: 3}, 8)) == 0
+
+
 class TestDetect:
     def test_identical_stacks_all_unchanged(self):
         f = np.random.default_rng(3).normal(size=(6, 6, 4)).astype(np.float32)
@@ -243,7 +296,10 @@ class TestDetectPair:
                 lead(y0, y1, ahead[:, y0:y1])
             assert np.array_equal(ahead, whole[:skip])
         else:
-            assert lead is None
+            # nothing to recompute, but the scratch buffers are lent
+            lent = []
+            lead(0, 300, np.empty((0, 300, 300), np.float32), lent.append)
+            assert [len(a) for a in lent[0][1:]] == [len(lent[0][1])] * 2
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -395,6 +451,44 @@ class TestStandardizedMagnitude:
             tracemalloc.stop()
         del m
         assert peak <= 0.5 * g.nbytes
+
+
+    @pytest.mark.parametrize("live", [[], [0], [0, 1, 2], [0, 2, 3, 4, 9], list(range(20))])
+    def test_runs_of_live_dims(self, live):
+        # consecutive dims, at most 3 a run, none across the 5 recomputed
+        runs = _runs(np.array(live, dtype=np.int64), 5, 3)
+        assert [d for d0, d1 in runs for d in range(d0, d1)] == live
+        assert all(0 < d1 - d0 <= 3 and (d1 <= 5 or d0 >= 5) for d0, d1 in runs)
+        assert all(b[0] > a[1] or b[0] == 5 or a[1] - a[0] == 3 for a, b in zip(runs, runs[1:]))
+
+    # a 6x96 image is one strip of 576 pixels: a float64 block too small
+    # for one dim, blocks of one dim and of three beside the running total
+    # and the total's row, and one block of all 19 dims but a dead one
+    @pytest.mark.parametrize("block", [8, 3 * 576, 5 * 576, 2**17])
+    def test_bit_identical_for_every_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        f1, f2 = self._pair(6, 96, 19, 36)
+        f1[..., 4] = f2[..., 4] = 0
+        self._assert_bit_identical(f1, f2)
+
+
+    # pixels whose float64 sum of squares, added dim by dim in dim order, is
+    # m^2 for m = 2^30 + 64, halfway between two float32 values, so rho
+    # rounds to even, 2^30; each of the 300 squares of 2 after it is lost
+    # in that order (m^2 has an ulp of 256), while an order that sums 150 of
+    # them first lands two ulps past m^2 and rounds rho up to 2^30 + 128.
+    # Strips of one pixel (a 1x1 image, or one-row strips of a 3x1 one),
+    # and of 2 and 6
+    @pytest.mark.parametrize("block", [8, 152 * 6, 2**17])
+    @pytest.mark.parametrize("h,w,strip", [(1, 1, _STRIP), (3, 1, 1), (1, 2, _STRIP),
+                                           (2, 3, _STRIP)])
+    def test_adds_the_dims_one_at_a_time_in_dim_order(self, monkeypatch, block, h, w, strip):
+        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        monkeypatch.setattr(cdconf.features, "_STRIP", strip)
+        dims = [2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300
+        g = np.repeat(np.array(dims, np.float32), h * w).reshape(-1, h, w)
+        rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool)).rho
+        assert (rho == np.float32(2.0**30)).all()
 
 
 class TestChangeResultType:

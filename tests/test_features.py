@@ -12,13 +12,15 @@ from hypothesis import strategies as st
 import cdconf.features
 import cdconf.pool
 from cdconf.dcva import detect_pair
-from cdconf.errors import EmptyTapSet, RejectedValue, ShapeMismatch
+from cdconf.errors import EmptyTapSet, InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import (
     _STRIP,
     _TILE,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
+    _im2col,
+    _moments,
     _pooled,
     _pooled_std,
     _strips,
@@ -32,7 +34,9 @@ from cdconf.raster import Raster, save_raster
 from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
+    im2col_slices,
     live_reference,
+    moments_per_channel,
     recomputed_dims,
     standardized_magnitude_reference,
     zscore_pair_reference,
@@ -671,3 +675,75 @@ class TestStandardizePair:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             standardize_pair(np.zeros((2, 2, 3), np.float32), np.zeros((2, 2, 4), np.float32))
+
+
+class TestStridedPatches:
+    """``_im2col``'s one strided copy gives a patch block the bits of the
+    k*k slice copies, and refuses a view that would leave its stage."""
+
+    # widths 7 and 96 run one tile a layer; 257 and 513 several, the last
+    # one ragged
+    @pytest.mark.parametrize("strip", ["whole", "one-row"])
+    @pytest.mark.parametrize("w", [7, 96, 257, 513])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_features_bit_identical_to_slice_copies(self, monkeypatch, k, w, strip):
+        x = _raster(seed=w + k, bands=4, h=11, w=w)
+        s = ExtractorSpec(depth=2, taps=(1, 2), channels=5, kernel_size=k, seed=k)
+        if strip == "one-row":
+            monkeypatch.setattr(cdconf.features, "_STRIP", w)
+        got = extract(s, x)
+        monkeypatch.setattr(cdconf.features, "_im2col", im2col_slices)
+        assert np.array_equal(got, extract(s, x))
+
+    def _stage(self, c, rows, wp, spare=0):
+        """A (c, rows, wp) stage at the head of a buffer of ``spare`` more
+        entries, all of them distinct."""
+        buf = np.arange(c * rows * wp + spare, dtype=np.float32)
+        return buf[:c * rows * wp].reshape(c, rows, wp)
+
+    # the first columns, a middle run, and the ragged last tile, whose
+    # last patch entry is the stage's last entry
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_patch_block_equals_slice_copies(self, k):
+        c, rows, wp = 3, 9, 23
+        stage = self._stage(c, rows, wp)
+        end = rows * wp - (k - 1) * (wp + 1)
+        for start, m in [(0, 16), (5, 40), (end - 37, 37)]:
+            got = np.full((c, k, k, m), np.nan, np.float32)
+            want = np.full((c, k, k, m), np.nan, np.float32)
+            _im2col(stage, start, got)
+            im2col_slices(stage, start, want)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_a_stage_one_row_short_raises(self, k):
+        # the rows the patch block needs, less one, at the head of a buffer
+        # that goes on: a strided view past the stage would read the
+        # buffer's tail without a word
+        c, rows, wp, m = 3, 9, 23, 40
+        start = rows * wp - (k - 1) * (wp + 1) - m
+        _im2col(self._stage(c, rows, wp), start, np.empty((c, k, k, m), np.float32))
+        short = self._stage(c, rows - 1, wp, spare=10 * wp)
+        with pytest.raises(InvariantViolation, match="read past a stage"):
+            _im2col(short, start, np.empty((c, k, k, m), np.float32))
+
+
+class TestMomentBlocks:
+    """``_moments`` over blocks of dims gives every dim the bits of a
+    one-dim float64 copy, whatever the block size."""
+
+    # around the 8 dims of ``_BLOCK`` of a 16384-pixel strip, the stock 48
+    # and 96, and strips of a few pixels
+    @pytest.mark.parametrize("dims", [1, 7, 8, 9, 48, 96])
+    @pytest.mark.parametrize("buf", ["none", "small", "patch"])
+    @pytest.mark.parametrize("rows,w", [(32, 512), (1, 1), (3, 5)])
+    def test_bit_identical_to_one_dim_at_a_time(self, dims, buf, rows, w):
+        rng = np.random.Generator(np.random.Philox(key=dims))
+        stage = rng.normal(3, 2, size=(dims, rows + 4, w + 2)).astype(np.float32)
+        band = stage[:, 2:2 + rows, 1:1 + w]
+        scratch = {"none": None, "small": np.empty(3 * band[0].size + 5),
+                   "patch": np.empty(432 * 2048, np.float32).view(np.float64)}[buf]
+        count, mean, m2 = _moments(band, scratch)
+        want_count, want_mean, want_m2 = moments_per_channel(band)
+        assert count == want_count
+        assert np.array_equal(mean, want_mean) and np.array_equal(m2, want_m2)

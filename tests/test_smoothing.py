@@ -1,11 +1,14 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdconf.dcva import ChangeResult, MagnitudeMap, threshold_labels
+import cdconf.pool
+from cdconf.baselines import RcvaConfig, rcva_detect
+from cdconf.dcva import ChangeResult, MagnitudeMap, detect_pair, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from cdconf.pool import _pool_map
@@ -17,13 +20,14 @@ from cdconf.smoothing import (
     SmoothingConfig,
     check_detection,
     ensemble_counts,
+    ensemble_counts_with,
     fuse_confidence,
     iteration_seeds,
     perturb,
     run_proposed,
 )
 from cdconf.synth import SceneSpec, generate
-from oracles import strip_worker_nbytes
+from oracles import perturb_reference, strip_worker_nbytes
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
 CU = int(ConfidenceState.CONFIDENT_UNCHANGED)
@@ -109,6 +113,13 @@ class TestPerturb:
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
+    # the noise is drawn one band at a time into one float64 band
+    @pytest.mark.parametrize("bands", [1, 4, 100])
+    def test_bit_identical_to_the_whole_array_draw(self, bands):
+        x = _scene(bands, bands=bands, h=67, w=131)
+        want = perturb_reference(x.data, 0.1, 91)
+        assert np.array_equal(perturb(x, 0.1, 91).data.view(np.uint32), want.view(np.uint32))
+
     def test_role_streams_independent(self):
         s1, s2 = iteration_seeds(0, 1)
         x = _scene(3)
@@ -162,6 +173,27 @@ class TestEnsembleCounts:
         a = ensemble_counts(x1, x2, _F2, cfg, threads=1)
         b = ensemble_counts(x1, x2, _F2, cfg, threads=4)
         assert np.array_equal(a.k_prime, b.k_prime)
+
+    # the pair's two noise draws run side by side, for every voter
+    @pytest.mark.parametrize("voter", ["detect_pair", "rcva_detect"])
+    def test_counts_identical_for_every_thread_count(self, voter):
+        x1, x2 = _pair(9)
+        detector = {"detect_pair": partial(detect_pair, spec=_F2, threads=1),
+                    "rcva_detect": partial(rcva_detect, cfg=RcvaConfig(1))}[voter]
+        cfg = SmoothingConfig(sigma=0.1, iterations=5, master_seed=23)
+        counts = [ensemble_counts_with(x1, x2, detector, cfg, t).k_prime for t in (1, 2, 3)]
+        assert counts[0].any() and not counts[0].all()
+        assert all(np.array_equal(counts[0], c) for c in counts[1:])
+
+    def test_one_thread_starts_no_pool_for_the_noise(self, monkeypatch):
+        class Refused(cdconf.pool.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool started at threads=1")
+
+        monkeypatch.setattr(cdconf.pool, "ThreadPoolExecutor", Refused)
+        x1, x2 = _pair(10)
+        cfg = SmoothingConfig(sigma=0.1, iterations=3, master_seed=24)
+        ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg, 1)
 
     def test_bounds(self):
         x1, x2 = _pair(8)
