@@ -14,10 +14,11 @@ per-dim moments of both, and once the pooled std s is merged from those, a
 second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
 keeps only the dims that are dear to recompute: a leading layer-1 tap that
 costs fewer multiply-adds than the deeper layers (half the stock secondary
-extractor's dims) is recomputed strip by strip in the second pass instead.
-So a detection holds the held part of g, its magnitude map, and one
-strip's buffers a worker thread; both passes run on up to ``threads``
-workers, and the result does not depend on how many.
+extractor's dims) is recomputed in the second pass instead, in sub-strips
+that fit the strip worker's own buffers.  So a detection holds the held
+part of g, its magnitude map, and one strip's buffers a worker thread, the
+same buffers in both passes; both passes run on up to ``threads`` workers,
+and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -48,7 +49,8 @@ class MagnitudeMap:
     def __post_init__(self):
         if self.rho.ndim != 2 or self.rho.dtype != np.float32:
             raise ValueError("rho must be a 2-d float32 array")
-        if not (self.rho >= 0).all():
+        # the min, NaN when any pixel is, takes no pixel-sized mask
+        if self.rho.size and not self.rho.min() >= 0:
             raise ValueError("rho must be non-negative everywhere")
 
     @property
@@ -180,28 +182,31 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable | None]:
     """The held part of the difference stack g = f2 - f1 of the features of
     a raster pair, the pooled std of f1 and f2 with its live mask (as
-    ``features._pooled_std`` gives them), and ``lead``, which recomputes the
+    ``features._pooled_std`` gives them), and ``lend``, which recomputes the
     rest; neither feature stack is held.
 
     g is float32 of shape (D - L, height, width): every dim but the L
     leading ones of the extraction's ``lead``, which cost less to recompute
     than to hold (0 for the stock primary extractor, 48 of the secondary's
-    96).  ``lead(y0, y1, out, then=None)`` writes rows [y0, y1) of f2 - f1
-    of those L dims into a float32 (L, y1 - y0, width) ``out``, with the
-    bits the strips give them, and then, given ``then``, calls
-    ``then(scratch)`` with a worker's scratch buffers, idle by then,
-    before it frees them: the magnitude pass works in them, so it holds no
-    buffers of its own but ``out``.  ``lead`` is None for the extractor
-    kinds that run in no scratch buffers.
+    96).  ``lend(y0, y1, visit)`` takes a worker's scratch buffers and, for
+    each sub-strip [s0, s1) of rows [y0, y1) that ``_Extraction.leading``
+    cuts, calls ``visit(s0, s1, f1, f2, idle)`` with the (L, s1 - s0,
+    width) rows of f1's and f2's L leading dims in those buffers, and
+    ``idle``, two flat float32 buffers that hold nothing meanwhile: the
+    patch block and the first stage buffer's head, which holds a dim of
+    the sub-strip's rows.  With L = 0 it calls ``visit(y0, y1, None, None,
+    idle)`` once, with the patch block and the whole first stage buffer.
+    So the magnitude pass holds no buffer of its own.  ``lend`` is None for
+    the extractor kinds that run in no scratch buffers.
 
     The strips of ``_strips`` run on up to ``threads`` worker threads, each
-    worker with one set of scratch buffers for the whole pair, which ``lead``
-    reuses.  A strip takes the moments of f1's rows and writes its held dims
-    into g, then takes the moments of f2's rows and subtracts g's rows from
-    the held ones in place; the moments take their float64 copies in the
-    worker's patch block, idle while the extraction yields a tapped layer.
-    The moment blocks are merged in strip order, so the result does not
-    depend on ``threads``.
+    worker with one set of scratch buffers for the whole pair, which
+    ``lend`` reuses.  A strip takes the moments of f1's rows and writes its
+    held dims into g, then takes the moments of f2's rows and subtracts g's
+    rows from the held ones in place; the moments take their float64
+    copies in the worker's patch block, idle while the extraction yields a
+    tapped layer.  The moment blocks are merged in strip order, so the
+    result does not depend on ``threads``.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
@@ -239,17 +244,17 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
         free.append(scratch)
         return blocks
 
-    def lead(y0: int, y1: int, out: np.ndarray, then: Callable | None = None) -> None:
+    def lend(y0: int, y1: int, visit: Callable) -> None:
         scratch = take_scratch()
         if skip:
-            np.copyto(out, e1.leading(y0, y1, scratch))
-            np.subtract(e2.leading(y0, y1, scratch), out, out=out)
-        if then is not None:
-            then(scratch)
+            for s0, s1, f1, f2, head in e1.leading(e2, y0, y1, scratch):
+                visit(s0, s1, f1, f2, (scratch[0], head))
+        else:
+            visit(y0, y1, None, None, scratch[:2])
         free.append(scratch)
 
     sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
-    return g, sd, live, (lead if e1.stored is None else None)
+    return g, sd, live, (lend if e1.stored is None else None)
 
 
 def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
@@ -266,71 +271,84 @@ def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
 
 def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
                             threads: int | None = None,
-                            lead: Callable | None = None) -> MagnitudeMap:
+                            lend: Callable | None = None) -> MagnitudeMap:
     """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
     std s, strip by strip of ``features._strips``: g's held dims are the
     (D - L, height, width) array ``g``, and the L = len(s) - len(g) leading
-    ones are recomputed strip by strip by ``lead`` (see ``_difference``).
+    ones are recomputed sub-strip by sub-strip by ``lend`` (see
+    ``_difference``), each of whose sub-strips takes all its dims at once.
 
-    The live dims (``live`` true) of a strip go in blocks of consecutive
-    dims: a block is divided by its stds in float32, its squares land in
-    float64 rows 1.. of a block whose row 0 is the running total, and
-    ``np.add.reduce`` over the block's first axis adds those rows in order,
-    so every pixel still adds its dims one at a time in dim order before
-    the square root.  A dead dim is skipped, where zeroed it would add an
-    exact 0.  Every pixel's sum thus makes the additions of a sum over the
-    dims of the whole stack, whatever the strips or the blocks.  The float64
-    block, of at most ``features._BLOCK`` entries with the total beside it,
-    lies in the patch block and the float32 quotients in a stage buffer of
-    the scratch that ``lead`` lends, idle once it has recomputed; without
-    ``lead`` a worker holds a buffer of ``_BLOCK`` entries of each type.
-    The strips run on up to ``threads`` worker threads, each writing its
-    own rows of rho and reusing one set of strip-sized buffers.
+    The live dims (``live`` true) of a (sub-)strip go in blocks of
+    consecutive dims.  A block's z, in a float32 buffer, is g's rows
+    divided by their stds, or for the leading dims a copy of f1's rows
+    subtracted from a copy of f2's, divided by the stds in place: the
+    roundings of g = f2 - f1 and of its quotient.  The copies are
+    contiguous where f1's and f2's rows are strided views, over which
+    NumPy's subtraction would take an iteration buffer each.  z is copied
+    to float64 rows 1.. of a block whose row 0 is the running total and
+    squared there (squaring the float32 z to float64 would take NumPy's
+    cast buffer), and ``np.add.reduce`` over the block's first axis adds
+    those rows in order, so every pixel still adds its dims one at a time
+    in dim order before the square root.  A block of one pixel is a
+    column, which NumPy reduces as its first entry plus the pairwise sum of
+    the rest, so it takes one dim.  A dead dim is skipped, where zeroed it
+    would add an exact 0.  Every pixel's sum thus makes the additions of a
+    sum over the dims of the whole stack, whatever the strips, sub-strips
+    or blocks.  The float64 block, of at most ``features._BLOCK`` entries
+    with the total beside it, and z lie in the two idle buffers that
+    ``lend`` lends, so a worker holds no buffer of its own; without
+    ``lend`` it holds a buffer of ``_BLOCK`` entries of each type.  The
+    strips run on up to ``threads`` worker threads, each writing its own
+    rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
-    strips = _strips(h, w)
-    rows = max(y1 - y0 for y0, y1 in strips)
     dims = np.flatnonzero(live)
     rho = np.empty((h, w), np.float32)
     free = []
 
-    def strip(bounds: tuple[int, int]) -> None:
-        y0, y1 = bounds
-        try:
-            ahead, own = free.pop()
-        except IndexError:
-            ahead = np.empty((skip, rows, w), np.float32)
-            own = None if lead is not None else (np.empty(_BLOCK), np.empty(_BLOCK, np.float32))
+    def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
+            idle: tuple[np.ndarray, np.ndarray]) -> None:
+        wide, narrow = idle[0].view(np.float64), idle[1]
         n = (y1 - y0) * w
+        per = min(min(len(wide), _BLOCK) // n - 2, len(narrow) // n)
+        if n == 1:
+            per = min(per, 1)
+        if per < 1:
+            wide, narrow, per = np.empty(3 * n), np.empty(n, np.float32), 1
+        total = wide[(per + 1) * n:(per + 2) * n]
+        total[...] = 0
+        for d0, d1 in _runs(dims, skip, per):
+            z = narrow[:(d1 - d0) * n].reshape(d1 - d0, y1 - y0, w)
+            block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
+            if d0 < skip:
+                # f2's rows go where the squares land next
+                rows2 = wide[n:(d1 - d0 + 1) * n].view(np.float32)[:z.size].reshape(z.shape)
+                np.copyto(z, f1[d0:d1])
+                np.copyto(rows2, f2[d0:d1])
+                np.subtract(rows2, z, out=z)
+                np.divide(z, sd[d0:d1, None, None], out=z)
+            else:
+                np.divide(g[d0 - skip:d1 - skip, y0:y1], sd[d0:d1, None, None], out=z)
+            block[0] = total
+            squares = block[1:].reshape(z.shape)
+            np.copyto(squares, z)
+            np.square(squares, out=squares)
+            np.add.reduce(block, axis=0, out=total)
+        rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
 
-        def add(wide: np.ndarray, narrow: np.ndarray) -> None:
-            per = min(min(len(wide), _BLOCK) // n - 2, len(narrow) // n)
-            if n == 1:
-                # a one-pixel strip's block is a column, which NumPy reduces
-                # as its first entry plus the pairwise sum of the rest
-                per = min(per, 1)
-            if per < 1:
-                wide, narrow, per = np.empty(3 * n), np.empty(n, np.float32), 1
-            total = wide[(per + 1) * n:(per + 2) * n]
-            total[...] = 0
-            for d0, d1 in _runs(dims, skip, per):
-                src = ahead[d0:d1, :y1 - y0] if d0 < skip else g[d0 - skip:d1 - skip, y0:y1]
-                z = narrow[:(d1 - d0) * n].reshape(src.shape)
-                np.divide(src, sd[d0:d1, None, None], out=z)
-                block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
-                block[0] = total
-                np.square(z, out=block[1:].reshape(src.shape), dtype=np.float64)
-                np.add.reduce(block, axis=0, out=total)
-            rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
+    def strip(bounds: tuple[int, int]) -> None:
+        if lend is not None:
+            lend(*bounds, add)
+            return
+        try:
+            own = free.pop()
+        except IndexError:
+            own = np.empty(2 * _BLOCK, np.float32), np.empty(_BLOCK, np.float32)
+        add(*bounds, None, None, own)
+        free.append(own)
 
-        if lead is not None:
-            lead(y0, y1, ahead[:, :y1 - y0], lambda s: add(s[0].view(np.float64), s[1]))
-        else:
-            add(*own)
-        free.append((ahead, own))
-
-    _pool_map(strip, strips, threads)
+    _pool_map(strip, _strips(h, w), threads)
     return MagnitudeMap(rho)
 
 
@@ -342,7 +360,7 @@ def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
     ``detect`` does.  ``threads`` bounds the worker threads of the strips
     in both passes (None: ``pool.default_threads()``); the result is
     bit-identical for every value."""
-    g, sd, live, lead = _difference(spec, x1, x2, threads)
-    m = _standardized_magnitude(g, sd, live, threads, lead)
-    del g, lead  # the stack and the strip buffers, before the threshold's copies of rho
+    g, sd, live, lend = _difference(spec, x1, x2, threads)
+    m = _standardized_magnitude(g, sd, live, threads, lend)
+    del g, lend  # the stack and the strip buffers, before the threshold's copies of rho
     return threshold_magnitude(m)

@@ -20,11 +20,11 @@ Three extractor kinds:
 ``extract`` returns a plain float32 (height, width, D) feature stack,
 computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
 through the strips in lockstep instead (``dcva._difference``), keeps only
-their difference, less a cheap leading tap that it recomputes strip by
-strip (``_Extraction.leading``) when it takes the magnitude, and runs the
-strips on ``pool._pool_map``: they depend only on the image size and their
-moments are merged in strip order, so the output is bit-identical for
-every thread count.
+their difference, less a cheap leading tap that it recomputes sub-strip
+by sub-strip in a strip's own buffers (``_Extraction.leading``) when it
+takes the magnitude, and runs the strips on ``pool._pool_map``: they
+depend only on the image size and their moments are merged in strip
+order, so the output is bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -148,10 +148,13 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
 # is still wide enough to run at speed.
 _TILE = 4096
 
-# Most float32 entries of a patch block: a 432-deep layer (48 channels of
-# 3 x 3) runs tiles of 2048 columns, shallower ones of up to ``_TILE``.
-# Wider tiles of a deep layer only grow each strip worker's buffers.
-_PATCH = 432 * 2048
+# Most float32 entries of a patch block: 1.7 MiB, which stays in one
+# core's 2 MiB L2 cache between its im2col copy and its GEMM.  A 432-deep
+# layer (48 channels of 3 x 3) runs tiles of 1024 columns, shallower ones
+# of up to ``_TILE``.  A GEMM column's bits do not depend on the tile's
+# width, and wider tiles of a deep layer only grow each strip worker's
+# buffers.
+_PATCH = 432 * 1024
 
 
 def _tile(fan_in: int) -> int:
@@ -162,9 +165,10 @@ def _tile(fan_in: int) -> int:
 
 # Most float64 entries of a block of feature dims that ``_moments`` and
 # the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
-# call: 1 MiB, 8 dims of a strip of 16384 pixels, stays in a core's cache
-# over the block's passes.  One dim a call spends its time in the calls;
-# blocks of 16 dims and more ran slower again on a 2 MiB L2 cache.
+# call, in a strip worker's idle patch block, which holds 1.7 MiB: 1 MiB,
+# 8 dims of a strip of 16384 pixels, stays in a core's cache over the
+# block's passes.  One dim a call spends its time in the calls; blocks of
+# 16 dims and more ran slower again on a 2 MiB L2 cache.
 _BLOCK = 2**17
 
 
@@ -238,16 +242,18 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     suspended, so the caller may use it until it resumes.
 
     Layer l computes rows [y0 - (depth - l)*pad, y1 + (depth - l)*pad),
-    clipped to the image, into a reflect-padded (c, hp, wp) stage, in the
-    two stage buffers of ``scratch`` by turns.  Output pixel (y, x) is
-    column p = y*wp + x, whose patch entry (c, dy, dx) is
-    ``flat[c, p + dy*wp + dx]``, so a tile of columns is one strided copy
-    (``_im2col``).  The tiles are the ``_blocks`` of ``_tile`` columns of
-    the layer's rows from their first column, each zero-padded to a
-    multiple of 16 columns: a GEMM column's bits then depend neither on the
-    call's width nor on where the column sits in it
+    clipped to the image, into a reflect-padded (c, hp, wp) stage at the
+    head of the two stage buffers of ``scratch`` by turns: the input stage
+    (layer 0) and the even layers in the first, the odd layers in the
+    second, each taking ``c * _stage_rows(rows) * wp`` entries and nothing
+    past them.  Output pixel (y, x) is column p = y*wp + x, whose patch
+    entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so a tile of columns
+    is one strided copy (``_im2col``).  The tiles are the ``_blocks`` of
+    ``_tile`` columns of the layer's rows from their first column, each
+    zero-padded to a multiple of 16 columns: a GEMM column's bits then
+    depend neither on the call's width nor on where the column sits in it
     (``tests/test_features.py`` checks the running BLAS), so not on the
-    strips.  A GEMM lands rectified in the next stage's interior; the
+    strips or the tiles' width.  A GEMM lands rectified in the next stage's interior; the
     columns that wrap past a row's end land in the border, which is
     reflected over them.
     """
@@ -307,6 +313,7 @@ class _Extraction:
             first, *rest = self.weights
             if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
                 self.lead = spec.channels
+            self.pad, self.wp = pad, x.width + 2 * pad
         elif spec.kind is ExtractorKind.PRECOMPUTED:
             self.stored = [load_raster(Path(spec.feature_dir) / f"layer_{t}.cdr").data
                            for t in spec.taps]
@@ -318,15 +325,37 @@ class _Extraction:
 
     def scratch(self, rows: int) -> tuple[np.ndarray, ...] | None:
         """The patch block and two stage buffers that ``_conv_layers`` runs
-        any strip of at most ``rows`` rows in (None for the stored kinds)."""
+        any strip of at most ``rows`` rows in (None for the stored kinds).
+        The first stage buffer holds the input stage and the even layers,
+        the second the odd ones, each as many entries as its tallest stage
+        takes.  With a ``lead``, the first also holds ``leading``'s input
+        stage and parked rows of a one-row sub-strip."""
         if self.stored is not None:
             return None
-        pad = self.spec.kernel_size // 2
-        wp = self.x.width + 2 * pad
-        held = _stage_rows(min(self.x.height, rows + 2 * len(self.weights) * pad), pad, wp)
-        stage = max(self.x.bands, self.spec.channels) * held * wp
+        depth, pad, wp = len(self.weights), self.pad, self.wp
+        stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp) * wp
+                  for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
+        first, second = max(stages[0::2]), max(stages[1::2])
+        if self.lead:
+            first = max(first, self._leading_stages(1))
         patch = max(w.shape[1] * _tile(w.shape[1]) for w in self.weights)
-        return tuple(np.empty(n, np.float32) for n in (patch, stage, stage))
+        return tuple(np.empty(n, np.float32) for n in (patch, first, second))
+
+    def _leading_stages(self, rows: int) -> int:
+        """Entries that ``leading`` takes in the first stage buffer for
+        sub-strips of up to ``rows`` rows: an input stage and the parked
+        rows of layer 1's output stage."""
+        pad, wp = self.pad, self.wp
+        return (self.x.bands * _stage_rows(rows + 2 * pad, pad, wp)
+                + self.lead * _stage_rows(rows, pad, wp)) * wp
+
+    def sub_rows(self, first: int) -> int:
+        """Most rows of a sub-strip of ``leading`` in a first stage buffer
+        of ``first`` entries: as many as let its input stage and parked
+        rows both fit, which grow by one row of the bands and one of the
+        lead channels a row."""
+        base = self._leading_stages(0)
+        return (first - base) // (self._leading_stages(1) - base)
 
     def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...] | None):
         """Yield ``(d, band)`` for each tapped layer in order: ``band`` is a
@@ -342,12 +371,33 @@ class _Extraction:
             if layer in taps:
                 yield taps.index(layer) * c, band
 
-    def leading(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
-        """The (lead, y1 - y0, width) rows [y0, y1) of the ``lead`` leading
-        dims, by layer 1 alone in ``scratch``: a view valid until
-        ``scratch`` is next used.  They have the bits ``strip`` gives them."""
-        return next(_conv_layers(self.x.data, self.weights[:1], self.spec.kernel_size,
-                                 y0, y1, scratch))[1]
+    def leading(self, other: _Extraction, y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
+        """Yield ``(s0, s1, f1, f2, head)`` for the sub-strips [s0, s1) of
+        rows [y0, y1) in order: ``f1`` and ``f2`` are the (lead, s1 - s0,
+        width) rows of the ``lead`` leading dims of this extraction and of
+        ``other``, one of the same spec on a raster of the same shape, by
+        layer 1 alone in ``scratch``, with the bits ``strip`` gives them.
+
+        Both runs take their input stage at the head of the first stage
+        buffer.  This extraction's rows land in that buffer's tail, parked
+        there while ``other``'s land in the second stage buffer.  So while
+        the generator is suspended the patch block is idle, and so is
+        ``head``, the first buffer's entries ahead of the tail, which hold
+        at least one dim of a sub-strip's rows.  The sub-strips are the
+        fewest of near-equal height of at most ``sub_rows`` rows, so they
+        repeat no row: a depth-1 run computes only its own rows."""
+        patch, first, second = scratch
+        most = self.sub_rows(len(first))
+        head = len(first) - self.lead * _stage_rows(most, self.pad, self.wp) * self.wp
+        head, parked = first[:head], first[head:]
+        k, n = self.spec.kernel_size, -(-(y1 - y0) // most)
+        for i in range(n):
+            s0, s1 = y0 + (y1 - y0) * i // n, y0 + (y1 - y0) * (i + 1) // n
+            f1 = next(_conv_layers(self.x.data, self.weights[:1], k, s0, s1,
+                                   (patch, first, parked)))[1]
+            f2 = next(_conv_layers(other.x.data, other.weights[:1], k, s0, s1,
+                                   (patch, first, second)))[1]
+            yield s0, s1, f1, f2, head
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:

@@ -16,9 +16,9 @@ from pathlib import Path
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# worker holds one strip's buffers (about 10.7 MiB with the stock secondary
-# extractor at a width of 512), and 3.0 MiB more in the magnitude pass,
-# where it recomputes the extractor's layer-1 tap of the strip's rows, so
+# worker holds one strip's buffers (about 8.5 MiB with the stock secondary
+# extractor at a width of 512), the same in the magnitude pass, where it
+# recomputes the extractor's layer-1 tap of the strip's rows in them, so
 # this bounds what a pass adds to peak memory on a host with many cores.
 _MAX_WORKERS = 8
 

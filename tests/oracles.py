@@ -6,7 +6,7 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 
 import numpy as np
 
-from cdconf.features import ExtractorKind, _strips
+from cdconf.features import ExtractorKind, _conv_layers, _conv_weights, _strips
 
 
 def live_reference(sd: np.ndarray) -> np.ndarray:
@@ -208,9 +208,9 @@ def rcva_two_pass_reference(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarra
 
 def patch_columns(fan_in: int) -> int:
     """Columns of a patch block of a layer with ``fan_in`` rows: as many as
-    keep the block within 432 x 2048 float32 entries, rounded down to 16,
+    keep the block within 432 x 1024 float32 entries, rounded down to 16,
     but at least 16 and at most 4096."""
-    return max(16, min(4096, 432 * 2048 // fan_in) // 16 * 16)
+    return max(16, min(4096, 432 * 1024 // fan_in) // 16 * 16)
 
 
 def recomputed_dims(spec, bands: int) -> int:
@@ -229,26 +229,35 @@ def recomputed_dims(spec, bands: int) -> int:
 
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     """Bytes one strip worker of a random-conv detection of an h x w image
-    may hold, counted from the strip layout alone.  Always: a patch block
-    of the most entries over the layers up to the deepest tap, each
-    ``patch_columns`` wide; and two stage buffers of the most channels, each
-    with the tallest strip's rows, the halo rows of every layer up to the
-    deepest tap, the border rows and a tail row.  Beside those, the larger
-    of the moments' float64 copy of one channel's rows and the magnitude
-    pass's rows: the ``recomputed_dims`` in float32, one dim's z in float32,
-    two float64 rows, and the float64 buffer of ``np.getbufsize()`` entries
-    through which NumPy casts z to square it."""
+    may hold, counted from the strip layout alone: a patch block of the
+    most entries over the layers up to the deepest tap, each
+    ``patch_columns`` wide, and two stage buffers.  A stage is a layer's
+    rows (the input's as layer 0) of the tallest strip, with the halo rows
+    of every layer after it up to the deepest tap, clipped to the image,
+    plus its border rows and the rows that 16 columns spill into.  The
+    first buffer holds the tallest of the input stage and the even layers,
+    and, when a leading tap is recomputed (``recomputed_dims``), at least
+    the input stage and layer-1 rows of one row; the second holds the
+    tallest odd layer.  The moments and the magnitude pass work in these
+    buffers, so they add nothing while three dims' rows of the tallest
+    strip fit in ``features._BLOCK`` float64 entries of the patch block.
+    Beside them, two float32 buffers of ``np.getbufsize()`` entries, which
+    NumPy takes to iterate an elementwise operation over strided rows of a
+    stage, such as the rectifier of a GEMM tile of a few thousand columns,
+    in either pass."""
     rows = max(y1 - y0 for y0, y1 in _strips(h, w))
-    k2 = spec.kernel_size ** 2
-    pad = spec.kernel_size // 2
+    k2, pad, depth = spec.kernel_size ** 2, spec.kernel_size // 2, spec.taps[-1]
     wp = w + 2 * pad
-    c = max(bands, spec.channels)
-    stage = c * (rows + 2 * spec.taps[-1] * pad + 2 * pad + 16 // wp + 1) * wp * 4
-    fan_ins = [bands * k2] + [spec.channels * k2] * (spec.taps[-1] - 1)
-    patch = max(k * patch_columns(k) for k in fan_ins) * 4
-    pixels = rows * w
-    magnitude = (4 * recomputed_dims(spec, bands) + 20) * pixels + 8 * np.getbufsize()
-    return patch + 2 * stage + max(8 * pixels, magnitude)
+    extra = 2 * pad - (-16 // wp)
+    stages = [c * (min(h, rows + 2 * (depth - layer) * pad) + extra) * wp
+              for layer, c in enumerate([bands] + [spec.channels] * depth)]
+    first, second = max(stages[0::2]), max(stages[1::2])
+    if recomputed_dims(spec, bands):
+        first = max(first, (bands * (1 + 2 * pad + extra) + spec.channels * (1 + extra)) * wp)
+    fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
+    patch = max(k * patch_columns(k) for k in fan_ins)
+    assert 3 * rows * w <= min(patch // 2, 2**17)
+    return 4 * (patch + first + second) + 8 * np.getbufsize()
 
 
 def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -265,6 +274,40 @@ def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndar
         z[~live] = 0
         rho[p:p + 4096] = np.sqrt(np.square(z, dtype=np.float64).sum(axis=0))
     return rho.reshape(g.shape[1:])
+
+
+def lead_ahead_magnitude_reference(spec, x1, x2, g: np.ndarray, sd: np.ndarray,
+                                   live: np.ndarray) -> np.ndarray:
+    """rho of a random-conv detection of the raster pair x1, x2 from its
+    held difference stack ``g`` (every dim but the L = len(sd) - len(g)
+    leading ones), float32 std and live mask, with the leading dims
+    recomputed a whole strip at a time: for each strip of ``_strips``,
+    layer 1 alone runs on x1's rows in buffers of its own and is copied
+    into an ``ahead`` buffer of the strip's rows, then runs on x2's rows in
+    the same buffers, and ahead is subtracted from it in place.  Each live
+    dim of ahead, then of g, divided by its std in float32, adds its
+    float64 square to a running float64 total one dim at a time; the
+    total's root is rounded to float32."""
+    skip = len(sd) - len(g)
+    h, w = g.shape[1:]
+    k = spec.kernel_size
+    weights = _conv_weights(spec, x1.bands)[:1]
+    rho = np.empty((h, w), np.float32)
+    for y0, y1 in _strips(h, w):
+        ahead = np.empty((skip, y1 - y0, w), np.float32)
+        if skip:
+            stage = max(x1.bands, spec.channels) * (y1 - y0 + 4 * k + 16) * (w + k)
+            scratch = (np.empty(x1.bands * k * k * 4096, np.float32),
+                       np.empty(stage, np.float32), np.empty(stage, np.float32))
+            np.copyto(ahead, next(_conv_layers(x1.data, weights, k, y0, y1, scratch))[1])
+            np.subtract(next(_conv_layers(x2.data, weights, k, y0, y1, scratch))[1], ahead,
+                        out=ahead)
+        total = np.zeros((y1 - y0, w))
+        for d in np.flatnonzero(live):
+            rows = ahead[d] if d < skip else g[d - skip, y0:y1]
+            total += np.square(rows / sd[d], dtype=np.float64)
+        rho[y0:y1] = np.sqrt(total)
+    return rho
 
 
 def im2col_slices(stage: np.ndarray, start: int, out: np.ndarray) -> None:

@@ -39,6 +39,7 @@ from cdconf.smoothing import iteration_seeds, perturb
 from cdconf.synth import SceneSpec, generate
 
 from oracles import (
+    lead_ahead_magnitude_reference,
     otsu_bin_bruteforce,
     otsu_split_loop,
     otsu_tau_bruteforce,
@@ -286,20 +287,33 @@ class TestDetectPair:
         x1, x2 = normalize_pair(t1, t2)
         res = detect_pair(x1, x2, spec)
         f1, f2 = extract(spec, x1), extract(spec, x2)
-        g, _, _, lead = _difference(spec, x1, x2)
+        g, _, _, lend = _difference(spec, x1, x2)
         whole = (f2 - f1).transpose(2, 0, 1)
         skip = recomputed_dims(spec, x1.bands)
         assert np.array_equal(g, whole[skip:])
+        strips = _strips(300, 300)
         if skip:
-            ahead = np.empty((skip, 300, 300), np.float32)
-            for y0, y1 in _strips(300, 300):
-                lead(y0, y1, ahead[:, y0:y1])
+            ahead, cuts = np.empty((skip, 300, 300), np.float32), []
+
+            def visit(s0, s1, a, b, idle):
+                # the lent buffers are free to overwrite
+                assert not any(np.shares_memory(i, f) for i in idle for f in (a, b))
+                ahead[:, s0:s1] = b - a
+                cuts.append((s0, s1))
+
+            for y0, y1 in strips:
+                lend(y0, y1, visit)
             assert np.array_equal(ahead, whole[:skip])
+            assert cuts[0][0] == 0 and cuts[-1][1] == 300
+            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
         else:
-            # nothing to recompute, but the scratch buffers are lent
+            # nothing to recompute, but a worker's scratch buffers are lent
             lent = []
-            lead(0, 300, np.empty((0, 300, 300), np.float32), lent.append)
-            assert [len(a) for a in lent[0][1:]] == [len(lent[0][1])] * 2
+            lend(0, 300, lambda *a: lent.append(a))
+            assert [a[:4] for a in lent] == [(0, 300, None, None)]
+            rows = max(y1 - y0 for y0, y1 in strips)
+            assert ([len(a) for a in lent[0][4]]
+                    == [len(a) for a in cdconf.features._Extraction(spec, x1).scratch(rows)[:2]])
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -317,6 +331,23 @@ class TestDetectPair:
         changed, truth = res.labels.changed, ref.changed
         assert truth.mean() / 3 < changed.mean() < 3 * truth.mean()
         assert (changed & truth).sum() >= 0.8 * truth.sum()
+
+    # a patch block of 432 x 1024 float32 holds 1024 columns of the
+    # secondary's layer 2 and 3072 of the primary's deeper layers; 432 x 256
+    # and 432 x 4096 give every layer other tile widths, so any rounding
+    # that hung on a tile's width would show in rho
+    @pytest.mark.parametrize("size", [(257, 513), (512, 512)], ids=["257x513", "512x512"])
+    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    def test_the_tile_width_moves_no_bit(self, monkeypatch, role, size):
+        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
+        h, w = size
+        t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=6))
+        x1, x2 = normalize_pair(t1, t2)
+        rhos = []
+        for columns in (256, 1024, 4096):
+            monkeypatch.setattr(cdconf.features, "_PATCH", 432 * columns)
+            rhos.append(detect_pair(x1, x2, spec, threads=2).magnitude.rho)
+        assert all(np.array_equal(rhos[0], rho) for rho in rhos[1:])
 
     @pytest.mark.parametrize("role", ["primary", "secondary"])
     def test_same_bits_on_worker_threads(self, role):
@@ -375,6 +406,113 @@ class TestDetectPair:
         stack = (spec.expected_dims(x1.bands) - recomputed_dims(spec, x1.bands)) * pixels * 4
         strip = strip_worker_nbytes(spec, x1.bands, 256, 256)
         assert peak <= stack + pixels * 4 + threads * strip + 2**17
+
+
+class TestRecomputedLeadingDims:
+    """The magnitude pass recomputes the leading dims in sub-strips, in a
+    strip worker's scratch buffers; rho equals the whole-strip path that
+    copied them into a buffer of their own, and the magnitude of the whole
+    stack, bit for bit."""
+
+    def _check(self, spec, x1, x2, threads):
+        g, sd, live, lend = _difference(spec, x1, x2, threads)
+        rho = _standardized_magnitude(g, sd, live, threads, lend).rho
+        assert np.array_equal(rho, lead_ahead_magnitude_reference(spec, x1, x2, g, sd, live))
+        whole = np.ascontiguousarray((extract(spec, x2) - extract(spec, x1)).transpose(2, 0, 1))
+        assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
+        assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
+
+    def _pair(self, bands, h, w):
+        rng = np.random.Generator(np.random.Philox(key=bands * h * w))
+        return (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
+
+    def _record_sub_strips(self, monkeypatch) -> list[tuple[int, int]]:
+        cuts, leading = [], cdconf.features._Extraction.leading
+
+        def recorded(self, other, y0, y1, scratch):
+            for cut in leading(self, other, y0, y1, scratch):
+                cuts.append(cut[:2])
+                yield cut
+
+        monkeypatch.setattr(cdconf.features._Extraction, "leading", recorded)
+        return cuts
+
+    # a 300x130 image is three strips of 100 rows, each two sub-strips of
+    # 50 with 1 to 16 bands; with 16 bands layer 1 still costs less than
+    # layer 2 (16 < 48 channels), and with 100 it is held
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bands", [1, 4, 16, 100])
+    def test_stock_secondary(self, monkeypatch, bands, threads):
+        spec = default_secondary_spec(0)
+        assert recomputed_dims(spec, bands) == (0 if bands == 100 else 48)
+        cuts = self._record_sub_strips(monkeypatch)
+        self._check(spec, *self._pair(bands, 300, 130), threads)
+        if bands < 100:
+            assert sorted(cuts) == sorted([(y, y + 50) for y in range(0, 300, 50)] * 2)
+
+    # a 57x513 image is strips of 28 and 29 rows: sub-strips of at most
+    # 7 rows cut them into 7, 7, 7, 7 and 5, 6, 6, 6, 6
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("most", [1, 2, 3, 7])
+    def test_forced_sub_strip_heights(self, monkeypatch, most, threads):
+        monkeypatch.setattr(cdconf.features._Extraction, "sub_rows", lambda self, first: most)
+        cuts = self._record_sub_strips(monkeypatch)
+        self._check(default_secondary_spec(0), *self._pair(4, 57, 513), threads)
+        heights = {s1 - s0 for s0, s1 in cuts}
+        assert max(heights) == most and (min(heights) < most or most == 1)
+        cover = sorted(set(cuts))
+        assert cover[0][0] == 0 and cover[-1][1] == 57
+        assert all(a[1] == b[0] for a, b in zip(cover, cover[1:]))
+
+    # a 1x1 kernel recomputes its layer-1 tap on images of one pixel, one
+    # row, and one column cut into one-pixel sub-strips
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("h,w,most", [(1, 1, None), (1, 9, None), (5, 1, 1), (7, 1, 2)])
+    def test_one_pixel_sub_strips(self, monkeypatch, h, w, most, threads):
+        if most is not None:
+            monkeypatch.setattr(cdconf.features._Extraction, "sub_rows", lambda self, first: most)
+        spec = ExtractorSpec(depth=3, taps=(1, 3), channels=6, kernel_size=1, seed=3)
+        assert recomputed_dims(spec, 4) == 6
+        self._check(spec, *self._pair(4, h, w), threads)
+
+    # the pixels of TestStandardizedMagnitude's order check, with the first
+    # 152 dims recomputed: f2 - f1 of them in sub-strips of ``most`` rows,
+    # one pixel each on a one-column image
+    @pytest.mark.parametrize("block", [8, 152 * 6, 2**17])
+    @pytest.mark.parametrize("h,w,most", [(1, 1, 1), (3, 1, 1), (3, 1, 2), (1, 2, 1), (2, 3, 2)])
+    def test_adds_the_leading_dims_one_at_a_time_in_dim_order(self, monkeypatch, block,
+                                                              h, w, most):
+        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        dims = np.array([2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300, np.float32)
+        skip = 152
+
+        def lend(y0, y1, visit):
+            idle = np.empty(2 * block, np.float32), np.empty(3 * block, np.float32)
+            for s0 in range(y0, y1, most):
+                s1 = min(s0 + most, y1)
+                f1 = np.repeat(dims[:skip], (s1 - s0) * w).reshape(skip, s1 - s0, w)
+                visit(s0, s1, f1, 2 * f1, idle)
+
+        g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
+        ones = np.ones(len(dims), np.float32)
+        rho = _standardized_magnitude(g, ones, ones > 0, 1, lend).rho
+        assert (rho == np.float32(2.0**30)).all()
+
+    def test_traced_magnitude_pass_holds_only_its_map(self):
+        # the recomputed rows, the float64 blocks and the quotients all lie
+        # in the scratch buffers the first pass left; a buffer of a strip's
+        # recomputed rows would add 3 MiB at this width
+        spec = default_secondary_spec(0)
+        t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
+        x1, x2 = normalize_pair(t1, t2)
+        g, sd, live, lend = _difference(spec, x1, x2, 1)
+        tracemalloc.start()
+        try:
+            m = _standardized_magnitude(g, sd, live, 1, lend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= m.rho.nbytes + 2**17
 
 
 class TestStandardizedMagnitude:

@@ -39,6 +39,7 @@ from oracles import (
     moments_per_channel,
     recomputed_dims,
     standardized_magnitude_reference,
+    strip_worker_nbytes,
     zscore_pair_reference,
 )
 
@@ -260,6 +261,23 @@ class TestRandomConv:
         x = _raster(seed=5, bands=bands, h=8, w=8)
         assert recomputed_dims(spec, bands) == lead
         assert cdconf.features._Extraction(spec, x).lead == lead
+
+    # a worker's buffers are what the oracle counts from the strip layout:
+    # stage buffers per layer parity, a patch block of at most 432 x 1024,
+    # room for one-row sub-strips of the recomputed tap, and NumPy's
+    # iteration buffers beside them
+    @pytest.mark.parametrize("h,w", [(256, 256), (57, 513), (40, 1000), (3, 2000)])
+    @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
+                                            (default_secondary_spec(0), 16),
+                                            (default_secondary_spec(0), 100),
+                                            (default_primary_spec(0), 4)],
+                             ids=["secondary-4", "secondary-16", "secondary-100", "primary"])
+    def test_a_strip_worker_holds_what_the_oracle_counts(self, spec, bands, h, w):
+        x = _raster(seed=6, bands=bands, h=h, w=w)
+        rows = max(y1 - y0 for y0, y1 in _strips(h, w))
+        scratch = cdconf.features._Extraction(spec, x).scratch(rows)
+        held = sum(a.nbytes for a in scratch) + 8 * np.getbufsize()
+        assert held == strip_worker_nbytes(spec, bands, h, w)
 
     def test_more_workers_than_cores_with_fast_switching(self):
         # seven strips of both images writing one difference stack, then
