@@ -12,13 +12,13 @@ through the extractor's strips of rows in lockstep (``_difference``), each
 strip writing its rows of the difference stack g = f2 - f1 and returning the
 per-dim moments of both, and once the pooled std s is merged from those, a
 second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
-keeps only the dims that are dear to recompute: a leading layer-1 tap that
-costs fewer multiply-adds than the deeper layers (half the stock secondary
-extractor's dims) is recomputed in the second pass instead, in sub-strips
-that fit the strip worker's own buffers.  So a detection holds the held
-part of g, its magnitude map, and one strip's buffers a worker thread, the
-same buffers in both passes; both passes run on up to ``threads`` workers,
-and the result does not depend on how many.
+keeps only the dims that are dear to recompute: an identity extraction's
+bands, and a leading layer-1 tap that costs fewer multiply-adds than the
+deeper layers (half the stock secondary extractor's dims), are recomputed
+in the second pass instead, in the strip worker's own buffers.  So a
+detection holds the held part of g, its magnitude map, and one strip's
+buffers a worker thread, the same buffers in both passes; both passes run
+on up to ``threads`` workers, and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -179,7 +179,7 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
 
 
 def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable | None]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
     """The held part of the difference stack g = f2 - f1 of the features of
     a raster pair, the pooled std of f1 and f2 with its live mask (as
     ``features._pooled_std`` gives them), and ``lend``, which recomputes the
@@ -187,17 +187,14 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
 
     g is float32 of shape (D - L, height, width): every dim but the L
     leading ones of the extraction's ``lead``, which cost less to recompute
-    than to hold (0 for the stock primary extractor, 48 of the secondary's
-    96).  ``lend(y0, y1, visit)`` takes a worker's scratch buffers and, for
-    each sub-strip [s0, s1) of rows [y0, y1) that ``_Extraction.leading``
-    cuts, calls ``visit(s0, s1, f1, f2, idle)`` with the (L, s1 - s0,
-    width) rows of f1's and f2's L leading dims in those buffers, and
-    ``idle``, two flat float32 buffers that hold nothing meanwhile: the
-    patch block and the first stage buffer's head, which holds a dim of
-    the sub-strip's rows.  With L = 0 it calls ``visit(y0, y1, None, None,
-    idle)`` once, with the patch block and the whole first stage buffer.
-    So the magnitude pass holds no buffer of its own.  ``lend`` is None for
-    the extractor kinds that run in no scratch buffers.
+    than to hold (all of an identity extraction's, 48 of the stock
+    secondary's 96).  ``lend(y0, y1, visit)`` takes a worker's scratch
+    buffers and, for each sub-strip [s0, s1) of rows [y0, y1) that
+    ``_Extraction.leading`` cuts, calls ``visit(s0, s1, f1, f2, idle)``
+    with the (L, s1 - s0, width) rows of f1's and f2's L leading dims (None
+    when L = 0), and ``idle``, two flat float32 buffers that hold nothing
+    meanwhile: the patch block and ``leading``'s head, which holds a dim of
+    the sub-strip's rows.  So the magnitude pass holds no buffer of its own.
 
     The strips of ``_strips`` run on up to ``threads`` worker threads, each
     worker with one set of scratch buffers for the whole pair, which
@@ -217,7 +214,7 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     g = np.empty((e1.dims - skip, x1.height, x1.width), np.float32)
     free = []
 
-    def take_scratch() -> tuple[np.ndarray, ...] | None:
+    def take_scratch() -> tuple[np.ndarray, ...]:
         try:
             return free.pop()
         except IndexError:
@@ -226,7 +223,7 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
         y0, y1 = bounds
         scratch = take_scratch()
-        patch = None if scratch is None else scratch[0].view(np.float64)
+        patch = scratch[0].view(np.float64)
         blocks = []
         for ex in (e1, e2):
             count, mean, m2 = 0, np.empty(ex.dims), np.empty(ex.dims)
@@ -246,15 +243,12 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
 
     def lend(y0: int, y1: int, visit: Callable) -> None:
         scratch = take_scratch()
-        if skip:
-            for s0, s1, f1, f2, head in e1.leading(e2, y0, y1, scratch):
-                visit(s0, s1, f1, f2, (scratch[0], head))
-        else:
-            visit(y0, y1, None, None, scratch[:2])
+        for s0, s1, f1, f2, head in e1.leading(e2, y0, y1, scratch):
+            visit(s0, s1, f1, f2, (scratch[0], head))
         free.append(scratch)
 
     sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
-    return g, sd, live, (lend if e1.stored is None else None)
+    return g, sd, live, lend
 
 
 def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
@@ -270,8 +264,7 @@ def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
 
 
 def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
-                            threads: int | None = None,
-                            lend: Callable | None = None) -> MagnitudeMap:
+                            threads: int | None, lend: Callable) -> MagnitudeMap:
     """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
     std s, strip by strip of ``features._strips``: g's held dims are the
     (D - L, height, width) array ``g``, and the L = len(s) - len(g) leading
@@ -296,16 +289,13 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
     sum over the dims of the whole stack, whatever the strips, sub-strips
     or blocks.  The float64 block, of at most ``features._BLOCK`` entries
     with the total beside it, and z lie in the two idle buffers that
-    ``lend`` lends, so a worker holds no buffer of its own; without
-    ``lend`` it holds a buffer of ``_BLOCK`` entries of each type.  The
-    strips run on up to ``threads`` worker threads, each writing its own
-    rows of rho.
+    ``lend`` lends, so a worker holds no buffer of its own.  The strips run
+    on up to ``threads`` worker threads, each writing its own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
     dims = np.flatnonzero(live)
     rho = np.empty((h, w), np.float32)
-    free = []
 
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
             idle: tuple[np.ndarray, np.ndarray]) -> None:
@@ -337,18 +327,7 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
             np.add.reduce(block, axis=0, out=total)
         rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
 
-    def strip(bounds: tuple[int, int]) -> None:
-        if lend is not None:
-            lend(*bounds, add)
-            return
-        try:
-            own = free.pop()
-        except IndexError:
-            own = np.empty(2 * _BLOCK, np.float32), np.empty(_BLOCK, np.float32)
-        add(*bounds, None, None, own)
-        free.append(own)
-
-    _pool_map(strip, _strips(h, w), threads)
+    _pool_map(lambda bounds: lend(*bounds, add), _strips(h, w), threads)
     return MagnitudeMap(rho)
 
 

@@ -1,6 +1,6 @@
 """Pluggable per-pixel feature extraction for bi-temporal image pairs.
 
-Three extractor kinds:
+Two extractor kinds:
 
 * ``IDENTITY`` — features are the raw band values (D = bands).
 * ``RANDOM_CONV`` — a stack of seeded random convolution layers (weights
@@ -13,18 +13,15 @@ Three extractor kinds:
   block, whatever the image's height.  Every GEMM is zero-padded to a
   multiple of 16 columns, so a strip gives its rows the bits a whole-image
   pass gives them, whatever the strip's height.
-* ``PRECOMPUTED`` — features produced elsewhere (e.g. a real pretrained
-  CNN), stored as one full-resolution CDR raster per tapped layer named
-  ``layer_<i>.cdr`` inside ``feature_dir``.
 
 ``extract`` returns a plain float32 (height, width, D) feature stack,
 computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
 through the strips in lockstep instead (``dcva._difference``), keeps only
-their difference, less a cheap leading tap that it recomputes sub-strip
-by sub-strip in a strip's own buffers (``_Extraction.leading``) when it
-takes the magnitude, and runs the strips on ``pool._pool_map``: they
-depend only on the image size and their moments are merged in strip
-order, so the output is bit-identical for every thread count.
+their difference, less the leading dims that it recomputes in a strip's
+own buffers (``_Extraction.leading``) when it takes the magnitude, and
+runs the strips on ``pool._pool_map``: they depend only on the image size
+and their moments are merged in strip order, so the output is
+bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -32,19 +29,17 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyTapSet, InvariantViolation, RejectedValue, ShapeMismatch
-from .raster import Raster, load_raster
+from .raster import Raster
 from .rng import ROLE_F1_WEIGHTS, ROLE_F2_WEIGHTS, generator, mix64
 
 
 class ExtractorKind(Enum):
     IDENTITY = "identity"
     RANDOM_CONV = "random_conv"
-    PRECOMPUTED = "precomputed"
 
 
 @dataclass(frozen=True)
@@ -53,9 +48,7 @@ class ExtractorSpec:
 
     ``taps`` is canonicalized to a sorted duplicate-free tuple so two specs
     naming the same layer set hash equally (the weight cache keys on the
-    spec).  Fields other than ``kind`` are ignored where they do not apply:
-    IDENTITY uses none of them, PRECOMPUTED uses only ``taps`` and
-    ``feature_dir``.
+    spec).  IDENTITY uses no field but ``kind``.
     """
 
     kind: ExtractorKind = ExtractorKind.RANDOM_CONV
@@ -64,7 +57,6 @@ class ExtractorSpec:
     channels: int = 8
     kernel_size: int = 3
     seed: int = 0
-    feature_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "taps", tuple(sorted(set(int(t) for t in self.taps))))
@@ -72,10 +64,6 @@ class ExtractorSpec:
             return
         if not self.taps:
             raise EmptyTapSet(f"{self.kind.value} extractor needs at least one tapped layer")
-        if self.kind is ExtractorKind.PRECOMPUTED:
-            if self.feature_dir is None:
-                raise RejectedValue("precomputed extractor needs feature_dir")
-            return
         if self.depth < 1:
             raise RejectedValue(f"depth must be >= 1, got {self.depth}")
         if self.channels < 1:
@@ -87,13 +75,11 @@ class ExtractorSpec:
                 f"taps {self.taps} outside the 1-based layer range [1, {self.depth}]"
             )
 
-    def expected_dims(self, in_bands: int) -> int | None:
-        """Feature dimensionality D, or None when it depends on stored files."""
+    def expected_dims(self, in_bands: int) -> int:
+        """Feature dimensionality D."""
         if self.kind is ExtractorKind.IDENTITY:
             return in_bands
-        if self.kind is ExtractorKind.RANDOM_CONV:
-            return len(self.taps) * self.channels
-        return None
+        return len(self.taps) * self.channels
 
 
 def default_primary_spec(master_seed: int = 0, *, depth: int = 6,
@@ -218,19 +204,21 @@ def _im2col(stage: np.ndarray, start: int, out: np.ndarray) -> None:
     """Copy the patch entries of columns [start, start + m) of a (c, rows,
     wp) stage into ``out``, a (c, k, k, m) view of a patch block: entry
     (c, dy, dx, j) is ``flat[c, start + j + dy*wp + dx]`` of the stage's
-    rows flattened.  One copy from a read-only strided view of the stage,
-    after a check that the view's last entry lies inside the stage: past
-    it, the view would read the next channel's rows or the buffer's tail
-    without a word, so there it raises InvariantViolation."""
+    rows flattened.  One copy from a read-only strided view made straight
+    over the stage's memory, with no ``as_strided`` interface dict, after
+    a check that the view's last entry lies inside the stage: past it, the
+    view would read the next channel's rows or the buffer's tail without a
+    word, so there it raises InvariantViolation."""
     c, rows, wp = stage.shape
     k, m = out.shape[1], out.shape[-1]
     if start + (k - 1) * (wp + 1) + m > rows * wp:
         raise InvariantViolation(f"patch columns [{start}, {start + m}) of a {k}x{k} kernel "
                                  f"read past a stage of {rows} rows of {wp}")
     step = stage.strides[-1]
-    np.copyto(out, np.lib.stride_tricks.as_strided(
-        stage.reshape(c, -1)[:, start:], out.shape,
-        (stage.strides[0], wp * step, step, step), writeable=False))
+    view = np.ndarray(out.shape, stage.dtype, stage, start * step,
+                      (stage.strides[0], wp * step, step, step))
+    view.flags.writeable = False
+    np.copyto(out, view)
 
 
 def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
@@ -293,45 +281,40 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
 class _Extraction:
     """One extractor on one raster, strip by strip: ``dims`` is its D, and
     ``strip`` yields the tapped layers of a row range, computed in a
-    random-conv extraction's ``scratch`` buffers, or sliced from the whole
-    stored (c, height, width) layers of the other kinds.
+    random-conv extraction's ``scratch`` buffers, or IDENTITY's bands.
 
     ``lead`` counts the leading dims that are cheaper to recompute than to
-    hold: layer 1's channels, when layer 1 is tapped beside a deeper layer
-    and costs fewer multiply-adds a pixel than the layers after it up to
-    the deepest tap (0 otherwise).  ``leading`` recomputes them."""
+    hold: all of IDENTITY's, and layer 1's channels, when layer 1 is tapped
+    beside a deeper layer and costs fewer multiply-adds a pixel than the
+    layers after it up to the deepest tap (0 otherwise).  ``leading``
+    recomputes them."""
 
     def __init__(self, spec: ExtractorSpec, x: Raster):
-        self.spec, self.x, self.stored, self.lead = spec, x, [x.data], 0
-        if spec.kind is ExtractorKind.RANDOM_CONV:
-            pad = spec.kernel_size // 2
-            if pad and min(x.height, x.width) <= pad:
-                raise ShapeMismatch(f"image {x.height}x{x.width} too small for reflection "
-                                    f"padding of a {spec.kernel_size}x{spec.kernel_size} kernel")
-            self.weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
-            self.stored = None
-            first, *rest = self.weights
-            if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
-                self.lead = spec.channels
-            self.pad, self.wp = pad, x.width + 2 * pad
-        elif spec.kind is ExtractorKind.PRECOMPUTED:
-            self.stored = [load_raster(Path(spec.feature_dir) / f"layer_{t}.cdr").data
-                           for t in spec.taps]
-            for t, a in zip(spec.taps, self.stored):
-                if a.shape[1:] != (x.height, x.width):
-                    raise ShapeMismatch(f"layer_{t}.cdr is {a.shape[1]}x{a.shape[2]}, "
-                                        f"image is {x.height}x{x.width}")
-        self.dims = spec.expected_dims(x.bands) or sum(len(a) for a in self.stored)
+        self.spec, self.x, self.dims = spec, x, spec.expected_dims(x.bands)
+        if spec.kind is ExtractorKind.IDENTITY:
+            self.lead = x.bands
+            return
+        pad = spec.kernel_size // 2
+        if pad and min(x.height, x.width) <= pad:
+            raise ShapeMismatch(f"image {x.height}x{x.width} too small for reflection "
+                                f"padding of a {spec.kernel_size}x{spec.kernel_size} kernel")
+        self.weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
+        first, *rest = self.weights
+        self.lead = 0
+        if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
+            self.lead = spec.channels
+        self.pad, self.wp = pad, x.width + 2 * pad
 
-    def scratch(self, rows: int) -> tuple[np.ndarray, ...] | None:
+    def scratch(self, rows: int) -> tuple[np.ndarray, ...]:
         """The patch block and two stage buffers that ``_conv_layers`` runs
-        any strip of at most ``rows`` rows in (None for the stored kinds).
-        The first stage buffer holds the input stage and the even layers,
-        the second the odd ones, each as many entries as its tallest stage
-        takes.  With a ``lead``, the first also holds ``leading``'s input
-        stage and parked rows of a one-row sub-strip."""
-        if self.stored is not None:
-            return None
+        any strip of at most ``rows`` rows in.  The first stage buffer holds
+        the input stage and the even layers, the second the odd ones, each
+        as many entries as its tallest stage takes.  With a ``lead``, the
+        first also holds ``leading``'s input stage and parked rows of a
+        one-row sub-strip.  IDENTITY runs no layer: a patch block of 2 *
+        ``_BLOCK`` float32 entries and a buffer of ``_BLOCK``."""
+        if self.spec.kind is ExtractorKind.IDENTITY:
+            return np.empty(2 * _BLOCK, np.float32), np.empty(_BLOCK, np.float32)
         depth, pad, wp = len(self.weights), self.pad, self.wp
         stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp) * wp
                   for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
@@ -357,13 +340,12 @@ class _Extraction:
         base = self._leading_stages(0)
         return (first - base) // (self._leading_stages(1) - base)
 
-    def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...] | None):
+    def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
         """Yield ``(d, band)`` for each tapped layer in order: ``band`` is a
         (c, y1 - y0, width) view of image rows [y0, y1) of feature dims
         [d, d + c), valid until the generator resumes."""
-        if self.stored is not None:
-            for i, a in enumerate(self.stored):
-                yield sum(len(b) for b in self.stored[:i]), a[:, y0:y1]
+        if self.spec.kind is ExtractorKind.IDENTITY:
+            yield 0, self.x.data[:, y0:y1]
             return
         taps, c = self.spec.taps, self.spec.channels
         for layer, band in _conv_layers(self.x.data, self.weights, self.spec.kernel_size,
@@ -375,18 +357,27 @@ class _Extraction:
         """Yield ``(s0, s1, f1, f2, head)`` for the sub-strips [s0, s1) of
         rows [y0, y1) in order: ``f1`` and ``f2`` are the (lead, s1 - s0,
         width) rows of the ``lead`` leading dims of this extraction and of
-        ``other``, one of the same spec on a raster of the same shape, by
-        layer 1 alone in ``scratch``, with the bits ``strip`` gives them.
+        ``other``, one of the same spec on a raster of the same shape, with
+        the bits ``strip`` gives them.  While the generator is suspended
+        the patch block is idle, and so is ``head``, a flat buffer that
+        holds at least one dim of a sub-strip's rows.  IDENTITY yields the
+        strip's bands, and no ``lead`` None, each as one sub-strip with the
+        second, or first, scratch buffer as ``head``.
 
-        Both runs take their input stage at the head of the first stage
-        buffer.  This extraction's rows land in that buffer's tail, parked
-        there while ``other``'s land in the second stage buffer.  So while
-        the generator is suspended the patch block is idle, and so is
-        ``head``, the first buffer's entries ahead of the tail, which hold
-        at least one dim of a sub-strip's rows.  The sub-strips are the
-        fewest of near-equal height of at most ``sub_rows`` rows, so they
-        repeat no row: a depth-1 run computes only its own rows."""
+        Otherwise layer 1 alone runs on both rasters, each taking its input
+        stage at the head of the first stage buffer.  This extraction's rows
+        land in that buffer's tail, parked there while ``other``'s land in
+        the second stage buffer; ``head`` is the entries ahead of the tail.
+        The sub-strips are the fewest of near-equal height of at most
+        ``sub_rows`` rows, so they repeat no row: a depth-1 run computes
+        only its own rows."""
+        if self.spec.kind is ExtractorKind.IDENTITY:
+            yield y0, y1, self.x.data[:, y0:y1], other.x.data[:, y0:y1], scratch[1]
+            return
         patch, first, second = scratch
+        if not self.lead:
+            yield y0, y1, None, None, first
+            return
         most = self.sub_rows(len(first))
         head = len(first) - self.lead * _stage_rows(most, self.pad, self.wp) * self.wp
         head, parked = first[:head], first[head:]

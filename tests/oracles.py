@@ -218,8 +218,11 @@ def recomputed_dims(spec, bands: int) -> int:
     channels of layer 1 of a random-conv spec that taps layer 1 and a deeper
     layer, when layer 1's multiply-adds a pixel (channels * bands * k * k)
     are fewer than those of layers 2 to the deepest tap (channels *
-    channels * k * k each); 0 otherwise."""
-    if spec.kind is not ExtractorKind.RANDOM_CONV or spec.taps[0] != 1 or len(spec.taps) == 1:
+    channels * k * k each); 0 otherwise.  An identity spec holds none: its
+    features are the bands themselves."""
+    if spec.kind is ExtractorKind.IDENTITY:
+        return bands
+    if spec.taps[0] != 1 or len(spec.taps) == 1:
         return 0
     k2 = spec.kernel_size ** 2
     first = spec.channels * bands * k2
@@ -228,8 +231,7 @@ def recomputed_dims(spec, bands: int) -> int:
 
 
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
-    """Bytes one strip worker of a random-conv detection of an h x w image
-    may hold, counted from the strip layout alone: a patch block of the
+    """Bytes one strip worker of a detection of an h x w image may hold, counted from the strip layout alone: a patch block of the
     most entries over the layers up to the deepest tap, each
     ``patch_columns`` wide, and two stage buffers.  A stage is a layer's
     rows (the input's as layer 0) of the tallest strip, with the halo rows
@@ -244,18 +246,23 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     Beside them, two float32 buffers of ``np.getbufsize()`` entries, which
     NumPy takes to iterate an elementwise operation over strided rows of a
     stage, such as the rectifier of a GEMM tile of a few thousand columns,
-    in either pass."""
+    in either pass.  An identity detection runs no layer: its worker holds
+    a patch block of 2 * 2**17 float32 entries for the float64 blocks and a
+    buffer of 2**17 for the magnitude pass's quotients."""
     rows = max(y1 - y0 for y0, y1 in _strips(h, w))
-    k2, pad, depth = spec.kernel_size ** 2, spec.kernel_size // 2, spec.taps[-1]
-    wp = w + 2 * pad
-    extra = 2 * pad - (-16 // wp)
-    stages = [c * (min(h, rows + 2 * (depth - layer) * pad) + extra) * wp
-              for layer, c in enumerate([bands] + [spec.channels] * depth)]
-    first, second = max(stages[0::2]), max(stages[1::2])
-    if recomputed_dims(spec, bands):
-        first = max(first, (bands * (1 + 2 * pad + extra) + spec.channels * (1 + extra)) * wp)
-    fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
-    patch = max(k * patch_columns(k) for k in fan_ins)
+    if spec.kind is ExtractorKind.IDENTITY:
+        patch, first, second = 2 * 2**17, 2**17, 0
+    else:
+        k2, pad, depth = spec.kernel_size ** 2, spec.kernel_size // 2, spec.taps[-1]
+        wp = w + 2 * pad
+        extra = 2 * pad - (-16 // wp)
+        stages = [c * (min(h, rows + 2 * (depth - layer) * pad) + extra) * wp
+                  for layer, c in enumerate([bands] + [spec.channels] * depth)]
+        first, second = max(stages[0::2]), max(stages[1::2])
+        if recomputed_dims(spec, bands):
+            first = max(first, (bands * (1 + 2 * pad + extra) + spec.channels * (1 + extra)) * wp)
+        fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
+        patch = max(k * patch_columns(k) for k in fan_ins)
     assert 3 * rows * w <= min(patch // 2, 2**17)
     return 4 * (patch + first + second) + 8 * np.getbufsize()
 

@@ -251,6 +251,8 @@ _MALFORMED = {
     "missing-key": lambda run: json.dumps({k: v for k, v in run.items() if k != "rcva"}),
     "unknown-method": lambda run: _with(run, "method", value="magic"),
     "unknown-kind": lambda run: _with(run, "f1", "kind", value="conv"),
+    "precomputed-kind": lambda run: _with(run, "f1", "kind", value="precomputed"),
+    "v0.6.0-feature-dir": lambda run: _with(run, "f1", "feature_dir", value=None),
     "float-iterations": lambda run: _with(run, "smoothing", "iterations", value=2.5),
     "nan-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("nan")),
     "inf-sigma": lambda run: _with(run, "smoothing", "sigma", value=float("inf")),

@@ -50,6 +50,14 @@ from oracles import (
 )
 
 
+def _own_lend(y0, y1, visit):
+    """A ``lend`` for a difference stack that holds every dim: fresh float32
+    buffers of 2 * ``_BLOCK`` and ``_BLOCK`` entries, with ``_BLOCK`` read
+    from ``cdconf.dcva`` at the call, so a test's block size applies."""
+    block = cdconf.dcva._BLOCK
+    visit(y0, y1, None, None, (np.empty(2 * block, np.float32), np.empty(block, np.float32)))
+
+
 def _mm(values) -> MagnitudeMap:
     arr = np.asarray(values, dtype=np.float32)
     if arr.ndim == 1:
@@ -280,9 +288,10 @@ class TestDetectPair:
 
     # 300x300 is 6 strips, 21 blocks of 4096 pixels and a ragged last block
     # of 3984
-    @pytest.mark.parametrize("role", ["primary", "secondary"])
+    @pytest.mark.parametrize("role", ["primary", "secondary", "identity"])
     def test_bit_identical_to_whole_stack_path(self, role):
-        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
+        spec = {"primary": default_primary_spec(0), "secondary": default_secondary_spec(0),
+                "identity": ExtractorSpec(kind=ExtractorKind.IDENTITY)}[role]
         t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
         x1, x2 = normalize_pair(t1, t2)
         res = detect_pair(x1, x2, spec)
@@ -290,6 +299,8 @@ class TestDetectPair:
         g, _, _, lend = _difference(spec, x1, x2)
         whole = (f2 - f1).transpose(2, 0, 1)
         skip = recomputed_dims(spec, x1.bands)
+        # an identity detection holds no dim of g
+        assert g.shape == (spec.expected_dims(x1.bands) - skip, 300, 300)
         assert np.array_equal(g, whole[skip:])
         strips = _strips(300, 300)
         if skip:
@@ -498,11 +509,14 @@ class TestRecomputedLeadingDims:
         rho = _standardized_magnitude(g, ones, ones > 0, 1, lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
-    def test_traced_magnitude_pass_holds_only_its_map(self):
+    @pytest.mark.parametrize("role", ["secondary", "identity"])
+    def test_traced_magnitude_pass_holds_only_its_map(self, role):
         # the recomputed rows, the float64 blocks and the quotients all lie
         # in the scratch buffers the first pass left; a buffer of a strip's
-        # recomputed rows would add 3 MiB at this width
-        spec = default_secondary_spec(0)
+        # recomputed rows would add 3 MiB at this width, and magnitude-pass
+        # buffers of its own 1.5 MiB to an identity detection
+        spec = {"secondary": default_secondary_spec(0),
+                "identity": ExtractorSpec(kind=ExtractorKind.IDENTITY)}[role]
         t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
         x1, x2 = normalize_pair(t1, t2)
         g, sd, live, lend = _difference(spec, x1, x2, 1)
@@ -533,7 +547,8 @@ class TestStandardizedMagnitude:
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
         rho = detect_pair(x1, x2, ExtractorSpec(kind=ExtractorKind.IDENTITY)).magnitude.rho
         g = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
-        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2)).rho, rho)
+        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2), None,
+                                                      _own_lend).rho, rho)
         return rho
 
     def _assert_bit_identical(self, f1, f2):
@@ -583,7 +598,7 @@ class TestStandardizedMagnitude:
         live = np.arange(96) % 7 != 0
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(g, sd, live, 1)
+            m = _standardized_magnitude(g, sd, live, 1, _own_lend)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -625,7 +640,8 @@ class TestStandardizedMagnitude:
         monkeypatch.setattr(cdconf.features, "_STRIP", strip)
         dims = [2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300
         g = np.repeat(np.array(dims, np.float32), h * w).reshape(-1, h, w)
-        rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool)).rho
+        rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool),
+                                      None, _own_lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
 

@@ -30,7 +30,7 @@ from cdconf.features import (
     standardize_pair,
 )
 from cdconf.pool import _MAX_WORKERS, _cpu_quota, _pool_map, default_threads
-from cdconf.raster import Raster, save_raster
+from cdconf.raster import Raster
 from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
@@ -75,10 +75,6 @@ class TestSpecValidation:
     def test_zero_channels(self):
         with pytest.raises(RejectedValue):
             ExtractorSpec(depth=2, taps=(1,), channels=0)
-
-    def test_precomputed_needs_dir(self):
-        with pytest.raises(RejectedValue):
-            ExtractorSpec(kind=ExtractorKind.PRECOMPUTED, taps=(1,))
 
     def test_identity_ignores_taps(self):
         ExtractorSpec(kind=ExtractorKind.IDENTITY, taps=())
@@ -255,7 +251,7 @@ class TestRandomConv:
         (ExtractorSpec(depth=3, taps=(1,), channels=6), 4, 0),
         (ExtractorSpec(depth=3, taps=(1, 3), channels=6, kernel_size=1), 4, 6),
         (ExtractorSpec(depth=3, taps=(1, 2), channels=2), 4, 0),
-        (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 0),
+        (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 4),
     ])
     def test_recomputes_only_a_cheap_leading_tap(self, spec, bands, lead):
         x = _raster(seed=5, bands=bands, h=8, w=8)
@@ -270,8 +266,10 @@ class TestRandomConv:
     @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
                                             (default_secondary_spec(0), 16),
                                             (default_secondary_spec(0), 100),
-                                            (default_primary_spec(0), 4)],
-                             ids=["secondary-4", "secondary-16", "secondary-100", "primary"])
+                                            (default_primary_spec(0), 4),
+                                            (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4)],
+                             ids=["secondary-4", "secondary-16", "secondary-100", "primary",
+                                  "identity"])
     def test_a_strip_worker_holds_what_the_oracle_counts(self, spec, bands, h, w):
         x = _raster(seed=6, bands=bands, h=h, w=w)
         rows = max(y1 - y0 for y0, y1 in _strips(h, w))
@@ -524,30 +522,6 @@ def _tiled_pair(k: int, size: str):
     x1, s, f1 = _tiled_case(k, size)
     x2, _, f2 = _tiled_case(k, size, seed=k + 100)
     return x1, x2, s, standardized_magnitude_reference(f1, f2)
-
-
-class TestPrecomputed:
-    def _spec(self, d):
-        return ExtractorSpec(kind=ExtractorKind.PRECOMPUTED, taps=(1, 2), feature_dir=str(d))
-
-    def test_loads_and_concatenates(self, tmp_path):
-        r = _raster(bands=2, h=4, w=5)
-        a = np.arange(3 * 4 * 5, dtype=np.float32).reshape(3, 4, 5)
-        b = -np.ones((2, 4, 5), dtype=np.float32)
-        save_raster(Raster(a), tmp_path / "layer_1.cdr")
-        save_raster(Raster(b), tmp_path / "layer_2.cdr")
-        f = extract(self._spec(tmp_path), r)
-        assert f.shape == (4, 5, 5)
-        assert np.array_equal(f[..., :3], a.transpose(1, 2, 0))
-        assert np.array_equal(f[..., 3:], b.transpose(1, 2, 0))
-        # stored layers are read, never recomputed
-        assert cdconf.features._Extraction(self._spec(tmp_path), r).lead == 0
-
-    def test_size_mismatch(self, tmp_path):
-        save_raster(Raster(np.zeros((1, 3, 3), dtype=np.float32)), tmp_path / "layer_1.cdr")
-        save_raster(Raster(np.zeros((1, 3, 3), dtype=np.float32)), tmp_path / "layer_2.cdr")
-        with pytest.raises(ShapeMismatch):
-            extract(self._spec(tmp_path), _raster(h=4, w=4))
 
 
 class TestDefaultSpecs:
