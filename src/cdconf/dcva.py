@@ -8,7 +8,8 @@ threshold.
 
 ``detect_pair`` runs that pipeline on the pooled-standardized features of a
 raster pair without holding either feature stack: the two rasters go
-through the extractor's strips of rows in lockstep (``_difference``), each
+through the extraction's strips of rows in lockstep (``_difference``; a
+strip's height comes from the extractor's depth and widest stage), each
 strip writing its rows of the difference stack g = f2 - f1 and returning the
 per-dim moments of both, and once the pooled std s is merged from those, a
 second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
@@ -17,8 +18,9 @@ bands, and a leading layer-1 tap that costs fewer multiply-adds than the
 deeper layers (half the stock secondary extractor's dims), are recomputed
 in the second pass instead, in the strip worker's own buffers.  So a
 detection holds the held part of g, its magnitude map, and one strip's
-buffers a worker thread, the same buffers in both passes; both passes run
-on up to ``threads`` workers, and the result does not depend on how many.
+buffers a worker thread (one allocation, 5.5 MiB for the stock secondary at
+a width of 512), the same buffers in both passes; both passes run on up to
+``threads`` workers, and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import _BLOCK, ExtractorSpec, _Extraction, _moments, _pooled, _strips
+from .features import _BLOCK, ExtractorSpec, _Extraction, _moments, _pooled
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -179,11 +181,11 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
 
 
 def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, Callable]:
     """The held part of the difference stack g = f2 - f1 of the features of
     a raster pair, the pooled std of f1 and f2 with its live mask (as
-    ``features._pooled_std`` gives them), and ``lend``, which recomputes the
-    rest; neither feature stack is held.
+    ``features._pooled_std`` gives them), the extraction's strips, and
+    ``lend``, which recomputes the rest; neither feature stack is held.
 
     g is float32 of shape (D - L, height, width): every dim but the L
     leading ones of the extraction's ``lead``, which cost less to recompute
@@ -196,20 +198,19 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     meanwhile: the patch block and ``leading``'s head, which holds a dim of
     the sub-strip's rows.  So the magnitude pass holds no buffer of its own.
 
-    The strips of ``_strips`` run on up to ``threads`` worker threads, each
-    worker with one set of scratch buffers for the whole pair, which
-    ``lend`` reuses.  A strip takes the moments of f1's rows and writes its
-    held dims into g, then takes the moments of f2's rows and subtracts g's
-    rows from the held ones in place; the moments take their float64
-    copies in the worker's patch block, idle while the extraction yields a
-    tapped layer.  The moment blocks are merged in strip order, so the
-    result does not depend on ``threads``.
+    The strips, ``_Extraction.strips``, run on up to ``threads`` worker
+    threads, each worker with one set of scratch buffers for the whole
+    pair, which ``lend`` reuses.  A strip takes the moments of f1's rows
+    and writes its held dims into g, then takes the moments of f2's rows
+    and subtracts g's rows from the held ones in place; the moments take
+    their float64 copies in the worker's patch block, idle while the
+    extraction yields a tapped layer.  The strips depend on the extractor
+    and the image alone, and the moment blocks are merged in strip order,
+    so the result does not depend on ``threads``.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
     e1, e2 = _Extraction(spec, x1), _Extraction(spec, x2)
-    strips = _strips(x1.height, x1.width)
-    rows = max(y1 - y0 for y0, y1 in strips)
     skip = e1.lead
     g = np.empty((e1.dims - skip, x1.height, x1.width), np.float32)
     free = []
@@ -218,7 +219,7 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
         try:
             return free.pop()
         except IndexError:
-            return e1.scratch(rows)
+            return e1.scratch()
 
     def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
         y0, y1 = bounds
@@ -247,32 +248,41 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
             visit(s0, s1, f1, f2, (scratch[0], head))
         free.append(scratch)
 
-    sd, live = _pooled(b for pair in _pool_map(strip, strips, threads) for b in pair)
-    return g, sd, live, lend
+    sd, live = _pooled(b for pair in _pool_map(strip, e1.strips, threads) for b in pair)
+    return g, sd, live, e1.strips, lend
 
 
-def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
-    """Ranges [d0, d1) that cover the sorted dims ``dims`` in order: each of
-    consecutive dims, at most ``size`` of them, all below ``skip`` or none."""
+def _runs(dims: np.ndarray, span: np.ndarray, skip: int, size: int) -> list[list[int]]:
+    """Ranges [d0, d1) that cover the sorted dims ``dims`` in order, each of
+    at most ``size`` dims, all below ``skip`` or none, that take besides
+    ``dims`` only dims that the boolean mask ``span`` marks."""
+    gaps = np.concatenate([[0], np.cumsum(~span)]).tolist()
     runs = []
     for d in dims.tolist():
-        if runs and runs[-1][1] == d != skip and d - runs[-1][0] < size:
+        if (runs and gaps[d] == gaps[runs[-1][1]] and (runs[-1][0] < skip) == (d < skip)
+                and d - runs[-1][0] < size):
             runs[-1][1] = d + 1
         else:
             runs.append([d, d + 1])
     return runs
 
 
-def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
+def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, strips: list,
                             threads: int | None, lend: Callable) -> MagnitudeMap:
     """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
-    std s, strip by strip of ``features._strips``: g's held dims are the
-    (D - L, height, width) array ``g``, and the L = len(s) - len(g) leading
-    ones are recomputed sub-strip by sub-strip by ``lend`` (see
-    ``_difference``), each of whose sub-strips takes all its dims at once.
+    std s, strip by strip of ``strips``: g's held dims are the (D - L,
+    height, width) array ``g``, and the L = len(s) - len(g) leading ones are
+    recomputed sub-strip by sub-strip by ``lend`` (see ``_difference``),
+    each of whose sub-strips takes all its dims at once.
 
     The live dims (``live`` true) of a (sub-)strip go in blocks of
-    consecutive dims.  A block's z, in a float32 buffer, is g's rows
+    consecutive dims, which may take in dead dims whose std bounds their
+    |g| below float32's overflow: with N = 2 * height * width pooled
+    values, every value lies within sqrt(N) * s_d of the pooled mean, so
+    |g_d| <= 2 * sqrt(N) * s_d.  Such a dim is divided by +inf, not s_d, so
+    it adds an exact +0 to every pixel's sum, the bits of skipping it, and
+    the blocks are fewer; any other dead dim (one whose std is not finite,
+    say) ends a block.  A block's z, in a float32 buffer, is g's rows
     divided by their stds, or for the leading dims a copy of f1's rows
     subtracted from a copy of f2's, divided by the stds in place: the
     roundings of g = f2 - f1 and of its quotient.  The copies are
@@ -284,17 +294,19 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
     those rows in order, so every pixel still adds its dims one at a time
     in dim order before the square root.  A block of one pixel is a
     column, which NumPy reduces as its first entry plus the pairwise sum of
-    the rest, so it takes one dim.  A dead dim is skipped, where zeroed it
-    would add an exact 0.  Every pixel's sum thus makes the additions of a
-    sum over the dims of the whole stack, whatever the strips, sub-strips
-    or blocks.  The float64 block, of at most ``features._BLOCK`` entries
-    with the total beside it, and z lie in the two idle buffers that
-    ``lend`` lends, so a worker holds no buffer of its own.  The strips run
-    on up to ``threads`` worker threads, each writing its own rows of rho.
+    the rest, so it takes one dim.  Every pixel's sum thus makes the
+    additions of a sum over the live dims of the whole stack, whatever the
+    strips, sub-strips or blocks.  The float64 block, of at most
+    ``features._BLOCK`` entries with the total beside it, and z lie in the
+    two idle buffers that ``lend`` lends, so a worker holds no buffer of its
+    own.  The strips run on up to ``threads`` worker threads, each writing
+    its own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
     dims = np.flatnonzero(live)
+    span = live | (sd.astype(np.float64) * np.sqrt(2 * h * w) < 2.0**120)
+    scale = np.where(live, sd, np.float32(np.inf))[:, None, None]
     rho = np.empty((h, w), np.float32)
 
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
@@ -308,7 +320,7 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
             wide, narrow, per = np.empty(3 * n), np.empty(n, np.float32), 1
         total = wide[(per + 1) * n:(per + 2) * n]
         total[...] = 0
-        for d0, d1 in _runs(dims, skip, per):
+        for d0, d1 in _runs(dims, span, skip, per):
             z = narrow[:(d1 - d0) * n].reshape(d1 - d0, y1 - y0, w)
             block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
             if d0 < skip:
@@ -317,9 +329,9 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
                 np.copyto(z, f1[d0:d1])
                 np.copyto(rows2, f2[d0:d1])
                 np.subtract(rows2, z, out=z)
-                np.divide(z, sd[d0:d1, None, None], out=z)
+                np.divide(z, scale[d0:d1], out=z)
             else:
-                np.divide(g[d0 - skip:d1 - skip, y0:y1], sd[d0:d1, None, None], out=z)
+                np.divide(g[d0 - skip:d1 - skip, y0:y1], scale[d0:d1], out=z)
             block[0] = total
             squares = block[1:].reshape(z.shape)
             np.copyto(squares, z)
@@ -327,7 +339,7 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray,
             np.add.reduce(block, axis=0, out=total)
         rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
 
-    _pool_map(lambda bounds: lend(*bounds, add), _strips(h, w), threads)
+    _pool_map(lambda bounds: lend(*bounds, add), strips, threads)
     return MagnitudeMap(rho)
 
 
@@ -339,7 +351,7 @@ def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
     ``detect`` does.  ``threads`` bounds the worker threads of the strips
     in both passes (None: ``pool.default_threads()``); the result is
     bit-identical for every value."""
-    g, sd, live, lend = _difference(spec, x1, x2, threads)
-    m = _standardized_magnitude(g, sd, live, threads, lend)
+    g, sd, live, strips, lend = _difference(spec, x1, x2, threads)
+    m = _standardized_magnitude(g, sd, live, strips, threads, lend)
     del g, lend  # the stack and the strip buffers, before the threshold's copies of rho
     return threshold_magnitude(m)

@@ -19,9 +19,9 @@ computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
 through the strips in lockstep instead (``dcva._difference``), keeps only
 their difference, less the leading dims that it recomputes in a strip's
 own buffers (``_Extraction.leading``) when it takes the magnitude, and
-runs the strips on ``pool._pool_map``: they depend only on the image size
-and their moments are merged in strip order, so the output is
-bit-identical for every thread count.
+runs the strips on ``pool._pool_map``: their heights depend only on the
+extractor and the image's shape (``_HALOS``), and their moments are merged
+in strip order, so the output is bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _tile(fan_in: int) -> int:
 # Most float64 entries of a block of feature dims that ``_moments`` and
 # the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
 # call, in a strip worker's idle patch block, which holds 1.7 MiB: 1 MiB,
-# 8 dims of a strip of 16384 pixels, stays in a core's cache over the
+# 8 dims of 16384 pixels, stays in a core's cache over the
 # block's passes.  One dim a call spends its time in the calls; blocks of
 # 16 dims and more ran slower again on a 2 MiB L2 cache.
 _BLOCK = 2**17
@@ -163,17 +163,25 @@ def _blocks(n: int, size: int = _TILE) -> list[slice]:
     return [slice(p, min(p + size, n)) for p in range(0, n, size)]
 
 
-# Output pixels per strip, the piece of work of an extraction: a 128 x 128
-# image is one strip, and a 512-wide one has strips of 32 rows.  A strip
-# recomputes up to 2*pad rows a layer of its neighbours', so smaller strips
-# hold less memory and repeat more work.  Any size gives the same bits.
-_STRIP = 16384
+# The height of a strip, the piece of work of an extraction.  A strip of a
+# random-conv extraction recomputes up to 2*pad rows a layer of its
+# neighbours', a halo of 2*depth*pad rows over its layers, so it is at
+# least ``_HALOS`` halos tall, and otherwise as tall as holds ``_VALUES``
+# values of its widest stage (the most of its bands and its channels, a
+# row of the image's width each): at a width of 512, 48 rows for the stock
+# primary, whose halo then costs 9% more multiply-adds, and 16 for the
+# stock secondary, a 5.5 MiB worker.  An identity extraction's buffers are
+# fixed at ``_BLOCK`` sizes, so its strips hold at most ``_PIXELS`` pixels,
+# or one row.  Any height gives the same bits.
+_HALOS = 4
+_PIXELS = 16384
+_VALUES = 24 * _PIXELS
 
 
-def _strips(h: int, w: int) -> list[tuple[int, int]]:
-    """Row ranges [y0, y1) covering an h x w image in order: as few strips
-    of near-equal height as hold at most about ``_STRIP`` pixels each."""
-    n = min(h, -(-h * w // _STRIP))
+def _strips(h: int, rows: int) -> list[tuple[int, int]]:
+    """Row ranges [y0, y1) covering h rows in order: the fewest strips of
+    near-equal height of at most ``rows`` rows."""
+    n = -(-h // rows)
     return [(h * i // n, h * (i + 1) // n) for i in range(n)]
 
 
@@ -241,9 +249,12 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     zero-padded to a multiple of 16 columns: a GEMM column's bits then
     depend neither on the call's width nor on where the column sits in it
     (``tests/test_features.py`` checks the running BLAS), so not on the
-    strips or the tiles' width.  A GEMM lands rectified in the next stage's interior; the
-    columns that wrap past a row's end land in the border, which is
-    reflected over them.
+    strips or the tiles' width.  The GEMMs land in the next stage's
+    interior, the columns that wrap past a row's end in its border, and the
+    span they wrote is rectified in one call: NumPy takes two iteration
+    buffers for a strided span of fewer than about 3072 columns, as a
+    call per tile would often be.  The border is then reflected over the
+    wrapped columns.
     """
     c_in, h, w = x.shape
     pad, depth = k // 2, len(weights)
@@ -271,7 +282,8 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
             block[..., m:] = 0
             tile = dst_flat[:, shift + t.start:shift + t.start + cols]
             np.matmul(weights_l, block.reshape(c_in * k * k, cols), out=tile)
-            np.maximum(tile, 0.0, out=tile)
+        written = dst_flat[:, shift:shift + t.start + cols]
+        np.maximum(written, 0.0, out=written)
         if layer < depth:
             _reflect(dst, pad, b - a, a == 0, b == h)
         yield layer, dst[:, pad + y0 - a:pad + y1 - a, pad:pad + w]
@@ -279,7 +291,9 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
 
 
 class _Extraction:
-    """One extractor on one raster, strip by strip: ``dims`` is its D, and
+    """One extractor on one raster, strip by strip: ``dims`` is its D,
+    ``strips`` its row ranges (of the height that ``_HALOS`` describes,
+    which depends on the extractor and the raster's shape alone), and
     ``strip`` yields the tapped layers of a row range, computed in a
     random-conv extraction's ``scratch`` buffers, or IDENTITY's bands.
 
@@ -293,6 +307,7 @@ class _Extraction:
         self.spec, self.x, self.dims = spec, x, spec.expected_dims(x.bands)
         if spec.kind is ExtractorKind.IDENTITY:
             self.lead = x.bands
+            self.strips = _strips(x.height, max(1, _PIXELS // x.width))
             return
         pad = spec.kernel_size // 2
         if pad and min(x.height, x.width) <= pad:
@@ -304,25 +319,31 @@ class _Extraction:
         if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
             self.lead = spec.channels
         self.pad, self.wp = pad, x.width + 2 * pad
+        widest = max(x.bands, spec.channels)
+        self.strips = _strips(x.height, max(1, 2 * _HALOS * len(self.weights) * pad,
+                                            _VALUES // (widest * x.width)))
 
-    def scratch(self, rows: int) -> tuple[np.ndarray, ...]:
+    def scratch(self) -> tuple[np.ndarray, ...]:
         """The patch block and two stage buffers that ``_conv_layers`` runs
-        any strip of at most ``rows`` rows in.  The first stage buffer holds
-        the input stage and the even layers, the second the odd ones, each
-        as many entries as its tallest stage takes.  With a ``lead``, the
-        first also holds ``leading``'s input stage and parked rows of a
-        one-row sub-strip.  IDENTITY runs no layer: a patch block of 2 *
-        ``_BLOCK`` float32 entries and a buffer of ``_BLOCK``."""
+        any of the ``strips`` in, carved in that order from one float32
+        allocation.  The first stage buffer holds the input stage and the
+        even layers, the second the odd ones, each as many entries as its
+        tallest stage takes.  With a ``lead``, the first also holds
+        ``leading``'s input stage and parked rows of a one-row sub-strip.
+        IDENTITY runs no layer: a patch block of 2 * ``_BLOCK`` entries and
+        a buffer of ``_BLOCK``."""
         if self.spec.kind is ExtractorKind.IDENTITY:
-            return np.empty(2 * _BLOCK, np.float32), np.empty(_BLOCK, np.float32)
-        depth, pad, wp = len(self.weights), self.pad, self.wp
-        stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp) * wp
-                  for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
-        first, second = max(stages[0::2]), max(stages[1::2])
-        if self.lead:
-            first = max(first, self._leading_stages(1))
-        patch = max(w.shape[1] * _tile(w.shape[1]) for w in self.weights)
-        return tuple(np.empty(n, np.float32) for n in (patch, first, second))
+            sizes = [2 * _BLOCK, _BLOCK]
+        else:
+            depth, pad, wp = len(self.weights), self.pad, self.wp
+            rows = max(y1 - y0 for y0, y1 in self.strips)
+            stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp)
+                      * wp for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
+            first, second = max(stages[0::2]), max(stages[1::2])
+            if self.lead:
+                first = max(first, self._leading_stages(1))
+            sizes = [max(w.shape[1] * _tile(w.shape[1]) for w in self.weights), first, second]
+        return tuple(np.split(np.empty(sum(sizes), np.float32), np.cumsum(sizes)[:-1]))
 
     def _leading_stages(self, rows: int) -> int:
         """Entries that ``leading`` takes in the first stage buffer for
@@ -400,10 +421,9 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
     the stack; past the stack it holds one strip's buffers.
     """
     ex = _Extraction(spec, x)
-    strips = _strips(x.height, x.width)
-    scratch = ex.scratch(max(y1 - y0 for y0, y1 in strips))
+    scratch = ex.scratch()
     features = np.empty((x.height, x.width, ex.dims), np.float32)
-    for y0, y1 in strips:
+    for y0, y1 in ex.strips:
         for d, band in ex.strip(y0, y1, scratch):
             features[y0:y1, :, d:d + len(band)] = band.transpose(1, 2, 0)
     return features

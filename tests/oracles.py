@@ -6,7 +6,7 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 
 import numpy as np
 
-from cdconf.features import ExtractorKind, _conv_layers, _conv_weights, _strips
+from cdconf.features import ExtractorKind, _conv_layers, _conv_weights
 
 
 def live_reference(sd: np.ndarray) -> np.ndarray:
@@ -230,9 +230,29 @@ def recomputed_dims(spec, bands: int) -> int:
     return spec.channels if first < rest else 0
 
 
+def strip_partition(spec, bands: int, h: int, w: int) -> list[tuple[int, int]]:
+    """Row ranges of the strips of an extraction of an h x w raster of
+    ``bands`` bands, from the rule alone.  A random-conv strip is at least
+    four halos tall, 8 * depth * pad rows over the layers up to the deepest
+    tap, and otherwise as many rows of w values as hold 24 * 16384 values
+    of its widest stage, the most of the bands and the channels; an
+    identity strip holds at most 16384 pixels, or one row.  Under that
+    bound, the fewest strips of heights that differ by at most one row,
+    strip i of n ending at row h * (i + 1) // n."""
+    if spec.kind is ExtractorKind.IDENTITY:
+        most = max(1, 16384 // w)
+    else:
+        halo = 2 * spec.taps[-1] * (spec.kernel_size // 2)
+        most = max(1, 4 * halo, 24 * 16384 // (max(bands, spec.channels) * w))
+    n = -(-h // most)
+    ends = [h * (i + 1) // n for i in range(n)]
+    return list(zip([0] + ends[:-1], ends))
+
+
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
-    """Bytes one strip worker of a detection of an h x w image may hold, counted from the strip layout alone: a patch block of the
-    most entries over the layers up to the deepest tap, each
+    """Bytes one strip worker of a detection of an h x w image may hold,
+    counted from the strip layout alone: one float32 allocation of a patch
+    block of the most entries over the layers up to the deepest tap, each
     ``patch_columns`` wide, and two stage buffers.  A stage is a layer's
     rows (the input's as layer 0) of the tallest strip, with the halo rows
     of every layer after it up to the deepest tap, clipped to the image,
@@ -243,13 +263,12 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     tallest odd layer.  The moments and the magnitude pass work in these
     buffers, so they add nothing while three dims' rows of the tallest
     strip fit in ``features._BLOCK`` float64 entries of the patch block.
-    Beside them, two float32 buffers of ``np.getbufsize()`` entries, which
-    NumPy takes to iterate an elementwise operation over strided rows of a
-    stage, such as the rectifier of a GEMM tile of a few thousand columns,
-    in either pass.  An identity detection runs no layer: its worker holds
+    Beside it, two float32 buffers of ``np.getbufsize()`` entries, which
+    NumPy may take to iterate an elementwise operation over strided rows of
+    a stage.  An identity detection runs no layer: its worker holds
     a patch block of 2 * 2**17 float32 entries for the float64 blocks and a
     buffer of 2**17 for the magnitude pass's quotients."""
-    rows = max(y1 - y0 for y0, y1 in _strips(h, w))
+    rows = max(y1 - y0 for y0, y1 in strip_partition(spec, bands, h, w))
     if spec.kind is ExtractorKind.IDENTITY:
         patch, first, second = 2 * 2**17, 2**17, 0
     else:
@@ -288,7 +307,7 @@ def lead_ahead_magnitude_reference(spec, x1, x2, g: np.ndarray, sd: np.ndarray,
     """rho of a random-conv detection of the raster pair x1, x2 from its
     held difference stack ``g`` (every dim but the L = len(sd) - len(g)
     leading ones), float32 std and live mask, with the leading dims
-    recomputed a whole strip at a time: for each strip of ``_strips``,
+    recomputed a whole strip at a time: for each strip of ``strip_partition``,
     layer 1 alone runs on x1's rows in buffers of its own and is copied
     into an ``ahead`` buffer of the strip's rows, then runs on x2's rows in
     the same buffers, and ahead is subtracted from it in place.  Each live
@@ -300,7 +319,7 @@ def lead_ahead_magnitude_reference(spec, x1, x2, g: np.ndarray, sd: np.ndarray,
     k = spec.kernel_size
     weights = _conv_weights(spec, x1.bands)[:1]
     rho = np.empty((h, w), np.float32)
-    for y0, y1 in _strips(h, w):
+    for y0, y1 in strip_partition(spec, x1.bands, h, w):
         ahead = np.empty((skip, y1 - y0, w), np.float32)
         if skip:
             stage = max(x1.bands, spec.channels) * (y1 - y0 + 4 * k + 16) * (w + k)

@@ -24,7 +24,7 @@ import cdconf.dcva
 import cdconf.features
 from cdconf.errors import ShapeMismatch
 from cdconf.features import (
-    _STRIP,
+    _PIXELS,
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
@@ -286,8 +286,9 @@ class TestDetectPair:
         assert res.labels.changed.sum() == 0
         assert res.magnitude.rho.max() == 0.0
 
-    # 300x300 is 6 strips, 21 blocks of 4096 pixels and a ragged last block
-    # of 3984
+    # 300x300 is 4 strips of the primary, 12 of the secondary and 6 of
+    # identity, and 21 blocks of 4096 pixels and a ragged last block of 3984
+    # of the whole-stack path
     @pytest.mark.parametrize("role", ["primary", "secondary", "identity"])
     def test_bit_identical_to_whole_stack_path(self, role):
         spec = {"primary": default_primary_spec(0), "secondary": default_secondary_spec(0),
@@ -296,13 +297,13 @@ class TestDetectPair:
         x1, x2 = normalize_pair(t1, t2)
         res = detect_pair(x1, x2, spec)
         f1, f2 = extract(spec, x1), extract(spec, x2)
-        g, _, _, lend = _difference(spec, x1, x2)
+        g, _, _, strips, lend = _difference(spec, x1, x2)
         whole = (f2 - f1).transpose(2, 0, 1)
         skip = recomputed_dims(spec, x1.bands)
         # an identity detection holds no dim of g
         assert g.shape == (spec.expected_dims(x1.bands) - skip, 300, 300)
         assert np.array_equal(g, whole[skip:])
-        strips = _strips(300, 300)
+        assert strips == cdconf.features._Extraction(spec, x1).strips
         if skip:
             ahead, cuts = np.empty((skip, 300, 300), np.float32), []
 
@@ -322,9 +323,8 @@ class TestDetectPair:
             lent = []
             lend(0, 300, lambda *a: lent.append(a))
             assert [a[:4] for a in lent] == [(0, 300, None, None)]
-            rows = max(y1 - y0 for y0, y1 in strips)
             assert ([len(a) for a in lent[0][4]]
-                    == [len(a) for a in cdconf.features._Extraction(spec, x1).scratch(rows)[:2]])
+                    == [len(a) for a in cdconf.features._Extraction(spec, x1).scratch()[:2]])
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -381,18 +381,19 @@ class TestDetectPair:
                                                                size, threads):
         h, w = {"128x128": (128, 128), "257x513": (257, 513), "one-row-strips": (40, 96)}[size]
         if size == "one-row-strips":
-            monkeypatch.setattr(cdconf.features, "_STRIP", w)
+            monkeypatch.setattr(cdconf.features, "_HALOS", 0)
+            monkeypatch.setattr(cdconf.features, "_VALUES", 1)
         rng = np.random.Generator(np.random.Philox(key=h * w))
         bands = 100 if role == "secondary-100-bands" else 4
         x1, x2 = (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
         spec = (default_primary_spec if role == "primary" else default_secondary_spec)(0)
-        g, sd, live, lead = _difference(spec, x1, x2, threads)
+        g, sd, live, strips, lead = _difference(spec, x1, x2, threads)
         f1, f2 = extract(spec, x1), extract(spec, x2)
         whole = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
         skip = recomputed_dims(spec, bands)
         assert skip == (48 if role == "secondary" else 0)
         assert np.array_equal(g, whole[skip:])
-        rho = _standardized_magnitude(g, sd, live, threads, lead).rho
+        rho = _standardized_magnitude(g, sd, live, strips, threads, lead).rho
         assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
         assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
 
@@ -426,8 +427,8 @@ class TestRecomputedLeadingDims:
     stack, bit for bit."""
 
     def _check(self, spec, x1, x2, threads):
-        g, sd, live, lend = _difference(spec, x1, x2, threads)
-        rho = _standardized_magnitude(g, sd, live, threads, lend).rho
+        g, sd, live, strips, lend = _difference(spec, x1, x2, threads)
+        rho = _standardized_magnitude(g, sd, live, strips, threads, lend).rho
         assert np.array_equal(rho, lead_ahead_magnitude_reference(spec, x1, x2, g, sd, live))
         whole = np.ascontiguousarray((extract(spec, x2) - extract(spec, x1)).transpose(2, 0, 1))
         assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
@@ -448,12 +449,14 @@ class TestRecomputedLeadingDims:
         monkeypatch.setattr(cdconf.features._Extraction, "leading", recorded)
         return cuts
 
-    # a 300x130 image is three strips of 100 rows, each two sub-strips of
-    # 50 with 1 to 16 bands; with 16 bands layer 1 still costs less than
-    # layer 2 (16 < 48 channels), and with 100 it is held
+    # a 300x130 image in strips of 100 rows of 48 channels is three
+    # strips, each two sub-strips of 50 with 1 to 16 bands; with 16 bands
+    # layer 1 still costs less than layer 2 (16 < 48 channels), and with
+    # 100 it is held
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bands", [1, 4, 16, 100])
     def test_stock_secondary(self, monkeypatch, bands, threads):
+        monkeypatch.setattr(cdconf.features, "_VALUES", 100 * 130 * 48)
         spec = default_secondary_spec(0)
         assert recomputed_dims(spec, bands) == (0 if bands == 100 else 48)
         cuts = self._record_sub_strips(monkeypatch)
@@ -461,11 +464,13 @@ class TestRecomputedLeadingDims:
         if bands < 100:
             assert sorted(cuts) == sorted([(y, y + 50) for y in range(0, 300, 50)] * 2)
 
-    # a 57x513 image is strips of 28 and 29 rows: sub-strips of at most
-    # 7 rows cut them into 7, 7, 7, 7 and 5, 6, 6, 6, 6
+    # a 57x513 image in strips of at most 29 rows of 48 channels is strips
+    # of 28 and 29 rows: sub-strips of at most 7 rows cut them into 7, 7,
+    # 7, 7 and 5, 6, 6, 6, 6
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("most", [1, 2, 3, 7])
     def test_forced_sub_strip_heights(self, monkeypatch, most, threads):
+        monkeypatch.setattr(cdconf.features, "_VALUES", 29 * 513 * 48)
         monkeypatch.setattr(cdconf.features._Extraction, "sub_rows", lambda self, first: most)
         cuts = self._record_sub_strips(monkeypatch)
         self._check(default_secondary_spec(0), *self._pair(4, 57, 513), threads)
@@ -506,7 +511,7 @@ class TestRecomputedLeadingDims:
 
         g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
         ones = np.ones(len(dims), np.float32)
-        rho = _standardized_magnitude(g, ones, ones > 0, 1, lend).rho
+        rho = _standardized_magnitude(g, ones, ones > 0, [(0, h)], 1, lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
     @pytest.mark.parametrize("role", ["secondary", "identity"])
@@ -519,10 +524,10 @@ class TestRecomputedLeadingDims:
                 "identity": ExtractorSpec(kind=ExtractorKind.IDENTITY)}[role]
         t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
         x1, x2 = normalize_pair(t1, t2)
-        g, sd, live, lend = _difference(spec, x1, x2, 1)
+        g, sd, live, strips, lend = _difference(spec, x1, x2, 1)
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(g, sd, live, 1, lend)
+            m = _standardized_magnitude(g, sd, live, strips, 1, lend)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -545,9 +550,11 @@ class TestStandardizedMagnitude:
         strips with identity features, checked against the magnitude pass
         on the whole difference stack."""
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
-        rho = detect_pair(x1, x2, ExtractorSpec(kind=ExtractorKind.IDENTITY)).magnitude.rho
+        identity = ExtractorSpec(kind=ExtractorKind.IDENTITY)
+        rho = detect_pair(x1, x2, identity).magnitude.rho
         g = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
-        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2), None,
+        strips = cdconf.features._Extraction(identity, x1).strips
+        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2), strips, None,
                                                       _own_lend).rho, rho)
         return rho
 
@@ -575,7 +582,7 @@ class TestStandardizedMagnitude:
             f[..., 2] += np.float32(1000)
         self._assert_bit_identical(f1, f2)
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
-        _, sd, live, _ = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
+        _, sd, live, _, _ = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
         pooled = np.concatenate([f1[..., 2].ravel(), f2[..., 2].ravel()]).astype(np.float64)
         want = np.sqrt(np.mean((pooled - pooled.mean()) ** 2))
         assert live[2] and abs(float(sd[2]) - want) <= 1e-6 * want
@@ -598,7 +605,7 @@ class TestStandardizedMagnitude:
         live = np.arange(96) % 7 != 0
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(g, sd, live, 1, _own_lend)
+            m = _standardized_magnitude(g, sd, live, _strips(256, 64), 1, _own_lend)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -609,10 +616,85 @@ class TestStandardizedMagnitude:
     @pytest.mark.parametrize("live", [[], [0], [0, 1, 2], [0, 2, 3, 4, 9], list(range(20))])
     def test_runs_of_live_dims(self, live):
         # consecutive dims, at most 3 a run, none across the 5 recomputed
-        runs = _runs(np.array(live, dtype=np.int64), 5, 3)
+        span = np.isin(np.arange(20), live)
+        runs = _runs(np.array(live, dtype=np.int64), span, 5, 3)
         assert [d for d0, d1 in runs for d in range(d0, d1)] == live
         assert all(0 < d1 - d0 <= 3 and (d1 <= 5 or d0 >= 5) for d0, d1 in runs)
         assert all(b[0] > a[1] or b[0] == 5 or a[1] - a[0] == 3 for a, b in zip(runs, runs[1:]))
+
+    # the live dims 0, 2, 3, 4 and 9: a run takes in dim 1 only when the
+    # mask marks it, and never crosses the 5 recomputed dims or holds more
+    # than 3 dims
+    @pytest.mark.parametrize("spanned,want", [([], [[0, 1], [2, 5], [9, 10]]),
+                                              ([1, 5, 6, 7, 8], [[0, 3], [3, 5], [9, 10]]),
+                                              ([5, 6, 7, 8], [[0, 1], [2, 5], [9, 10]])])
+    def test_runs_take_in_the_dead_dims_the_mask_marks(self, spanned, want):
+        live = [0, 2, 3, 4, 9]
+        span = np.isin(np.arange(12), live + spanned)
+        assert _runs(np.array(live), span, 5, 3) == want
+
+    def _spanned_case(self, key, d, skip):
+        """A (d, 6, 96) difference stack of which dims 3 and 8 are dead, with
+        finite stds, and a ``lend`` that recomputes its first ``skip`` dims:
+        rows of zeros as f1 and of g as f2, in sub-strips of 2 rows."""
+        rng = np.random.Generator(np.random.Philox(key=key))
+        g = rng.normal(size=(d, 6, 96)).astype(np.float32)
+        sd = (rng.random(d) + 0.5).astype(np.float32)
+        live = ~np.isin(np.arange(d), [3, 8])
+
+        def lend(y0, y1, visit):
+            for s0 in range(y0, y1, 2):
+                s1 = min(s0 + 2, y1)
+                rows = g[:skip, s0:s1]
+                visit(s0, s1, np.zeros_like(rows), rows,
+                      (np.empty(2 * 2**17, np.float32), np.empty(2**17, np.float32)))
+
+        return g, sd, live, lend
+
+    def _skipping(self, g, sd, live):
+        """rho with the dead dims skipped: each live dim's float64 square of
+        its float32 quotient added in dim order."""
+        total = np.zeros(g.shape[1:])
+        for d in np.flatnonzero(live):
+            total += np.square(g[d] / sd[d], dtype=np.float64)
+        return np.sqrt(total).astype(np.float32)
+
+    def _recorded_runs(self, monkeypatch) -> list[list[int]]:
+        runs, original = [], cdconf.dcva._runs
+
+        def recorded(*args):
+            got = original(*args)
+            runs.extend(got)
+            return got
+
+        monkeypatch.setattr(cdconf.dcva, "_runs", recorded)
+        return runs
+
+    # dead dims 3 and 8 with finite stds, held or recomputed, each inside a
+    # block of live dims, divided by +inf: the bits of skipping them
+    @pytest.mark.parametrize("skip", [0, 6, 12])
+    def test_a_block_spanning_a_dead_dim_gives_the_bits_of_skipping_it(self, monkeypatch,
+                                                                       skip):
+        g, sd, live, lend = self._spanned_case(37, 12, skip)
+        runs = self._recorded_runs(monkeypatch)
+        rho = _standardized_magnitude(g[skip:], sd, live, [(0, 3), (3, 6)], 1, lend).rho
+        assert any(d0 < 3 < d1 for d0, d1 in runs) and any(d0 < 8 < d1 for d0, d1 in runs)
+        assert np.array_equal(rho, self._skipping(g, sd, live))
+
+    # a dead dim whose std is not finite, or so large that its |g| may
+    # overflow float32, may hold non-finite g: it still ends a block, so
+    # rho stays the finite sum of the live dims
+    @pytest.mark.parametrize("std,value", [(np.inf, np.inf), (np.nan, np.nan),
+                                           (1e37, np.inf)])
+    def test_a_dead_dim_with_unbounded_std_ends_a_block(self, monkeypatch, std, value):
+        g, sd, live, lend = self._spanned_case(38, 12, 0)
+        g[3, 2, 5], sd[3] = value, std
+        runs = self._recorded_runs(monkeypatch)
+        rho = _standardized_magnitude(g, sd, live, [(0, 6)], 1, lend).rho
+        assert not any(d0 < 3 < d1 for d0, d1 in runs)
+        assert any(d0 < 8 < d1 for d0, d1 in runs)
+        assert np.isfinite(rho).all()
+        assert np.array_equal(rho, self._skipping(g, sd, live))
 
     # a 6x96 image is one strip of 576 pixels: a float64 block too small
     # for one dim, blocks of one dim and of three beside the running total
@@ -631,17 +713,20 @@ class TestStandardizedMagnitude:
     # in that order (m^2 has an ulp of 256), while an order that sums 150 of
     # them first lands two ulps past m^2 and rounds rho up to 2^30 + 128.
     # Strips of one pixel (a 1x1 image, or one-row strips of a 3x1 one),
-    # and of 2 and 6
+    # and of 2 and 6: the identity strips of each image (at most _PIXELS
+    # pixels), but a 3x1 image's, which are one pixel each
     @pytest.mark.parametrize("block", [8, 152 * 6, 2**17])
-    @pytest.mark.parametrize("h,w,strip", [(1, 1, _STRIP), (3, 1, 1), (1, 2, _STRIP),
-                                           (2, 3, _STRIP)])
-    def test_adds_the_dims_one_at_a_time_in_dim_order(self, monkeypatch, block, h, w, strip):
+    @pytest.mark.parametrize("h,w,pixels", [(1, 1, _PIXELS), (3, 1, 1), (1, 2, _PIXELS),
+                                            (2, 3, _PIXELS)])
+    def test_adds_the_dims_one_at_a_time_in_dim_order(self, monkeypatch, block, h, w, pixels):
         monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
-        monkeypatch.setattr(cdconf.features, "_STRIP", strip)
+        monkeypatch.setattr(cdconf.features, "_PIXELS", pixels)
         dims = [2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300
         g = np.repeat(np.array(dims, np.float32), h * w).reshape(-1, h, w)
+        strips = cdconf.features._Extraction(ExtractorSpec(kind=ExtractorKind.IDENTITY),
+                                             Raster(g[:1])).strips
         rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool),
-                                      None, _own_lend).rho
+                                      strips, None, _own_lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdconf.dcva
 import cdconf.features
 import cdconf.pool
 from cdconf.dcva import detect_pair
 from cdconf.errors import EmptyTapSet, InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import (
-    _STRIP,
     _TILE,
     ExtractorKind,
     ExtractorSpec,
@@ -23,7 +23,6 @@ from cdconf.features import (
     _moments,
     _pooled,
     _pooled_std,
-    _strips,
     default_primary_spec,
     default_secondary_spec,
     extract,
@@ -39,6 +38,7 @@ from oracles import (
     moments_per_channel,
     recomputed_dims,
     standardized_magnitude_reference,
+    strip_partition,
     strip_worker_nbytes,
     zscore_pair_reference,
 )
@@ -182,12 +182,15 @@ class TestRandomConv:
 
     # 2500, 100, 13, 9 or 1 strips of a 2500x40 image, down to strips of
     # one row, each with its own cuts into tiles, must leave the bits of the
-    # whole-image pass
+    # whole-image pass: with no halo floor, a strip holds ``strip`` pixels'
+    # values of the widest stage, 5 channels
     @pytest.mark.parametrize("strip", [1, 1000, 2 * _TILE, 3 * _TILE, 10**9])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_bit_identical_for_every_strip_height(self, monkeypatch, k, strip):
         x, s, want = _tiled_case(k, "narrow-rings")
-        monkeypatch.setattr(cdconf.features, "_STRIP", strip)
+        monkeypatch.setattr(cdconf.features, "_HALOS", 0)
+        monkeypatch.setattr(cdconf.features, "_VALUES", strip * 5)
+        assert len(cdconf.features._Extraction(s, x).strips) == min(2500, -(-100000 // strip))
         assert np.array_equal(extract(s, x), want)
 
     # the same for both rasters of a pair in lockstep, their strips on one,
@@ -198,7 +201,8 @@ class TestRandomConv:
     def test_detect_pair_bit_identical_for_every_strip_height(self, monkeypatch, k, strip,
                                                               threads):
         x1, x2, s, want = _tiled_pair(k, "narrow-rings")
-        monkeypatch.setattr(cdconf.features, "_STRIP", strip)
+        monkeypatch.setattr(cdconf.features, "_HALOS", 0)
+        monkeypatch.setattr(cdconf.features, "_VALUES", strip * 5)
         assert np.array_equal(detect_pair(x1, x2, s, threads=threads).magnitude.rho, want)
 
     # the stock extractors on a size whose whole-image tiles end in a
@@ -209,21 +213,64 @@ class TestRandomConv:
     def test_stock_extractors_bit_identical_for_every_strip_height(self, monkeypatch,
                                                                  spec, rows):
         x = _raster(seed=23, bands=4, h=257, w=513)
-        monkeypatch.setattr(cdconf.features, "_STRIP", 10**9)
+        monkeypatch.setattr(cdconf.features, "_VALUES", 10**9)
         whole = extract(spec, x)
-        monkeypatch.setattr(cdconf.features, "_STRIP", rows * 513)
+        monkeypatch.setattr(cdconf.features, "_HALOS", 0)
+        monkeypatch.setattr(cdconf.features, "_VALUES", rows * 513 * spec.channels)
         assert np.array_equal(extract(spec, x), whole)
 
-    def test_strips_follow_the_image_size(self):
-        for h, w in [(1, 1), (128, 128), (512, 512), (257, 513), (2500, 40), (3, 10**5)]:
-            strips = _strips(h, w)
-            assert strips[0][0] == 0 and strips[-1][1] == h
-            assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
-            heights = {y1 - y0 for y0, y1 in strips}
-            assert min(heights) >= 1 and max(heights) - min(heights) <= 1
-            assert len(strips) == min(h, -(-h * w // _STRIP))
-        assert _strips(128, 128) == [(0, 128)]
-        assert len(_strips(512, 512)) == 16
+    # the most rows a strip of each extraction takes at widths 64 to 2048:
+    # four halos (48 rows of the depth-6 primary, 16 of the depth-2
+    # secondary), or 24 * 16384 values of the widest stage, 16 or 48
+    # channels; an identity strip holds 16384 pixels.  768 rows are a
+    # whole number of strips of each
+    @pytest.mark.parametrize("w,primary,secondary,identity", [
+        (64, 384, 128, 256), (128, 192, 64, 128), (512, 48, 16, 32), (1024, 48, 16, 16),
+        (2048, 48, 16, 8)])
+    def test_strips_follow_the_image_size(self, w, primary, secondary, identity):
+        x = Raster(np.zeros((4, 768, w), np.float32))
+        for spec, rows in [(default_primary_spec(0), primary), (default_secondary_spec(0), secondary),
+                           (ExtractorSpec(kind=ExtractorKind.IDENTITY), identity)]:
+            strips = cdconf.features._Extraction(spec, x).strips
+            assert strips == [(y, y + rows) for y in range(0, 768, rows)]
+            assert strips == strip_partition(spec, 4, 768, w)
+
+    # near-equal strips that cover the image in order, as the oracle cuts them
+    @pytest.mark.parametrize("h,w", [(2, 2), (128, 128), (512, 512), (257, 513), (2500, 40),
+                                     (3, 10**5)])
+    @pytest.mark.parametrize("spec,bands", [(default_primary_spec(0), 4),
+                                            (default_secondary_spec(0), 4),
+                                            (default_secondary_spec(0), 100),
+                                            (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4)],
+                             ids=["primary", "secondary", "secondary-100", "identity"])
+    def test_strips_cover_the_image_in_near_equal_heights(self, spec, bands, h, w):
+        strips = cdconf.features._Extraction(spec, Raster(np.zeros((bands, h, w), np.float32))).strips
+        assert strips[0][0] == 0 and strips[-1][1] == h
+        assert all(a[1] == b[0] for a, b in zip(strips, strips[1:]))
+        heights = {y1 - y0 for y0, y1 in strips}
+        assert min(heights) >= 1 and max(heights) - min(heights) <= 1
+        assert strips == strip_partition(spec, bands, h, w)
+
+    # the moments merge strip by strip, so the replay's bytes rest on a
+    # partition that both passes take whatever the thread count
+    @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0),
+                                      ExtractorSpec(kind=ExtractorKind.IDENTITY)],
+                             ids=["primary", "secondary", "identity"])
+    def test_strips_do_not_depend_on_threads(self, monkeypatch, spec):
+        x1, x2 = _raster(seed=3, bands=4, h=300, w=200), _raster(seed=4, bands=4, h=300, w=200)
+        passes, pool_map = [], cdconf.dcva._pool_map
+
+        def recorded(fn, items, threads):
+            passes.append((threads, list(items)))
+            return pool_map(fn, items, threads)
+
+        monkeypatch.setattr(cdconf.dcva, "_pool_map", recorded)
+        for threads in (1, 2, 3, None):
+            detect_pair(x1, x2, spec, threads=threads)
+        want = strip_partition(spec, 4, 300, 200)
+        assert len(want) > 1
+        assert [t for t, _ in passes] == [1, 1, 2, 2, 3, 3, None, None]
+        assert all(items == want for _, items in passes)
 
     def test_runs_only_up_to_the_deepest_tap(self, monkeypatch):
         # the weights are drawn layer by layer, so the first two layers of a
@@ -259,9 +306,9 @@ class TestRandomConv:
         assert cdconf.features._Extraction(spec, x).lead == lead
 
     # a worker's buffers are what the oracle counts from the strip layout:
-    # stage buffers per layer parity, a patch block of at most 432 x 1024,
-    # room for one-row sub-strips of the recomputed tap, and NumPy's
-    # iteration buffers beside them
+    # one allocation of stage buffers per layer parity, a patch block of at
+    # most 432 x 1024, room for one-row sub-strips of the recomputed tap,
+    # and NumPy's iteration buffers beside it
     @pytest.mark.parametrize("h,w", [(256, 256), (57, 513), (40, 1000), (3, 2000)])
     @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
                                             (default_secondary_spec(0), 16),
@@ -272,16 +319,19 @@ class TestRandomConv:
                                   "identity"])
     def test_a_strip_worker_holds_what_the_oracle_counts(self, spec, bands, h, w):
         x = _raster(seed=6, bands=bands, h=h, w=w)
-        rows = max(y1 - y0 for y0, y1 in _strips(h, w))
-        scratch = cdconf.features._Extraction(spec, x).scratch(rows)
-        held = sum(a.nbytes for a in scratch) + 8 * np.getbufsize()
-        assert held == strip_worker_nbytes(spec, bands, h, w)
+        scratch = cdconf.features._Extraction(spec, x).scratch()
+        whole = scratch[0].base
+        assert all(a.base is whole for a in scratch)
+        assert sum(a.nbytes for a in scratch) == whole.nbytes
+        assert whole.nbytes + 8 * np.getbufsize() == strip_worker_nbytes(spec, bands, h, w)
 
-    def test_more_workers_than_cores_with_fast_switching(self):
-        # seven strips of both images writing one difference stack, then
-        # the same seven strips recomputing its layer-1 tap for the
-        # magnitude, side by side; a switch every microsecond interleaves
-        # them as finely as the interpreter allows
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # seven strips of both images (of 16384 pixels' values of the widest
+        # stage, 5 channels) writing one difference stack, then the same
+        # seven strips recomputing its layer-1 tap for the magnitude, side
+        # by side; a switch every microsecond interleaves them as finely as
+        # the interpreter allows
+        monkeypatch.setattr(cdconf.features, "_VALUES", 16384 * 5)
         x1, x2, s, want = _tiled_pair(3, "narrow-rings")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -292,15 +342,17 @@ class TestRandomConv:
         assert np.array_equal(got.magnitude.rho, want)
 
     def test_no_more_workers_than_tiles(self, monkeypatch):
-        # a 160x128 image is two strips, which both passes run on
+        # the stock secondary cuts a 128x128 image into two strips of 64
+        # rows, which both passes run on
         sizes = _record_pools(monkeypatch, 2)
-        x1, x2 = _raster(seed=3, bands=4, h=160, w=128), _raster(seed=4, bands=4, h=160, w=128)
+        x1, x2 = _raster(seed=3, bands=4, h=128, w=128), _raster(seed=4, bands=4, h=128, w=128)
         detect_pair(x1, x2, default_secondary_spec(0), threads=10**6)
         assert sizes == [2, 2]
 
     def test_no_more_workers_than_the_cap(self, monkeypatch):
-        # a 384x512 image is 12 strips, more pieces than the cap, in both
-        # passes
+        # a 384x512 image in strips of 32 rows of 4 channels is 12 strips,
+        # more pieces than the cap, in both passes
+        monkeypatch.setattr(cdconf.features, "_VALUES", 32 * 512 * 4)
         sizes = _record_pools(monkeypatch, _MAX_WORKERS)
         x1, x2 = _raster(seed=3, bands=4, h=384, w=512), _raster(seed=4, bands=4, h=384, w=512)
         s = ExtractorSpec(depth=2, taps=(2,), channels=4, seed=3)
@@ -317,7 +369,9 @@ class TestRandomConv:
         assert sizes == []
 
     def test_no_threads_given_means_the_default(self, monkeypatch):
-        # a 1000x40 image is three strips
+        # a 1000x40 image in strips of at most 400 rows of 5 channels is
+        # three strips
+        monkeypatch.setattr(cdconf.features, "_VALUES", 400 * 40 * 5)
         monkeypatch.setattr(cdconf.pool, "default_threads", lambda: 2)
         sizes = _record_pools(monkeypatch, 2)
         x1, x2, s, want = _tiled_pair(3, "narrow")
@@ -682,7 +736,8 @@ class TestStridedPatches:
         x = _raster(seed=w + k, bands=4, h=11, w=w)
         s = ExtractorSpec(depth=2, taps=(1, 2), channels=5, kernel_size=k, seed=k)
         if strip == "one-row":
-            monkeypatch.setattr(cdconf.features, "_STRIP", w)
+            monkeypatch.setattr(cdconf.features, "_HALOS", 0)
+            monkeypatch.setattr(cdconf.features, "_VALUES", 5 * w)
         got = extract(s, x)
         monkeypatch.setattr(cdconf.features, "_im2col", im2col_slices)
         assert np.array_equal(got, extract(s, x))
@@ -718,6 +773,48 @@ class TestStridedPatches:
         short = self._stage(c, rows - 1, wp, spare=10 * wp)
         with pytest.raises(InvariantViolation, match="read past a stage"):
             _im2col(short, start, np.empty((c, k, k, m), np.float32))
+
+
+class TestRectifier:
+    """Each conv layer of a strip is rectified in one call over the span
+    its GEMMs wrote, with no iteration buffer, where a call per GEMM tile
+    of fewer than about 3072 columns took two of 32 KiB."""
+
+    def _strip(self, spec):
+        x = _raster(seed=24, bands=4, h=64, w=512)
+        ex = cdconf.features._Extraction(spec, x)
+        return ex, ex.strips[1], ex.scratch()
+
+    @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
+                             ids=["primary", "secondary"])
+    def test_one_call_a_layer(self, monkeypatch, spec):
+        ex, (y0, y1), scratch = self._strip(spec)
+        calls, maximum = [], np.maximum
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return maximum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "maximum", counted)
+        taps = [d for d, _ in ex.strip(y0, y1, scratch)]
+        assert len(taps) == len(spec.taps)
+        assert len(calls) == spec.depth
+
+    # the secondary's layer 2 runs GEMM tiles of 1024 columns
+    @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
+                             ids=["primary", "secondary"])
+    def test_a_strip_takes_no_iteration_buffer(self, spec):
+        ex, (y0, y1), scratch = self._strip(spec)
+        for _ in ex.strip(y0, y1, scratch):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in ex.strip(y0, y1, scratch):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
 
 
 class TestMomentBlocks:
