@@ -191,12 +191,12 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     leading ones of the extraction's ``lead``, which cost less to recompute
     than to hold (all of an identity extraction's, 48 of the stock
     secondary's 96).  ``lend(y0, y1, visit)`` takes a worker's scratch
-    buffers and, for each sub-strip [s0, s1) of rows [y0, y1) that
-    ``_Extraction.leading`` cuts, calls ``visit(s0, s1, f1, f2, idle)``
-    with the (L, s1 - s0, width) rows of f1's and f2's L leading dims (None
-    when L = 0), and ``idle``, two flat float32 buffers that hold nothing
-    meanwhile: the patch block and ``leading``'s head, which holds a dim of
-    the sub-strip's rows.  So the magnitude pass holds no buffer of its own.
+    buffers, recomputes rows [y0, y1) of f1's and f2's L leading dims in
+    them (``_Extraction.leading``) and calls ``visit(y0, y1, f1, f2, idle)``
+    once with those (L, y1 - y0, width) rows (None when L = 0) and
+    ``idle``, two flat float32 buffers that hold nothing meanwhile: the
+    patch block and ``leading``'s head, which holds a dim of the strip's
+    rows.  So the magnitude pass holds no buffer of its own.
 
     The strips, ``_Extraction.strips``, run on up to ``threads`` worker
     threads, each worker with one set of scratch buffers for the whole
@@ -244,8 +244,8 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
 
     def lend(y0: int, y1: int, visit: Callable) -> None:
         scratch = take_scratch()
-        for s0, s1, f1, f2, head in e1.leading(e2, y0, y1, scratch):
-            visit(s0, s1, f1, f2, (scratch[0], head))
+        f1, f2, head = e1.leading(e2, y0, y1, scratch)
+        visit(y0, y1, f1, f2, (scratch[0], head))
         free.append(scratch)
 
     sd, live = _pooled(b for pair in _pool_map(strip, e1.strips, threads) for b in pair)
@@ -272,10 +272,10 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
     std s, strip by strip of ``strips``: g's held dims are the (D - L,
     height, width) array ``g``, and the L = len(s) - len(g) leading ones are
-    recomputed sub-strip by sub-strip by ``lend`` (see ``_difference``),
-    each of whose sub-strips takes all its dims at once.
+    recomputed strip by strip by ``lend`` (see ``_difference``), all of a
+    strip's dims at once.
 
-    The live dims (``live`` true) of a (sub-)strip go in blocks of
+    The live dims (``live`` true) of a strip go in blocks of
     consecutive dims, which may take in dead dims whose std bounds their
     |g| below float32's overflow: with N = 2 * height * width pooled
     values, every value lies within sqrt(N) * s_d of the pooled mean, so
@@ -296,7 +296,7 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     column, which NumPy reduces as its first entry plus the pairwise sum of
     the rest, so it takes one dim.  Every pixel's sum thus makes the
     additions of a sum over the live dims of the whole stack, whatever the
-    strips, sub-strips or blocks.  The float64 block, of at most
+    strips or blocks.  The float64 block, of at most
     ``features._BLOCK`` entries with the total beside it, and z lie in the
     two idle buffers that ``lend`` lends, so a worker holds no buffer of its
     own.  The strips run on up to ``threads`` worker threads, each writing

@@ -328,10 +328,11 @@ class _Extraction:
         any of the ``strips`` in, carved in that order from one float32
         allocation.  The first stage buffer holds the input stage and the
         even layers, the second the odd ones, each as many entries as its
-        tallest stage takes.  With a ``lead``, the first also holds
-        ``leading``'s input stage and parked rows of a one-row sub-strip.
-        IDENTITY runs no layer: a patch block of 2 * ``_BLOCK`` entries and
-        a buffer of ``_BLOCK``."""
+        tallest stage takes.  With a ``lead``, ``leading`` runs layer 1 on
+        both rasters of the tallest strip in them: the first also holds this
+        raster's layer-1 rows, the second the other raster's input stage
+        and its layer-1 rows after it.  IDENTITY runs no layer: a patch block
+        of 2 * ``_BLOCK`` entries and a buffer of ``_BLOCK``."""
         if self.spec.kind is ExtractorKind.IDENTITY:
             sizes = [2 * _BLOCK, _BLOCK]
         else:
@@ -341,25 +342,12 @@ class _Extraction:
                       * wp for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
             first, second = max(stages[0::2]), max(stages[1::2])
             if self.lead:
-                first = max(first, self._leading_stages(1))
+                tap = self.lead * _stage_rows(rows, pad, wp) * wp
+                first = max(first, tap)
+                second = max(second, tap + self.x.bands * wp
+                             * _stage_rows(min(self.x.height, rows + 2 * pad), pad, wp))
             sizes = [max(w.shape[1] * _tile(w.shape[1]) for w in self.weights), first, second]
         return tuple(np.split(np.empty(sum(sizes), np.float32), np.cumsum(sizes)[:-1]))
-
-    def _leading_stages(self, rows: int) -> int:
-        """Entries that ``leading`` takes in the first stage buffer for
-        sub-strips of up to ``rows`` rows: an input stage and the parked
-        rows of layer 1's output stage."""
-        pad, wp = self.pad, self.wp
-        return (self.x.bands * _stage_rows(rows + 2 * pad, pad, wp)
-                + self.lead * _stage_rows(rows, pad, wp)) * wp
-
-    def sub_rows(self, first: int) -> int:
-        """Most rows of a sub-strip of ``leading`` in a first stage buffer
-        of ``first`` entries: as many as let its input stage and parked
-        rows both fit, which grow by one row of the bands and one of the
-        lead channels a row."""
-        base = self._leading_stages(0)
-        return (first - base) // (self._leading_stages(1) - base)
 
     def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
         """Yield ``(d, band)`` for each tapped layer in order: ``band`` is a
@@ -374,42 +362,34 @@ class _Extraction:
             if layer in taps:
                 yield taps.index(layer) * c, band
 
-    def leading(self, other: _Extraction, y0: int, y1: int, scratch: tuple[np.ndarray, ...]):
-        """Yield ``(s0, s1, f1, f2, head)`` for the sub-strips [s0, s1) of
-        rows [y0, y1) in order: ``f1`` and ``f2`` are the (lead, s1 - s0,
-        width) rows of the ``lead`` leading dims of this extraction and of
-        ``other``, one of the same spec on a raster of the same shape, with
-        the bits ``strip`` gives them.  While the generator is suspended
-        the patch block is idle, and so is ``head``, a flat buffer that
-        holds at least one dim of a sub-strip's rows.  IDENTITY yields the
-        strip's bands, and no ``lead`` None, each as one sub-strip with the
-        second, or first, scratch buffer as ``head``.
+    def leading(self, other: _Extraction, y0: int, y1: int, scratch: tuple[np.ndarray, ...]
+                ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
+        """``(f1, f2, head)`` for rows [y0, y1): ``f1`` and ``f2`` are the
+        (lead, y1 - y0, width) rows of the ``lead`` leading dims of this
+        extraction and of ``other``, one of the same spec on a raster of the
+        same shape, with the bits ``strip`` gives them.  Until ``scratch``
+        is used again, the patch block is idle, and so is ``head``, a flat
+        buffer that holds at least one dim of the strip's rows.  IDENTITY
+        gives the strip's bands with the second scratch buffer as ``head``,
+        and no ``lead`` None and None with the first.
 
-        Otherwise layer 1 alone runs on both rasters, each taking its input
-        stage at the head of the first stage buffer.  This extraction's rows
-        land in that buffer's tail, parked there while ``other``'s land in
-        the second stage buffer; ``head`` is the entries ahead of the tail.
-        The sub-strips are the fewest of near-equal height of at most
-        ``sub_rows`` rows, so they repeat no row: a depth-1 run computes
-        only its own rows."""
+        Otherwise layer 1 alone runs on the strip's rows of both rasters, so
+        it computes no row twice.  This raster's input stage goes at the
+        head of the second stage buffer and its rows in the first; then the
+        other's input stage goes at the head of the second again, and its
+        rows in the second's tail.  ``head`` is the entries ahead of that
+        tail, the other's spent input stage."""
         if self.spec.kind is ExtractorKind.IDENTITY:
-            yield y0, y1, self.x.data[:, y0:y1], other.x.data[:, y0:y1], scratch[1]
-            return
+            return self.x.data[:, y0:y1], other.x.data[:, y0:y1], scratch[1]
         patch, first, second = scratch
         if not self.lead:
-            yield y0, y1, None, None, first
-            return
-        most = self.sub_rows(len(first))
-        head = len(first) - self.lead * _stage_rows(most, self.pad, self.wp) * self.wp
-        head, parked = first[:head], first[head:]
-        k, n = self.spec.kernel_size, -(-(y1 - y0) // most)
-        for i in range(n):
-            s0, s1 = y0 + (y1 - y0) * i // n, y0 + (y1 - y0) * (i + 1) // n
-            f1 = next(_conv_layers(self.x.data, self.weights[:1], k, s0, s1,
-                                   (patch, first, parked)))[1]
-            f2 = next(_conv_layers(other.x.data, other.weights[:1], k, s0, s1,
-                                   (patch, first, second)))[1]
-            yield s0, s1, f1, f2, head
+            return None, None, first
+        k = self.spec.kernel_size
+        head = second[:len(second) - self.lead * _stage_rows(y1 - y0, self.pad, self.wp) * self.wp]
+        f1 = next(_conv_layers(self.x.data, self.weights[:1], k, y0, y1, (patch, second, first)))[1]
+        f2 = next(_conv_layers(other.x.data, other.weights[:1], k, y0, y1,
+                               (patch, head, second[len(head):])))[1]
+        return f1, f2, head
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:

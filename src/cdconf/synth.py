@@ -16,6 +16,7 @@ first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,9 @@ class SceneSpec:
             raise RejectedValue("scene dimensions must be positive")
         if not 0 <= self.change_fraction < 1:
             raise RejectedValue(f"change_fraction must be in [0, 1), got {self.change_fraction}")
-        if self.change_contrast < 0 or self.sensor_noise < 0:
-            raise RejectedValue("contrast and noise levels must be >= 0")
+        for name in ("change_contrast", "sensor_noise"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN too
+                raise RejectedValue(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.texture_scale < 1:
             raise RejectedValue(f"texture_scale must be >= 1, got {self.texture_scale}")
 

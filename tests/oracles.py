@@ -258,14 +258,15 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     of every layer after it up to the deepest tap, clipped to the image,
     plus its border rows and the rows that 16 columns spill into.  The
     first buffer holds the tallest of the input stage and the even layers,
-    and, when a leading tap is recomputed (``recomputed_dims``), at least
-    the input stage and layer-1 rows of one row; the second holds the
-    tallest odd layer.  The moments and the magnitude pass work in these
-    buffers, so they add nothing while three dims' rows of the tallest
-    strip fit in ``features._BLOCK`` float64 entries of the patch block.
-    Beside it, two float32 buffers of ``np.getbufsize()`` entries, which
-    NumPy may take to iterate an elementwise operation over strided rows of
-    a stage.  An identity detection runs no layer: its worker holds
+    the second the tallest odd layer.  When a leading tap is recomputed
+    (``recomputed_dims``), the first also holds at least the layer-1 stage
+    of the tallest strip, and the second at least that stage after an input
+    stage of the strip's rows and one layer's halo.  The moments and the
+    magnitude pass work in these buffers, so they add nothing while three
+    dims' rows of the tallest strip fit in ``features._BLOCK`` float64
+    entries of the patch block.  Beside it, two float32 buffers of
+    ``np.getbufsize()`` entries, which NumPy may take to iterate an
+    elementwise operation over strided rows of a stage.  An identity detection runs no layer: its worker holds
     a patch block of 2 * 2**17 float32 entries for the float64 blocks and a
     buffer of 2**17 for the magnitude pass's quotients."""
     rows = max(y1 - y0 for y0, y1 in strip_partition(spec, bands, h, w))
@@ -279,7 +280,9 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
                   for layer, c in enumerate([bands] + [spec.channels] * depth)]
         first, second = max(stages[0::2]), max(stages[1::2])
         if recomputed_dims(spec, bands):
-            first = max(first, (bands * (1 + 2 * pad + extra) + spec.channels * (1 + extra)) * wp)
+            tap = spec.channels * (rows + extra) * wp
+            first = max(first, tap)
+            second = max(second, bands * (min(h, rows + 2 * pad) + extra) * wp + tap)
         fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
         patch = max(k * patch_columns(k) for k in fan_ins)
     assert 3 * rows * w <= min(patch // 2, 2**17)

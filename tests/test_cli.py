@@ -73,6 +73,17 @@ class TestSynth:
         ref = load_label_map(s / "reference.pgm")
         assert 0.9 * 0.08 <= ref.changed.mean() <= 1.1 * 0.08
 
+    @pytest.mark.parametrize("flag,field", [("--sensor-noise", "sensor_noise"),
+                                            ("--change-contrast", "change_contrast")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_levels(self, tmp_path, capsys, flag, field, value):
+        rc = main(["synth", "--out", str(tmp_path / "s"), "--width", "16", "--height", "16",
+                   flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite") and err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
+
 
 # (method, flag, value): a flag the method never reads is refused, not stored
 _UNREAD_FLAGS = [

@@ -305,19 +305,18 @@ class TestDetectPair:
         assert np.array_equal(g, whole[skip:])
         assert strips == cdconf.features._Extraction(spec, x1).strips
         if skip:
-            ahead, cuts = np.empty((skip, 300, 300), np.float32), []
+            ahead, visits = np.empty((skip, 300, 300), np.float32), []
 
-            def visit(s0, s1, a, b, idle):
+            def visit(y0, y1, a, b, idle):
                 # the lent buffers are free to overwrite
                 assert not any(np.shares_memory(i, f) for i in idle for f in (a, b))
-                ahead[:, s0:s1] = b - a
-                cuts.append((s0, s1))
+                ahead[:, y0:y1] = b - a
+                visits.append((y0, y1))
 
             for y0, y1 in strips:
                 lend(y0, y1, visit)
             assert np.array_equal(ahead, whole[:skip])
-            assert cuts[0][0] == 0 and cuts[-1][1] == 300
-            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+            assert visits == strips
         else:
             # nothing to recompute, but a worker's scratch buffers are lent
             lent = []
@@ -421,8 +420,8 @@ class TestDetectPair:
 
 
 class TestRecomputedLeadingDims:
-    """The magnitude pass recomputes the leading dims in sub-strips, in a
-    strip worker's scratch buffers; rho equals the whole-strip path that
+    """The magnitude pass recomputes the leading dims of each strip once, in
+    a strip worker's scratch buffers; rho equals the whole-strip path that
     copied them into a buffer of their own, and the magnitude of the whole
     stack, bit for bit."""
 
@@ -433,85 +432,84 @@ class TestRecomputedLeadingDims:
         whole = np.ascontiguousarray((extract(spec, x2) - extract(spec, x1)).transpose(2, 0, 1))
         assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
         assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
+        return strips
 
     def _pair(self, bands, h, w):
         rng = np.random.Generator(np.random.Philox(key=bands * h * w))
         return (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
 
-    def _record_sub_strips(self, monkeypatch) -> list[tuple[int, int]]:
-        cuts, leading = [], cdconf.features._Extraction.leading
+    def _record_leading(self, monkeypatch) -> list[tuple[int, int]]:
+        """The rows of each ``leading`` call, in the order the calls end."""
+        calls, leading = [], cdconf.features._Extraction.leading
 
         def recorded(self, other, y0, y1, scratch):
-            for cut in leading(self, other, y0, y1, scratch):
-                cuts.append(cut[:2])
-                yield cut
+            got = leading(self, other, y0, y1, scratch)
+            calls.append((y0, y1))
+            return got
 
         monkeypatch.setattr(cdconf.features._Extraction, "leading", recorded)
-        return cuts
+        return calls
 
     # a 300x130 image in strips of 100 rows of 48 channels is three
-    # strips, each two sub-strips of 50 with 1 to 16 bands; with 16 bands
-    # layer 1 still costs less than layer 2 (16 < 48 channels), and with
-    # 100 it is held
+    # strips with 1 to 16 bands, each recomputed in one call by each of the
+    # two detections that ``_check`` runs; with 16 bands layer 1 still
+    # costs less than layer 2 (16 < 48 channels), and with 100 it is held
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bands", [1, 4, 16, 100])
     def test_stock_secondary(self, monkeypatch, bands, threads):
         monkeypatch.setattr(cdconf.features, "_VALUES", 100 * 130 * 48)
         spec = default_secondary_spec(0)
         assert recomputed_dims(spec, bands) == (0 if bands == 100 else 48)
-        cuts = self._record_sub_strips(monkeypatch)
-        self._check(spec, *self._pair(bands, 300, 130), threads)
+        calls = self._record_leading(monkeypatch)
+        strips = self._check(spec, *self._pair(bands, 300, 130), threads)
+        assert sorted(calls) == sorted(strips * 2)
         if bands < 100:
-            assert sorted(cuts) == sorted([(y, y + 50) for y in range(0, 300, 50)] * 2)
+            assert strips == [(0, 100), (100, 200), (200, 300)]
 
     # a 57x513 image in strips of at most 29 rows of 48 channels is strips
-    # of 28 and 29 rows: sub-strips of at most 7 rows cut them into 7, 7,
-    # 7, 7 and 5, 6, 6, 6, 6
-    @pytest.mark.parametrize("threads", [1, 3])
-    @pytest.mark.parametrize("most", [1, 2, 3, 7])
-    def test_forced_sub_strip_heights(self, monkeypatch, most, threads):
+    # of 28 and 29 rows, whose last recomputed GEMM is ragged
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_strips_of_unequal_height(self, monkeypatch, threads):
         monkeypatch.setattr(cdconf.features, "_VALUES", 29 * 513 * 48)
-        monkeypatch.setattr(cdconf.features._Extraction, "sub_rows", lambda self, first: most)
-        cuts = self._record_sub_strips(monkeypatch)
-        self._check(default_secondary_spec(0), *self._pair(4, 57, 513), threads)
-        heights = {s1 - s0 for s0, s1 in cuts}
-        assert max(heights) == most and (min(heights) < most or most == 1)
-        cover = sorted(set(cuts))
-        assert cover[0][0] == 0 and cover[-1][1] == 57
-        assert all(a[1] == b[0] for a, b in zip(cover, cover[1:]))
+        calls = self._record_leading(monkeypatch)
+        strips = self._check(default_secondary_spec(0), *self._pair(4, 57, 513), threads)
+        assert strips == [(0, 28), (28, 57)]
+        assert sorted(calls) == sorted(strips * 2)
 
     # a 1x1 kernel recomputes its layer-1 tap on images of one pixel, one
-    # row, and one column cut into one-pixel sub-strips
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("h,w,most", [(1, 1, None), (1, 9, None), (5, 1, 1), (7, 1, 2)])
-    def test_one_pixel_sub_strips(self, monkeypatch, h, w, most, threads):
-        if most is not None:
-            monkeypatch.setattr(cdconf.features._Extraction, "sub_rows", lambda self, first: most)
+    # row, and one column in strips of one or two rows (``_VALUES`` holds
+    # that many rows of the 6 channels), one pixel each at one row
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("h,w,rows", [(1, 1, None), (1, 9, None), (5, 1, 1), (7, 1, 2)])
+    def test_one_pixel_strips(self, monkeypatch, h, w, rows, threads):
+        if rows is not None:
+            monkeypatch.setattr(cdconf.features, "_VALUES", rows * 6 * w)
         spec = ExtractorSpec(depth=3, taps=(1, 3), channels=6, kernel_size=1, seed=3)
         assert recomputed_dims(spec, 4) == 6
-        self._check(spec, *self._pair(4, h, w), threads)
+        calls = self._record_leading(monkeypatch)
+        strips = self._check(spec, *self._pair(4, h, w), threads)
+        assert max(y1 - y0 for y0, y1 in strips) == (rows or 1)
+        assert sorted(calls) == sorted(strips * 2)
 
     # the pixels of TestStandardizedMagnitude's order check, with the first
-    # 152 dims recomputed: f2 - f1 of them in sub-strips of ``most`` rows,
-    # one pixel each on a one-column image
+    # 152 dims recomputed: f2 - f1 of them in strips of ``rows`` rows, one
+    # pixel each on a one-column image
     @pytest.mark.parametrize("block", [8, 152 * 6, 2**17])
-    @pytest.mark.parametrize("h,w,most", [(1, 1, 1), (3, 1, 1), (3, 1, 2), (1, 2, 1), (2, 3, 2)])
+    @pytest.mark.parametrize("h,w,rows", [(1, 1, 1), (3, 1, 1), (3, 1, 2), (1, 2, 1), (2, 3, 2)])
     def test_adds_the_leading_dims_one_at_a_time_in_dim_order(self, monkeypatch, block,
-                                                              h, w, most):
+                                                              h, w, rows):
         monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
         dims = np.array([2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300, np.float32)
         skip = 152
 
         def lend(y0, y1, visit):
             idle = np.empty(2 * block, np.float32), np.empty(3 * block, np.float32)
-            for s0 in range(y0, y1, most):
-                s1 = min(s0 + most, y1)
-                f1 = np.repeat(dims[:skip], (s1 - s0) * w).reshape(skip, s1 - s0, w)
-                visit(s0, s1, f1, 2 * f1, idle)
+            f1 = np.repeat(dims[:skip], (y1 - y0) * w).reshape(skip, y1 - y0, w)
+            visit(y0, y1, f1, 2 * f1, idle)
 
         g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
         ones = np.ones(len(dims), np.float32)
-        rho = _standardized_magnitude(g, ones, ones > 0, [(0, h)], 1, lend).rho
+        rho = _standardized_magnitude(g, ones, ones > 0, _strips(h, rows), 1, lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
     @pytest.mark.parametrize("role", ["secondary", "identity"])
@@ -636,18 +634,16 @@ class TestStandardizedMagnitude:
     def _spanned_case(self, key, d, skip):
         """A (d, 6, 96) difference stack of which dims 3 and 8 are dead, with
         finite stds, and a ``lend`` that recomputes its first ``skip`` dims:
-        rows of zeros as f1 and of g as f2, in sub-strips of 2 rows."""
+        rows of zeros as f1 and of g as f2."""
         rng = np.random.Generator(np.random.Philox(key=key))
         g = rng.normal(size=(d, 6, 96)).astype(np.float32)
         sd = (rng.random(d) + 0.5).astype(np.float32)
         live = ~np.isin(np.arange(d), [3, 8])
 
         def lend(y0, y1, visit):
-            for s0 in range(y0, y1, 2):
-                s1 = min(s0 + 2, y1)
-                rows = g[:skip, s0:s1]
-                visit(s0, s1, np.zeros_like(rows), rows,
-                      (np.empty(2 * 2**17, np.float32), np.empty(2**17, np.float32)))
+            rows = g[:skip, y0:y1]
+            visit(y0, y1, np.zeros_like(rows), rows,
+                  (np.empty(2 * 2**17, np.float32), np.empty(2**17, np.float32)))
 
         return g, sd, live, lend
 

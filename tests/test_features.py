@@ -307,9 +307,11 @@ class TestRandomConv:
 
     # a worker's buffers are what the oracle counts from the strip layout:
     # one allocation of stage buffers per layer parity, a patch block of at
-    # most 432 x 1024, room for one-row sub-strips of the recomputed tap,
-    # and NumPy's iteration buffers beside it
-    @pytest.mark.parametrize("h,w", [(256, 256), (57, 513), (40, 1000), (3, 2000)])
+    # most 432 x 1024, room for both rasters' recomputed tap of a whole
+    # strip, and NumPy's iteration buffers beside it; at 128 wide that tap
+    # sizes the stock secondary's second buffer, at 512 wide it does not
+    @pytest.mark.parametrize("h,w", [(256, 256), (300, 128), (512, 512), (57, 513),
+                                     (40, 1000), (3, 2000)])
     @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
                                             (default_secondary_spec(0), 16),
                                             (default_secondary_spec(0), 100),

@@ -19,6 +19,14 @@ class TestSpecValidation:
         with pytest.raises(RejectedValue):
             SceneSpec(sensor_noise=-0.1)
 
+    # NaN noise would add none (nan > 0 is false) and write a bare NaN into
+    # spec.json; infinite contrast would fail between the two rasters
+    @pytest.mark.parametrize("field", ["sensor_noise", "change_contrast"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_levels_rejected(self, field, value):
+        with pytest.raises(RejectedValue, match=f"{field} must be finite and >= 0"):
+            SceneSpec(**{field: value})
+
 
 class TestGenerate:
     def test_no_change_no_noise_identical(self):
