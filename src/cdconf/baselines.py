@@ -22,7 +22,7 @@ import numpy as np
 
 from .dcva import ChangeResult, MagnitudeMap, detect_pair, otsu_threshold, threshold_magnitude
 from .errors import RejectedValue, ShapeMismatch
-from .features import ExtractorSpec
+from .features import _PIXELS, ExtractorSpec, _strips
 from .raster import ConfidenceMap, Raster
 from .smoothing import ConfidentDetection, Detector, SmoothingConfig, confidence_map, vote
 
@@ -55,21 +55,68 @@ def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     negation of x2(q-o) - x1(q), so it squares to the same D_o, and sqrt is
     correctly rounded and monotone, so sqrt(max) of the two minima is the
     max of their square roots.
+
+    The map is made in row strips of at most ``features._PIXELS`` pixels
+    (one row past that width), in one set of buffers for every strip and
+    offset.  A strip [y0, y1) copies raster 1's rows [y0 - ry, y1 + ry) and
+    raster 2's rows [y0 - 2ry, y1 + 2ry) into flat buffers of rows wd + 2rx
+    wide, padded outside the image with -inf and +inf.  D_o over the
+    strip's pixels and their ry-row halo then takes, band by band, one
+    contiguous slice of raster 2's rows, shifted by dy rows and dx columns,
+    minus the same slice of raster 1's.  A pixel p or a partner p + o
+    outside the image gives D_o = +inf, never NaN (for finite rasters), so
+    it never wins a minimum, and no offset needs bounds of its own.  The
+    1->2 best of the strip's pixels takes D_o at themselves, the 2->1 best
+    at q - o.  Each D_o value is the float32 difference, squared in float64
+    and summed in band order, as a whole-image loop over the offsets makes
+    it, and min, max and sqrt are exact, so every strip height gives the
+    same bits.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
-    _, h, wd = x1.data.shape
-    best12 = np.full((h, wd), np.inf)
-    best21 = np.full((h, wd), np.inf)
+    bands, h, wd = x1.data.shape
     ry, rx = min(cfg.window_radius, h - 1), min(cfg.window_radius, wd - 1)
-    for dy in range(-ry, ry + 1):
-        ys, yt = slice(max(0, -dy), min(h, h - dy)), slice(max(0, dy), min(h, h + dy))
-        for dx in range(-rx, rx + 1):
-            xs, xt = slice(max(0, -dx), min(wd, wd - dx)), slice(max(0, dx), min(wd, wd + dx))
-            d2 = np.sum((x2.data[:, yt, xt] - x1.data[:, ys, xs]).astype(np.float64) ** 2, axis=0)
-            np.minimum(best12[ys, xs], d2, out=best12[ys, xs])
-            np.minimum(best21[yt, xt], d2, out=best21[yt, xt])
-    return MagnitudeMap(np.sqrt(np.maximum(best12, best21)).astype(np.float32))
+    wp = wd + 2 * rx
+    strips = _strips(h, max(1, _PIXELS // wd))
+    span = (max(y1 - y0 for y0, y1 in strips) + 2 * ry) * wp
+    pad1 = np.full((bands, span), -np.inf, np.float32)
+    # raster 2's rows start rx in, so the shifts of the corner offsets stay inside
+    pad2 = np.full((bands, span + 2 * ry * wp + 2 * rx), np.inf, np.float32)
+    dist, term = np.empty(span), np.empty(span)
+    best = np.empty((2, span))
+    rho = np.empty((h, wd), np.float32)
+    for y0, y1 in strips:
+        n = y1 - y0
+        for pad, x, r, skip, fill in ((pad1, x1.data, ry, 0, -np.inf),
+                                      (pad2, x2.data, 2 * ry, rx, np.inf)):
+            rows = pad[:, skip:skip + (n + 2 * r) * wp].reshape(bands, n + 2 * r, wp)
+            lo, hi = max(0, y0 - r), min(h, y1 + r)
+            rows[:, :lo - y0 + r] = fill
+            rows[:, lo - y0 + r:hi - y0 + r, rx:rx + wd] = x[:, lo:hi]
+            rows[:, hi - y0 + r:] = fill
+        # D_o at raster 1's padded rows; the strip's pixels start at row ry, column rx
+        m, size, own = (n + 2 * ry) * wp, (n - 1) * wp + wd, ry * wp + rx
+        d, t = dist[:m], term[:m]
+        best12, best21 = best[:, :size]
+        best12.fill(np.inf)
+        best21.fill(np.inf)
+        for dy in range(-ry, ry + 1):
+            for dx in range(-rx, rx + 1):
+                shift = rx + (ry + dy) * wp + dx
+                for b in range(bands):
+                    out = t if b else d
+                    # the float32 difference, widened to float64 by its out buffer
+                    np.subtract(pad2[b, shift:shift + m], pad1[b, :m], out=out)
+                    np.square(out, out=out)
+                    if b:
+                        d += t
+                np.minimum(best12, d[own:own + size], out=best12)
+                back = own - dy * wp - dx
+                np.minimum(best21, d[back:back + size], out=best21)
+        np.maximum(best12, best21, out=best12)
+        np.sqrt(best12, out=best12)
+        rho[y0:y1] = best[0, :n * wp].reshape(n, wp)[:, :wd]
+    return MagnitudeMap(rho)
 
 
 def rcva_detect(x1: Raster, x2: Raster, cfg: RcvaConfig) -> ChangeResult:

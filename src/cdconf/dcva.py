@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import _BLOCK, ExtractorSpec, _Extraction, _moments, _pooled
+from .features import _BLOCK, _PIXELS, ExtractorSpec, _Extraction, _moments, _pooled
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -108,16 +108,28 @@ def otsu_bin(m: MagnitudeMap, bins: int = 256) -> int:
 def _otsu_bin(m: MagnitudeMap, lo: float, hi: float, bins: int) -> int:
     """``otsu_bin`` given rho's min and max, lo < hi.  Taken from the float32
     map, both are exact in float64, so callers need no float64 copy of rho
-    to find them."""
+    to find them.
+
+    The histogram is binned in blocks of ``features._PIXELS`` pixels, each
+    widened to float64 and indexed in one reused pair of buffers, and their
+    int64 counts are summed: each pixel's bin is the whole-map arithmetic's,
+    so the histogram is too."""
     if bins < 2:
         raise ValueError(f"bins must be >= 2, got {bins}")
-    values = m.rho.astype(np.float64).ravel()
-    values -= lo
-    values /= hi - lo
-    values *= bins
-    idx = values.astype(np.int64)
-    np.minimum(idx, bins - 1, out=idx)
-    return _otsu_split(np.bincount(idx, minlength=bins))
+    flat = m.rho.reshape(-1)
+    values = np.empty(min(flat.size, _PIXELS))
+    idx = np.empty(len(values), np.int64)
+    counts = np.zeros(bins, np.int64)
+    for start in range(0, flat.size, _PIXELS):
+        block = flat[start:start + _PIXELS]
+        v, k = values[:len(block)], idx[:len(block)]
+        np.subtract(block, lo, out=v, dtype=np.float64)
+        v /= hi - lo
+        v *= bins
+        k[...] = v
+        np.minimum(k, bins - 1, out=k)
+        counts += np.bincount(k, minlength=bins)
+    return _otsu_split(counts)
 
 
 def _otsu_split(counts: np.ndarray) -> int:

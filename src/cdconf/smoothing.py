@@ -22,7 +22,6 @@ the thread count, and its results do not depend on the thread count either.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -41,13 +40,18 @@ from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
 # slack to honor the decimal intent of k_tau * k.
 _KTAU_EPS = 1e-9
 
+# The largest sigma accepted: noise far wider than normalize_pair's [0, 1]
+# scale, yet far inside float32's range, so no noisy raster holds an inf.
+_SIGMA_MAX = 1e6
+
 # A pair in, its change detection out: the primary detection and every voter.
 Detector = Callable[[Raster, Raster], ChangeResult]
 
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Noise level, ensemble size K, confidence threshold in (0, 1], master seed."""
+    """Noise level sigma in [0, 1e6], ensemble size K, confidence threshold in
+    (0, 1], master seed."""
 
     sigma: float = 0.1
     iterations: int = 10
@@ -55,8 +59,8 @@ class SmoothingConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:  # NaN too
-            raise RejectedValue(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 0 <= self.sigma <= _SIGMA_MAX:  # NaN too
+            raise RejectedValue(f"sigma must be finite and in [0, {_SIGMA_MAX:g}], got {self.sigma}")
         if self.iterations < 1:
             raise RejectedValue(f"iterations must be >= 1, got {self.iterations}")
         if not 0 < self.conf_threshold <= 1:

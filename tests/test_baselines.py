@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cdconf.baselines
 from cdconf.baselines import (
     METHODS,
     RcvaConfig,
@@ -21,7 +23,7 @@ from cdconf.dcva import (
     threshold_labels,
 )
 from cdconf.errors import RejectedValue, ShapeMismatch
-from cdconf.features import ExtractorKind, ExtractorSpec, extract
+from cdconf.features import _PIXELS, ExtractorKind, ExtractorSpec, extract
 from cdconf.raster import ConfidenceState, Raster
 from cdconf.smoothing import (
     ConfidentDetection,
@@ -109,8 +111,12 @@ class TestRcvaMagnitude:
         want = rcva_bruteforce(x1.data, x2.data, w)
         np.testing.assert_allclose(rho, want, atol=1e-6)
 
-    # (bands, height, width): 1xN and Nx1 strips, non-square and square
-    @pytest.mark.parametrize("shape", [(1, 1, 9), (4, 9, 1), (17, 5, 11), (1, 13, 6), (4, 8, 8)])
+    # (bands, height, width): 1xN and Nx1 images, non-square and square;
+    # then images of several row strips of at most _PIXELS pixels: 3 strips
+    # of 100 rows at 128 wide, 3 of 13-14 rows at 1000 wide (shorter than
+    # the widest window), and one-row strips past _PIXELS wide
+    @pytest.mark.parametrize("shape", [(1, 1, 9), (4, 9, 1), (17, 5, 11), (1, 13, 6), (4, 8, 8),
+                                       (4, 300, 128), (1, 40, 1000), (2, 4, _PIXELS + 3)])
     @pytest.mark.parametrize("w", [0, 1, 2, 3, 20])
     def test_pinned_to_two_pass_bit_for_bit(self, shape, w):
         rng = np.random.Generator(np.random.Philox(key=sum(shape) + w))
@@ -148,6 +154,32 @@ class TestRcvaMagnitude:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rcva_magnitude(_scene(1, h=4, w=4), _scene(1, h=5, w=5), RcvaConfig())
+
+    def test_strips_give_the_bits_of_the_whole_image(self, monkeypatch):
+        # strips of 1, 2, 3 or 5 rows, most of them shorter than the window
+        rng = np.random.Generator(np.random.Philox(key=41))
+        x1, x2 = (rng.normal(size=(3, 11, 7)).astype(np.float32) for _ in range(2))
+        want = rcva_two_pass_reference(x1, x2, 2)
+        for pixels in (7, 14, 21, 35):
+            monkeypatch.setattr(cdconf.baselines, "_PIXELS", pixels)
+            # the -inf and +inf padding never meet: no inf - inf makes a NaN
+            with np.errstate(invalid="raise"):
+                rho = rcva_magnitude(Raster(x1), Raster(x2), RcvaConfig(window_radius=2)).rho
+            assert np.array_equal(rho.view(np.uint32), want.view(np.uint32))
+
+    def test_traced_peak_one_strip(self):
+        # 32-row strips at 512 wide: besides its float32 map (1 MiB), a call
+        # holds one strip's padded rows of both rasters and its float64
+        # distances, not whole-image temporaries per window offset
+        rng = np.random.Generator(np.random.Philox(key=42))
+        x1, x2 = (Raster(rng.uniform(size=(4, 512, 512)).astype(np.float32)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            rcva_magnitude(x1, x2, RcvaConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestRunUnified:

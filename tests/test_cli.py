@@ -202,6 +202,20 @@ class TestDetect:
         assert err.startswith("error: sigma must be finite") and err.count("\n") == 1
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("method", [m for m, c in METHODS.items() if c.voter is not None])
+    @pytest.mark.parametrize("sigma", ["1e7", "1e38", "1e39"])
+    def test_rejects_sigma_above_the_bound(self, tmp_path, capsys, method, sigma):
+        # noise near float32's range would fill the noisy rasters with inf,
+        # so every voting method refuses it before anything is read or written
+        s = _synth(tmp_path / "s")
+        capsys.readouterr()
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--method", method, "--sigma", sigma])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: sigma must be finite and in [0, 1e+06], got {float(sigma)}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_broken_invariant_exits_1_before_writing(self, tmp_path, capsys, monkeypatch):
         real_run_method = cdconf.cli.run_method
 
@@ -456,7 +470,8 @@ class TestSweep:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sweep,values", [
-        ("sigma", "0.05,nan"), ("sigma", "0.05,inf"), ("conf-threshold", "1.0,nan")])
+        ("sigma", "0.05,nan"), ("sigma", "0.05,inf"), ("conf-threshold", "1.0,nan"),
+        ("sigma", "0.05,0.1,1e7"), ("sigma", "0.05,0.1,1e39")])
     def test_refused_value_writes_nothing(self, tmp_path, capsys, sweep, values):
         s = _synth(tmp_path / "s", size=16)
         assert main(["sweep", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),

@@ -167,6 +167,38 @@ class TestOtsu:
         assert tau == otsu_tau_bruteforce(m.rho)
         assert peak <= 17 * m.rho.size
 
+    @pytest.mark.parametrize("shape", [(129, 400), (3, _PIXELS + 1), (2 * _PIXELS + 7, 1)])
+    def test_blocks_match_bruteforce_with_the_max_in_the_last_block(self, shape):
+        # several blocks of _PIXELS pixels, the last one partial and holding
+        # the map's maximum, so every block is binned against the whole
+        # map's range
+        rng = np.random.Generator(np.random.Philox(key=sum(shape)))
+        rho = rng.gamma(2.0, size=shape).astype(np.float32)
+        rho.reshape(-1)[-2] = 4 * rho.max()
+        assert rho.size > 2 * _PIXELS and rho.size % _PIXELS
+        for bins in (2, 7, 256):
+            assert otsu_bin(MagnitudeMap(rho), bins) == otsu_bin_bruteforce(rho, bins)
+
+    def test_bins_from_float64_differences(self):
+        # 128 - 2**-20 rounds to 128 in float32, which would put the middle
+        # mass in bin 128; in float64 it lies just below, in bin 127, and
+        # the split between the upper two masses is the bin below it
+        lo = 2.0**-20
+        rho = np.array([lo] * 10 + [128.0] * 40 + [256.0] * 50, np.float32).reshape(10, 10)
+        assert otsu_bin(MagnitudeMap(rho)) == otsu_bin_bruteforce(rho) == 127
+
+    def test_traced_peak_one_block(self):
+        # a 512 x 512 map bins 16 blocks, each holding 16 bytes a pixel
+        rng = np.random.Generator(np.random.Philox(key=37))
+        m = MagnitudeMap(rng.gamma(2.0, size=(512, 512)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            otsu_bin(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * _PIXELS
+
 
 def _histogram(occupied: dict[int, int], bins: int = 256) -> np.ndarray:
     counts = np.zeros(bins, np.int64)

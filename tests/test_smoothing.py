@@ -68,6 +68,14 @@ class TestConfigValidation:
         with pytest.raises(RejectedValue):
             SmoothingConfig(sigma=sigma)
 
+    def test_sigma_bound(self):
+        # noise past 1e6 on the [0, 1] scale is refused long before float32
+        # overflows (3.4e38), where a noisy raster would hold inf
+        assert SmoothingConfig(sigma=1e6).sigma == 1e6
+        for sigma in (np.nextafter(1e6, np.inf), 1e38, 1e39):
+            with pytest.raises(RejectedValue, match=r"sigma must be finite and in \[0, 1e\+06\]"):
+                SmoothingConfig(sigma=float(sigma))
+
     def test_bad_iterations(self):
         with pytest.raises(RejectedValue):
             SmoothingConfig(iterations=0)
