@@ -22,7 +22,7 @@ import numpy as np
 
 from .dcva import ChangeResult, MagnitudeMap, detect_pair, otsu_threshold, threshold_magnitude
 from .errors import RejectedValue, ShapeMismatch
-from .features import _PIXELS, ExtractorSpec, _strips
+from .features import _HALOS, _PIXELS, ExtractorSpec, _strips
 from .raster import ConfidenceMap, Raster
 from .smoothing import ConfidentDetection, Detector, SmoothingConfig, confidence_map, vote
 
@@ -56,28 +56,30 @@ def rcva_magnitude(x1: Raster, x2: Raster, cfg: RcvaConfig) -> MagnitudeMap:
     correctly rounded and monotone, so sqrt(max) of the two minima is the
     max of their square roots.
 
-    The map is made in row strips of at most ``features._PIXELS`` pixels
-    (one row past that width), in one set of buffers for every strip and
-    offset.  A strip [y0, y1) copies raster 1's rows [y0 - ry, y1 + ry) and
-    raster 2's rows [y0 - 2ry, y1 + 2ry) into flat buffers of rows wd + 2rx
-    wide, padded outside the image with -inf and +inf.  D_o over the
-    strip's pixels and their ry-row halo then takes, band by band, one
-    contiguous slice of raster 2's rows, shifted by dy rows and dx columns,
-    minus the same slice of raster 1's.  A pixel p or a partner p + o
-    outside the image gives D_o = +inf, never NaN (for finite rasters), so
-    it never wins a minimum, and no offset needs bounds of its own.  The
-    1->2 best of the strip's pixels takes D_o at themselves, the 2->1 best
-    at q - o.  Each D_o value is the float32 difference, squared in float64
-    and summed in band order, as a whole-image loop over the offsets makes
-    it, and min, max and sqrt are exact, so every strip height gives the
-    same bits.
+    The map is made in row strips of at most ``features._PIXELS`` pixels,
+    but at least ``features._HALOS`` halos of 2ry rows tall, as an
+    extraction's strips are, so that a wide image's strips do not spend
+    most of their time on the halo rows they share; one set of buffers
+    serves every strip and offset.  A strip [y0, y1) copies raster 1's
+    rows [y0 - ry, y1 + ry) and raster 2's rows [y0 - 2ry, y1 + 2ry) into
+    flat buffers of rows wd + 2rx wide, padded outside the image with -inf
+    and +inf.  D_o over the strip's pixels and their ry-row halo then
+    takes, band by band, one contiguous slice of raster 2's rows, shifted
+    by dy rows and dx columns, minus the same slice of raster 1's.  A pixel
+    p or a partner p + o outside the image gives D_o = +inf, never NaN (for
+    finite rasters), so it never wins a minimum, and no offset needs bounds
+    of its own.  The 1->2 best of the strip's pixels takes D_o at
+    themselves, the 2->1 best at q - o.  Each D_o value is the float32
+    difference, squared in float64 and summed in band order, as a
+    whole-image loop over the offsets makes it, and min, max and sqrt are
+    exact, so every strip height gives the same bits.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
     bands, h, wd = x1.data.shape
     ry, rx = min(cfg.window_radius, h - 1), min(cfg.window_radius, wd - 1)
     wp = wd + 2 * rx
-    strips = _strips(h, max(1, _PIXELS // wd))
+    strips = _strips(h, max(1, 2 * _HALOS * ry, _PIXELS // wd))
     span = (max(y1 - y0 for y0, y1 in strips) + 2 * ry) * wp
     pad1 = np.full((bands, span), -np.inf, np.float32)
     # raster 2's rows start rx in, so the shifts of the corner offsets stay inside

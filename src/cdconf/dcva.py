@@ -16,10 +16,11 @@ second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
 keeps only the dims that are dear to recompute: an identity extraction's
 bands, and a leading layer-1 tap that costs fewer multiply-adds than the
 deeper layers (half the stock secondary extractor's dims), are recomputed
-in the second pass instead, in the strip worker's own buffers.  So a
-detection holds the held part of g, its magnitude map, and one strip's
-buffers a worker thread (one allocation, 5.5 MiB for the stock secondary at
-a width of 512), the same buffers in both passes; both passes run on up to
+in the second pass instead, in the strip worker's own buffers, and the
+magnitude is taken in the strip's patch block.  So a detection holds the
+held part of g, its magnitude map, and one strip's buffers a worker thread
+(one allocation, 5.5 MiB for the stock secondary at a width of 512), the
+same buffers in both passes; both passes run on up to
 ``threads`` workers, and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
@@ -204,11 +205,10 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     than to hold (all of an identity extraction's, 48 of the stock
     secondary's 96).  ``lend(y0, y1, visit)`` takes a worker's scratch
     buffers, recomputes rows [y0, y1) of f1's and f2's L leading dims in
-    them (``_Extraction.leading``) and calls ``visit(y0, y1, f1, f2, idle)``
-    once with those (L, y1 - y0, width) rows (None when L = 0) and
-    ``idle``, two flat float32 buffers that hold nothing meanwhile: the
-    patch block and ``leading``'s head, which holds a dim of the strip's
-    rows.  So the magnitude pass holds no buffer of its own.
+    them (``_Extraction.leading``) and calls ``visit(y0, y1, f1, f2,
+    patch)`` once with those (L, y1 - y0, width) rows (None when L = 0)
+    and the worker's patch block, a flat float32 buffer that holds nothing
+    meanwhile.  So the magnitude pass holds no buffer of its own.
 
     The strips, ``_Extraction.strips``, run on up to ``threads`` worker
     threads, each worker with one set of scratch buffers for the whole
@@ -256,8 +256,7 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
 
     def lend(y0: int, y1: int, visit: Callable) -> None:
         scratch = take_scratch()
-        f1, f2, head = e1.leading(e2, y0, y1, scratch)
-        visit(y0, y1, f1, f2, (scratch[0], head))
+        visit(y0, y1, *e1.leading(e2, y0, y1, scratch), scratch[0])
         free.append(scratch)
 
     sd, live = _pooled(b for pair in _pool_map(strip, e1.strips, threads) for b in pair)
@@ -295,24 +294,23 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     it adds an exact +0 to every pixel's sum, the bits of skipping it, and
     the blocks are fewer; any other dead dim (one whose std is not finite,
     say) ends a block.  A block's z, in a float32 buffer, is g's rows
-    divided by their stds, or for the leading dims a copy of f1's rows
-    subtracted from a copy of f2's, divided by the stds in place: the
-    roundings of g = f2 - f1 and of its quotient.  The copies are
-    contiguous where f1's and f2's rows are strided views, over which
-    NumPy's subtraction would take an iteration buffer each.  z is copied
-    to float64 rows 1.. of a block whose row 0 is the running total and
-    squared there (squaring the float32 z to float64 would take NumPy's
-    cast buffer), and ``np.add.reduce`` over the block's first axis adds
-    those rows in order, so every pixel still adds its dims one at a time
-    in dim order before the square root.  A block of one pixel is a
+    divided by their stds, or for the leading dims f2's rows less f1's,
+    divided by the stds: the roundings of g = f2 - f1 and of its quotient.
+    z is copied to float64 rows 1.. of a block whose row 0 is the running
+    total and squared there (squaring the float32 z to float64 would take
+    NumPy's cast buffer), and ``np.add.reduce`` over the block's first axis
+    adds those rows in order, so every pixel still adds its dims one at a
+    time in dim order before the square root.  A block of one pixel is a
     column, which NumPy reduces as its first entry plus the pairwise sum of
     the rest, so it takes one dim.  Every pixel's sum thus makes the
     additions of a sum over the live dims of the whole stack, whatever the
-    strips or blocks.  The float64 block, of at most
-    ``features._BLOCK`` entries with the total beside it, and z lie in the
-    two idle buffers that ``lend`` lends, so a worker holds no buffer of its
-    own.  The strips run on up to ``threads`` worker threads, each writing
-    its own rows of rho.
+    strips or blocks.  The float64 block, the total beside it and z share
+    the first 2 * ``features._BLOCK`` float32 entries of the patch block
+    that ``lend`` lends, 7 entries a pixel for a block of one dim and 3
+    more for each dim after it, so a worker holds no buffer of its own but
+    for a strip too wide for one dim, which takes one allocation of 7
+    entries a pixel.  The strips run on up to ``threads`` worker threads,
+    each writing its own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
@@ -322,28 +320,21 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     rho = np.empty((h, w), np.float32)
 
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
-            idle: tuple[np.ndarray, np.ndarray]) -> None:
-        wide, narrow = idle[0].view(np.float64), idle[1]
+            patch: np.ndarray) -> None:
         n = (y1 - y0) * w
-        per = min(min(len(wide), _BLOCK) // n - 2, len(narrow) // n)
-        if n == 1:
-            per = min(per, 1)
-        if per < 1:
-            wide, narrow, per = np.empty(3 * n), np.empty(n, np.float32), 1
-        total = wide[(per + 1) * n:(per + 2) * n]
+        size = min(len(patch), 2 * _BLOCK)
+        if size < 7 * n:
+            patch, size = np.empty(7 * n, np.float32), 7 * n
+        per = 1 if n == 1 else (size - 4 * n) // (3 * n)
+        wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
+        total = wide[(per + 1) * n:]
         total[...] = 0
         for d0, d1 in _runs(dims, span, skip, per):
             z = narrow[:(d1 - d0) * n].reshape(d1 - d0, y1 - y0, w)
             block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
-            if d0 < skip:
-                # f2's rows go where the squares land next
-                rows2 = wide[n:(d1 - d0 + 1) * n].view(np.float32)[:z.size].reshape(z.shape)
-                np.copyto(z, f1[d0:d1])
-                np.copyto(rows2, f2[d0:d1])
-                np.subtract(rows2, z, out=z)
-                np.divide(z, scale[d0:d1], out=z)
-            else:
-                np.divide(g[d0 - skip:d1 - skip, y0:y1], scale[d0:d1], out=z)
+            diff = (np.subtract(f2[d0:d1], f1[d0:d1], out=z) if d0 < skip
+                    else g[d0 - skip:d1 - skip, y0:y1])
+            np.divide(diff, scale[d0:d1], out=z)
             block[0] = total
             squares = block[1:].reshape(z.shape)
             np.copyto(squares, z)

@@ -18,10 +18,11 @@ Two extractor kinds:
 computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
 through the strips in lockstep instead (``dcva._difference``), keeps only
 their difference, less the leading dims that it recomputes in a strip's
-own buffers (``_Extraction.leading``) when it takes the magnitude, and
-runs the strips on ``pool._pool_map``: their heights depend only on the
-extractor and the image's shape (``_HALOS``), and their moments are merged
-in strip order, so the output is bit-identical for every thread count.
+own buffers (``_Extraction.leading``) when it takes the magnitude in the
+strip's patch block, and runs the strips on ``pool._pool_map``: their
+heights depend only on the extractor and the image's shape (``_HALOS``),
+and their moments are merged in strip order, so the output is
+bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -112,7 +113,10 @@ def default_secondary_spec(master_seed: int = 0, *, depth: int = 2,
 
 @functools.lru_cache(maxsize=64)
 def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
-    """Per-layer weight matrices (channels, c_in*k*k), drawn once per (spec, bands).
+    """Per-layer weight matrices (channels, c_in*k*k) of the layers up to the
+    deepest tap, the only ones an extraction runs, drawn once per (spec,
+    bands).  The layers are drawn in order from one stream, so a layer's
+    weights do not depend on how many layers follow it.
 
     Columns run over (c, dy, dx) in that order, the order in which
     ``_conv_layers`` lays out the rows of each patch block.
@@ -121,7 +125,7 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     k = spec.kernel_size
     mats = []
     c_in = in_bands
-    for _ in range(spec.depth):
+    for _ in range(spec.taps[-1]):
         fan_in = c_in * k * k
         w = rng.standard_normal((spec.channels, fan_in)) / np.sqrt(fan_in)
         mats.append(np.ascontiguousarray(w, dtype=np.float32))
@@ -152,9 +156,10 @@ def _tile(fan_in: int) -> int:
 # Most float64 entries of a block of feature dims that ``_moments`` and
 # the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
 # call, in a strip worker's idle patch block, which holds 1.7 MiB: 1 MiB,
-# 8 dims of 16384 pixels, stays in a core's cache over the
-# block's passes.  One dim a call spends its time in the calls; blocks of
-# 16 dims and more ran slower again on a 2 MiB L2 cache.
+# 8 dims of 16384 pixels, stays in a core's cache over the block's
+# passes, and the magnitude pass keeps its float32 quotients within it
+# too.  One dim a call spends its time in the calls; blocks of 16 dims
+# and more ran slower again on a 2 MiB L2 cache.
 _BLOCK = 2**17
 
 
@@ -170,9 +175,9 @@ def _blocks(n: int, size: int = _TILE) -> list[slice]:
 # values of its widest stage (the most of its bands and its channels, a
 # row of the image's width each): at a width of 512, 48 rows for the stock
 # primary, whose halo then costs 9% more multiply-adds, and 16 for the
-# stock secondary, a 5.5 MiB worker.  An identity extraction's buffers are
-# fixed at ``_BLOCK`` sizes, so its strips hold at most ``_PIXELS`` pixels,
-# or one row.  Any height gives the same bits.
+# stock secondary, a 5.5 MiB worker.  An identity extraction's one buffer
+# is fixed at 2 * ``_BLOCK`` float32 entries, so its strips hold at most
+# ``_PIXELS`` pixels, or one row.  Any height gives the same bits.
 _HALOS = 4
 _PIXELS = 16384
 _VALUES = 24 * _PIXELS
@@ -313,7 +318,7 @@ class _Extraction:
         if pad and min(x.height, x.width) <= pad:
             raise ShapeMismatch(f"image {x.height}x{x.width} too small for reflection "
                                 f"padding of a {spec.kernel_size}x{spec.kernel_size} kernel")
-        self.weights = _conv_weights(spec, x.bands)[:spec.taps[-1]]
+        self.weights = _conv_weights(spec, x.bands)
         first, *rest = self.weights
         self.lead = 0
         if spec.taps[0] == 1 and rest and first.size < sum(w.size for w in rest):
@@ -332,9 +337,10 @@ class _Extraction:
         both rasters of the tallest strip in them: the first also holds this
         raster's layer-1 rows, the second the other raster's input stage
         and its layer-1 rows after it.  IDENTITY runs no layer: a patch block
-        of 2 * ``_BLOCK`` entries and a buffer of ``_BLOCK``."""
+        of 2 * ``_BLOCK`` entries alone, in which the moments and the
+        magnitude pass work."""
         if self.spec.kind is ExtractorKind.IDENTITY:
-            sizes = [2 * _BLOCK, _BLOCK]
+            sizes = [2 * _BLOCK]
         else:
             depth, pad, wp = len(self.weights), self.pad, self.wp
             rows = max(y1 - y0 for y0, y1 in self.strips)
@@ -363,33 +369,30 @@ class _Extraction:
                 yield taps.index(layer) * c, band
 
     def leading(self, other: _Extraction, y0: int, y1: int, scratch: tuple[np.ndarray, ...]
-                ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-        """``(f1, f2, head)`` for rows [y0, y1): ``f1`` and ``f2`` are the
-        (lead, y1 - y0, width) rows of the ``lead`` leading dims of this
-        extraction and of ``other``, one of the same spec on a raster of the
-        same shape, with the bits ``strip`` gives them.  Until ``scratch``
-        is used again, the patch block is idle, and so is ``head``, a flat
-        buffer that holds at least one dim of the strip's rows.  IDENTITY
-        gives the strip's bands with the second scratch buffer as ``head``,
-        and no ``lead`` None and None with the first.
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(f1, f2)`` for rows [y0, y1): the (lead, y1 - y0, width) rows of
+        the ``lead`` leading dims of this extraction and of ``other``, one of
+        the same spec on a raster of the same shape, with the bits ``strip``
+        gives them; the patch block of ``scratch`` is idle until ``scratch``
+        is used again.  IDENTITY gives the strip's bands, and no ``lead``
+        None and None.
 
         Otherwise layer 1 alone runs on the strip's rows of both rasters, so
         it computes no row twice.  This raster's input stage goes at the
         head of the second stage buffer and its rows in the first; then the
         other's input stage goes at the head of the second again, and its
-        rows in the second's tail.  ``head`` is the entries ahead of that
-        tail, the other's spent input stage."""
+        rows in the second's tail."""
         if self.spec.kind is ExtractorKind.IDENTITY:
-            return self.x.data[:, y0:y1], other.x.data[:, y0:y1], scratch[1]
-        patch, first, second = scratch
+            return self.x.data[:, y0:y1], other.x.data[:, y0:y1]
         if not self.lead:
-            return None, None, first
+            return None, None
+        patch, first, second = scratch
         k = self.spec.kernel_size
-        head = second[:len(second) - self.lead * _stage_rows(y1 - y0, self.pad, self.wp) * self.wp]
+        tail = len(second) - self.lead * _stage_rows(y1 - y0, self.pad, self.wp) * self.wp
         f1 = next(_conv_layers(self.x.data, self.weights[:1], k, y0, y1, (patch, second, first)))[1]
         f2 = next(_conv_layers(other.x.data, other.weights[:1], k, y0, y1,
-                               (patch, head, second[len(head):])))[1]
-        return f1, f2, head
+                               (patch, second[:tail], second[tail:])))[1]
+        return f1, f2
 
 
 def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:

@@ -19,8 +19,9 @@ from pathlib import Path
 # worker holds one strip's buffers, one allocation (about 5.5 MiB with the
 # stock secondary extractor at a width of 512, whose strips are 16 rows),
 # the same in the magnitude pass, where it recomputes the extractor's
-# layer-1 tap of the strip's rows in them, so this bounds what a pass adds
-# to peak memory on a host with many cores.
+# layer-1 tap of the strip's rows in them and takes the magnitude in their
+# patch block, so this bounds what a pass adds to peak memory on a host
+# with many cores.
 _MAX_WORKERS = 8
 
 

@@ -261,17 +261,18 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     the second the tallest odd layer.  When a leading tap is recomputed
     (``recomputed_dims``), the first also holds at least the layer-1 stage
     of the tallest strip, and the second at least that stage after an input
-    stage of the strip's rows and one layer's halo.  The moments and the
-    magnitude pass work in these buffers, so they add nothing while three
-    dims' rows of the tallest strip fit in ``features._BLOCK`` float64
-    entries of the patch block.  Beside it, two float32 buffers of
-    ``np.getbufsize()`` entries, which NumPy may take to iterate an
-    elementwise operation over strided rows of a stage.  An identity detection runs no layer: its worker holds
-    a patch block of 2 * 2**17 float32 entries for the float64 blocks and a
-    buffer of 2**17 for the magnitude pass's quotients."""
+    stage of the strip's rows and one layer's halo.  An identity detection
+    runs no layer: its worker holds a patch block of 2 * 2**17 float32
+    entries alone.  The moments and the magnitude pass work in the patch
+    block, the magnitude pass in at most its first 2 * 2**17 entries, of
+    which a block of one dim takes 7 a pixel of the strip: a strip too
+    wide for that takes one allocation of its own of 7 float32 entries a
+    pixel in the magnitude pass, counted too.  Beside them, two float32
+    buffers of ``np.getbufsize()`` entries, which NumPy may take to iterate
+    an elementwise operation over strided rows of a stage."""
     rows = max(y1 - y0 for y0, y1 in strip_partition(spec, bands, h, w))
     if spec.kind is ExtractorKind.IDENTITY:
-        patch, first, second = 2 * 2**17, 2**17, 0
+        patch, first, second = 2 * 2**17, 0, 0
     else:
         k2, pad, depth = spec.kernel_size ** 2, spec.kernel_size // 2, spec.taps[-1]
         wp = w + 2 * pad
@@ -285,8 +286,8 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
             second = max(second, bands * (min(h, rows + 2 * pad) + extra) * wp + tap)
         fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
         patch = max(k * patch_columns(k) for k in fan_ins)
-    assert 3 * rows * w <= min(patch // 2, 2**17)
-    return 4 * (patch + first + second) + 8 * np.getbufsize()
+    own = 7 * rows * w if 7 * rows * w > min(patch, 2 * 2**17) else 0
+    return 4 * (patch + first + second + own) + 8 * np.getbufsize()
 
 
 def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndarray) -> np.ndarray:

@@ -112,9 +112,10 @@ class TestRcvaMagnitude:
         np.testing.assert_allclose(rho, want, atol=1e-6)
 
     # (bands, height, width): 1xN and Nx1 images, non-square and square;
-    # then images of several row strips of at most _PIXELS pixels: 3 strips
-    # of 100 rows at 128 wide, 3 of 13-14 rows at 1000 wide (shorter than
-    # the widest window), and one-row strips past _PIXELS wide
+    # then images of several row strips of at most _PIXELS pixels but at
+    # least four halos of 2 * radius rows: 3 strips of 100 rows at 128
+    # wide, 3 of 13-14 rows at 1000 wide up to radius 2 (2 at radius 3),
+    # and past _PIXELS wide one-row strips at radius 0
     @pytest.mark.parametrize("shape", [(1, 1, 9), (4, 9, 1), (17, 5, 11), (1, 13, 6), (4, 8, 8),
                                        (4, 300, 128), (1, 40, 1000), (2, 4, _PIXELS + 3)])
     @pytest.mark.parametrize("w", [0, 1, 2, 3, 20])
@@ -156,16 +157,36 @@ class TestRcvaMagnitude:
             rcva_magnitude(_scene(1, h=4, w=4), _scene(1, h=5, w=5), RcvaConfig())
 
     def test_strips_give_the_bits_of_the_whole_image(self, monkeypatch):
-        # strips of 1, 2, 3 or 5 rows, most of them shorter than the window
+        # strips of 1, 2, 3 or 5 rows, most of them shorter than the window,
+        # with no floor of halos under their height
         rng = np.random.Generator(np.random.Philox(key=41))
         x1, x2 = (rng.normal(size=(3, 11, 7)).astype(np.float32) for _ in range(2))
         want = rcva_two_pass_reference(x1, x2, 2)
+        monkeypatch.setattr(cdconf.baselines, "_HALOS", 0)
         for pixels in (7, 14, 21, 35):
             monkeypatch.setattr(cdconf.baselines, "_PIXELS", pixels)
             # the -inf and +inf padding never meet: no inf - inf makes a NaN
             with np.errstate(invalid="raise"):
                 rho = rcva_magnitude(Raster(x1), Raster(x2), RcvaConfig(window_radius=2)).rho
             assert np.array_equal(rho.view(np.uint32), want.view(np.uint32))
+
+    # past _PIXELS wide a strip of _PIXELS pixels would be one row, which
+    # recomputes the distances of its 2 * radius halo rows: strips are four
+    # halos tall instead, at most 8 rows at radius 1 and 16 at radius 2
+    @pytest.mark.parametrize("w,want", [
+        (1, [(0, 8), (8, 16), (16, 24), (24, 32), (32, 40)]),
+        (2, [(0, 13), (13, 26), (26, 40)]),
+    ])
+    def test_wide_strips_are_four_halos_tall(self, monkeypatch, w, want):
+        got, strips = [], cdconf.baselines._strips
+        monkeypatch.setattr(cdconf.baselines, "_strips",
+                            lambda h, rows: got.append(strips(h, rows)) or got[-1])
+        rng = np.random.Generator(np.random.Philox(key=43 + w))
+        x1, x2 = (rng.normal(size=(2, 40, 16387)).astype(np.float32) for _ in range(2))
+        rho = rcva_magnitude(Raster(x1), Raster(x2), RcvaConfig(window_radius=w)).rho
+        assert got == [want]
+        want_rho = rcva_two_pass_reference(x1, x2, w)
+        assert np.array_equal(rho.view(np.uint32), want_rho.view(np.uint32))
 
     def test_traced_peak_one_strip(self):
         # 32-row strips at 512 wide: besides its float32 map (1 MiB), a call

@@ -51,11 +51,10 @@ from oracles import (
 
 
 def _own_lend(y0, y1, visit):
-    """A ``lend`` for a difference stack that holds every dim: fresh float32
-    buffers of 2 * ``_BLOCK`` and ``_BLOCK`` entries, with ``_BLOCK`` read
-    from ``cdconf.dcva`` at the call, so a test's block size applies."""
-    block = cdconf.dcva._BLOCK
-    visit(y0, y1, None, None, (np.empty(2 * block, np.float32), np.empty(block, np.float32)))
+    """A ``lend`` for a difference stack that holds every dim: a fresh
+    float32 patch block of 2 * ``_BLOCK`` entries, with ``_BLOCK`` read from
+    ``cdconf.dcva`` at the call, so a test's block size applies."""
+    visit(y0, y1, None, None, np.empty(2 * cdconf.dcva._BLOCK, np.float32))
 
 
 def _mm(values) -> MagnitudeMap:
@@ -339,9 +338,9 @@ class TestDetectPair:
         if skip:
             ahead, visits = np.empty((skip, 300, 300), np.float32), []
 
-            def visit(y0, y1, a, b, idle):
-                # the lent buffers are free to overwrite
-                assert not any(np.shares_memory(i, f) for i in idle for f in (a, b))
+            def visit(y0, y1, a, b, patch):
+                # the lent patch block is free to overwrite
+                assert not any(np.shares_memory(patch, f) for f in (a, b))
                 ahead[:, y0:y1] = b - a
                 visits.append((y0, y1))
 
@@ -350,12 +349,11 @@ class TestDetectPair:
             assert np.array_equal(ahead, whole[:skip])
             assert visits == strips
         else:
-            # nothing to recompute, but a worker's scratch buffers are lent
+            # nothing to recompute, but a worker's patch block is lent
             lent = []
             lend(0, 300, lambda *a: lent.append(a))
             assert [a[:4] for a in lent] == [(0, 300, None, None)]
-            assert ([len(a) for a in lent[0][4]]
-                    == [len(a) for a in cdconf.features._Extraction(spec, x1).scratch()[:2]])
+            assert len(lent[0][4]) == len(cdconf.features._Extraction(spec, x1).scratch()[0])
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -535,33 +533,47 @@ class TestRecomputedLeadingDims:
         skip = 152
 
         def lend(y0, y1, visit):
-            idle = np.empty(2 * block, np.float32), np.empty(3 * block, np.float32)
             f1 = np.repeat(dims[:skip], (y1 - y0) * w).reshape(skip, y1 - y0, w)
-            visit(y0, y1, f1, 2 * f1, idle)
+            visit(y0, y1, f1, 2 * f1, np.empty(2 * block, np.float32))
 
         g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
         ones = np.ones(len(dims), np.float32)
         rho = _standardized_magnitude(g, ones, ones > 0, _strips(h, rows), 1, lend).rho
         assert (rho == np.float32(2.0**30)).all()
 
-    @pytest.mark.parametrize("role", ["secondary", "identity"])
-    def test_traced_magnitude_pass_holds_only_its_map(self, role):
+    # (spec, bands, height, width); at 96x1100 the primary's strips are 48
+    # rows, too wide for one dim of the magnitude pass in 2 * _BLOCK
+    # entries of the patch block
+    _TRACED = {"secondary": (default_secondary_spec(0), 4, 256, 256),
+               "identity": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 256, 256),
+               "identity-100-bands": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 100, 128, 256),
+               "primary-96x1100": (default_primary_spec(0), 4, 96, 1100)}
+
+    @pytest.mark.parametrize("case", list(_TRACED))
+    def test_traced_magnitude_pass_holds_only_its_map(self, case):
         # the recomputed rows, the float64 blocks and the quotients all lie
         # in the scratch buffers the first pass left; a buffer of a strip's
-        # recomputed rows would add 3 MiB at this width, and magnitude-pass
-        # buffers of its own 1.5 MiB to an identity detection
-        spec = {"secondary": default_secondary_spec(0),
-                "identity": ExtractorSpec(kind=ExtractorKind.IDENTITY)}[role]
-        t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
-        x1, x2 = normalize_pair(t1, t2)
+        # recomputed rows would add 3 MiB at 256 wide, and magnitude-pass
+        # buffers of its own 1.5 MiB to an identity detection.  A strip too
+        # wide for the patch block takes one allocation of 7 float32
+        # entries a pixel
+        spec, bands, h, w = self._TRACED[case]
+        if bands == 4:
+            t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=2))
+            x1, x2 = normalize_pair(t1, t2)
+        else:
+            x1, x2 = self._pair(bands, h, w)
         g, sd, live, strips, lend = _difference(spec, x1, x2, 1)
+        pixels = max(y1 - y0 for y0, y1 in strips) * w
+        own = 7 * pixels * 4 if case == "primary-96x1100" else 0
+        assert (7 * pixels > 2 * cdconf.dcva._BLOCK) == (own > 0)
         tracemalloc.start()
         try:
             m = _standardized_magnitude(g, sd, live, strips, 1, lend)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= m.rho.nbytes + 2**17
+        assert peak <= m.rho.nbytes + own + 2**17
 
 
 class TestStandardizedMagnitude:
@@ -674,8 +686,7 @@ class TestStandardizedMagnitude:
 
         def lend(y0, y1, visit):
             rows = g[:skip, y0:y1]
-            visit(y0, y1, np.zeros_like(rows), rows,
-                  (np.empty(2 * 2**17, np.float32), np.empty(2**17, np.float32)))
+            visit(y0, y1, np.zeros_like(rows), rows, np.empty(2 * 2**17, np.float32))
 
         return g, sd, live, lend
 

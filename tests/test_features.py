@@ -30,6 +30,7 @@ from cdconf.features import (
 )
 from cdconf.pool import _MAX_WORKERS, _cpu_quota, _pool_map, default_threads
 from cdconf.raster import Raster
+from cdconf.rng import generator
 from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
@@ -309,7 +310,10 @@ class TestRandomConv:
     # one allocation of stage buffers per layer parity, a patch block of at
     # most 432 x 1024, room for both rasters' recomputed tap of a whole
     # strip, and NumPy's iteration buffers beside it; at 128 wide that tap
-    # sizes the stock secondary's second buffer, at 512 wide it does not
+    # sizes the stock secondary's second buffer, at 512 wide it does not.
+    # The primary's one 40-row strip at 1000 wide is too wide for one dim
+    # of the magnitude pass in 2 * 2**17 entries of the patch block, so
+    # that pass takes 7 float32 entries a pixel of its own
     @pytest.mark.parametrize("h,w", [(256, 256), (300, 128), (512, 512), (57, 513),
                                      (40, 1000), (3, 2000)])
     @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
@@ -321,11 +325,16 @@ class TestRandomConv:
                                   "identity"])
     def test_a_strip_worker_holds_what_the_oracle_counts(self, spec, bands, h, w):
         x = _raster(seed=6, bands=bands, h=h, w=w)
-        scratch = cdconf.features._Extraction(spec, x).scratch()
+        ex = cdconf.features._Extraction(spec, x)
+        scratch = ex.scratch()
         whole = scratch[0].base
         assert all(a.base is whole for a in scratch)
         assert sum(a.nbytes for a in scratch) == whole.nbytes
-        assert whole.nbytes + 8 * np.getbufsize() == strip_worker_nbytes(spec, bands, h, w)
+        pixels = max(y1 - y0 for y0, y1 in ex.strips) * w
+        own = 7 * pixels if 7 * pixels > min(len(scratch[0]), 2**18) else 0
+        assert own == (7 * 40 * 1000 if spec == default_primary_spec(0) and w == 1000 else 0)
+        assert (whole.nbytes + 4 * own + 8 * np.getbufsize()
+                == strip_worker_nbytes(spec, bands, h, w))
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
         # seven strips of both images (of 16384 pixels' values of the widest
@@ -578,6 +587,31 @@ def _tiled_pair(k: int, size: str):
     x1, s, f1 = _tiled_case(k, size)
     x2, _, f2 = _tiled_case(k, size, seed=k + 100)
     return x1, x2, s, standardized_magnitude_reference(f1, f2)
+
+
+class TestConvWeights:
+    """Only the layers up to the deepest tap are drawn, each with the bits it
+    has when every layer of the spec's depth is drawn."""
+
+    def _every_layer(self, spec, bands):
+        """Weights of all ``spec.depth`` layers, drawn in order from the
+        spec's stream."""
+        rng, c_in, mats = generator(spec.seed), bands, []
+        for _ in range(spec.depth):
+            fan_in = c_in * spec.kernel_size ** 2
+            w = rng.standard_normal((spec.channels, fan_in)) / np.sqrt(fan_in)
+            mats.append(np.ascontiguousarray(w, dtype=np.float32))
+            c_in = spec.channels
+        return mats
+
+    @pytest.mark.parametrize("depth,taps", [(1, (1,)), (6, (2, 4, 6)), (9, (2, 5)),
+                                            (3000, (1,)), (12, (3, 7))])
+    @pytest.mark.parametrize("bands", [1, 4])
+    def test_drawn_to_the_deepest_tap(self, depth, taps, bands):
+        spec = ExtractorSpec(depth=depth, taps=taps, channels=5, seed=depth + bands)
+        weights = _conv_weights(spec, bands)
+        assert len(weights) == spec.taps[-1]
+        assert all(np.array_equal(a, b) for a, b in zip(weights, self._every_layer(spec, bands)))
 
 
 class TestDefaultSpecs:
