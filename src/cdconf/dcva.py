@@ -305,12 +305,13 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     the rest, so it takes one dim.  Every pixel's sum thus makes the
     additions of a sum over the live dims of the whole stack, whatever the
     strips or blocks.  The float64 block, the total beside it and z share
-    the first 2 * ``features._BLOCK`` float32 entries of the patch block
-    that ``lend`` lends, 7 entries a pixel for a block of one dim and 3
-    more for each dim after it, so a worker holds no buffer of its own but
-    for a strip too wide for one dim, which takes one allocation of 7
-    entries a pixel.  The strips run on up to ``threads`` worker threads,
-    each writing its own rows of rho.
+    the patch block that ``lend`` lends, 7 entries a pixel for a block of
+    one dim and 3 more for each dim after it, within its first 2 *
+    ``features._BLOCK`` entries, or the 7 a pixel of one dim where that is
+    more; a worker holds no buffer of its own but for a patch block too
+    small for one dim, which takes one allocation of 7 entries a pixel.
+    The strips run on up to ``threads`` worker threads, each writing its
+    own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
@@ -322,9 +323,9 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
             patch: np.ndarray) -> None:
         n = (y1 - y0) * w
-        size = min(len(patch), 2 * _BLOCK)
-        if size < 7 * n:
-            patch, size = np.empty(7 * n, np.float32), 7 * n
+        if len(patch) < 7 * n:
+            patch = np.empty(7 * n, np.float32)
+        size = min(len(patch), max(2 * _BLOCK, 7 * n))
         per = 1 if n == 1 else (size - 4 * n) // (3 * n)
         wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
         total = wide[(per + 1) * n:]

@@ -264,12 +264,10 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     stage of the strip's rows and one layer's halo.  An identity detection
     runs no layer: its worker holds a patch block of 2 * 2**17 float32
     entries alone.  The moments and the magnitude pass work in the patch
-    block, the magnitude pass in at most its first 2 * 2**17 entries, of
-    which a block of one dim takes 7 a pixel of the strip: a strip too
-    wide for that takes one allocation of its own of 7 float32 entries a
-    pixel in the magnitude pass, counted too.  Beside them, two float32
-    buffers of ``np.getbufsize()`` entries, which NumPy may take to iterate
-    an elementwise operation over strided rows of a stage."""
+    block, so they add nothing while one dim of the magnitude pass, 7
+    entries a pixel of the tallest strip, fits in it.  Beside it, two
+    float32 buffers of ``np.getbufsize()`` entries, which NumPy may take to
+    iterate an elementwise operation over strided rows of a stage."""
     rows = max(y1 - y0 for y0, y1 in strip_partition(spec, bands, h, w))
     if spec.kind is ExtractorKind.IDENTITY:
         patch, first, second = 2 * 2**17, 0, 0
@@ -286,8 +284,8 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
             second = max(second, bands * (min(h, rows + 2 * pad) + extra) * wp + tap)
         fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
         patch = max(k * patch_columns(k) for k in fan_ins)
-    own = 7 * rows * w if 7 * rows * w > min(patch, 2 * 2**17) else 0
-    return 4 * (patch + first + second + own) + 8 * np.getbufsize()
+    assert 7 * rows * w <= patch
+    return 4 * (patch + first + second) + 8 * np.getbufsize()
 
 
 def whole_stack_magnitude_reference(g: np.ndarray, sd: np.ndarray, live: np.ndarray) -> np.ndarray:

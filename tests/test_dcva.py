@@ -543,7 +543,8 @@ class TestRecomputedLeadingDims:
 
     # (spec, bands, height, width); at 96x1100 the primary's strips are 48
     # rows, too wide for one dim of the magnitude pass in 2 * _BLOCK
-    # entries of the patch block
+    # entries, which then takes the 7 entries a pixel of one dim in the
+    # patch block
     _TRACED = {"secondary": (default_secondary_spec(0), 4, 256, 256),
                "identity": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 256, 256),
                "identity-100-bands": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 100, 128, 256),
@@ -554,9 +555,7 @@ class TestRecomputedLeadingDims:
         # the recomputed rows, the float64 blocks and the quotients all lie
         # in the scratch buffers the first pass left; a buffer of a strip's
         # recomputed rows would add 3 MiB at 256 wide, and magnitude-pass
-        # buffers of its own 1.5 MiB to an identity detection.  A strip too
-        # wide for the patch block takes one allocation of 7 float32
-        # entries a pixel
+        # buffers of its own 1.5 MiB to an identity detection
         spec, bands, h, w = self._TRACED[case]
         if bands == 4:
             t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=2))
@@ -564,16 +563,13 @@ class TestRecomputedLeadingDims:
         else:
             x1, x2 = self._pair(bands, h, w)
         g, sd, live, strips, lend = _difference(spec, x1, x2, 1)
-        pixels = max(y1 - y0 for y0, y1 in strips) * w
-        own = 7 * pixels * 4 if case == "primary-96x1100" else 0
-        assert (7 * pixels > 2 * cdconf.dcva._BLOCK) == (own > 0)
         tracemalloc.start()
         try:
             m = _standardized_magnitude(g, sd, live, strips, 1, lend)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= m.rho.nbytes + own + 2**17
+        assert peak <= m.rho.nbytes + 2**17
 
 
 class TestStandardizedMagnitude:
