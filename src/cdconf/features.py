@@ -133,24 +133,32 @@ def _conv_weights(spec: ExtractorSpec, in_bands: int) -> tuple[np.ndarray, ...]:
     return tuple(mats)
 
 
-# Pixels per block: the most output columns per patch block of a conv
-# layer, and the pixels per block of ``_pooled_std``'s moments.  Each GEMM
-# is still wide enough to run at speed.
+# Pixels per block: the most columns of a GEMM tile of a conv layer, and
+# the pixels per block of ``_pooled_std``'s moments.  Each GEMM is still
+# wide enough to run at speed.
 _TILE = 4096
 
-# Most float32 entries of a patch block: 1.7 MiB, which stays in one
-# core's 2 MiB L2 cache between its im2col copy and its GEMM.  A 432-deep
-# layer (48 channels of 3 x 3) runs tiles of 1024 columns, shallower ones
-# of up to ``_TILE``.  A GEMM column's bits do not depend on the tile's
-# width, and wider tiles of a deep layer only grow each strip worker's
-# buffers.
+# Most float32 entries of a GEMM tile: 864 KiB, so that the tile and the
+# copy of it that a GotoBLAS-style GEMM such as OpenBLAS packs for itself
+# both stay in one core's 2 MiB L2 cache between the tile's im2col copy and
+# its GEMM.  The stock layers of 36, 144 and 432 rows (4 bands, 16 and 48
+# channels of 3 x 3) run tiles of 4096, 1536 and 512 columns.  A GEMM
+# column's bits do not depend on the tile's width.
+_GEMM = 432 * 512
+
+# Most float32 entries of a patch block, the strip worker's buffer that a
+# layer's GEMM tiles are copied into and that ``_moments`` and the
+# magnitude pass take while it is idle: 1.7 MiB, two tiles of a 432-deep
+# layer (``_Extraction.scratch``).  A larger block only grows each strip
+# worker's buffers.
 _PATCH = 432 * 1024
 
 
-def _tile(fan_in: int) -> int:
-    """Columns per patch block of a layer of ``fan_in`` rows:
-    ``_PATCH // fan_in`` rounded down to 16, between 16 and ``_TILE``."""
-    return max(16, min(_TILE, _PATCH // fan_in) // 16 * 16)
+def _tile(fan_in: int, entries: int | None = None) -> int:
+    """Columns per GEMM tile of a layer of ``fan_in`` rows: ``entries``
+    (``_GEMM`` unless given) // fan_in rounded down to 16, between 16 and
+    ``_TILE``."""
+    return max(16, min(_TILE, (entries or _GEMM) // fan_in) // 16 * 16)
 
 
 # Most float64 entries of a block of feature dims that ``_moments`` and
@@ -213,25 +221,24 @@ def _reflect(st: np.ndarray, pad: int, rows: int, top: bool, bottom: bool) -> No
                 chan[pad + rows - 1 + i] = chan[pad + rows - 1 - i]
 
 
-def _im2col(stage: np.ndarray, start: int, out: np.ndarray) -> None:
-    """Copy the patch entries of columns [start, start + m) of a (c, rows,
-    wp) stage into ``out``, a (c, k, k, m) view of a patch block: entry
+def _patches(stage: np.ndarray, start: int, n: int, k: int) -> np.ndarray:
+    """A read-only (c, k, k, n) view of the patch entries of columns
+    [start, start + n) of a (c, rows, wp) stage for a k x k kernel: entry
     (c, dy, dx, j) is ``flat[c, start + j + dy*wp + dx]`` of the stage's
-    rows flattened.  One copy from a read-only strided view made straight
-    over the stage's memory, with no ``as_strided`` interface dict, after
-    a check that the view's last entry lies inside the stage: past it, the
-    view would read the next channel's rows or the buffer's tail without a
-    word, so there it raises InvariantViolation."""
+    rows flattened, so a tile of the columns is one strided copy.  The
+    view is made straight over the stage's memory, with no ``as_strided``
+    interface dict, after a check that its last entry lies inside the
+    stage: past it, the view would read the next channel's rows or the
+    buffer's tail without a word, so there it raises InvariantViolation."""
     c, rows, wp = stage.shape
-    k, m = out.shape[1], out.shape[-1]
-    if start + (k - 1) * (wp + 1) + m > rows * wp:
-        raise InvariantViolation(f"patch columns [{start}, {start + m}) of a {k}x{k} kernel "
+    if start + (k - 1) * (wp + 1) + n > rows * wp:
+        raise InvariantViolation(f"patch columns [{start}, {start + n}) of a {k}x{k} kernel "
                                  f"read past a stage of {rows} rows of {wp}")
     step = stage.strides[-1]
-    view = np.ndarray(out.shape, stage.dtype, stage, start * step,
+    view = np.ndarray((c, k, k, n), stage.dtype, stage, start * step,
                       (stage.strides[0], wp * step, step, step))
     view.flags.writeable = False
-    np.copyto(out, view)
+    return view
 
 
 def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
@@ -248,13 +255,17 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     (layer 0) and the even layers in the first, the odd layers in the
     second, each taking ``c * _stage_rows(rows) * wp`` entries and nothing
     past them.  Output pixel (y, x) is column p = y*wp + x, whose patch
-    entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so a tile of columns
-    is one strided copy (``_im2col``).  The tiles are the ``_blocks`` of
-    ``_tile`` columns of the layer's rows from their first column, each
-    zero-padded to a multiple of 16 columns: a GEMM column's bits then
+    entry (c, dy, dx) is ``flat[c, p + dy*wp + dx]``, so the patches of a
+    layer's rows are one read-only strided view of its source stage
+    (``_patches``), checked once against the stage's end, and a tile of
+    them is one copy.  The tiles are the ``_blocks`` of ``_tile`` columns
+    of the layer's rows from their first column, and the ragged last one
+    is zero-padded to a multiple of 16 columns: a GEMM column's bits then
     depend neither on the call's width nor on where the column sits in it
     (``tests/test_features.py`` checks the running BLAS), so not on the
-    strips or the tiles' width.  The GEMMs land in the next stage's
+    strips or the tiles' width.  A tile of at most ``_GEMM`` entries and
+    the GEMM's packed copy of it stay in one core's L2 cache; the patch
+    block may be larger (``_PATCH``).  The GEMMs land in the next stage's
     interior, the columns that wrap past a row's end in its border, and the
     span they wrote is rectified in one call: NumPy takes two iteration
     buffers for a strided span of fewer than about 3072 columns, as a
@@ -276,17 +287,20 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     _reflect(src, pad, hi - lo, lo == 0, hi == h)
     for layer, weights_l in enumerate(weights, start=1):
         c_in, c_out = len(src), len(weights_l)
+        fan_in = c_in * k * k
         a, b = max(0, y0 - (depth - layer) * pad), min(h, y1 + (depth - layer) * pad)
         dst = stage(layer, c_out, b - a)
         dst_flat = dst.reshape(c_out, -1)
-        for t in _blocks((b - a - 1) * wp + w, _tile(c_in * k * k)):
+        patches = _patches(src, (a - lo) * wp, (b - a - 1) * wp + w, k)
+        for t in _blocks(patches.shape[-1], _tile(fan_in)):
             m = t.stop - t.start
             cols = -(-m // 16) * 16
-            block = patch[:c_in * k * k * cols].reshape(c_in, k, k, cols)
-            _im2col(src, (a - lo) * wp + t.start, block[..., :m])
-            block[..., m:] = 0
+            block = patch[:fan_in * cols].reshape(c_in, k, k, cols)
+            np.copyto(block[..., :m], patches[..., t])
+            if m < cols:
+                block[..., m:] = 0
             tile = dst_flat[:, shift + t.start:shift + t.start + cols]
-            np.matmul(weights_l, block.reshape(c_in * k * k, cols), out=tile)
+            np.matmul(weights_l, block.reshape(fan_in, cols), out=tile)
         written = dst_flat[:, shift:shift + t.start + cols]
         np.maximum(written, 0.0, out=written)
         if layer < depth:
@@ -331,14 +345,17 @@ class _Extraction:
     def scratch(self) -> tuple[np.ndarray, ...]:
         """The patch block and two stage buffers that ``_conv_layers`` runs
         any of the ``strips`` in, carved in that order from one float32
-        allocation.  The first stage buffer holds the input stage and the
-        even layers, the second the odd ones, each as many entries as its
-        tallest stage takes.  With a ``lead``, ``leading`` runs layer 1 on
-        both rasters of the tallest strip in them: the first also holds this
-        raster's layer-1 rows, the second the other raster's input stage
-        and its layer-1 rows after it.  IDENTITY runs no layer: a patch block
-        of 2 * ``_BLOCK`` entries alone, in which the moments and the
-        magnitude pass work."""
+        allocation.  The patch block holds the largest of the layers'
+        tiles of ``_PATCH`` entries (or of ``_GEMM``, were that larger), so
+        more than a GEMM tile: room for the moments' and the magnitude
+        pass's blocks.  The first stage buffer holds the input stage and
+        the even layers, the second the odd ones, each as many entries as
+        its tallest stage takes.  With a ``lead``, ``leading`` runs layer 1
+        on both rasters of the tallest strip in them: the first also holds
+        this raster's layer-1 rows, the second the other raster's input
+        stage and its layer-1 rows after it.  IDENTITY runs no layer: a
+        patch block of 2 * ``_BLOCK`` entries alone, in which the moments
+        and the magnitude pass work."""
         if self.spec.kind is ExtractorKind.IDENTITY:
             sizes = [2 * _BLOCK]
         else:
@@ -352,7 +369,8 @@ class _Extraction:
                 first = max(first, tap)
                 second = max(second, tap + self.x.bands * wp
                              * _stage_rows(min(self.x.height, rows + 2 * pad), pad, wp))
-            sizes = [max(w.shape[1] * _tile(w.shape[1]) for w in self.weights), first, second]
+            sizes = [max(w.shape[1] * _tile(w.shape[1], max(_GEMM, _PATCH)) for w in self.weights),
+                     first, second]
         return tuple(np.split(np.empty(sum(sizes), np.float32), np.cumsum(sizes)[:-1]))
 
     def strip(self, y0: int, y1: int, scratch: tuple[np.ndarray, ...]):

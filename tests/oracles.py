@@ -338,17 +338,19 @@ def lead_ahead_magnitude_reference(spec, x1, x2, g: np.ndarray, sd: np.ndarray,
     return rho
 
 
-def im2col_slices(stage: np.ndarray, start: int, out: np.ndarray) -> None:
-    """The patch block of ``features._im2col`` by k*k slice copies: for
-    each kernel offset (dy, dx), columns [start + dy*wp + dx, ... + m) of
-    the (c, rows, wp) stage's flattened rows land in ``out[:, dy, dx]``."""
+def patch_slices(stage: np.ndarray, start: int, n: int, k: int) -> np.ndarray:
+    """The patches of ``features._patches`` by k*k slice copies into a new
+    (c, k, k, n) array: for each kernel offset (dy, dx), columns
+    [start + dy*wp + dx, ... + n) of the (c, rows, wp) stage's flattened
+    rows land in ``out[:, dy, dx]``."""
     c, _, wp = stage.shape
-    k, m = out.shape[1], out.shape[-1]
+    out = np.full((c, k, k, n), np.nan, stage.dtype)
     flat = stage.reshape(c, -1)
     for dy in range(k):
         for dx in range(k):
             o = start + dy * wp + dx
-            out[:, dy, dx] = flat[:, o:o + m]
+            out[:, dy, dx] = flat[:, o:o + n]
+    return out
 
 
 def moments_per_channel(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:

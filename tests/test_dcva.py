@@ -372,8 +372,8 @@ class TestDetectPair:
         assert truth.mean() / 3 < changed.mean() < 3 * truth.mean()
         assert (changed & truth).sum() >= 0.8 * truth.sum()
 
-    # a patch block of 432 x 1024 float32 holds 1024 columns of the
-    # secondary's layer 2 and 3072 of the primary's deeper layers; 432 x 256
+    # a GEMM tile of 432 x 512 float32 holds 512 columns of the secondary's
+    # layer 2 and 1536 of the primary's deeper layers; 432 x 256, 432 x 1024
     # and 432 x 4096 give every layer other tile widths, so any rounding
     # that hung on a tile's width would show in rho
     @pytest.mark.parametrize("size", [(257, 513), (512, 512)], ids=["257x513", "512x512"])
@@ -384,8 +384,8 @@ class TestDetectPair:
         t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=6))
         x1, x2 = normalize_pair(t1, t2)
         rhos = []
-        for columns in (256, 1024, 4096):
-            monkeypatch.setattr(cdconf.features, "_PATCH", 432 * columns)
+        for columns in (256, 512, 1024, 4096):
+            monkeypatch.setattr(cdconf.features, "_GEMM", 432 * columns)
             rhos.append(detect_pair(x1, x2, spec, threads=2).magnitude.rho)
         assert all(np.array_equal(rhos[0], rho) for rho in rhos[1:])
 

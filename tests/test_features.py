@@ -19,7 +19,7 @@ from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
-    _im2col,
+    _patches,
     _moments,
     _pooled,
     _pooled_std,
@@ -34,8 +34,8 @@ from cdconf.rng import generator
 from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
-    im2col_slices,
     live_reference,
+    patch_slices,
     moments_per_channel,
     recomputed_dims,
     standardized_magnitude_reference,
@@ -472,12 +472,23 @@ def test_gemm_column_bits_do_not_depend_on_a_multiple_of_16_width(shape):
     patches = rng.random((fan_in, _TILE + 64), dtype=np.float32)
     wide = weights @ patches
     out = np.empty((c, _TILE + 80), np.float32)
-    for width in [*range(16, 257, 16), 512, 1008, 2032, 2048, 4080, _TILE]:
+    for width in [*range(16, 257, 16), 512, 1008, 1536, 2032, 2048, 4080, _TILE]:
         for offset in (*range(17), 48):
             # a contiguous patch block, its result landing in a wider array
             tile = out[:, 16:16 + width]
             np.matmul(weights, np.ascontiguousarray(patches[:, offset:offset + width]), out=tile)
             assert np.array_equal(tile, wide[:, offset:offset + width]), (width, offset)
+
+
+# a GEMM tile of the stock 3x3 layers on 4 bands holds at most 432 x 512
+# float32 entries, so that it and the copy of it that OpenBLAS packs stay
+# in a 2 MiB L2 cache; the patch block still holds tiles of 432 x 1024
+@pytest.mark.parametrize("fan_in,columns,block", [(36, 4096, 4096), (144, 1536, 3072),
+                                                  (432, 512, 1024)])
+def test_tile_widths_of_the_stock_layers(fan_in, columns, block):
+    assert cdconf.features._tile(fan_in) == columns
+    assert fan_in * columns <= 432 * 512
+    assert cdconf.features._tile(fan_in, cdconf.features._PATCH) == block
 
 
 def _record_pools(monkeypatch, limit: int) -> list[int]:
@@ -752,8 +763,9 @@ class TestStandardizePair:
 
 
 class TestStridedPatches:
-    """``_im2col``'s one strided copy gives a patch block the bits of the
-    k*k slice copies, and refuses a view that would leave its stage."""
+    """``_patches``' one strided view of a layer's rows gives every patch
+    the bits of the k*k slice copies, and refuses a view that would leave
+    its stage."""
 
     # widths 7 and 96 run one tile a layer; 257 and 513 several, the last
     # one ragged
@@ -767,8 +779,17 @@ class TestStridedPatches:
             monkeypatch.setattr(cdconf.features, "_HALOS", 0)
             monkeypatch.setattr(cdconf.features, "_VALUES", 5 * w)
         got = extract(s, x)
-        monkeypatch.setattr(cdconf.features, "_im2col", im2col_slices)
+        layers = []
+
+        def sliced(stage, start, n, k):
+            layers.append(len(stage))
+            return patch_slices(stage, start, n, k)
+
+        monkeypatch.setattr(cdconf.features, "_patches", sliced)
         assert np.array_equal(got, extract(s, x))
+        # the substitute built the patches of every layer of every strip
+        strips = len(cdconf.features._Extraction(s, x).strips)
+        assert layers == [4, 5] * strips
 
     def _stage(self, c, rows, wp, spare=0):
         """A (c, rows, wp) stage at the head of a buffer of ``spare`` more
@@ -785,22 +806,21 @@ class TestStridedPatches:
         end = rows * wp - (k - 1) * (wp + 1)
         for start, m in [(0, 16), (5, 40), (end - 37, 37)]:
             got = np.full((c, k, k, m), np.nan, np.float32)
-            want = np.full((c, k, k, m), np.nan, np.float32)
-            _im2col(stage, start, got)
-            im2col_slices(stage, start, want)
+            np.copyto(got, _patches(stage, start, m, k))
+            want = patch_slices(stage, start, m, k)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_a_stage_one_row_short_raises(self, k):
-        # the rows the patch block needs, less one, at the head of a buffer
-        # that goes on: a strided view past the stage would read the
-        # buffer's tail without a word
+        # the rows a layer's patches need, less one, at the head of a
+        # buffer that goes on: a strided view past the stage would read
+        # the buffer's tail without a word
         c, rows, wp, m = 3, 9, 23, 40
         start = rows * wp - (k - 1) * (wp + 1) - m
-        _im2col(self._stage(c, rows, wp), start, np.empty((c, k, k, m), np.float32))
+        assert not _patches(self._stage(c, rows, wp), start, m, k).flags.writeable
         short = self._stage(c, rows - 1, wp, spare=10 * wp)
         with pytest.raises(InvariantViolation, match="read past a stage"):
-            _im2col(short, start, np.empty((c, k, k, m), np.float32))
+            _patches(short, start, m, k)
 
 
 class TestRectifier:
@@ -828,7 +848,8 @@ class TestRectifier:
         assert len(taps) == len(spec.taps)
         assert len(calls) == spec.depth
 
-    # the secondary's layer 2 runs GEMM tiles of 1024 columns
+    # the secondary's layer 2 runs GEMM tiles of 512 columns, the primary's
+    # deeper layers tiles of 1536
     @pytest.mark.parametrize("spec", [default_primary_spec(0), default_secondary_spec(0)],
                              ids=["primary", "secondary"])
     def test_a_strip_takes_no_iteration_buffer(self, spec):
