@@ -19,8 +19,8 @@ from cdconf.features import (
     ExtractorKind,
     ExtractorSpec,
     _conv_weights,
-    _patches,
     _moments,
+    _patches,
     _pooled,
     _pooled_std,
     default_primary_spec,
@@ -35,8 +35,8 @@ from oracles import (
     conv_relu_reference,
     conv_relu_tiled_reference,
     live_reference,
-    patch_slices,
     moments_per_channel,
+    patch_slices,
     recomputed_dims,
     standardized_magnitude_reference,
     strip_partition,
