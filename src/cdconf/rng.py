@@ -1,11 +1,15 @@
 """Deterministic seed derivation and random streams.
 
-Every random quantity in the pipeline is drawn from a counter-based
-generator (Philox) keyed by a 64-bit stream seed.  Stream seeds are derived
-from a single user-facing seed by folding role constants and loop indices
-through splitmix64, so results do not depend on execution order or thread
-count: any consumer can reconstruct its stream from (seed, role, index)
-alone.
+Every random quantity in the pipeline is drawn from a private stream keyed
+by a 64-bit stream seed.  The conv weights and the synthetic scenes come from
+a counter-based generator (Philox, ``generator``).  Each vote's noise comes
+from SFC64 (``noise_generator``), seeded through NumPy's SeedSequence: a
+normal draw consumes a varying number of raw outputs, so no consumer ever
+jumps into the middle of a noise stream, and SFC64 is NumPy's fastest bit
+generator.  Stream seeds are derived from a single user-facing seed by
+folding role constants and loop indices through splitmix64, so results do
+not depend on execution order or thread count: any consumer can reconstruct
+its stream from (seed, role, index) alone.
 
 Derivation rule (stable across releases; recorded in run manifests):
 
@@ -50,3 +54,8 @@ def mix64(*parts: int) -> int:
 def generator(stream_seed: int) -> np.random.Generator:
     """Philox generator keyed by a derived stream seed."""
     return np.random.Generator(np.random.Philox(key=stream_seed & _MASK64))
+
+
+def noise_generator(stream_seed: int) -> np.random.Generator:
+    """SFC64 generator, seeded through SeedSequence by a derived stream seed."""
+    return np.random.Generator(np.random.SFC64(stream_seed & _MASK64))

@@ -9,8 +9,8 @@ not-confident otherwise.  The voter is a ``Detector``, the same kind of
 function as the primary detection; the proposed method's voter is the full
 detection chain with the secondary extractor.
 
-Every iteration draws its noise from a private counter-based stream derived
-from (master_seed, image role, iteration index), so results are bit-identical
+Every iteration draws its noise from a private SFC64 stream derived from
+(master_seed, image role, iteration index), so results are bit-identical
 regardless of execution order: the reduction into K' is a commutative integer
 sum.  The iterations run one after another.  ``threads`` parallelizes inside
 each iteration instead: the pair's two noise draws run side by side, and so
@@ -33,7 +33,7 @@ from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
 from .pool import _pool_map
 from .raster import ConfidenceMap, ConfidenceState, Raster
-from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, generator, mix64
+from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, mix64, noise_generator
 
 # Decimal confidence thresholds like 0.9 have no exact binary representation
 # (0.9 * 10 == 9.000000000000002), so the count comparison allows this much
@@ -95,21 +95,17 @@ def perturb(x: Raster, sigma: float, stream_seed: int) -> Raster:
     """Add i.i.d. Gaussian(0, sigma^2) noise from the given stream, unclamped.
 
     Values may leave [0, 1]: clamping would bias the ensemble near the range
-    edges.  sigma=0 returns the input itself, bit for bit.  The noise is
-    drawn band by band into one float64 band, in the stream's order, and
-    added in float64 before the rounding to float32, so only one band of
-    float64 is held.
+    edges.  sigma=0 returns the input itself, bit for bit.  The whole
+    (bands, height, width) array of float32 noise is drawn in one call,
+    straight into the output, which is scaled by float32(sigma) and has the
+    raster added in place, both in float32: no float64 band is held.
     """
     if sigma == 0:
         return x
-    rng = generator(stream_seed)
     out = np.empty(x.data.shape, np.float32)
-    noise = np.empty(x.data.shape[1:])
-    for band, noisy in zip(x.data, out):
-        rng.standard_normal(out=noise)
-        noise *= sigma
-        noise += band
-        noisy[...] = noise
+    noise_generator(stream_seed).standard_normal(out=out, dtype=np.float32)
+    out *= np.float32(sigma)
+    out += x.data
     return Raster(out)
 
 

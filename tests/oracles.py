@@ -367,10 +367,10 @@ def moments_per_channel(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 def perturb_reference(data: np.ndarray, sigma: float, stream_seed: int) -> np.ndarray:
     """A noisy float32 copy of a (bands, height, width) raster: the whole
-    array of float64 noise drawn at once from the stream, times sigma,
-    plus the data, rounded to float32."""
-    noise = np.random.Generator(np.random.Philox(key=stream_seed)).standard_normal(data.shape)
-    return (noise * sigma + data).astype(np.float32)
+    array of float32 noise drawn at once from SFC64 seeded by the stream
+    seed, times float32(sigma), plus the data, all in float32."""
+    rng = np.random.Generator(np.random.SFC64(stream_seed))
+    return rng.standard_normal(data.shape, dtype=np.float32) * np.float32(sigma) + data
 
 
 def otsu_split_loop(counts: np.ndarray) -> int:

@@ -13,8 +13,9 @@ from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from cdconf.pool import _pool_map
 from cdconf.raster import ConfidenceState, Raster, normalize_pair
-from cdconf.rng import generator
+from cdconf.rng import noise_generator
 from cdconf.smoothing import (
+    _SIGMA_MAX,
     ConfidentDetection,
     EnsembleCounts,
     SmoothingConfig,
@@ -110,18 +111,39 @@ class TestPerturb:
         assert abs(delta.mean()) < 0.003
         assert abs(delta.std() - 0.1) < 0.001
 
+    # each iteration's two rasters, and successive iterations, draw from
+    # unrelated streams: 5e-3 is five standard errors of r at a million pixels
+    @pytest.mark.parametrize("a, b", [((1, 0), (1, 1)), ((4, 0), (5, 0)), ((4, 1), (5, 1))])
+    def test_streams_uncorrelated_over_a_million_samples(self, a, b):
+        x = Raster(np.zeros((1, 1000, 1000), dtype=np.float32))
+        seed_a, seed_b = iteration_seeds(31, a[0])[a[1]], iteration_seeds(31, b[0])[b[1]]
+        r = np.corrcoef(perturb(x, 1.0, seed_a).data.ravel(), perturb(x, 1.0, seed_b).data.ravel())
+        assert abs(r[0, 1]) < 5e-3
+
+    def test_share_beyond_three_sigma(self):
+        # 2 * (1 - Phi(3)) = 0.270%; 0.03 points is six standard errors
+        x = Raster(np.zeros((1, 1000, 1000), dtype=np.float32))
+        share = np.mean(np.abs(perturb(x, 0.1, 78).data) > np.float32(0.3))
+        assert abs(share - 0.0027) < 0.0003
+
+    def test_largest_sigma_stays_finite(self):
+        x = _scene(5, bands=4, h=64, w=64)
+        y = perturb(x, SmoothingConfig(sigma=_SIGMA_MAX).sigma, 79).data
+        assert y.dtype == np.float32 and np.isfinite(y).all()
+        assert np.abs(y).max() > _SIGMA_MAX
+
     @pytest.mark.parametrize("sigma", [0.1, 0.37, 1e-6])
-    def test_pinned_to_float64_sum_bit_for_bit(self, sigma):
-        # the float64 noise is scaled and summed in place: the same bits as
-        # adding it to a float64 copy of the raster, then rounding
+    def test_pinned_to_float32_scale_and_sum_bit_for_bit(self, sigma):
+        # the float32 noise is scaled by float32(sigma) and summed in place:
+        # the same bits as the float32 product plus the raster, no float64
         x = _scene(4, bands=3, h=33, w=17)
-        noise = generator(55).standard_normal(x.data.shape) * sigma
-        want = (x.data.astype(np.float64) + noise).astype(np.float32)
+        noise = noise_generator(55).standard_normal(x.data.shape, dtype=np.float32)
+        want = noise * np.float32(sigma) + x.data
         got = perturb(x, sigma, 55).data
-        assert got.dtype == np.float32
+        assert want.dtype == got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    # the noise is drawn one band at a time into one float64 band
+    # the noise is drawn in one call for the whole array, into the output
     @pytest.mark.parametrize("bands", [1, 4, 100])
     def test_bit_identical_to_the_whole_array_draw(self, bands):
         x = _scene(bands, bands=bands, h=67, w=131)
