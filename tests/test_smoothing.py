@@ -113,7 +113,8 @@ class TestPerturb:
 
     # each iteration's two rasters, and successive iterations, draw from
     # unrelated streams: 5e-3 is five standard errors of r at a million pixels
-    @pytest.mark.parametrize("a, b", [((1, 0), (1, 1)), ((4, 0), (5, 0)), ((4, 1), (5, 1))])
+    @pytest.mark.parametrize("a, b", [((1, 0), (1, 1)), ((4, 0), (5, 0)), ((4, 1), (5, 1))],
+                             ids=["role-1-vs-2", "k-vs-k+1-role-1", "k-vs-k+1-role-2"])
     def test_streams_uncorrelated_over_a_million_samples(self, a, b):
         x = Raster(np.zeros((1, 1000, 1000), dtype=np.float32))
         seed_a, seed_b = iteration_seeds(31, a[0])[a[1]], iteration_seeds(31, b[0])[b[1]]
@@ -128,7 +129,7 @@ class TestPerturb:
 
     def test_largest_sigma_stays_finite(self):
         x = _scene(5, bands=4, h=64, w=64)
-        y = perturb(x, SmoothingConfig(sigma=_SIGMA_MAX).sigma, 79).data
+        y = perturb(x, _SIGMA_MAX, 79).data
         assert y.dtype == np.float32 and np.isfinite(y).all()
         assert np.abs(y).max() > _SIGMA_MAX
 
