@@ -91,7 +91,7 @@ from .smoothing import (
 )
 from .synth import SceneSpec, generate
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "ChangeDetectionError",

@@ -3,13 +3,14 @@
 Every random quantity in the pipeline is drawn from a private stream keyed
 by a 64-bit stream seed.  The conv weights and the synthetic scenes come from
 a counter-based generator (Philox, ``generator``).  Each vote's noise comes
-from SFC64 (``noise_generator``), seeded through NumPy's SeedSequence: a
-normal draw consumes a varying number of raw outputs, so no consumer ever
-jumps into the middle of a noise stream, and SFC64 is NumPy's fastest bit
-generator.  Stream seeds are derived from a single user-facing seed by
-folding role constants and loop indices through splitmix64, so results do
-not depend on execution order or thread count: any consumer can reconstruct
-its stream from (seed, role, index) alone.
+from SFC64 (``noise_generator``), NumPy's fastest bit generator, seeded
+through NumPy's SeedSequence, and is made Gaussian by a float32 Box-Muller
+transform of its uniforms (``fill_standard_normal``): a raster of n values
+takes exactly 2*ceil(n/2) uniforms, and no consumer ever jumps into the
+middle of a noise stream.  Stream seeds are derived from a single
+user-facing seed by folding role constants and loop indices through
+splitmix64, so results do not depend on execution order or thread count:
+any consumer can reconstruct its stream from (seed, role, index) alone.
 
 Derivation rule (stable across releases; recorded in run manifests):
 
@@ -33,6 +34,11 @@ ROLE_F2_WEIGHTS = 0x12
 ROLE_NOISE_T1 = 0x21
 ROLE_NOISE_T2 = 0x22
 ROLE_SCENE = 0x31
+
+# Box-Muller pairs transformed per chunk: the one temporary, the chunk's
+# radii, is 64 KiB of float32.
+_PAIRS = 16384
+_TWO_PI = np.float32(2 * np.pi)
 
 
 def splitmix64(x: int) -> int:
@@ -59,3 +65,44 @@ def generator(stream_seed: int) -> np.random.Generator:
 def noise_generator(stream_seed: int) -> np.random.Generator:
     """SFC64 generator, seeded through SeedSequence by a derived stream seed."""
     return np.random.Generator(np.random.SFC64(stream_seed & _MASK64))
+
+
+def fill_standard_normal(flat: np.ndarray, stream_seed: int) -> None:
+    """Fill a 1-d contiguous float32 array with N(0, 1) values, in place.
+
+    The n entries take n float32 uniforms u from ``noise_generator``'s
+    stream, and one more after them when n is odd.  With h = ceil(n/2), pair
+    i < h takes r = sqrt(-2 log(1 - u[i])) and theta = 2 pi u[h + i], and
+    entry i gets r cos(theta) and entry h + i, when it exists, r sin(theta)
+    (Box and Muller, 1958), all in float32.  The pairs are transformed in
+    chunks through one small temporary, and the bits do not depend on the
+    chunk size.  1 - u is at least 2**-24, so every |value| is at most
+    sqrt(-2 ln 2**-24) ~ 5.77: the transform drops the normal tail beyond
+    it, about 8e-9 of the mass.
+    """
+    n, pairs = flat.size, flat.size // 2
+    h = n - pairs
+    gen = noise_generator(stream_seed)
+    gen.random(out=flat, dtype=np.float32)
+    if n % 2:  # the last pair's angle is the extra uniform; its sine is dropped
+        last = flat[h - 1:h]
+        _radius(last, last)
+        last *= np.cos(gen.random(1, dtype=np.float32) * _TWO_PI)
+    r = np.empty(min(_PAIRS, pairs), np.float32)
+    for a in range(0, pairs, _PAIRS):
+        m = min(_PAIRS, pairs - a)
+        cos, sin, ra = flat[a:a + m], flat[h + a:h + a + m], r[:m]
+        _radius(cos, ra)
+        sin *= _TWO_PI
+        np.cos(sin, out=cos)
+        cos *= ra
+        np.sin(sin, out=sin)
+        sin *= ra
+
+
+def _radius(u: np.ndarray, out: np.ndarray) -> None:
+    """sqrt(-2 log(1 - u)) of float32 uniforms, into ``out`` (may be ``u``)."""
+    np.subtract(np.float32(1), u, out=out)
+    np.log(out, out=out)
+    out *= np.float32(-2)
+    np.sqrt(out, out=out)

@@ -10,14 +10,16 @@ function as the primary detection; the proposed method's voter is the full
 detection chain with the secondary extractor.
 
 Every iteration draws its noise from a private SFC64 stream derived from
-(master_seed, image role, iteration index), so results are bit-identical
-regardless of execution order: the reduction into K' is a commutative integer
-sum.  The iterations run one after another.  ``threads`` parallelizes inside
-each iteration instead: the pair's two noise draws run side by side, and so
-do the detection's strips of rows, in both of its passes (see
-``dcva.detect_pair``; None, the default, means ``pool.default_threads()``).
-So a run holds one noisy pair and one noisy detection at a time whatever
-the thread count, and its results do not depend on the thread count either.
+(master_seed, image role, iteration index) and made Gaussian by a float32
+Box-Muller transform (``rng.fill_standard_normal``), so results are
+bit-identical regardless of execution order: the reduction into K' is a
+commutative integer sum.  The iterations run one after another.
+``threads`` parallelizes inside each iteration instead: the pair's two
+noise draws run side by side, and so do the detection's strips of rows, in
+both of its passes (see ``dcva.detect_pair``; None, the default, means
+``pool.default_threads()``).  So a run holds one noisy pair and one noisy
+detection at a time whatever the thread count, and its results do not
+depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
 from .pool import _pool_map
 from .raster import ConfidenceMap, ConfidenceState, Raster
-from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, mix64, noise_generator
+from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, fill_standard_normal, mix64
 
 # Decimal confidence thresholds like 0.9 have no exact binary representation
 # (0.9 * 10 == 9.000000000000002), so the count comparison allows this much
@@ -96,14 +98,15 @@ def perturb(x: Raster, sigma: float, stream_seed: int) -> Raster:
 
     Values may leave [0, 1]: clamping would bias the ensemble near the range
     edges.  sigma=0 returns the input itself, bit for bit.  The whole
-    (bands, height, width) array of float32 noise is drawn in one call,
-    straight into the output, which is scaled by float32(sigma) and has the
-    raster added in place, both in float32: no float64 band is held.
+    (bands, height, width) array of float32 noise is drawn straight into the
+    output by ``rng.fill_standard_normal``, in C order, which holds no
+    raster-sized temporary; the output is then scaled by float32(sigma) and
+    has the raster added in place, both in float32.
     """
     if sigma == 0:
         return x
     out = np.empty(x.data.shape, np.float32)
-    noise_generator(stream_seed).standard_normal(out=out, dtype=np.float32)
+    fill_standard_normal(out.reshape(-1), stream_seed)
     out *= np.float32(sigma)
     out += x.data
     return Raster(out)

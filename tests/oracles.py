@@ -366,11 +366,19 @@ def moments_per_channel(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def perturb_reference(data: np.ndarray, sigma: float, stream_seed: int) -> np.ndarray:
-    """A noisy float32 copy of a (bands, height, width) raster: the whole
-    array of float32 noise drawn at once from SFC64 seeded by the stream
-    seed, times float32(sigma), plus the data, all in float32."""
-    rng = np.random.Generator(np.random.SFC64(stream_seed))
-    return rng.standard_normal(data.shape, dtype=np.float32) * np.float32(sigma) + data
+    """A noisy float32 copy of a (bands, height, width) raster by an
+    unchunked Box-Muller transform: all 2*ceil(n/2) float32 uniforms of
+    SFC64 seeded by the stream seed drawn at once, radii from the first
+    half and angles from the second, the cosines then the sines in C order
+    (the last sine dropped when n is odd), times float32(sigma), plus the
+    data, all in float32."""
+    n = data.size
+    h = n - n // 2
+    u = np.random.Generator(np.random.SFC64(stream_seed)).random(2 * h, dtype=np.float32)
+    r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:h]))
+    theta = np.float32(2 * np.pi) * u[h:]
+    noise = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return noise.reshape(data.shape) * np.float32(sigma) + data
 
 
 def otsu_split_loop(counts: np.ndarray) -> int:

@@ -1,3 +1,5 @@
+import math
+import statistics
 import tracemalloc
 from functools import partial
 
@@ -7,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdconf.pool
+import cdconf.rng
 from cdconf.baselines import RcvaConfig, rcva_detect
 from cdconf.dcva import ChangeResult, MagnitudeMap, detect_pair, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
 from cdconf.pool import _pool_map
 from cdconf.raster import ConfidenceState, Raster, normalize_pair
-from cdconf.rng import noise_generator
+from cdconf.rng import fill_standard_normal
 from cdconf.smoothing import (
     _SIGMA_MAX,
     ConfidentDetection,
@@ -133,23 +136,63 @@ class TestPerturb:
         assert y.dtype == np.float32 and np.isfinite(y).all()
         assert np.abs(y).max() > _SIGMA_MAX
 
+    def test_share_beyond_four_sigma(self):
+        # 2 * (1 - Phi(4)) = 6.33e-5; 2.4e-5 is six standard errors at 4e6
+        x = Raster(np.zeros((4, 1000, 1000), dtype=np.float32))
+        share = np.mean(np.abs(perturb(x, 1.0, 80).data) > np.float32(4))
+        assert abs(share - 2 * (1 - statistics.NormalDist().cdf(4))) < 2.4e-5
+
+    def test_cdf_at_the_deciles(self):
+        # 3e-3 is six standard errors of an empirical CDF at a million samples
+        z = np.sort(perturb(Raster(np.zeros((1, 1000, 1000), np.float32)), 1.0, 81).data.ravel())
+        normal = statistics.NormalDist()
+        for q in range(1, 10):
+            x = normal.inv_cdf(q / 10)
+            assert abs(np.searchsorted(z, x, side="right") / z.size - normal.cdf(x)) < 3e-3
+
+    def test_pairs_sharing_a_radius_uncorrelated(self):
+        # entries i and h + i are r cos(theta) and r sin(theta) of one pair:
+        # 7e-3 is five standard errors of r at half a million pairs
+        z = perturb(Raster(np.zeros((1, 1000, 1000), np.float32)), 1.0, 82).data.ravel()
+        h = z.size // 2
+        assert abs(np.corrcoef(z[:h], z[h:])[0, 1]) < 7e-3
+
+    def test_largest_value_is_the_largest_radius(self):
+        # 1 - u >= 2**-24, so no |value| passes sqrt(-2 ln 2**-24) ~ 5.77, a
+        # tail of about 8e-9 that the normal would put beyond it
+        bound = np.sqrt(np.float32(-2) * np.log(np.float32(2.0**-24)))
+        assert abs(bound - math.sqrt(48 * math.log(2))) < 1e-5 and bound < 5.77
+        z = perturb(Raster(np.zeros((4, 1000, 1000), np.float32)), 1.0, 83).data
+        assert np.abs(z).max() <= bound
+
     @pytest.mark.parametrize("sigma", [0.1, 0.37, 1e-6])
     def test_pinned_to_float32_scale_and_sum_bit_for_bit(self, sigma):
         # the float32 noise is scaled by float32(sigma) and summed in place:
         # the same bits as the float32 product plus the raster, no float64
         x = _scene(4, bands=3, h=33, w=17)
-        noise = noise_generator(55).standard_normal(x.data.shape, dtype=np.float32)
-        want = noise * np.float32(sigma) + x.data
+        noise = np.empty(x.data.size, np.float32)
+        fill_standard_normal(noise, 55)
+        want = noise.reshape(x.data.shape) * np.float32(sigma) + x.data
         got = perturb(x, sigma, 55).data
         assert want.dtype == got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    # the noise is drawn in one call for the whole array, into the output
-    @pytest.mark.parametrize("bands", [1, 4, 100])
-    def test_bit_identical_to_the_whole_array_draw(self, bands):
-        x = _scene(bands, bands=bands, h=67, w=131)
+    # an odd element count takes one extra uniform for the last pair's angle
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 33, 17), (1, 67, 131), (4, 67, 131),
+                                       (100, 67, 131)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_bit_identical_to_the_unchunked_box_muller(self, shape):
+        x = _scene(shape[0], *shape)
         want = perturb_reference(x.data, 0.1, 91)
         assert np.array_equal(perturb(x, 0.1, 91).data.view(np.uint32), want.view(np.uint32))
+
+    # 3x129x129 is 24,961 pairs and an odd count: two chunks at the stock size
+    @pytest.mark.parametrize("pairs", [1, 7, 10**6])
+    def test_bits_independent_of_the_chunk_size(self, pairs, monkeypatch):
+        x = _scene(6, bands=3, h=129, w=129)
+        want = perturb(x, 0.1, 92).data
+        monkeypatch.setattr(cdconf.rng, "_PAIRS", pairs)
+        assert np.array_equal(perturb(x, 0.1, 92).data.view(np.uint32), want.view(np.uint32))
 
     def test_role_streams_independent(self):
         s1, s2 = iteration_seeds(0, 1)
