@@ -17,10 +17,11 @@ keeps only the dims that are dear to recompute: an identity extraction's
 bands, and a leading layer-1 tap that costs fewer multiply-adds than the
 deeper layers (half the stock secondary extractor's dims), are recomputed
 in the second pass instead, in the strip worker's own buffers, and the
-magnitude is taken in the strip's patch block.  So a detection holds the
-held part of g, its magnitude map, and one strip's buffers a worker thread
-(one allocation, 5.5 MiB for the stock secondary at a width of 512), the
-same buffers in both passes; both passes run on up to
+magnitude is taken in the strip's patch block, which one size rule makes
+large enough for it at any width.  So a detection holds the held part of
+g, its magnitude map, and one strip's buffers a worker thread (one
+allocation, 4.8 MiB for the stock secondary at a width of 512), the same
+buffers in both passes and nothing beside them; both passes run on up to
 ``threads`` workers, and the result does not depend on how many.
 
 Threshold selection compares between-class variances with exact integer
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import _BLOCK, _PIXELS, ExtractorSpec, _Extraction, _moments, _pooled
+from .features import _BLOCK, _PER_PIXEL, _PIXELS, ExtractorSpec, _Extraction, _moments, _pooled
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -208,7 +209,9 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     them (``_Extraction.leading``) and calls ``visit(y0, y1, f1, f2,
     patch)`` once with those (L, y1 - y0, width) rows (None when L = 0)
     and the worker's patch block, a flat float32 buffer that holds nothing
-    meanwhile.  So the magnitude pass holds no buffer of its own.
+    meanwhile and holds at least max(2 * ``_BLOCK``, ``_PER_PIXEL`` * n)
+    entries for a strip of n pixels (``_Extraction.scratch``).  So the
+    magnitude pass holds no buffer of its own.
 
     The strips, ``_Extraction.strips``, run on up to ``threads`` worker
     threads, each worker with one set of scratch buffers for the whole
@@ -306,12 +309,11 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     additions of a sum over the live dims of the whole stack, whatever the
     strips or blocks.  The float64 block, the total beside it and z share
     the patch block that ``lend`` lends, 7 entries a pixel for a block of
-    one dim and 3 more for each dim after it, within its first 2 *
-    ``features._BLOCK`` entries, or the 7 a pixel of one dim where that is
-    more; a worker holds no buffer of its own but for a patch block too
-    small for one dim, which takes one allocation of 7 entries a pixel.
-    The strips run on up to ``threads`` worker threads, each writing its
-    own rows of rho.
+    one dim (``_PER_PIXEL``) and 3 more for each dim after it, within its
+    first 2 * ``_BLOCK`` entries, or the 7 a pixel of one dim where that
+    is more, which ``lend``'s block always holds: a worker holds no
+    buffer of its own.  The strips run on up to ``threads`` worker
+    threads, each writing its own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
@@ -323,9 +325,7 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
             patch: np.ndarray) -> None:
         n = (y1 - y0) * w
-        if len(patch) < 7 * n:
-            patch = np.empty(7 * n, np.float32)
-        size = min(len(patch), max(2 * _BLOCK, 7 * n))
+        size = max(2 * _BLOCK, _PER_PIXEL * n)
         per = 1 if n == 1 else (size - 4 * n) // (3 * n)
         wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
         total = wide[(per + 1) * n:]

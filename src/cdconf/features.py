@@ -22,7 +22,8 @@ own buffers (``_Extraction.leading``) when it takes the magnitude in the
 strip's patch block, and runs the strips on ``pool._pool_map``: their
 heights depend only on the extractor and the image's shape (``_HALOS``),
 and their moments are merged in strip order, so the output is
-bit-identical for every thread count.
+bit-identical for every thread count.  A strip worker allocates nothing
+but its scratch buffers, one patch block size rule serving every kind.
 """
 
 from __future__ import annotations
@@ -146,29 +147,27 @@ _TILE = 4096
 # column's bits do not depend on the tile's width.
 _GEMM = 432 * 512
 
-# Most float32 entries of a patch block, the strip worker's buffer that a
-# layer's GEMM tiles are copied into and that ``_moments`` and the
-# magnitude pass take while it is idle: 1.7 MiB, two tiles of a 432-deep
-# layer (``_Extraction.scratch``).  A larger block only grows each strip
-# worker's buffers.
-_PATCH = 432 * 1024
 
-
-def _tile(fan_in: int, entries: int | None = None) -> int:
-    """Columns per GEMM tile of a layer of ``fan_in`` rows: ``entries``
-    (``_GEMM`` unless given) // fan_in rounded down to 16, between 16 and
-    ``_TILE``."""
-    return max(16, min(_TILE, (entries or _GEMM) // fan_in) // 16 * 16)
+def _tile(fan_in: int) -> int:
+    """Columns per GEMM tile of a layer of ``fan_in`` rows: ``_GEMM`` //
+    fan_in rounded down to 16, between 16 and ``_TILE``."""
+    return max(16, min(_TILE, _GEMM // fan_in) // 16 * 16)
 
 
 # Most float64 entries of a block of feature dims that ``_moments`` and
 # the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
-# call, in a strip worker's idle patch block, which holds 1.7 MiB: 1 MiB,
-# 8 dims of 16384 pixels, stays in a core's cache over the block's
-# passes, and the magnitude pass keeps its float32 quotients within it
-# too.  One dim a call spends its time in the calls; blocks of 16 dims
-# and more ran slower again on a 2 MiB L2 cache.
+# call, in a strip worker's idle patch block, which holds at least 2 *
+# ``_BLOCK`` float32 entries: 1 MiB, 8 dims of 16384 pixels, stays in a
+# core's cache over the block's passes, and the magnitude pass keeps its
+# float32 quotients within it too.  One dim a call spends its time in the
+# calls; blocks of 16 dims and more ran slower again on a 2 MiB L2 cache.
 _BLOCK = 2**17
+
+# Float32 entries a pixel of the magnitude pass's block of one dim: its
+# float64 square, the float64 running total at the block's head and beside
+# it, and its float32 quotient.  A patch block holds them for every pixel
+# of its tallest strip (``_Extraction.scratch``).
+_PER_PIXEL = 7
 
 
 def _blocks(n: int, size: int = _TILE) -> list[slice]:
@@ -183,9 +182,9 @@ def _blocks(n: int, size: int = _TILE) -> list[slice]:
 # values of its widest stage (the most of its bands and its channels, a
 # row of the image's width each): at a width of 512, 48 rows for the stock
 # primary, whose halo then costs 9% more multiply-adds, and 16 for the
-# stock secondary, a 5.5 MiB worker.  An identity extraction's one buffer
-# is fixed at 2 * ``_BLOCK`` float32 entries, so its strips hold at most
-# ``_PIXELS`` pixels, or one row.  Any height gives the same bits.
+# stock secondary, a 4.8 MiB worker.  An identity extraction's strips
+# hold at most ``_PIXELS`` pixels, or one row.  Any height gives the same
+# bits.
 _HALOS = 4
 _PIXELS = 16384
 _VALUES = 24 * _PIXELS
@@ -265,7 +264,7 @@ def _conv_layers(x: np.ndarray, weights: tuple[np.ndarray, ...], k: int,
     (``tests/test_features.py`` checks the running BLAS), so not on the
     strips or the tiles' width.  A tile of at most ``_GEMM`` entries and
     the GEMM's packed copy of it stay in one core's L2 cache; the patch
-    block may be larger (``_PATCH``).  The GEMMs land in the next stage's
+    block may be larger (``scratch``).  The GEMMs land in the next stage's
     interior, the columns that wrap past a row's end in its border, and the
     span they wrote is rectified in one call: NumPy takes two iteration
     buffers for a strided span of fewer than about 3072 columns, as a
@@ -343,24 +342,24 @@ class _Extraction:
                                             _VALUES // (widest * x.width)))
 
     def scratch(self) -> tuple[np.ndarray, ...]:
-        """The patch block and two stage buffers that ``_conv_layers`` runs
-        any of the ``strips`` in, carved in that order from one float32
-        allocation.  The patch block holds the largest of the layers'
-        tiles of ``_PATCH`` entries (or of ``_GEMM``, were that larger), so
-        more than a GEMM tile: room for the moments' and the magnitude
-        pass's blocks.  The first stage buffer holds the input stage and
-        the even layers, the second the odd ones, each as many entries as
-        its tallest stage takes.  With a ``lead``, ``leading`` runs layer 1
-        on both rasters of the tallest strip in them: the first also holds
+        """The patch block and, for a random-conv extraction, the two stage
+        buffers that ``_conv_layers`` runs any of the ``strips`` in, carved
+        in that order from one float32 allocation, a strip worker's only
+        one.  The patch block has one size rule for every kind: the most of
+        the layers' GEMM tiles (IDENTITY runs none), 2 * ``_BLOCK`` entries,
+        and ``_PER_PIXEL`` entries a pixel of the tallest strip, rounded up
+        to whole float64 entries.  So the GEMM tiles, the moments' float64
+        blocks and the magnitude pass's blocks of one dim or more all fit
+        in it.  The first stage buffer holds the input stage and the even
+        layers, the second the odd ones, each as many entries as its
+        tallest stage takes.  With a ``lead``, ``leading`` runs layer 1 on
+        both rasters of the tallest strip in them: the first also holds
         this raster's layer-1 rows, the second the other raster's input
-        stage and its layer-1 rows after it.  IDENTITY runs no layer: a
-        patch block of 2 * ``_BLOCK`` entries alone, in which the moments
-        and the magnitude pass work."""
-        if self.spec.kind is ExtractorKind.IDENTITY:
-            sizes = [2 * _BLOCK]
-        else:
+        stage and its layer-1 rows after it."""
+        rows = max(y1 - y0 for y0, y1 in self.strips)
+        sizes = [max(2 * _BLOCK, -(-_PER_PIXEL * rows * self.x.width // 2) * 2)]
+        if self.spec.kind is not ExtractorKind.IDENTITY:
             depth, pad, wp = len(self.weights), self.pad, self.wp
-            rows = max(y1 - y0 for y0, y1 in self.strips)
             stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp)
                       * wp for s, c in enumerate([self.x.bands] + [len(w) for w in self.weights])]
             first, second = max(stages[0::2]), max(stages[1::2])
@@ -369,7 +368,7 @@ class _Extraction:
                 first = max(first, tap)
                 second = max(second, tap + self.x.bands * wp
                              * _stage_rows(min(self.x.height, rows + 2 * pad), pad, wp))
-            sizes = [max(w.shape[1] * _tile(w.shape[1], max(_GEMM, _PATCH)) for w in self.weights),
+            sizes = [max(sizes[0], *(w.shape[1] * _tile(w.shape[1]) for w in self.weights)),
                      first, second]
         return tuple(np.split(np.empty(sum(sizes), np.float32), np.cumsum(sizes)[:-1]))
 
@@ -430,19 +429,17 @@ def extract(spec: ExtractorSpec, x: Raster) -> np.ndarray:
     return features
 
 
-def _moments(a: np.ndarray, buf: np.ndarray | None = None) -> tuple[int, np.ndarray, np.ndarray]:
+def _moments(a: np.ndarray, buf: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, per-dim mean and per-dim sum of squared deviations of a block
     whose first axis is the feature dim, in float64 by two passes over a
-    float64 copy of as many dims at a time as the flat float64 ``buf``
-    holds, up to ``_BLOCK`` entries (of one dim, in a buffer of its own,
-    when it holds none).  The copy is C-contiguous, so the sums of each dim
-    are NumPy's one-dimensional pairwise sums along its last axis, whatever
-    the number of dims it takes, and its mean is that sum divided by the
-    count, as ``ndarray.mean`` takes it."""
+    float64 copy of as many dims at a time as ``_BLOCK`` entries hold, but
+    at least one and no more than the flat float64 ``buf`` holds: ``buf``
+    takes the copy and holds at least one dim.  The copy is C-contiguous,
+    so the sums of each dim are NumPy's one-dimensional pairwise sums along
+    its last axis, whatever the number of dims it takes, and its mean is
+    that sum divided by the count, as ``ndarray.mean`` takes it."""
     n = a[0].size
-    per = 0 if buf is None else min(len(buf), _BLOCK) // n
-    if per == 0:
-        buf, per = np.empty(n), 1
+    per = max(1, min(len(buf), _BLOCK) // n)
     mean, m2 = np.empty(len(a)), np.empty(len(a))
     for d in range(0, len(a), per):
         dev = buf[:len(a[d:d + per]) * n].reshape(-1, n)
@@ -487,11 +484,11 @@ def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:
 def _pooled_std(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pooled``'s std and live mask of two equally shaped (..., D) stacks,
     from the moments of blocks of ``_TILE`` pixels, all of f1's and then all
-    of f2's."""
+    of f2's, taken in one buffer of ``_BLOCK`` float64 entries."""
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
-    d = f1.shape[-1]
-    return _pooled(_moments(flat[t].T) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
+    d, buf = f1.shape[-1], np.empty(_BLOCK)
+    return _pooled(_moments(flat[t].T, buf) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
                    for t in _blocks(len(flat)))
 
 

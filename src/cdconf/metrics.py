@@ -114,15 +114,15 @@ def evaluate_run(pred: LabelMap, conf: ConfidenceMap | None, ref: LabelMap):
     return full, metrics(confusion(pred, ref, conf), total)
 
 
+def _summed(counts: list[ConfusionCounts]) -> ConfusionCounts:
+    """Field-by-field sum of confusion counts."""
+    return ConfusionCounts(tp=sum(c.tp for c in counts), fp=sum(c.fp for c in counts),
+                           fn=sum(c.fn for c in counts), tn=sum(c.tn for c in counts))
+
+
 def aggregate_pooled(counts: list[ConfusionCounts], total_pixels: int) -> MetricsReport:
     """Sum confusion counts across scenes, then compute indices once."""
-    summed = ConfusionCounts(
-        tp=sum(c.tp for c in counts),
-        fp=sum(c.fp for c in counts),
-        fn=sum(c.fn for c in counts),
-        tn=sum(c.tn for c in counts),
-    )
-    return metrics(summed, total_pixels)
+    return metrics(_summed(counts), total_pixels)
 
 
 def aggregate_mean(reports: list[MetricsReport]) -> MetricsReport:
@@ -134,12 +134,6 @@ def aggregate_mean(reports: list[MetricsReport]) -> MetricsReport:
     if not reports:
         raise ValueError("nothing to aggregate")
     n = len(reports)
-    summed = ConfusionCounts(
-        tp=sum(r.counts.tp for r in reports),
-        fp=sum(r.counts.fp for r in reports),
-        fn=sum(r.counts.fn for r in reports),
-        tn=sum(r.counts.tn for r in reports),
-    )
     flags: set = set()
     for r in reports:
         flags.update(r.degenerate)
@@ -150,7 +144,7 @@ def aggregate_mean(reports: list[MetricsReport]) -> MetricsReport:
         f1_changed=sum(r.f1_changed for r in reports) / n,
         f1_macro=sum(r.f1_macro for r in reports) / n,
         pixel_pct=sum(r.pixel_pct for r in reports) / n,
-        counts=summed,
+        counts=_summed([r.counts for r in reports]),
         degenerate=tuple(sorted(flags)),
     )
 

@@ -5,23 +5,24 @@ its blocks of pixels) on at most ``threads`` and at most ``_MAX_WORKERS``
 worker threads, and never on more workers than pieces.  A caller that gives
 no ``threads`` gets ``default_threads()``, which uses the cores only when
 OpenBLAS runs one thread per call (see the package docstring), so the pool
-never fights BLAS's own threads.
+fights BLAS's own threads only when ``threads`` asks it to, which warns.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# worker holds one strip's buffers, one allocation (about 5.5 MiB with the
+# worker holds one strip's buffers, one allocation (about 4.8 MiB with the
 # stock secondary extractor at a width of 512, whose strips are 16 rows),
-# the same in the magnitude pass, where it recomputes the extractor's
-# layer-1 tap of the strip's rows in them and takes the magnitude in their
-# patch block, so this bounds what a pass adds to peak memory on a host
-# with many cores.
+# and nothing beside it: the same buffers serve the magnitude pass, which
+# recomputes the extractor's layer-1 tap of the strip's rows in them and
+# takes the magnitude in their patch block, so this bounds what a pass
+# adds to peak memory on a host with many cores.
 _MAX_WORKERS = 8
 
 
@@ -70,10 +71,17 @@ def default_threads() -> int:
 def _workers(threads: int | None, items: int) -> int:
     """Worker threads for ``items`` pieces of work: ``threads`` (None means
     ``default_threads()``, and below 1 counts as 1), but at most
-    ``_MAX_WORKERS`` and at most ``items``."""
+    ``_MAX_WORKERS`` and at most ``items``.  More than one while
+    ``OPENBLAS_NUM_THREADS`` is not "1" oversubscribes the cores with
+    OpenBLAS's own threads, and warns at the caller of ``_pool_map``."""
     if threads is None:
         threads = default_threads()
-    return max(1, min(threads, items, _MAX_WORKERS))
+    workers = max(1, min(threads, items, _MAX_WORKERS))
+    if workers > 1 and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        warnings.warn("worker threads beside OpenBLAS's own oversubscribe the cores: import "
+                      "cdconf before NumPy, or set OPENBLAS_NUM_THREADS=1", RuntimeWarning,
+                      stacklevel=3)
+    return workers
 
 
 def _pool_map(fn, items: list, threads: int | None) -> list:

@@ -206,13 +206,6 @@ def rcva_two_pass_reference(x1: np.ndarray, x2: np.ndarray, w: int) -> np.ndarra
     return np.maximum(rho12, rho21).astype(np.float32)
 
 
-def patch_columns(fan_in: int) -> int:
-    """Columns of a patch block of a layer with ``fan_in`` rows: as many as
-    keep the block within 432 x 1024 float32 entries, rounded down to 16,
-    but at least 16 and at most 4096."""
-    return max(16, min(4096, 432 * 1024 // fan_in) // 16 * 16)
-
-
 def recomputed_dims(spec, bands: int) -> int:
     """Leading feature dims a detection recomputes rather than holds: the
     channels of layer 1 of a random-conv spec that taps layer 1 and a deeper
@@ -252,26 +245,29 @@ def strip_partition(spec, bands: int, h: int, w: int) -> list[tuple[int, int]]:
 def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
     """Bytes one strip worker of a detection of an h x w image may hold,
     counted from the strip layout alone: one float32 allocation of a patch
-    block of the most entries over the layers up to the deepest tap, each
-    ``patch_columns`` wide, and two stage buffers.  A stage is a layer's
-    rows (the input's as layer 0) of the tallest strip, with the halo rows
-    of every layer after it up to the deepest tap, clipped to the image,
-    plus its border rows and the rows that 16 columns spill into.  The
-    first buffer holds the tallest of the input stage and the even layers,
-    the second the tallest odd layer.  When a leading tap is recomputed
-    (``recomputed_dims``), the first also holds at least the layer-1 stage
-    of the tallest strip, and the second at least that stage after an input
-    stage of the strip's rows and one layer's halo.  An identity detection
-    runs no layer: its worker holds a patch block of 2 * 2**17 float32
-    entries alone.  The moments and the magnitude pass work in the patch
-    block, so they add nothing while one dim of the magnitude pass, 7
-    entries a pixel of the tallest strip, fits in it.  Beside it, two
-    float32 buffers of ``np.getbufsize()`` entries, which NumPy may take to
-    iterate an elementwise operation over strided rows of a stage."""
+    block and, for a random-conv spec, two stage buffers.  The patch block
+    is the same rule for every spec: the most of 2 * 2**17 entries, 7
+    entries a pixel of the tallest strip (rounded up to an even count, so
+    it is whole float64 entries) and the GEMM tiles of the layers up to the
+    deepest tap, each as many columns as keep it within 432 x 512 entries,
+    rounded down to 16, but at least 16 and at most 4096.  A stage is a
+    layer's rows (the input's as layer 0) of the tallest strip, with the
+    halo rows of every layer after it up to the deepest tap, clipped to the
+    image, plus its border rows and the rows that 16 columns spill into.
+    The first buffer holds the tallest of the input stage and the even
+    layers, the second the tallest odd layer.  When a leading tap is
+    recomputed (``recomputed_dims``), the first also holds at least the
+    layer-1 stage of the tallest strip, and the second at least that stage
+    after an input stage of the strip's rows and one layer's halo.  An
+    identity detection runs no layer: its worker holds the patch block
+    alone.  The moments and the magnitude pass work in the patch block, so
+    they add nothing.  Beside it, two float32 buffers of
+    ``np.getbufsize()`` entries, which NumPy may take to iterate an
+    elementwise operation over strided rows of a stage."""
     rows = max(y1 - y0 for y0, y1 in strip_partition(spec, bands, h, w))
-    if spec.kind is ExtractorKind.IDENTITY:
-        patch, first, second = 2 * 2**17, 0, 0
-    else:
+    patch = max(2 * 2**17, 7 * rows * w + rows * w % 2)
+    first = second = 0
+    if spec.kind is not ExtractorKind.IDENTITY:
         k2, pad, depth = spec.kernel_size ** 2, spec.kernel_size // 2, spec.taps[-1]
         wp = w + 2 * pad
         extra = 2 * pad - (-16 // wp)
@@ -282,9 +278,8 @@ def strip_worker_nbytes(spec, bands: int, h: int, w: int) -> int:
             tap = spec.channels * (rows + extra) * wp
             first = max(first, tap)
             second = max(second, bands * (min(h, rows + 2 * pad) + extra) * wp + tap)
-        fan_ins = [bands * k2] + [spec.channels * k2] * (depth - 1)
-        patch = max(k * patch_columns(k) for k in fan_ins)
-    assert 7 * rows * w <= patch
+        for fan_in in [bands * k2] + [spec.channels * k2] * (depth - 1):
+            patch = max(patch, fan_in * max(16, min(4096, 432 * 512 // fan_in) // 16 * 16))
     return 4 * (patch + first + second) + 8 * np.getbufsize()
 
 

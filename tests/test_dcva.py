@@ -50,11 +50,18 @@ from oracles import (
 )
 
 
-def _own_lend(y0, y1, visit):
-    """A ``lend`` for a difference stack that holds every dim: a fresh
-    float32 patch block of 2 * ``_BLOCK`` entries, with ``_BLOCK`` read from
-    ``cdconf.dcva`` at the call, so a test's block size applies."""
-    visit(y0, y1, None, None, np.empty(2 * cdconf.dcva._BLOCK, np.float32))
+def _own_lend(w):
+    """A ``lend`` for a difference stack of width ``w`` that holds every
+    dim: a fresh float32 patch block of the fewest entries that ``lend``
+    may give a strip of n pixels, max(2 * ``_BLOCK``, 7 * n), with
+    ``_BLOCK`` read from ``cdconf.dcva`` at the call, so a test's block
+    size applies."""
+
+    def lend(y0, y1, visit):
+        n = (y1 - y0) * w
+        visit(y0, y1, None, None, np.empty(max(2 * cdconf.dcva._BLOCK, 7 * n), np.float32))
+
+    return lend
 
 
 def _mm(values) -> MagnitudeMap:
@@ -534,7 +541,7 @@ class TestRecomputedLeadingDims:
 
         def lend(y0, y1, visit):
             f1 = np.repeat(dims[:skip], (y1 - y0) * w).reshape(skip, y1 - y0, w)
-            visit(y0, y1, f1, 2 * f1, np.empty(2 * block, np.float32))
+            visit(y0, y1, f1, 2 * f1, np.empty(max(2 * block, 7 * (y1 - y0) * w), np.float32))
 
         g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
         ones = np.ones(len(dims), np.float32)
@@ -544,11 +551,17 @@ class TestRecomputedLeadingDims:
     # (spec, bands, height, width); at 96x1100 the primary's strips are 48
     # rows, too wide for one dim of the magnitude pass in 2 * _BLOCK
     # entries, which then takes the 7 entries a pixel of one dim in the
-    # patch block
+    # patch block.  A primary strip of 48x1400 and a secondary one of
+    # 16x4200 are 67,200 pixels, whose one dim (470,400 entries) is more
+    # than their GEMM tiles and 2 * _BLOCK, so the patch block grows to
+    # hold it; a primary strip of 25x2001 is an odd 50,025 pixels
     _TRACED = {"secondary": (default_secondary_spec(0), 4, 256, 256),
                "identity": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 256, 256),
                "identity-100-bands": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 100, 128, 256),
-               "primary-96x1100": (default_primary_spec(0), 4, 96, 1100)}
+               "primary-96x1100": (default_primary_spec(0), 4, 96, 1100),
+               "primary-48x1400": (default_primary_spec(0), 4, 48, 1400),
+               "secondary-16x4200": (default_secondary_spec(0), 4, 16, 4200),
+               "primary-25x2001": (default_primary_spec(0), 4, 25, 2001)}
 
     @pytest.mark.parametrize("case", list(_TRACED))
     def test_traced_magnitude_pass_holds_only_its_map(self, case):
@@ -593,7 +606,7 @@ class TestStandardizedMagnitude:
         g = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
         strips = cdconf.features._Extraction(identity, x1).strips
         assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2), strips, None,
-                                                      _own_lend).rho, rho)
+                                                      _own_lend(g.shape[-1])).rho, rho)
         return rho
 
     def _assert_bit_identical(self, f1, f2):
@@ -643,7 +656,7 @@ class TestStandardizedMagnitude:
         live = np.arange(96) % 7 != 0
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(g, sd, live, _strips(256, 64), 1, _own_lend)
+            m = _standardized_magnitude(g, sd, live, _strips(256, 64), 1, _own_lend(256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -761,7 +774,7 @@ class TestStandardizedMagnitude:
         strips = cdconf.features._Extraction(ExtractorSpec(kind=ExtractorKind.IDENTITY),
                                              Raster(g[:1])).strips
         rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool),
-                                      strips, None, _own_lend).rho
+                                      strips, None, _own_lend(w)).rho
         assert (rho == np.float32(2.0**30)).all()
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,12 +308,14 @@ class TestRandomConv:
         assert cdconf.features._Extraction(spec, x).lead == lead
 
     # a worker's buffers are what the oracle counts from the strip layout:
-    # one allocation of stage buffers per layer parity, a patch block of at
-    # most 432 x 1024, room for both rasters' recomputed tap of a whole
-    # strip, and NumPy's iteration buffers beside it; at 128 wide that tap
-    # sizes the stock secondary's second buffer, at 512 wide it does not
+    # one allocation of stage buffers per layer parity, a patch block of
+    # one rule for every kind, room for both rasters' recomputed tap of a
+    # whole strip, and NumPy's iteration buffers beside it; at 128 wide
+    # that tap sizes the stock secondary's second buffer, at 512 wide it
+    # does not.  At 49x2001 the primary's strips are 24 and 25 rows, whose
+    # 7 entries a pixel, an odd count, exceed its tiles and 2 * 2**17
     @pytest.mark.parametrize("h,w", [(256, 256), (300, 128), (512, 512), (57, 513),
-                                     (40, 1000), (3, 2000)])
+                                     (40, 1000), (3, 2000), (49, 2001)])
     @pytest.mark.parametrize("spec,bands", [(default_secondary_spec(0), 4),
                                             (default_secondary_spec(0), 16),
                                             (default_secondary_spec(0), 100),
@@ -482,13 +485,16 @@ def test_gemm_column_bits_do_not_depend_on_a_multiple_of_16_width(shape):
 
 # a GEMM tile of the stock 3x3 layers on 4 bands holds at most 432 x 512
 # float32 entries, so that it and the copy of it that OpenBLAS packs stay
-# in a 2 MiB L2 cache; the patch block still holds tiles of 432 x 1024
-@pytest.mark.parametrize("fan_in,columns,block", [(36, 4096, 4096), (144, 1536, 3072),
-                                                  (432, 512, 1024)])
-def test_tile_widths_of_the_stock_layers(fan_in, columns, block):
+# in a 2 MiB L2 cache; at 512 wide the patch block of either stock
+# extractor is 2 * 2**17 entries, which holds any of those tiles
+@pytest.mark.parametrize("fan_in,columns", [(36, 4096), (144, 1536), (432, 512)])
+def test_tile_widths_of_the_stock_layers(fan_in, columns):
     assert cdconf.features._tile(fan_in) == columns
     assert fan_in * columns <= 432 * 512
-    assert cdconf.features._tile(fan_in, cdconf.features._PATCH) == block
+    x = _raster(bands=4, h=512, w=512)
+    for spec in (default_primary_spec(0), default_secondary_spec(0)):
+        patch = cdconf.features._Extraction(spec, x).scratch()[0]
+        assert len(patch) == 2 * 2**17 >= fan_in * columns
 
 
 def _record_pools(monkeypatch, limit: int) -> list[int]:
@@ -563,6 +569,34 @@ class TestDefaultThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == str(seen)
+
+
+class TestOversubscriptionWarning:
+    """More than one worker thread while OpenBLAS is not capped at one
+    thread a call, as when NumPy was imported before cdconf, runs
+    OpenBLAS's threads inside every worker: ``_pool_map`` warns."""
+
+    def _blas(self, monkeypatch, blas):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+
+    @pytest.mark.parametrize("blas", ["4", None])
+    def test_warns_with_workers_beside_blas_threads(self, monkeypatch, blas):
+        self._blas(monkeypatch, blas)
+        with pytest.warns(RuntimeWarning, match="import cdconf before NumPy, or set "
+                                                "OPENBLAS_NUM_THREADS=1"):
+            assert _pool_map(lambda i: i * i, [1, 2, 3], 2) == [1, 4, 9]
+
+    # capped BLAS, one thread asked for, or no threads given, which then
+    # means one (``default_threads``)
+    @pytest.mark.parametrize("blas,threads", [("1", 2), ("4", 1), (None, 1), ("4", None)])
+    def test_quiet_when_capped_or_serial(self, monkeypatch, blas, threads):
+        self._blas(monkeypatch, blas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _pool_map(lambda i: i * i, [1, 2, 3], threads) == [1, 4, 9]
 
 
 _SIZES = {"tiles": (96, 101), "tall": (130, 70), "narrow": (1000, 40), "wide": (40, 1000),
@@ -871,7 +905,9 @@ class TestMomentBlocks:
     one-dim float64 copy, whatever the block size."""
 
     # around the 8 dims of ``_BLOCK`` of a 16384-pixel strip, the stock 48
-    # and 96, and strips of a few pixels
+    # and 96, and strips of a few pixels, in a buffer with no room past
+    # one dim ("none"), of three dims and a few entries, and a patch
+    # block's float64 view
     @pytest.mark.parametrize("dims", [1, 7, 8, 9, 48, 96])
     @pytest.mark.parametrize("buf", ["none", "small", "patch"])
     @pytest.mark.parametrize("rows,w", [(32, 512), (1, 1), (3, 5)])
@@ -879,7 +915,7 @@ class TestMomentBlocks:
         rng = np.random.Generator(np.random.Philox(key=dims))
         stage = rng.normal(3, 2, size=(dims, rows + 4, w + 2)).astype(np.float32)
         band = stage[:, 2:2 + rows, 1:1 + w]
-        scratch = {"none": None, "small": np.empty(3 * band[0].size + 5),
+        scratch = {"none": np.empty(band[0].size), "small": np.empty(3 * band[0].size + 5),
                    "patch": np.empty(432 * 2048, np.float32).view(np.float64)}[buf]
         count, mean, m2 = _moments(band, scratch)
         want_count, want_mean, want_m2 = moments_per_channel(band)
