@@ -42,9 +42,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0, help="master seed for weights/noise")
     ap.add_argument("--aggregate", choices=("pooled", "mean"), default="pooled")
     ap.add_argument("--threads", type=int, default=default_threads(),
-                    help="worker threads inside each detection: its strips of rows and "
-                         "its magnitude blocks (cap and default as for "
-                         "cdconf detect --threads)")
+                    help="worker threads inside each detection: its strips of rows, in "
+                         "both passes (cap and default as for cdconf detect --threads)")
     args = ap.parse_args(argv)
     for flag in ("scenes", "threads"):
         if getattr(args, flag) < 1:

@@ -10,10 +10,11 @@ A detection parallelizes on its own worker threads (``threads``), each of
 which runs its own GEMMs, so OpenBLAS is capped at one thread per caller:
 importing cdconf before NumPy sets ``OPENBLAS_NUM_THREADS=1`` unless the
 variable is already set.  Once NumPy is loaded the variable no longer acts,
-so it is then left alone.  Calls that give no ``threads`` use the cores,
-no more than a CPU quota allows, exactly when the cap is in force
-(``pool.default_threads``), and run serially on BLAS's own threads
-otherwise.
+so it is then left alone.  Worker threads run only while the variable is
+"1" (``pool._workers``); otherwise a detection starts none, whatever
+``threads`` asks for, and OpenBLAS's own threads do the parallel work.
+Calls that give no ``threads`` use the cores, no more than a CPU quota
+allows (``pool.default_threads``).
 """
 
 import os

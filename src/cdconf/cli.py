@@ -162,25 +162,24 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iterations", type=int, default=None, help="ensemble size K")
     p.add_argument("--conf-threshold", type=float, default=None, help="vote fraction in (0,1]")
     p.add_argument("--seed", type=int, default=None, help="master seed for all randomness")
-    p.add_argument("--f1-depth", type=int, default=None)
     p.add_argument("--f1-taps", type=_taps, default=None)
     p.add_argument("--f1-channels", type=int, default=None)
-    p.add_argument("--f2-depth", type=int, default=None)
     p.add_argument("--f2-taps", type=_taps, default=None)
     p.add_argument("--f2-channels", type=int, default=None)
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
                    help="worker threads of each detection's strips of rows, at most "
                         f"{_MAX_WORKERS} a pass, and of each vote's two noise draws "
-                        "(default: the usable cores when OpenBLAS runs one thread, else 1)")
+                        "(default: the usable cores); one while OPENBLAS_NUM_THREADS is "
+                        "not 1, and OpenBLAS's own threads do the parallel work")
 
 
 # the flag that sets each field of each config; every method reads f1, and
 # the others only if they are in its ``reads``
 _FLAGS = {
-    "f1": {"depth": "f1_depth", "taps": "f1_taps", "channels": "f1_channels"},
+    "f1": {"taps": "f1_taps", "channels": "f1_channels"},
     "smoothing": {"sigma": "sigma", "iterations": "iterations", "conf_threshold": "conf_threshold"},
-    "f2": {"depth": "f2_depth", "taps": "f2_taps", "channels": "f2_channels"},
+    "f2": {"taps": "f2_taps", "channels": "f2_channels"},
     "rcva": {"window_radius": "rcva_window"},
 }
 _CONFIG_FLAGS = ("t1", "t2", "method", "seed") + tuple(
@@ -361,17 +360,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SceneSpec(
-        width=args.width,
-        height=args.height,
-        bands=args.bands,
-        change_fraction=args.change_fraction,
-        change_contrast=args.change_contrast,
-        texture_scale=args.texture_scale,
-        sensor_noise=args.sensor_noise,
-        misregistration_shift=args.shift,
-        seed=args.seed,
-    )
+    spec = SceneSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SceneSpec)})
     t1, t2, ref = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -428,15 +417,11 @@ def _parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("synth", help="generate a synthetic bi-temporal scene")
     g.add_argument("--out", required=True)
-    g.add_argument("--width", type=int, default=128)
-    g.add_argument("--height", type=int, default=128)
-    g.add_argument("--bands", type=int, default=4)
-    g.add_argument("--change-fraction", type=float, default=0.08)
-    g.add_argument("--change-contrast", type=float, default=0.35)
-    g.add_argument("--texture-scale", type=int, default=16)
-    g.add_argument("--sensor-noise", type=float, default=0.05)
-    g.add_argument("--shift", type=int, default=0)
-    g.add_argument("--seed", type=int, default=0)
+    # a flag for each field, with SceneSpec's default; --shift sets misregistration_shift
+    hints = typing.get_type_hints(SceneSpec)
+    for f in dataclasses.fields(SceneSpec):
+        flag = "shift" if f.name == "misregistration_shift" else f.name.replace("_", "-")
+        g.add_argument(f"--{flag}", dest=f.name, type=hints[f.name], default=f.default)
     g.set_defaults(func=cmd_synth)
 
     r = sub.add_parser("render", help="convert a stored CDR raster to PGM/PPM")

@@ -66,8 +66,6 @@ class ExtractorSpec:
             return
         if not self.taps:
             raise EmptyTapSet(f"{self.kind.value} extractor needs at least one tapped layer")
-        if self.depth < 1:
-            raise RejectedValue(f"depth must be >= 1, got {self.depth}")
         if self.channels < 1:
             raise RejectedValue(f"channels must be >= 1, got {self.channels}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -84,21 +82,20 @@ class ExtractorSpec:
         return len(self.taps) * self.channels
 
 
-def default_primary_spec(master_seed: int = 0, *, depth: int = 6,
-                         taps: tuple[int, ...] = (2, 4, 6),
+def default_primary_spec(master_seed: int = 0, *, taps: tuple[int, ...] = (2, 4, 6),
                          channels: int = 16) -> ExtractorSpec:
     """Stock detection extractor: deep, taps spread over depth.
 
     16 channels/layer, a width chosen while near-dead dims still counted as
     live; ``_pooled`` now drops them, and a narrower primary has not been
-    measured under that rule.
+    measured under that rule.  Both stock extractors are as deep as their
+    deepest tap: no layer past it would ever run.
     """
-    return ExtractorSpec(depth=depth, taps=taps, channels=channels,
+    return ExtractorSpec(depth=max(taps, default=0), taps=taps, channels=channels,
                          seed=mix64(master_seed, ROLE_F1_WEIGHTS))
 
 
-def default_secondary_spec(master_seed: int = 0, *, depth: int = 2,
-                           taps: tuple[int, ...] = (1, 2),
+def default_secondary_spec(master_seed: int = 0, *, taps: tuple[int, ...] = (1, 2),
                            channels: int = 48) -> ExtractorSpec:
     """Stock voting extractor: shallow (applied K times per run), wide.
 
@@ -108,7 +105,7 @@ def default_secondary_spec(master_seed: int = 0, *, depth: int = 2,
     fewer pixels confident.  The 48 channels stay: two layers of 32
     channels keep about a fifth fewer pixels confident than two of 48.
     """
-    return ExtractorSpec(depth=depth, taps=taps, channels=channels,
+    return ExtractorSpec(depth=max(taps, default=0), taps=taps, channels=channels,
                          seed=mix64(master_seed, ROLE_F2_WEIGHTS))
 
 

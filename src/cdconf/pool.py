@@ -1,17 +1,17 @@
 """The worker threads of a detection.
 
 ``_pool_map`` runs the pieces of one pass (the strips of a detection, or
-its blocks of pixels) on at most ``threads`` and at most ``_MAX_WORKERS``
-worker threads, and never on more workers than pieces.  A caller that gives
-no ``threads`` gets ``default_threads()``, which uses the cores only when
-OpenBLAS runs one thread per call (see the package docstring), so the pool
-fights BLAS's own threads only when ``threads`` asks it to, which warns.
+a vote's two noise draws) on at most ``threads`` and at most
+``_MAX_WORKERS`` worker threads, and never on more workers than pieces.  A
+caller that gives no ``threads`` gets ``default_threads()``, the usable
+cores.  ``_workers`` is the one place that decides whether workers may run
+at all: only while OpenBLAS runs one thread per call (see the package
+docstring); otherwise OpenBLAS's own threads do the parallel work.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -50,16 +50,9 @@ def _cpu_quota(root: Path | None = None) -> int | None:
 
 
 def default_threads() -> int:
-    """Worker threads a detection runs on when its caller gives none.
-
-    When OpenBLAS runs one thread per call (``OPENBLAS_NUM_THREADS=1``, which
-    importing cdconf sets if NumPy is not loaded yet), the cores in this
-    process's affinity mask, but no more than a CPU quota allows
-    (``_cpu_quota``); otherwise 1, leaving the parallelism to OpenBLAS's own
-    threads.
-    """
-    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        return 1
+    """Worker threads a detection runs on when its caller gives none: the
+    cores in this process's affinity mask, but no more than a CPU quota
+    allows (``_cpu_quota``)."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -71,17 +64,15 @@ def default_threads() -> int:
 def _workers(threads: int | None, items: int) -> int:
     """Worker threads for ``items`` pieces of work: ``threads`` (None means
     ``default_threads()``, and below 1 counts as 1), but at most
-    ``_MAX_WORKERS`` and at most ``items``.  More than one while
-    ``OPENBLAS_NUM_THREADS`` is not "1" oversubscribes the cores with
-    OpenBLAS's own threads, and warns at the caller of ``_pool_map``."""
+    ``_MAX_WORKERS`` and at most ``items``.  One while
+    ``OPENBLAS_NUM_THREADS`` is not "1" (NumPy was imported before cdconf,
+    or the user set another value): OpenBLAS's own threads then run every
+    GEMM, and workers beside them would only oversubscribe the cores."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
     if threads is None:
         threads = default_threads()
-    workers = max(1, min(threads, items, _MAX_WORKERS))
-    if workers > 1 and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-        warnings.warn("worker threads beside OpenBLAS's own oversubscribe the cores: import "
-                      "cdconf before NumPy, or set OPENBLAS_NUM_THREADS=1", RuntimeWarning,
-                      stacklevel=3)
-    return workers
+    return max(1, min(threads, items, _MAX_WORKERS))
 
 
 def _pool_map(fn, items: list, threads: int | None) -> list:

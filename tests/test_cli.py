@@ -1,6 +1,7 @@
 """End-to-end command-line tests: artifact layout, gating, replay, sweeps."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,9 +13,10 @@ from cdconf.baselines import METHODS
 from cdconf.cli import main
 from cdconf.pool import default_threads
 from cdconf.raster import load_confidence_map, load_label_map, load_raster
+from cdconf.synth import SceneSpec
 
-_SMALL_F1 = ["--f1-depth", "2", "--f1-taps", "1,2", "--f1-channels", "4"]
-_SMALL_F2 = ["--f2-depth", "1", "--f2-taps", "1", "--f2-channels", "4"]
+_SMALL_F1 = ["--f1-taps", "1,2", "--f1-channels", "4"]
+_SMALL_F2 = ["--f2-taps", "1", "--f2-channels", "4"]
 _SMALL = ["--iterations", "3", *_SMALL_F1, *_SMALL_F2]
 
 
@@ -68,6 +70,17 @@ class TestSynth:
         spec = json.loads((s / "spec.json").read_text())
         assert spec["seed"] == 9 and spec["width"] == 32
 
+    @pytest.mark.parametrize("flags,scene", [
+        ([], SceneSpec()),
+        (["--width", "20", "--height", "18", "--bands", "3", "--change-fraction", "0.1",
+          "--change-contrast", "0.4", "--texture-scale", "8", "--sensor-noise", "0.03",
+          "--shift", "1", "--seed", "7"], SceneSpec(20, 18, 3, 0.1, 0.4, 8, 0.03, 1, 7)),
+    ], ids=["defaults", "every-flag"])
+    def test_spec_json_is_the_scene_of_the_flags(self, tmp_path, flags, scene):
+        assert main(["synth", "--out", str(tmp_path / "s"), *flags]) == 0
+        spec = json.loads((tmp_path / "s" / "spec.json").read_text())
+        assert spec == dataclasses.asdict(scene)
+
     def test_reference_fraction(self, tmp_path):
         s = _synth(tmp_path / "s", size=64)
         ref = load_label_map(s / "reference.pgm")
@@ -90,7 +103,7 @@ _UNREAD_FLAGS = [
     *[(m, f, v) for m in ("none", "deep-magnitude")
       for f, v in (("--sigma", "0.3"), ("--iterations", "99"), ("--conf-threshold", "0.5"))],
     *[(m, "--f2-channels", "7") for m in ("none", "deep-magnitude", "conf-rcva", "unified")],
-    ("unified", "--f2-depth", "2"),
+    ("unified", "--f2-taps", "2"),
     ("conf-rcva", "--f2-taps", "1"),
     *[(m, "--rcva-window", "3") for m in ("none", "deep-magnitude", "unified", "proposed")],
 ]
@@ -164,6 +177,24 @@ class TestDetect:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: method {method!r} does not read {flag}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_an_extractor_is_as_deep_as_its_deepest_tap(self, tmp_path):
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--iterations", "2", "--f2-taps", "1,3"])
+        assert rc == 0
+        f2 = json.loads((tmp_path / "d" / "run.json").read_text())["f2"]
+        assert (f2["depth"], f2["taps"]) == (3, [1, 3])
+
+    # depth 0 from a tap at 0: the message names the taps, which were given
+    def test_refuses_a_tap_below_layer_1(self, tmp_path, capsys):
+        s = _synth(tmp_path / "s", size=16)
+        rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
+                   "--out", str(tmp_path / "d"), "--f2-taps", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: taps (0,) outside the 1-based layer range [1, 0]\n"
         assert not (tmp_path / "d").exists()
 
     def test_conf_rcva_stores_rcva_window(self, tmp_path):

@@ -523,13 +523,11 @@ class TestDefaultThreads:
     def test_the_cores_capped_by_a_cpu_quota(self, monkeypatch, tmp_path, quota, cpus):
         (tmp_path / "cpu.max").write_text(f"{quota} 100000\n")
         monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == min(cpus, len(os.sched_getaffinity(0)))
 
     def test_a_quota_above_the_cores_leaves_the_cores(self, monkeypatch, tmp_path):
         (tmp_path / "cpu.max").write_text("6400000 100000\n")
         monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert default_threads() == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("files,cpus", [
@@ -547,13 +545,16 @@ class TestDefaultThreads:
             (tmp_path / name).write_text(text)
         assert _cpu_quota(tmp_path) == cpus
 
-    @pytest.mark.parametrize("blas", ["4", None])
-    def test_serial_when_blas_has_its_own_threads(self, monkeypatch, blas):
+    # whether workers may run is ``_workers``'s call alone
+    @pytest.mark.parametrize("blas", ["1", "4", None])
+    def test_the_cores_whatever_blas_runs(self, monkeypatch, tmp_path, blas):
+        (tmp_path / "cpu.max").write_text("150000 100000\n")
+        monkeypatch.setattr(cdconf.pool, "_CGROUP", tmp_path)
         if blas is None:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-        assert default_threads() == 1
+        assert default_threads() == min(2, len(os.sched_getaffinity(0)))
 
     # the cap acts only when OpenBLAS reads it at load; with NumPy loaded
     # first it would only reach the processes the program starts
@@ -572,9 +573,10 @@ class TestDefaultThreads:
 
 
 class TestOversubscriptionWarning:
-    """More than one worker thread while OpenBLAS is not capped at one
-    thread a call, as when NumPy was imported before cdconf, runs
-    OpenBLAS's threads inside every worker: ``_pool_map`` warns."""
+    """Worker threads while OpenBLAS is not capped at one thread a call, as
+    when NumPy was imported before cdconf, would run OpenBLAS's threads
+    inside every worker: ``_pool_map`` runs one worker then, and warns
+    nothing."""
 
     def _blas(self, monkeypatch, blas):
         if blas is None:
@@ -583,15 +585,18 @@ class TestOversubscriptionWarning:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
 
     @pytest.mark.parametrize("blas", ["4", None])
-    def test_warns_with_workers_beside_blas_threads(self, monkeypatch, blas):
+    def test_no_workers_beside_blas_threads(self, monkeypatch, blas):
+        sizes = _record_pools(monkeypatch, 1)
         self._blas(monkeypatch, blas)
-        with pytest.warns(RuntimeWarning, match="import cdconf before NumPy, or set "
-                                                "OPENBLAS_NUM_THREADS=1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert _pool_map(lambda i: i * i, [1, 2, 3], 2) == [1, 4, 9]
+        assert sizes == []
 
-    # capped BLAS, one thread asked for, or no threads given, which then
-    # means one (``default_threads``)
-    @pytest.mark.parametrize("blas,threads", [("1", 2), ("4", 1), (None, 1), ("4", None)])
+    # capped BLAS, one thread asked for, no threads given, or workers asked
+    # for beside BLAS's own threads, which run one
+    @pytest.mark.parametrize("blas,threads", [("1", 2), ("4", 1), (None, 1), ("4", None),
+                                              (None, 2)])
     def test_quiet_when_capped_or_serial(self, monkeypatch, blas, threads):
         self._blas(monkeypatch, blas)
         with warnings.catch_warnings():
@@ -655,7 +660,7 @@ class TestDefaultSpecs:
     def test_primary_deeper_than_secondary(self):
         p, s = default_primary_spec(), default_secondary_spec()
         assert p.depth > s.depth
-        assert max(p.taps) <= p.depth and max(s.taps) <= s.depth
+        assert max(p.taps) == p.depth and max(s.taps) == s.depth
 
     def test_distinct_weight_streams(self):
         # the two extractors must not share weights even for one master seed
@@ -665,8 +670,8 @@ class TestDefaultSpecs:
         assert default_primary_spec(0).seed != default_primary_spec(1).seed
 
     def test_overridable(self):
-        s = default_secondary_spec(5, depth=2, taps=(1, 2), channels=12)
-        assert (s.depth, s.taps, s.channels) == (2, (1, 2), 12)
+        s = default_secondary_spec(5, taps=(1, 3), channels=12)
+        assert (s.depth, s.taps, s.channels) == (3, (1, 3), 12)
 
 
 class TestStandardizePair:
