@@ -266,14 +266,13 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
     return g, sd, live, e1.strips, lend
 
 
-def _runs(dims: np.ndarray, span: np.ndarray, skip: int, size: int) -> list[list[int]]:
-    """Ranges [d0, d1) that cover the sorted dims ``dims`` in order, each of
-    at most ``size`` dims, all below ``skip`` or none, that take besides
-    ``dims`` only dims that the boolean mask ``span`` marks."""
-    gaps = np.concatenate([[0], np.cumsum(~span)]).tolist()
+def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
+    """Ranges [d0, d1) of consecutive dims of the sorted dims ``dims`` that
+    cover them in order, each of at most ``size`` dims, all below ``skip``
+    or none."""
     runs = []
     for d in dims.tolist():
-        if (runs and gaps[d] == gaps[runs[-1][1]] and (runs[-1][0] < skip) == (d < skip)
+        if (runs and runs[-1][1] == d and (runs[-1][0] < skip) == (d < skip)
                 and d - runs[-1][0] < size):
             runs[-1][1] = d + 1
         else:
@@ -289,37 +288,29 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
     recomputed strip by strip by ``lend`` (see ``_difference``), all of a
     strip's dims at once.
 
-    The live dims (``live`` true) of a strip go in blocks of
-    consecutive dims, which may take in dead dims whose std bounds their
-    |g| below float32's overflow: with N = 2 * height * width pooled
-    values, every value lies within sqrt(N) * s_d of the pooled mean, so
-    |g_d| <= 2 * sqrt(N) * s_d.  Such a dim is divided by +inf, not s_d, so
-    it adds an exact +0 to every pixel's sum, the bits of skipping it, and
-    the blocks are fewer; any other dead dim (one whose std is not finite,
-    say) ends a block.  A block's z, in a float32 buffer, is g's rows
-    divided by their stds, or for the leading dims f2's rows less f1's,
-    divided by the stds: the roundings of g = f2 - f1 and of its quotient.
-    z is copied to float64 rows 1.. of a block whose row 0 is the running
-    total and squared there (squaring the float32 z to float64 would take
-    NumPy's cast buffer), and ``np.add.reduce`` over the block's first axis
-    adds those rows in order, so every pixel still adds its dims one at a
-    time in dim order before the square root.  A block of one pixel is a
+    The live dims (``live`` true) of a strip go in blocks of consecutive
+    live dims; a dead dim ends a block.  A block's z, in a float32 buffer,
+    is g's rows divided by their stds, or for the leading dims f2's rows
+    less f1's, divided by the stds: the roundings of g = f2 - f1 and of its
+    quotient.  z is copied to float64 rows 1.. of a block whose row 0 is the
+    running total and squared there (squaring the float32 z to float64 would
+    take NumPy's cast buffer), and ``np.add.reduce`` over the block's first
+    axis adds those rows in order, so every pixel still adds its dims one at
+    a time in dim order before the square root.  A block of one pixel is a
     column, which NumPy reduces as its first entry plus the pairwise sum of
     the rest, so it takes one dim.  Every pixel's sum thus makes the
     additions of a sum over the live dims of the whole stack, whatever the
     strips or blocks.  The float64 block, the total beside it and z share
     the patch block that ``lend`` lends, 7 entries a pixel for a block of
     one dim (``_PER_PIXEL``) and 3 more for each dim after it, within its
-    first 2 * ``_BLOCK`` entries, or the 7 a pixel of one dim where that
-    is more, which ``lend``'s block always holds: a worker holds no
-    buffer of its own.  The strips run on up to ``threads`` worker
-    threads, each writing its own rows of rho.
+    first 2 * ``_BLOCK`` entries, or the 7 a pixel of one dim where that is
+    more, which ``lend``'s block always holds: a worker holds no buffer of
+    its own.  The strips run on up to ``threads`` worker threads, each
+    writing its own rows of rho.
     """
     skip = len(sd) - len(g)
     h, w = g.shape[1:]
     dims = np.flatnonzero(live)
-    span = live | (sd.astype(np.float64) * np.sqrt(2 * h * w) < 2.0**120)
-    scale = np.where(live, sd, np.float32(np.inf))[:, None, None]
     rho = np.empty((h, w), np.float32)
 
     def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
@@ -330,12 +321,12 @@ def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, str
         wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
         total = wide[(per + 1) * n:]
         total[...] = 0
-        for d0, d1 in _runs(dims, span, skip, per):
+        for d0, d1 in _runs(dims, skip, per):
             z = narrow[:(d1 - d0) * n].reshape(d1 - d0, y1 - y0, w)
             block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
             diff = (np.subtract(f2[d0:d1], f1[d0:d1], out=z) if d0 < skip
                     else g[d0 - skip:d1 - skip, y0:y1])
-            np.divide(diff, scale[d0:d1], out=z)
+            np.divide(diff, sd[d0:d1, None, None], out=z)
             block[0] = total
             squares = block[1:].reshape(z.shape)
             np.copyto(squares, z)

@@ -136,8 +136,12 @@ def load_raster(path) -> Raster:
 
 
 def save_raster(r: Raster, path) -> None:
-    """Write a Raster as CDR.  Round-trips bit-exactly through load_raster."""
-    if not np.isfinite(r.data).all():
+    """Write a Raster as CDR.  Round-trips bit-exactly through load_raster.
+
+    The header goes out first and the samples after it straight from the
+    array's buffer, so saving copies no payload."""
+    # the min and max, NaN or infinite when any sample is, take no mask
+    if not np.isfinite([r.data.min(), r.data.max()]).all():
         raise RejectedValue(f"refusing to write non-finite samples to {path}")
     header = json.dumps(
         {
@@ -150,10 +154,11 @@ def save_raster(r: Raster, path) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    payload = np.ascontiguousarray(r.data, dtype="<f4").tobytes()
-    blob = _CDR_MAGIC + len(header).to_bytes(4, "little") + header + payload
+    payload = np.ascontiguousarray(r.data, dtype="<f4")
     try:
-        Path(path).write_bytes(blob)
+        with open(path, "wb") as f:
+            f.write(_CDR_MAGIC + len(header).to_bytes(4, "little") + header)
+            f.write(memoryview(payload))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

@@ -6,7 +6,9 @@ literal) algorithm than the library so agreement is evidence, not tautology.
 
 import numpy as np
 
+from cdconf.errors import InfeasibleFraction
 from cdconf.features import ExtractorKind, _conv_layers, _conv_weights
+from cdconf.rng import ROLE_SCENE, generator, mix64
 
 
 def live_reference(sd: np.ndarray) -> np.ndarray:
@@ -395,3 +397,84 @@ def otsu_split_loop(counts: np.ndarray) -> int:
         if a * best_b > best_a * b:
             best_t, best_a, best_b = t, a, b
     return best_t
+
+
+def upsample_bilinear_reference(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Bilinear resize of a (bands, gh, gw) grid to (bands, h, w), all bands
+    at once: rows first, then columns, in float64."""
+    gh, gw = coarse.shape[-2:]
+    ys = np.linspace(0, gh - 1, h)
+    xs = np.linspace(0, gw - 1, w)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, gh - 1)
+    x1 = np.minimum(x0 + 1, gw - 1)
+    fy = (ys - y0)[None, :, None]
+    fx = (xs - x0)[None, None, :]
+    rows = coarse[:, y0, :] * (1 - fy) + coarse[:, y1, :] * fy
+    return rows[:, :, x0] * (1 - fx) + rows[:, :, x1] * fx
+
+
+def plant_shapes_reference(rng: np.random.Generator, h: int, w: int,
+                           fraction: float) -> np.ndarray:
+    """The change mask by whole-image shapes: each attempt draws a
+    rectangle or a disc as an (h, w) bool image and keeps the union with
+    the mask when its count stays within 110% of the target, until the
+    count reaches 90% of it."""
+    mask = np.zeros((h, w), dtype=bool)
+    if fraction == 0:
+        return mask
+    target = fraction * h * w
+    smax = max(3, round(0.2 * min(h, w)))
+    rmax = max(2, round(0.1 * min(h, w)))
+    mean_area = (((2 + smax) / 2) ** 2 + np.pi * ((1 + rmax) / 2) ** 2) / 2
+    budget = int(np.ceil(10 * target / mean_area)) + 10
+    yy, xx = np.ogrid[:h, :w]
+    for _ in range(budget):
+        if mask.sum() >= 0.9 * target:
+            return mask
+        if rng.integers(2) == 0:
+            sh = int(rng.integers(2, smax + 1))
+            sw = int(rng.integers(2, smax + 1))
+            y = int(rng.integers(0, max(1, h - sh + 1)))
+            x = int(rng.integers(0, max(1, w - sw + 1)))
+            shape = np.zeros((h, w), dtype=bool)
+            shape[y : y + sh, x : x + sw] = True
+        else:
+            r = int(rng.integers(1, rmax + 1))
+            cy = int(rng.integers(0, h))
+            cx = int(rng.integers(0, w))
+            shape = (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+        candidate = mask | shape
+        if candidate.sum() <= 1.1 * target:
+            mask = candidate
+    if mask.sum() >= 0.9 * target:
+        return mask
+    raise InfeasibleFraction(f"could not reach change fraction {fraction}")
+
+
+def generate_reference(spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scene's float32 t1 and t2 stacks and its bool change mask, built
+    whole-stack in float64: the texture of every band at once, t1 and t2
+    copies of it, the band shifts on the mask, the roll, then t1's noise
+    over every band and t2's, each added in float64 and rounded to float32
+    at the end."""
+    rng = generator(mix64(spec.seed, ROLE_SCENE))
+    h, w, b = spec.height, spec.width, spec.bands
+    gh = int(np.ceil((h - 1) / spec.texture_scale)) + 1
+    gw = int(np.ceil((w - 1) / spec.texture_scale)) + 1
+    coarse = rng.uniform(size=(b, gh, gw))
+    texture = 0.15 + 0.7 * upsample_bilinear_reference(coarse, h, w)
+    mask = plant_shapes_reference(rng, h, w, spec.change_fraction)
+    t1 = texture.copy()
+    t2 = texture.copy()
+    if mask.any() and spec.change_contrast > 0:
+        direction = rng.standard_normal(b)
+        shift = spec.change_contrast * direction / np.mean(np.abs(direction))
+        t2[:, mask] += shift[:, None]
+    if spec.misregistration_shift:
+        t2 = np.roll(t2, spec.misregistration_shift, axis=2)
+    if spec.sensor_noise > 0:
+        t1 = t1 + rng.standard_normal(t1.shape) * spec.sensor_noise
+        t2 = t2 + rng.standard_normal(t2.shape) * spec.sensor_noise
+    return t1.astype(np.float32), t2.astype(np.float32), mask

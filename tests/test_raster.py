@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,44 @@ class TestCdrRoundTrip:
         bad[0, 0, 0] = np.nan
         with pytest.raises(RejectedValue):
             save_raster(Raster(bad), tmp_path / "x.cdr")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_inf(self, tmp_path, value):
+        bad = np.zeros((2, 2, 2), dtype=np.float32)
+        bad[1, 1, 0] = value
+        with pytest.raises(RejectedValue):
+            save_raster(Raster(bad), tmp_path / "x.cdr")
+        assert not (tmp_path / "x.cdr").exists()
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(IoFailure):
+            save_raster(_raster(np.zeros((1, 2, 2))), tmp_path / "absent" / "x.cdr")
+
+    # a C-ordered raster and a strided view of one
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_bytes_of_the_whole_blob_encoding(self, tmp_path, strided):
+        rng = np.random.Generator(np.random.Philox(key=8))
+        data = rng.normal(size=(3, 11, 7)).astype(np.float32)
+        r = Raster(data.transpose(0, 2, 1) if strided else data)
+        save_raster(r, tmp_path / "x.cdr")
+        header = json.dumps({"width": r.width, "height": r.height, "bands": r.bands,
+                             "dtype": "f32", "layout": "band-sequential"},
+                            sort_keys=True, separators=(",", ":")).encode("utf-8")
+        want = (b"CDR1" + len(header).to_bytes(4, "little") + header
+                + np.ascontiguousarray(r.data, dtype="<f4").tobytes())
+        assert (tmp_path / "x.cdr").read_bytes() == want
+
+    def test_traced_peak_far_below_the_raster(self, tmp_path):
+        # the samples go to the file from the raster's own buffer: no copy
+        # of the payload, nor a mask of its finite samples
+        r = _raster(np.ones((100, 64, 64)))
+        tracemalloc.start()
+        try:
+            save_raster(r, tmp_path / "x.cdr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * r.data.nbytes
 
     def test_rejects_inf_on_load(self, tmp_path):
         p = tmp_path / "x.cdr"

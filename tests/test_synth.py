@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import generate_reference, plant_shapes_reference
 
 from cdconf.errors import InfeasibleFraction, RejectedValue
-from cdconf.synth import SceneSpec, generate
+from cdconf.rng import generator
+from cdconf.synth import SceneSpec, _plant_shapes, generate
 
 
 class TestSpecValidation:
@@ -108,3 +112,51 @@ class TestGenerate:
         t1, t2, _ = generate(SceneSpec(width=20, height=24, bands=6, seed=11))
         assert t1.data.shape == (6, 24, 20)
         assert t2.data.shape == (6, 24, 20)
+
+
+class TestBandByBand:
+    """``generate`` fills its outputs one band at a time: the scenes of the
+    whole-stack float64 build, bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("spec", [
+        SceneSpec(),
+        SceneSpec(bands=100, width=64, height=48, seed=1),
+        SceneSpec(bands=1, width=17, height=40, seed=2),
+        SceneSpec(misregistration_shift=1, seed=3),
+        SceneSpec(misregistration_shift=2, seed=4),
+        SceneSpec(misregistration_shift=-3, width=33, height=20, seed=5),
+        SceneSpec(sensor_noise=0, seed=6),
+        SceneSpec(change_contrast=0, seed=7),
+        SceneSpec(change_fraction=0, seed=8),
+        SceneSpec(width=37, height=53, bands=3, seed=9),
+        SceneSpec(width=61, height=29, texture_scale=5, misregistration_shift=1, seed=10),
+        SceneSpec(width=9, height=7, texture_scale=1, change_fraction=0, seed=11),
+    ], ids=repr)
+    def test_bits_of_the_whole_stack_build(self, spec):
+        t1, t2, ref = generate(spec)
+        w1, w2, wmask = generate_reference(spec)
+        assert np.array_equal(t1.data, w1)
+        assert np.array_equal(t2.data, w2)
+        assert np.array_equal(ref.changed, wmask)
+
+    def test_traced_peak_is_the_outputs_and_a_few_bands(self):
+        # two band buffers, the coarse grid, the mask and NumPy's iteration
+        # buffer; a whole-stack float64 temporary would be 25 bands
+        generate(SceneSpec(width=32, height=32))  # NumPy's lazy imports
+        spec = SceneSpec(bands=100, width=96, height=96, misregistration_shift=1)
+        outputs = 2 * 100 * 96 * 96 * 4
+        tracemalloc.start()
+        try:
+            t1, t2, _ = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t1.data.nbytes + t2.data.nbytes == outputs
+        assert peak <= outputs + 4 * 96 * 96 * 8
+
+    @pytest.mark.parametrize("h,w,fraction", [(128, 128, 0.08), (96, 64, 0.2), (17, 40, 0.1),
+                                              (200, 3, 0.3), (64, 64, 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_plant_shapes_in_boxes_gives_the_whole_image_mask(self, h, w, fraction, seed):
+        got = _plant_shapes(generator(seed), h, w, fraction)
+        assert np.array_equal(got, plant_shapes_reference(generator(seed), h, w, fraction))
