@@ -372,15 +372,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_render(args) -> int:
-    r = normalize_bands(load_raster(args.input))
-    gray = (r.data * 255.0).round().astype(np.uint8)
-    if r.bands == 1:
-        _write_pnm(b"P5", r.width, r.height, gray[0].tobytes(), args.out)
-    elif r.bands == 3:
-        _write_pnm(b"P6", r.width, r.height,
-                   gray.transpose(1, 2, 0).tobytes(), args.out)
-    else:
+    r = load_raster(args.input)
+    if r.bands not in (1, 3):
         raise RejectedValue(f"can only render 1- or 3-band rasters, got {r.bands}")
+    # the normalized samples are this command's own: scale and round them in place
+    data = normalize_bands(r).data
+    data *= np.float32(255.0)
+    np.round(data, out=data)
+    gray = data.transpose(1, 2, 0).astype(np.uint8, order="C")
+    _write_pnm(b"P5" if r.bands == 1 else b"P6", r.width, r.height, gray, args.out)
     return 0
 
 

@@ -19,9 +19,9 @@ with confident-changed=black, confident-unchanged=white, not-confident=red.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .errors import (
 )
 
 _CDR_MAGIC = b"CDR1"
+
+# float64 values normalize_pair scales at a time: its one temporary, 128 KiB.
+_NORM_BLOCK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,14 +125,19 @@ def load_raster(path) -> Raster:
     """Read a CDR, PGM, or PPM file into a Raster.
 
     Integer pixel formats are scaled to [0, 1] by the format maximum; CDR
-    floats are returned bit-exactly.
+    floats are returned bit-exactly.  A CDR's samples are read straight into
+    the raster's array once its header has been checked against the file's
+    size, so loading one holds no copy of its payload.
     """
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            lead = f.read(8)
+            if lead[:4] == _CDR_MAGIC:
+                return _read_cdr(f, lead, path)
+            f.seek(0)
+            blob = f.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if blob[:4] == _CDR_MAGIC:
-        return _parse_cdr(blob, path)
     if blob[:2] in (b"P5", b"P6"):
         return _parse_pnm(blob, path)
     raise UnsupportedFormat(f"{path}: not a CDR/PGM/PPM file")
@@ -163,14 +171,18 @@ def save_raster(r: Raster, path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_cdr(blob: bytes, path) -> Raster:
-    if len(blob) < 8:
+def _read_cdr(f, lead: bytes, path) -> Raster:
+    """The rest of a CDR file whose first 8 bytes, ``lead``, are read."""
+    if len(lead) < 8:
         raise MalformedHeader(f"{path}: truncated CDR header")
-    hlen = int.from_bytes(blob[4:8], "little")
-    if len(blob) < 8 + hlen:
+    hlen = int.from_bytes(lead[4:8], "little")
+    # the sizes are checked against the file's before anything is read into
+    # memory, so a hostile header cannot make a giant allocation
+    rest = os.fstat(f.fileno()).st_size - 8
+    if rest < hlen:
         raise MalformedHeader(f"{path}: header length {hlen} overruns file")
     try:
-        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+        header = json.loads(f.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader(f"{path}: bad CDR header JSON: {exc}") from exc
     try:
@@ -182,16 +194,19 @@ def _parse_cdr(blob: bytes, path) -> Raster:
         raise UnsupportedFormat(f"{path}: unsupported dtype/layout {dtype!r}/{layout!r}")
     if min(w, h, b) < 1:
         raise MalformedHeader(f"{path}: non-positive dimensions {w}x{h}x{b}")
-    payload = blob[8 + hlen :]
     expected = w * h * b * 4
-    if len(payload) != expected:
+    if rest - hlen != expected:
         raise DimensionMismatch(
-            f"{path}: payload has {len(payload)} bytes, header declares {expected}"
+            f"{path}: payload has {rest - hlen} bytes, header declares {expected}"
         )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float32).reshape(b, h, w)
-    if not np.isfinite(data).all():
+    data = np.empty((b, h, w), "<f4")
+    got = f.readinto(data)
+    if got != expected:  # the file shrank since its size was read
+        raise DimensionMismatch(f"{path}: payload has {got} bytes, header declares {expected}")
+    # the min and max, NaN or infinite when any sample is, take no mask
+    if not np.isfinite([data.min(), data.max()]).all():
         raise RejectedValue(f"{path}: non-finite samples in payload")
-    return Raster(data)
+    return Raster(data.astype(np.float32, copy=False))
 
 
 def _parse_pnm(blob: bytes, path) -> Raster:
@@ -220,17 +235,16 @@ def _parse_pnm(blob: bytes, path) -> Raster:
     if maxval > 255:
         raise UnsupportedFormat(f"{path}: only 8-bit PNM supported, maxval={maxval}")
     bands = 1 if magic == b"P5" else 3
-    payload = blob[pos:]
+    payload = memoryview(blob)[pos:]
     if len(payload) != w * h * bands:
         raise DimensionMismatch(
             f"{path}: payload has {len(payload)} bytes, header declares {w * h * bands}"
         )
-    flat = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / np.float32(maxval)
-    if bands == 1:
-        data = flat.reshape(1, h, w)
-    else:
-        data = flat.reshape(h, w, 3).transpose(2, 0, 1)
-    return Raster(np.ascontiguousarray(data))
+    # band-sequential float32 straight from the interleaved bytes, scaled in place
+    data = np.empty((bands, h, w), np.float32)
+    data[...] = np.frombuffer(payload, dtype=np.uint8).reshape(h, w, bands).transpose(2, 0, 1)
+    data /= np.float32(maxval)
+    return Raster(data)
 
 
 def normalize_bands(r: Raster) -> Raster:
@@ -240,7 +254,7 @@ def normalize_bands(r: Raster) -> Raster:
     centered instead of dividing by zero.  Idempotent: normalizing twice is
     bit-identical to normalizing once.
     """
-    return normalize_pair(r, r)[0]
+    return _normalized(r)[0]
 
 
 def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:
@@ -253,26 +267,40 @@ def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:
     """
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {a.data.shape} vs {b.data.shape}")
-    out_a = np.empty_like(a.data)
-    out_b = np.empty_like(b.data)
-    for band in range(a.bands):
-        da = a.data[band].astype(np.float64)
-        db = b.data[band].astype(np.float64)
-        lo = min(da.min(), db.min())
-        hi = max(da.max(), db.max())
-        if hi > lo:
-            out_a[band] = ((da - lo) / (hi - lo)).astype(np.float32)
-            out_b[band] = ((db - lo) / (hi - lo)).astype(np.float32)
-        else:
-            out_a[band] = np.float32(0.5)
-            out_b[band] = np.float32(0.5)
-    return Raster(out_a), Raster(out_b)
+    return _normalized(a, b)
+
+
+def _normalized(*rasters: Raster) -> tuple[Raster, ...]:
+    """Rasters of one shape scaled by each band's extremes pooled over all.
+
+    Each value is (x - lo) / (hi - lo) in float64, rounded to float32.  The
+    float32 extremes are exact in float64, and the values pass through one
+    reused float64 block, so the outputs are all that is allocated beside
+    it."""
+    shape = rasters[0].data.shape
+    outs = tuple(np.empty(shape, np.float32) for _ in rasters)
+    size = shape[1] * shape[2]
+    block = np.empty(min(_NORM_BLOCK, size), np.float64)
+    for band in range(shape[0]):
+        lo = min(float(r.data[band].min()) for r in rasters)
+        hi = max(float(r.data[band].max()) for r in rasters)
+        for r, out in zip(rasters, outs):
+            if not hi > lo:
+                out[band] = np.float32(0.5)
+                continue
+            src, dst = r.data[band].reshape(-1), out[band].reshape(-1)
+            for i in range(0, size, block.size):
+                buf = block[:size - i]
+                buf[...] = src[i:i + block.size]
+                buf -= lo
+                buf /= hi - lo
+                dst[i:i + block.size] = buf
+    return tuple(map(Raster, outs))
 
 
 def render_change(m: LabelMap, path) -> None:
     """Write a LabelMap as binary PGM: changed=0 (black), unchanged=255 (white)."""
-    gray = np.where(m.changed, 0, 255).astype(np.uint8)
-    _write_pnm(b"P5", m.width, m.height, gray.tobytes(), path)
+    _write_pnm(b"P5", m.width, m.height, np.where(m.changed, 0, 255).astype(np.uint8), path)
 
 
 def render_confidence(c: ConfidenceMap, path) -> None:
@@ -280,12 +308,15 @@ def render_confidence(c: ConfidenceMap, path) -> None:
     lut = np.zeros((len(ConfidenceState), 3), dtype=np.uint8)
     for state, rgb in _CONFIDENCE_COLORS.items():
         lut[state] = rgb
-    _write_pnm(b"P6", c.width, c.height, lut[c.states].tobytes(), path)
+    _write_pnm(b"P6", c.width, c.height, lut[c.states], path)
 
 
-def _write_pnm(magic: bytes, w: int, h: int, payload: bytes, path) -> None:
+def _write_pnm(magic: bytes, w: int, h: int, payload: np.ndarray, path) -> None:
+    """Write the header, then the C-contiguous uint8 ``payload`` from its own buffer."""
     try:
-        Path(path).write_bytes(magic + f"\n{w} {h}\n255\n".encode("ascii") + payload)
+        with open(path, "wb") as f:
+            f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+            f.write(memoryview(payload))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 

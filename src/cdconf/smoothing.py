@@ -17,9 +17,10 @@ commutative integer sum.  The iterations run one after another.
 ``threads`` parallelizes inside each iteration instead: the pair's two
 noise draws run side by side, and so do the detection's strips of rows, in
 both of its passes (see ``dcva.detect_pair``; None, the default, means
-``pool.default_threads()``).  So a run holds one noisy pair and one noisy
-detection at a time whatever the thread count, and its results do not
-depend on the thread count either.
+``pool.default_threads()``).  So a run holds one noisy pair, drawn into the
+same two buffers at every iteration, and one noisy detection at a time
+whatever the thread count, and its results do not depend on the thread
+count either.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ _KTAU_EPS = 1e-9
 _SIGMA_MAX = 1e6
 
 # A pair in, its change detection out: the primary detection and every voter.
+# A voter must keep neither raster it is given: the next vote overwrites
+# them (see ``ensemble_counts_with``).
 Detector = Callable[[Raster, Raster], ChangeResult]
 
 
@@ -93,19 +96,23 @@ class EnsembleCounts:
         return self.k_prime.shape[1]
 
 
-def perturb(x: Raster, sigma: float, stream_seed: int) -> Raster:
+def perturb(x: Raster, sigma: float, stream_seed: int, out: np.ndarray | None = None) -> Raster:
     """Add i.i.d. Gaussian(0, sigma^2) noise from the given stream, unclamped.
 
     Values may leave [0, 1]: clamping would bias the ensemble near the range
-    edges.  sigma=0 returns the input itself, bit for bit.  The whole
-    (bands, height, width) array of float32 noise is drawn straight into the
-    output by ``rng.fill_standard_normal``, in C order, which holds no
-    raster-sized temporary; the output is then scaled by float32(sigma) and
-    has the raster added in place, both in float32.
+    edges.  sigma=0 returns the input itself, bit for bit, and leaves
+    ``out`` untouched.  The whole (bands, height, width) array of float32
+    noise is drawn straight into the output by ``rng.fill_standard_normal``,
+    in C order, which holds no raster-sized temporary; the output is then
+    scaled by float32(sigma) and has the raster added in place, both in
+    float32.  The output is ``out``, a C-contiguous float32 array of the
+    raster's shape, when given (its old values are overwritten), and a new
+    array otherwise.
     """
     if sigma == 0:
         return x
-    out = np.empty(x.data.shape, np.float32)
+    if out is None:
+        out = np.empty(x.data.shape, np.float32)
     fill_standard_normal(out.reshape(-1), stream_seed)
     out *= np.float32(sigma)
     out += x.data
@@ -137,14 +144,20 @@ def ensemble_counts_with(
     holds its own thread count.  The counts do not depend on the order the
     iterations or the draws run in: iteration k's noise depends only on
     (master seed, role, k), and the reduction is a commutative integer sum.
+
+    The two noisy rasters are allocated once, in the calling thread, and
+    every iteration draws into them (none at sigma = 0, where the votes see
+    the clean pair), so K votes allocate no raster.  The detector must
+    therefore keep neither input raster: the next iteration overwrites them.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
     k_prime = np.zeros((x1.height, x1.width), dtype=np.int32)
+    noisy = [np.empty(x.data.shape, np.float32) if cfg.sigma > 0 else None for x in (x1, x2)]
     for k in range(1, cfg.iterations + 1):
-        draws = zip((x1, x2), iteration_seeds(cfg.master_seed, k))
-        noisy = detector(*_pool_map(lambda d: perturb(d[0], cfg.sigma, d[1]), list(draws), threads))
-        k_prime += noisy.labels.changed
+        draws = list(zip((x1, x2), iteration_seeds(cfg.master_seed, k), noisy))
+        pair = _pool_map(lambda d: perturb(d[0], cfg.sigma, d[1], d[2]), draws, threads)
+        k_prime += detector(*pair).labels.changed
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
 

@@ -362,20 +362,42 @@ def moments_per_channel(a: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return a[0].size, mean, m2
 
 
-def perturb_reference(data: np.ndarray, sigma: float, stream_seed: int) -> np.ndarray:
-    """A noisy float32 copy of a (bands, height, width) raster by an
-    unchunked Box-Muller transform: all 2*ceil(n/2) float32 uniforms of
-    SFC64 seeded by the stream seed drawn at once, radii from the first
-    half and angles from the second, the cosines then the sines in C order
-    (the last sine dropped when n is odd), times float32(sigma), plus the
-    data, all in float32."""
-    n = data.size
+def standard_normal_reference(n: int, stream_seed: int) -> np.ndarray:
+    """n float32 N(0, 1) values by an unchunked Box-Muller transform: all
+    2*ceil(n/2) float32 uniforms of a NumPy Generator on SFC64 seeded by
+    the stream seed drawn at once, radii from the first half and angles
+    from the second, the cosines then the sines (the last sine dropped when
+    n is odd), all in float32."""
     h = n - n // 2
     u = np.random.Generator(np.random.SFC64(stream_seed)).random(2 * h, dtype=np.float32)
     r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:h]))
     theta = np.float32(2 * np.pi) * u[h:]
-    noise = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+
+
+def perturb_reference(data: np.ndarray, sigma: float, stream_seed: int) -> np.ndarray:
+    """A noisy float32 copy of a (bands, height, width) raster: the
+    ``standard_normal_reference`` values in C order, times float32(sigma),
+    plus the data, all in float32."""
+    noise = standard_normal_reference(data.size, stream_seed)
     return noise.reshape(data.shape) * np.float32(sigma) + data
+
+
+def normalize_pair_reference(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled per-band min-max scaling of two float32 (bands, height, width)
+    arrays on whole float64 copies of each band: (x - lo) / (hi - lo) with
+    the band's extremes over both arrays, rounded to float32, and 0.5 where
+    the band is constant across both."""
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    for band in range(a.shape[0]):
+        da, db = a[band].astype(np.float64), b[band].astype(np.float64)
+        lo, hi = min(da.min(), db.min()), max(da.max(), db.max())
+        if hi > lo:
+            out_a[band] = ((da - lo) / (hi - lo)).astype(np.float32)
+            out_b[band] = ((db - lo) / (hi - lo)).astype(np.float32)
+        else:
+            out_a[band] = out_b[band] = np.float32(0.5)
+    return out_a, out_b
 
 
 def otsu_split_loop(counts: np.ndarray) -> int:

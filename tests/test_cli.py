@@ -637,6 +637,44 @@ class TestRender:
         assert main(["render", "--input", str(src), "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"P6\n5 4\n255\n")
 
+    # the payload is each band scaled by its own extremes, times 255 and
+    # rounded, pixel-interleaved for three bands
+    @pytest.mark.parametrize("bands", [1, 3])
+    def test_payload_is_the_rounded_normalized_bands(self, tmp_path, bands):
+        from cdconf.raster import Raster, save_raster
+        from oracles import normalize_pair_reference
+
+        data = np.random.Generator(np.random.Philox(key=2)).normal(size=(bands, 9, 13))
+        data = data.astype(np.float32)
+        src, out = tmp_path / "x.cdr", tmp_path / "x.pnm"
+        save_raster(Raster(data), src)
+        assert main(["render", "--input", str(src), "--out", str(out)]) == 0
+        scaled = normalize_pair_reference(data, data)[0]
+        gray = (scaled * 255.0).round().astype(np.uint8).transpose(1, 2, 0)
+        head = (b"P5" if bands == 1 else b"P6") + b"\n13 9\n255\n"
+        assert out.read_bytes() == head + gray.tobytes()
+
+    def test_traced_peak_is_two_rasters(self, tmp_path):
+        # the loaded and the normalized raster; the normalized one is scaled
+        # and rounded in place
+        import tracemalloc
+
+        from cdconf.raster import Raster, save_raster
+
+        r = Raster(np.random.Generator(np.random.Philox(key=3)).uniform(
+            0, 1, (3, 101, 257)).astype(np.float32))
+        src = tmp_path / "x.cdr"
+        save_raster(r, src)
+        argv = ["render", "--input", str(src), "--out", str(tmp_path / "x.ppm")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * r.data.nbytes + 262144
+
     def test_rejects_other_band_counts(self, tmp_path):
         from cdconf.raster import Raster, save_raster
 

@@ -17,6 +17,7 @@ from cdconf.errors import (
     UnsupportedFormat,
 )
 from cdconf.raster import (
+    _NORM_BLOCK,
     ConfidenceMap,
     ConfidenceState,
     LabelMap,
@@ -30,10 +31,20 @@ from cdconf.raster import (
     render_confidence,
     save_raster,
 )
+from oracles import normalize_pair_reference
 
 
 def _raster(arr) -> Raster:
     return Raster(np.asarray(arr, dtype=np.float32))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestRasterType:
@@ -134,6 +145,13 @@ class TestCdrRoundTrip:
             tracemalloc.stop()
         assert peak <= 0.05 * r.data.nbytes
 
+    def test_load_traced_peak_is_the_raster(self, tmp_path):
+        # the samples are read straight into the raster's array: no copy of
+        # the file, nor of its payload, nor a mask of its finite samples
+        r = _raster(np.random.Generator(np.random.Philox(key=9)).normal(size=(3, 101, 257)))
+        save_raster(r, tmp_path / "x.cdr")
+        assert _traced_peak(lambda: load_raster(tmp_path / "x.cdr")) <= r.data.nbytes + 16384
+
     def test_rejects_inf_on_load(self, tmp_path):
         p = tmp_path / "x.cdr"
         save_raster(_raster(np.zeros((1, 1, 1))), p)
@@ -202,6 +220,22 @@ class TestCdrErrors:
         with pytest.raises(DimensionMismatch):
             load_raster(p)
 
+    def test_giant_header_over_a_small_payload_allocates_nothing(self, tmp_path):
+        # the declared 4e13 bytes are checked against the file's size before
+        # any array is made for them
+        p = tmp_path / "x.cdr"
+        body = json.dumps({"width": 10**5, "height": 10**5, "bands": 10**3,
+                           "dtype": "f32", "layout": "band-sequential"}).encode()
+        p.write_bytes(b"CDR1" + len(body).to_bytes(4, "little") + body + bytes(16))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch):
+                load_raster(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65536
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_raster(tmp_path / "absent.cdr")
@@ -242,6 +276,24 @@ class TestPnm:
         p.write_bytes(b"P5\n1 1\n65535\n\0\0")
         with pytest.raises(UnsupportedFormat):
             load_raster(p)
+
+    def test_ppm_bit_identical_to_the_scaled_bytes(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(key=10))
+        rgb = rng.integers(0, 201, size=(7, 5, 3), dtype=np.uint8)
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6\n5 7\n200\n" + rgb.tobytes())
+        want = rgb.transpose(2, 0, 1).astype(np.float32) / np.float32(200)
+        assert np.array_equal(load_raster(p).data.view(np.uint32), want.view(np.uint32))
+
+    def test_ppm_traced_peak_is_the_file_and_the_raster(self, tmp_path):
+        # the payload is read through a view of the file's bytes and scaled
+        # in the raster's own array
+        p = tmp_path / "x.ppm"
+        p.write_bytes(b"P6\n257 101\n255\n" + bytes(range(256)) * (3 * 101 * 257 // 256)
+                      + bytes(3 * 101 * 257 % 256))
+        raster_bytes = 4 * 3 * 101 * 257
+        peak = _traced_peak(lambda: load_raster(p))
+        assert peak <= p.stat().st_size + raster_bytes + 16384
 
     def test_payload_mismatch(self, tmp_path):
         p = tmp_path / "x.pgm"
@@ -326,6 +378,40 @@ class TestNormalizePair:
         shifted[:, :2, :2] += 5.0
         na, nb = normalize_pair(Raster(base), Raster(shifted))
         assert np.array_equal(na.data[:, 2:, 2:], nb.data[:, 2:, 2:])
+
+    # odd sizes; a band constant across both rasters; each raster holding
+    # a band's extreme: its low, its high, or both
+    @pytest.mark.parametrize("case", ["odd", "constant", "low-in-a", "high-in-b", "both-in-b"])
+    def test_bit_identical_to_whole_band_scaling(self, case):
+        rng = np.random.Generator(np.random.Philox(key=12))
+        a = rng.normal(size=(3, 37, 129)).astype(np.float32) * np.float32(30)
+        b = rng.normal(size=(3, 37, 129)).astype(np.float32) * np.float32(30)
+        if case == "constant":
+            a[1] = b[1] = np.float32(-2.5)
+        elif case == "low-in-a":
+            a[0, 5, 7] = -1e3
+        elif case == "high-in-b":
+            b[2, 36, 128] = 1e3
+        elif case == "both-in-b":
+            b[0, 0, 0], b[0, 36, 0] = -1e3, 1e3
+        got = normalize_pair(Raster(a), Raster(b))
+        for g, w in zip(got, normalize_pair_reference(a, b)):
+            assert np.array_equal(g.data.view(np.uint32), w.view(np.uint32))
+
+    def test_bit_identical_across_blocks(self):
+        # a band of 2.5 blocks: the last block is ragged
+        rng = np.random.Generator(np.random.Philox(key=13))
+        a, b = (rng.uniform(-7, 3, size=(2, 5, _NORM_BLOCK // 2)).astype(np.float32)
+                for _ in range(2))
+        got = normalize_pair(Raster(a), Raster(b))
+        for g, w in zip(got, normalize_pair_reference(a, b)):
+            assert np.array_equal(g.data.view(np.uint32), w.view(np.uint32))
+
+    def test_traced_peak_is_the_outputs_and_one_block(self):
+        rng = np.random.Generator(np.random.Philox(key=14))
+        a, b = (Raster(rng.normal(size=(3, 101, 257)).astype(np.float32)) for _ in range(2))
+        peak = _traced_peak(lambda: normalize_pair(a, b))
+        assert peak <= 2 * a.data.nbytes + 8 * _NORM_BLOCK + 16384
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

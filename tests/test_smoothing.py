@@ -31,7 +31,7 @@ from cdconf.smoothing import (
     run_proposed,
 )
 from cdconf.synth import SceneSpec, generate
-from oracles import perturb_reference, strip_worker_nbytes
+from oracles import perturb_reference, standard_normal_reference, strip_worker_nbytes
 
 CC = int(ConfidenceState.CONFIDENT_CHANGED)
 CU = int(ConfidenceState.CONFIDENT_UNCHANGED)
@@ -194,6 +194,38 @@ class TestPerturb:
         monkeypatch.setattr(cdconf.rng, "_PAIRS", pairs)
         assert np.array_equal(perturb(x, 0.1, 92).data.view(np.uint32), want.view(np.uint32))
 
+    # 3x33x17 is 1,683 values, an odd count: 842 words of uniforms
+    @pytest.mark.parametrize("words", [1, 7, 10**6])
+    def test_bits_independent_of_the_word_chunk_size(self, words, monkeypatch):
+        x = _scene(6, bands=3, h=33, w=17)
+        want = perturb(x, 0.1, 92).data
+        monkeypatch.setattr(cdconf.rng, "_WORDS", words)
+        assert np.array_equal(perturb(x, 0.1, 92).data.view(np.uint32), want.view(np.uint32))
+
+    # the uniforms come from SFC64's raw words, 8,192 words (16,384 uniforms)
+    # a chunk: n = 1, 2, 3, an odd n, and both sides of the chunk boundaries
+    # at 16,384 and 32,768 values, the second also the Box-Muller chunk's
+    @pytest.mark.parametrize("n", [1, 2, 3, 1001, 16383, 16384, 16385, 16386,
+                                   32767, 32768, 32769, 32770, 49153])
+    def test_noise_bit_identical_to_numpys_float32_uniforms(self, n):
+        noise = np.empty(n, np.float32)
+        fill_standard_normal(noise, 93)
+        want = standard_normal_reference(n, 93)
+        assert np.array_equal(noise.view(np.uint32), want.view(np.uint32))
+
+    def test_draws_into_out(self):
+        x = _scene(4, bands=3, h=33, w=17)
+        out = np.full(x.data.shape, np.nan, np.float32)
+        noisy = perturb(x, 0.1, 55, out)
+        assert noisy.data is out
+        assert np.array_equal(out.view(np.uint32), perturb(x, 0.1, 55).data.view(np.uint32))
+
+    def test_sigma_zero_leaves_out_untouched(self):
+        x = _scene(4)
+        out = np.full(x.data.shape, 7, np.float32)
+        assert perturb(x, 0.0, 55, out) is x
+        assert np.all(out == 7)
+
     def test_role_streams_independent(self):
         s1, s2 = iteration_seeds(0, 1)
         x = _scene(3)
@@ -268,6 +300,45 @@ class TestEnsembleCounts:
         x1, x2 = _pair(10)
         cfg = SmoothingConfig(sigma=0.1, iterations=3, master_seed=24)
         ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg, 1)
+
+    # a vote's two noisy rasters are drawn into the same two buffers at every
+    # iteration, whichever thread draws them: K votes allocate no raster
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_vote_draws_into_the_same_two_rasters(self, threads):
+        x1, x2 = _pair(11)
+        seen = []
+
+        def recording(a, b):
+            seen.append((a, b))
+            return rcva_detect(a, b, RcvaConfig(1))
+
+        cfg = SmoothingConfig(sigma=0.1, iterations=4, master_seed=25)
+        counts = ensemble_counts_with(x1, x2, recording, cfg, threads)
+        assert len(seen) == 4
+        for before, now in zip(seen, seen[1:]):
+            assert all(np.shares_memory(p.data, q.data) for p, q in zip(before, now))
+        assert not any(np.shares_memory(n.data, x.data) for n, x in zip(seen[-1], (x1, x2)))
+        want = ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg, 1)
+        assert np.array_equal(counts.k_prime, want.k_prime)
+
+    def test_sigma_zero_votes_on_the_clean_pair_and_allocates_no_raster(self):
+        x1 = _scene(12, bands=4, h=64, w=64)
+        x2 = _scene(13, bands=4, h=64, w=64)
+        verdict = _primary_from_labels(np.zeros((64, 64), bool))
+        seen = []
+
+        def recording(a, b):
+            seen.append((a, b))
+            return verdict
+
+        tracemalloc.start()
+        try:
+            ensemble_counts_with(x1, x2, recording, SmoothingConfig(sigma=0.0, iterations=3), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(a is x1 and b is x2 for a, b in seen) and len(seen) == 3
+        assert peak < x1.data.nbytes
 
     def test_bounds(self):
         x1, x2 = _pair(8)
