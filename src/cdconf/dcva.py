@@ -7,22 +7,19 @@ on a 256-bin min-max histogram), label Changed wherever magnitude exceeds the
 threshold.
 
 ``detect_pair`` runs that pipeline on the pooled-standardized features of a
-raster pair without holding either feature stack: the two rasters go
-through the extraction's strips of rows in lockstep (``_difference``; a
-strip's height comes from the extractor's depth and widest stage), each
-strip writing its rows of the difference stack g = f2 - f1 and returning the
-per-dim moments of both, and once the pooled std s is merged from those, a
-second pass over the strips computes rho = sqrt(sum_d (g_d / s_d)^2).  g
-keeps only the dims that are dear to recompute: an identity extraction's
-bands, and a leading layer-1 tap that costs fewer multiply-adds than the
-deeper layers (half the stock secondary extractor's dims), are recomputed
-in the second pass instead, in the strip worker's own buffers, and the
-magnitude is taken in the strip's patch block, which one size rule makes
-large enough for it at any width.  So a detection holds the held part of
-g, its magnitude map, and one strip's buffers a worker thread (one
-allocation, 4.8 MiB for the stock secondary at a width of 512), the same
-buffers in both passes and nothing beside them; both passes run on up to
-``threads`` workers, and the result does not depend on how many.
+raster pair without holding either feature stack, in two passes over the
+strips of rows of the pair's extractions.  The first runs the two rasters
+through each strip in lockstep, writing the strip's rows of the difference
+stack g = f2 - f1 and taking the per-dim moments of both; once the pooled
+std s is merged from those, the second takes each strip's rho =
+sqrt(sum_d (g_d / s_d)^2).  g keeps only the dims that are dear to
+recompute: the extraction's leading dims that are cheaper to recompute
+(half the stock secondary extractor's) are recomputed in the second pass
+instead.  Both passes run on up to ``threads`` workers, each of which
+holds one strip's buffers, the same in both passes, and nothing beside
+them: a detection holds the held part of g, its magnitude map and one
+strip's buffers a worker, and its result does not depend on how many
+workers run.
 
 Threshold selection compares between-class variances with exact integer
 arithmetic (cross-multiplied rationals over Python ints), so the chosen bin is
@@ -33,13 +30,12 @@ numerators, taken over every bin at once, only narrow the bins to compare.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .features import _BLOCK, _PER_PIXEL, _PIXELS, ExtractorSpec, _Extraction, _moments, _pooled
+from .features import _PIXELS, ExtractorSpec, _Extraction, _moments, _pooled, _strip_magnitude
 from .pool import _pool_map
 from .raster import LabelMap, Raster
 
@@ -56,14 +52,6 @@ class MagnitudeMap:
         # the min, NaN when any pixel is, takes no pixel-sized mask
         if self.rho.size and not self.rho.min() >= 0:
             raise ValueError("rho must be non-negative everywhere")
-
-    @property
-    def height(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.rho.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,40 +182,37 @@ def detect(f1: np.ndarray, f2: np.ndarray) -> ChangeResult:
     return threshold_magnitude(magnitude(hypervector(f1, f2)))
 
 
-def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, Callable]:
-    """The held part of the difference stack g = f2 - f1 of the features of
-    a raster pair, the pooled std of f1 and f2 with its live mask (as
-    ``features._pooled_std`` gives them), the extraction's strips, and
-    ``lend``, which recomputes the rest; neither feature stack is held.
+def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
+                threads: int | None = None) -> ChangeResult:
+    """Detect changes between two co-registered rasters with one extractor:
+    build the difference stack of their features strip by strip, take the
+    magnitude of its pooled-standardized form, then threshold and label as
+    ``detect`` does.  ``threads`` bounds the worker threads of the strips
+    in both passes (None: ``pool.default_threads()``); the result is
+    bit-identical for every value.
 
     g is float32 of shape (D - L, height, width): every dim but the L
-    leading ones of the extraction's ``lead``, which cost less to recompute
-    than to hold (all of an identity extraction's, 48 of the stock
-    secondary's 96).  ``lend(y0, y1, visit)`` takes a worker's scratch
-    buffers, recomputes rows [y0, y1) of f1's and f2's L leading dims in
-    them (``_Extraction.leading``) and calls ``visit(y0, y1, f1, f2,
-    patch)`` once with those (L, y1 - y0, width) rows (None when L = 0)
-    and the worker's patch block, a flat float32 buffer that holds nothing
-    meanwhile and holds at least max(2 * ``_BLOCK``, ``_PER_PIXEL`` * n)
-    entries for a strip of n pixels (``_Extraction.scratch``).  So the
-    magnitude pass holds no buffer of its own.
-
-    The strips, ``_Extraction.strips``, run on up to ``threads`` worker
-    threads, each worker with one set of scratch buffers for the whole
-    pair, which ``lend`` reuses.  A strip takes the moments of f1's rows
-    and writes its held dims into g, then takes the moments of f2's rows
-    and subtracts g's rows from the held ones in place; the moments take
-    their float64 copies in the worker's patch block, idle while the
-    extraction yields a tapped layer.  The strips depend on the extractor
-    and the image alone, and the moment blocks are merged in strip order,
-    so the result does not depend on ``threads``.
+    leading ones of the extraction's ``lead`` (all of an identity
+    extraction's, 48 of the stock secondary's 96).  A worker takes one set
+    of scratch buffers (``_Extraction.scratch``) for the whole pair, in
+    both passes.  In the first, a strip takes the moments of f1's rows and
+    writes its held dims into g, then takes the moments of f2's rows and
+    subtracts g's rows from the held ones in place; the moments take their
+    float64 copies in the worker's patch block, idle while the extraction
+    yields a tapped layer.  The strips depend on the extractor and the
+    image alone, and their moment blocks are merged in strip order into the
+    pooled std and its live mask (``_pooled``).  In the second, a strip
+    recomputes its rows of f1's and f2's L leading dims in the buffers
+    (``_Extraction.leading``) and takes its magnitude in the patch block
+    (``_strip_magnitude``).  g and the buffers are freed before the
+    threshold copies rho.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"rasters differ: {x1.data.shape} vs {x2.data.shape}")
     e1, e2 = _Extraction(spec, x1), _Extraction(spec, x2)
     skip = e1.lead
     g = np.empty((e1.dims - skip, x1.height, x1.width), np.float32)
+    rho = np.empty((x1.height, x1.width), np.float32)
     free = []
 
     def take_scratch() -> tuple[np.ndarray, ...]:
@@ -236,7 +221,7 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
         except IndexError:
             return e1.scratch()
 
-    def strip(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def difference_rows(bounds: tuple[int, int]) -> list[tuple[int, np.ndarray, np.ndarray]]:
         y0, y1 = bounds
         scratch = take_scratch()
         patch = scratch[0].view(np.float64)
@@ -257,96 +242,15 @@ def _difference(spec: ExtractorSpec, x1: Raster, x2: Raster, threads: int | None
         free.append(scratch)
         return blocks
 
-    def lend(y0: int, y1: int, visit: Callable) -> None:
+    def magnitude_rows(bounds: tuple[int, int]) -> None:
+        y0, y1 = bounds
         scratch = take_scratch()
-        visit(y0, y1, *e1.leading(e2, y0, y1, scratch), scratch[0])
+        f1, f2 = e1.leading(e2, y0, y1, scratch)
+        _strip_magnitude(rho[y0:y1], g[:, y0:y1], f1, f2, sd, live_dims, scratch[0])
         free.append(scratch)
 
-    sd, live = _pooled(b for pair in _pool_map(strip, e1.strips, threads) for b in pair)
-    return g, sd, live, e1.strips, lend
-
-
-def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
-    """Ranges [d0, d1) of consecutive dims of the sorted dims ``dims`` that
-    cover them in order, each of at most ``size`` dims, all below ``skip``
-    or none."""
-    runs = []
-    for d in dims.tolist():
-        if (runs and runs[-1][1] == d and (runs[-1][0] < skip) == (d < skip)
-                and d - runs[-1][0] < size):
-            runs[-1][1] = d + 1
-        else:
-            runs.append([d, d + 1])
-    return runs
-
-
-def _standardized_magnitude(g: np.ndarray, sd: np.ndarray, live: np.ndarray, strips: list,
-                            threads: int | None, lend: Callable) -> MagnitudeMap:
-    """rho = sqrt(sum_d (g_d / s_d)^2) of a difference stack and a per-dim
-    std s, strip by strip of ``strips``: g's held dims are the (D - L,
-    height, width) array ``g``, and the L = len(s) - len(g) leading ones are
-    recomputed strip by strip by ``lend`` (see ``_difference``), all of a
-    strip's dims at once.
-
-    The live dims (``live`` true) of a strip go in blocks of consecutive
-    live dims; a dead dim ends a block.  A block's z, in a float32 buffer,
-    is g's rows divided by their stds, or for the leading dims f2's rows
-    less f1's, divided by the stds: the roundings of g = f2 - f1 and of its
-    quotient.  z is copied to float64 rows 1.. of a block whose row 0 is the
-    running total and squared there (squaring the float32 z to float64 would
-    take NumPy's cast buffer), and ``np.add.reduce`` over the block's first
-    axis adds those rows in order, so every pixel still adds its dims one at
-    a time in dim order before the square root.  A block of one pixel is a
-    column, which NumPy reduces as its first entry plus the pairwise sum of
-    the rest, so it takes one dim.  Every pixel's sum thus makes the
-    additions of a sum over the live dims of the whole stack, whatever the
-    strips or blocks.  The float64 block, the total beside it and z share
-    the patch block that ``lend`` lends, 7 entries a pixel for a block of
-    one dim (``_PER_PIXEL``) and 3 more for each dim after it, within its
-    first 2 * ``_BLOCK`` entries, or the 7 a pixel of one dim where that is
-    more, which ``lend``'s block always holds: a worker holds no buffer of
-    its own.  The strips run on up to ``threads`` worker threads, each
-    writing its own rows of rho.
-    """
-    skip = len(sd) - len(g)
-    h, w = g.shape[1:]
-    dims = np.flatnonzero(live)
-    rho = np.empty((h, w), np.float32)
-
-    def add(y0: int, y1: int, f1: np.ndarray | None, f2: np.ndarray | None,
-            patch: np.ndarray) -> None:
-        n = (y1 - y0) * w
-        size = max(2 * _BLOCK, _PER_PIXEL * n)
-        per = 1 if n == 1 else (size - 4 * n) // (3 * n)
-        wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
-        total = wide[(per + 1) * n:]
-        total[...] = 0
-        for d0, d1 in _runs(dims, skip, per):
-            z = narrow[:(d1 - d0) * n].reshape(d1 - d0, y1 - y0, w)
-            block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
-            diff = (np.subtract(f2[d0:d1], f1[d0:d1], out=z) if d0 < skip
-                    else g[d0 - skip:d1 - skip, y0:y1])
-            np.divide(diff, sd[d0:d1, None, None], out=z)
-            block[0] = total
-            squares = block[1:].reshape(z.shape)
-            np.copyto(squares, z)
-            np.square(squares, out=squares)
-            np.add.reduce(block, axis=0, out=total)
-        rho[y0:y1] = np.sqrt(total, out=total).reshape(-1, w)
-
-    _pool_map(lambda bounds: lend(*bounds, add), strips, threads)
-    return MagnitudeMap(rho)
-
-
-def detect_pair(x1: Raster, x2: Raster, spec: ExtractorSpec,
-                threads: int | None = None) -> ChangeResult:
-    """Detect changes between two co-registered rasters with one extractor:
-    build the difference stack of their features strip by strip, take the
-    magnitude of its pooled-standardized form, then threshold and label as
-    ``detect`` does.  ``threads`` bounds the worker threads of the strips
-    in both passes (None: ``pool.default_threads()``); the result is
-    bit-identical for every value."""
-    g, sd, live, strips, lend = _difference(spec, x1, x2, threads)
-    m = _standardized_magnitude(g, sd, live, strips, threads, lend)
-    del g, lend  # the stack and the strip buffers, before the threshold's copies of rho
-    return threshold_magnitude(m)
+    sd, live = _pooled(b for pair in _pool_map(difference_rows, e1.strips, threads) for b in pair)
+    live_dims = np.flatnonzero(live)
+    _pool_map(magnitude_rows, e1.strips, threads)
+    del g, free  # the stack and the strip buffers, before the threshold's copies of rho
+    return threshold_magnitude(MagnitudeMap(rho))

@@ -15,15 +15,15 @@ Two extractor kinds:
   pass gives them, whatever the strip's height.
 
 ``extract`` returns a plain float32 (height, width, D) feature stack,
-computed serially.  ``dcva.detect_pair`` runs the two rasters of a pair
-through the strips in lockstep instead (``dcva._difference``), keeps only
-their difference, less the leading dims that it recomputes in a strip's
-own buffers (``_Extraction.leading``) when it takes the magnitude in the
-strip's patch block, and runs the strips on ``pool._pool_map``: their
-heights depend only on the extractor and the image's shape (``_HALOS``),
-and their moments are merged in strip order, so the output is
-bit-identical for every thread count.  A strip worker allocates nothing
-but its scratch buffers, one patch block size rule serving every kind.
+computed serially.  ``_Extraction`` gives an extraction strip by strip
+instead, for a caller that holds no feature stack: the strips' heights
+depend only on the extractor and the image's shape (``_HALOS``), and
+``_Extraction.leading`` recomputes the leading dims of a strip that cost
+less to recompute than to hold.  A strip worker allocates nothing but its
+scratch buffers (``_Extraction.scratch``), whose patch block, sized by one
+rule for every kind (``_patch_entries``), also holds the float64 blocks in
+which ``_moments`` takes a strip's per-dim moments and ``_strip_magnitude``
+its standardized change magnitude.
 """
 
 from __future__ import annotations
@@ -152,19 +152,26 @@ def _tile(fan_in: int) -> int:
 
 
 # Most float64 entries of a block of feature dims that ``_moments`` and
-# the magnitude pass (``dcva._standardized_magnitude``) take per NumPy
-# call, in a strip worker's idle patch block, which holds at least 2 *
-# ``_BLOCK`` float32 entries: 1 MiB, 8 dims of 16384 pixels, stays in a
-# core's cache over the block's passes, and the magnitude pass keeps its
-# float32 quotients within it too.  One dim a call spends its time in the
+# ``_strip_magnitude`` take per NumPy call, in a strip worker's idle patch
+# block, which holds at least 2 * ``_BLOCK`` float32 entries
+# (``_patch_entries``): 1 MiB, 8 dims of 16384 pixels, stays in a core's
+# cache over the block's passes, and ``_strip_magnitude`` keeps its float32
+# quotients within it too.  One dim a call spends its time in the
 # calls; blocks of 16 dims and more ran slower again on a 2 MiB L2 cache.
 _BLOCK = 2**17
 
-# Float32 entries a pixel of the magnitude pass's block of one dim: its
+# Float32 entries a pixel of ``_strip_magnitude``'s block of one dim: its
 # float64 square, the float64 running total at the block's head and beside
-# it, and its float32 quotient.  A patch block holds them for every pixel
-# of its tallest strip (``_Extraction.scratch``).
+# it, and its float32 quotient.
 _PER_PIXEL = 7
+
+
+def _patch_entries(pixels: int) -> int:
+    """Float32 entries of a strip's patch block that ``_moments`` and
+    ``_strip_magnitude`` may take for a strip of ``pixels`` pixels: 2 *
+    ``_BLOCK``, or ``_PER_PIXEL`` a pixel where that is more, so that a
+    block of one dim of the magnitude always fits."""
+    return max(2 * _BLOCK, _PER_PIXEL * pixels)
 
 
 def _blocks(n: int, size: int = _TILE) -> list[slice]:
@@ -179,9 +186,8 @@ def _blocks(n: int, size: int = _TILE) -> list[slice]:
 # values of its widest stage (the most of its bands and its channels, a
 # row of the image's width each): at a width of 512, 48 rows for the stock
 # primary, whose halo then costs 9% more multiply-adds, and 16 for the
-# stock secondary, a 4.8 MiB worker.  An identity extraction's strips
-# hold at most ``_PIXELS`` pixels, or one row.  Any height gives the same
-# bits.
+# stock secondary.  An identity extraction's strips hold at most
+# ``_PIXELS`` pixels, or one row.  Any height gives the same bits.
 _HALOS = 4
 _PIXELS = 16384
 _VALUES = 24 * _PIXELS
@@ -343,18 +349,17 @@ class _Extraction:
         buffers that ``_conv_layers`` runs any of the ``strips`` in, carved
         in that order from one float32 allocation, a strip worker's only
         one.  The patch block has one size rule for every kind: the most of
-        the layers' GEMM tiles (IDENTITY runs none), 2 * ``_BLOCK`` entries,
-        and ``_PER_PIXEL`` entries a pixel of the tallest strip, rounded up
-        to whole float64 entries.  So the GEMM tiles, the moments' float64
-        blocks and the magnitude pass's blocks of one dim or more all fit
-        in it.  The first stage buffer holds the input stage and the even
-        layers, the second the odd ones, each as many entries as its
-        tallest stage takes.  With a ``lead``, ``leading`` runs layer 1 on
+        the layers' GEMM tiles (IDENTITY runs none) and ``_patch_entries``
+        of the tallest strip, rounded up to whole float64 entries.  So the
+        GEMM tiles, the moments' float64 blocks and ``_strip_magnitude``'s
+        blocks of one dim or more all fit in it.  The first stage buffer
+        holds the input stage and the even layers, the second the odd ones,
+        each as many entries as its tallest stage takes.  With a ``lead``, ``leading`` runs layer 1 on
         both rasters of the tallest strip in them: the first also holds
         this raster's layer-1 rows, the second the other raster's input
         stage and its layer-1 rows after it."""
         rows = max(y1 - y0 for y0, y1 in self.strips)
-        sizes = [max(2 * _BLOCK, -(-_PER_PIXEL * rows * self.x.width // 2) * 2)]
+        sizes = [-(-_patch_entries(rows * self.x.width) // 2) * 2]
         if self.spec.kind is not ExtractorKind.IDENTITY:
             depth, pad, wp = len(self.weights), self.pad, self.wp
             stages = [c * _stage_rows(min(self.x.height, rows + 2 * (depth - s) * pad), pad, wp)
@@ -447,6 +452,69 @@ def _moments(a: np.ndarray, buf: np.ndarray) -> tuple[int, np.ndarray, np.ndarra
         np.square(dev, out=dev)
         np.add.reduce(dev, axis=1, out=m2[d:d + per])
     return n, mean, m2
+
+
+def _runs(dims: np.ndarray, skip: int, size: int) -> list[list[int]]:
+    """Ranges [d0, d1) of consecutive dims of the sorted dims ``dims`` that
+    cover them in order, each of at most ``size`` dims, all below ``skip``
+    or none."""
+    runs = []
+    for d in dims.tolist():
+        if (runs and runs[-1][1] == d and (runs[-1][0] < skip) == (d < skip)
+                and d - runs[-1][0] < size):
+            runs[-1][1] = d + 1
+        else:
+            runs.append([d, d + 1])
+    return runs
+
+
+def _strip_magnitude(out: np.ndarray, held: np.ndarray, f1: np.ndarray | None,
+                     f2: np.ndarray | None, sd: np.ndarray, dims: np.ndarray,
+                     patch: np.ndarray) -> None:
+    """Write rho = sqrt(sum_d (g_d / s_d)^2) of a strip's rows of a
+    difference stack g and a per-dim std s, ``sd``, over the sorted live
+    dims ``dims``, into the strip's (rows, width) float32 rows ``out``.  The
+    D - L held dims of g are the strip's (D - L, rows, width) rows ``held``,
+    and its L = len(sd) - len(held) leading ones are f2 - f1 of the (L,
+    rows, width) rows ``f1`` and ``f2`` (None when L = 0).  ``patch`` is a
+    flat float32 buffer of at least ``_patch_entries`` of the strip's
+    pixels that holds nothing meanwhile.
+
+    The live dims go in blocks of consecutive live dims (``_runs``); a dead
+    dim ends a block.  A block's z, in a float32 buffer, is g's rows divided
+    by their stds, or for the leading dims f2's rows less f1's, divided by
+    the stds: the roundings of g = f2 - f1 and of its quotient.  z is
+    copied to float64 rows 1.. of a block whose row 0 is the running total
+    and squared there (squaring the float32 z to float64 would take NumPy's
+    cast buffer), and ``np.add.reduce`` over the block's first axis adds
+    those rows in order, so every pixel still adds its dims one at a time
+    in dim order before the square root.  A block of one pixel is a column,
+    which NumPy reduces as its first entry plus the pairwise sum of the
+    rest, so it takes one dim.  Every pixel's sum thus makes the additions
+    of a sum over the live dims of the whole stack, whatever the strips or
+    blocks.  The float64 block, the total beside it and z share ``patch``,
+    ``_PER_PIXEL`` entries a pixel for a block of one dim and 3 more for
+    each dim after it, within its first ``_patch_entries``: the magnitude
+    allocates nothing."""
+    skip = len(sd) - len(held)
+    rows, w = out.shape
+    n = rows * w
+    per = 1 if n == 1 else (_patch_entries(n) - 4 * n) // (3 * n)
+    wide, narrow = patch[:2 * (per + 2) * n].view(np.float64), patch[2 * (per + 2) * n:]
+    total = wide[(per + 1) * n:]
+    total[...] = 0
+    for d0, d1 in _runs(dims, skip, per):
+        z = narrow[:(d1 - d0) * n].reshape(d1 - d0, rows, w)
+        block = wide[:(d1 - d0 + 1) * n].reshape(-1, n)
+        diff = (np.subtract(f2[d0:d1], f1[d0:d1], out=z) if d0 < skip
+                else held[d0 - skip:d1 - skip])
+        np.divide(diff, sd[d0:d1, None, None], out=z)
+        block[0] = total
+        squares = block[1:].reshape(z.shape)
+        np.copyto(squares, z)
+        np.square(squares, out=squares)
+        np.add.reduce(block, axis=0, out=total)
+    out[...] = np.sqrt(total, out=total).reshape(rows, w)
 
 
 def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:

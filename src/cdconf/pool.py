@@ -17,12 +17,10 @@ from pathlib import Path
 
 
 # Most worker threads one pass runs on, whatever ``threads`` asks for.  A
-# worker holds one strip's buffers, one allocation (about 4.8 MiB with the
-# stock secondary extractor at a width of 512, whose strips are 16 rows),
-# and nothing beside it: the same buffers serve the magnitude pass, which
-# recomputes the extractor's layer-1 tap of the strip's rows in them and
-# takes the magnitude in their patch block, so this bounds what a pass
-# adds to peak memory on a host with many cores.
+# detection's worker holds one strip's buffers in both of its passes, one
+# allocation by the rule of ``features._Extraction.scratch``, and nothing
+# beside it, so this bounds what a pass adds to peak memory on a host with
+# many cores.
 _MAX_WORKERS = 8
 
 

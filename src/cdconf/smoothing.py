@@ -87,14 +87,6 @@ class EnsembleCounts:
         if self.k_prime.min(initial=0) < 0 or self.k_prime.max(initial=0) > self.k:
             raise ValueError("k_prime out of [0, k]")
 
-    @property
-    def height(self) -> int:
-        return self.k_prime.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.k_prime.shape[1]
-
 
 def perturb(x: Raster, sigma: float, stream_seed: int, out: np.ndarray | None = None) -> Raster:
     """Add i.i.d. Gaussian(0, sigma^2) noise from the given stream, unclamped.

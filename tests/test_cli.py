@@ -203,10 +203,10 @@ class TestDetect:
         assert json.loads((d / "run.json").read_text())["rcva"] == {"window_radius": 2}
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def difference(spec, x1, x2, threads):
+        def scratch(self):
             raise MemoryError("Unable to allocate 3.64 TiB for an array")
 
-        monkeypatch.setattr("cdconf.dcva._difference", difference)
+        monkeypatch.setattr("cdconf.features._Extraction.scratch", scratch)
         s = _synth(tmp_path / "s", size=16)
         rc = main(["detect", "--t1", str(s / "t1.cdr"), "--t2", str(s / "t2.cdr"),
                    "--out", str(tmp_path / "d"), "--method", "none"])

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from cdconf.dcva import (
     ChangeResult,
     MagnitudeMap,
-    _difference,
     _otsu_split,
-    _runs,
-    _standardized_magnitude,
     detect,
     detect_pair,
     hypervector,
@@ -27,8 +24,10 @@ from cdconf.features import (
     _PIXELS,
     ExtractorKind,
     ExtractorSpec,
-    _conv_weights,
-    _pooled_std,
+    _Extraction,
+    _patch_entries,
+    _runs,
+    _strip_magnitude,
     _strips,
     default_primary_spec,
     default_secondary_spec,
@@ -50,18 +49,49 @@ from oracles import (
 )
 
 
-def _own_lend(w):
-    """A ``lend`` for a difference stack of width ``w`` that holds every
-    dim: a fresh float32 patch block of the fewest entries that ``lend``
-    may give a strip of n pixels, max(2 * ``_BLOCK``, 7 * n), with
-    ``_BLOCK`` read from ``cdconf.dcva`` at the call, so a test's block
-    size applies."""
+def _strip_by_strip(held, sd, live, strips, f1=None, f2=None):
+    """rho of a (D, height, width) difference stack whose dims are f2 - f1
+    of the (L, height, width) stacks ``f1`` and ``f2`` (none when None) and
+    then ``held``, with the per-dim std ``sd`` and live mask ``live``,
+    taken by ``_strip_magnitude`` strip by strip of ``strips``, each strip
+    in a fresh patch block of as few entries as ``_patch_entries`` allows,
+    so a test's ``_BLOCK`` applies."""
+    h, w = held.shape[1:]
+    dims = np.flatnonzero(live)
+    rho = np.empty((h, w), np.float32)
+    for y0, y1 in strips:
+        lead = (None, None) if f1 is None else (f1[:, y0:y1], f2[:, y0:y1])
+        _strip_magnitude(rho[y0:y1], held[:, y0:y1], *lead, sd, dims,
+                         np.empty(_patch_entries((y1 - y0) * w), np.float32))
+    return rho
 
-    def lend(y0, y1, visit):
-        n = (y1 - y0) * w
-        visit(y0, y1, None, None, np.empty(max(2 * cdconf.dcva._BLOCK, 7 * n), np.float32))
 
-    return lend
+def _recorded_detection(monkeypatch, x1, x2, spec, threads=None):
+    """``detect_pair(x1, x2, spec, threads)``, and what its magnitude pass
+    was given: the whole difference stack g (f2 - f1 of the recomputed
+    rows, then the held rows), the pooled std and its live mask, and each
+    ``_strip_magnitude`` call's rows [y0, y1), held dims and patch block
+    length, in strip order.  Each call's patch block must share no memory
+    with the recomputed rows, since it is free to overwrite."""
+    calls, original = [], cdconf.dcva._strip_magnitude
+    g = np.empty((spec.expected_dims(x1.bands), x1.height, x1.width), np.float32)
+
+    def recorded(out, held, f1, f2, sd, dims, patch):
+        assert not any(np.shares_memory(patch, f) for f in (f1, f2) if f is not None)
+        y0 = (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+        skip = len(sd) - len(held)
+        g[skip:, y0:y0 + len(out)] = held
+        if skip:
+            np.subtract(f2, f1, out=g[:skip, y0:y0 + len(out)])
+        calls.append((y0, y0 + len(out), len(held), len(patch), sd, dims))
+        original(out, held, f1, f2, sd, dims, patch)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cdconf.dcva, "_strip_magnitude", recorded)
+        res = detect_pair(x1, x2, spec, threads)
+    sd, dims = calls[0][4:]
+    assert all(c[4] is sd and c[5] is dims for c in calls)
+    return res, g, sd, np.isin(np.arange(len(sd)), dims), sorted(c[:4] for c in calls)
 
 
 def _mm(values) -> MagnitudeMap:
@@ -328,39 +358,20 @@ class TestDetectPair:
     # identity, and 21 blocks of 4096 pixels and a ragged last block of 3984
     # of the whole-stack path
     @pytest.mark.parametrize("role", ["primary", "secondary", "identity"])
-    def test_bit_identical_to_whole_stack_path(self, role):
+    def test_bit_identical_to_whole_stack_path(self, monkeypatch, role):
         spec = {"primary": default_primary_spec(0), "secondary": default_secondary_spec(0),
                 "identity": ExtractorSpec(kind=ExtractorKind.IDENTITY)}[role]
         t1, t2, _ = generate(SceneSpec(width=300, height=300, seed=2))
         x1, x2 = normalize_pair(t1, t2)
-        res = detect_pair(x1, x2, spec)
+        res, g, _, _, calls = _recorded_detection(monkeypatch, x1, x2, spec)
         f1, f2 = extract(spec, x1), extract(spec, x2)
-        g, _, _, strips, lend = _difference(spec, x1, x2)
-        whole = (f2 - f1).transpose(2, 0, 1)
-        skip = recomputed_dims(spec, x1.bands)
-        # an identity detection holds no dim of g
-        assert g.shape == (spec.expected_dims(x1.bands) - skip, 300, 300)
-        assert np.array_equal(g, whole[skip:])
-        assert strips == cdconf.features._Extraction(spec, x1).strips
-        if skip:
-            ahead, visits = np.empty((skip, 300, 300), np.float32), []
-
-            def visit(y0, y1, a, b, patch):
-                # the lent patch block is free to overwrite
-                assert not any(np.shares_memory(patch, f) for f in (a, b))
-                ahead[:, y0:y1] = b - a
-                visits.append((y0, y1))
-
-            for y0, y1 in strips:
-                lend(y0, y1, visit)
-            assert np.array_equal(ahead, whole[:skip])
-            assert visits == strips
-        else:
-            # nothing to recompute, but a worker's patch block is lent
-            lent = []
-            lend(0, 300, lambda *a: lent.append(a))
-            assert [a[:4] for a in lent] == [(0, 300, None, None)]
-            assert len(lent[0][4]) == len(cdconf.features._Extraction(spec, x1).scratch()[0])
+        # the held rows and the recomputed ones are the whole difference
+        # stack's; an identity detection holds no dim of g
+        assert np.array_equal(g, (f2 - f1).transpose(2, 0, 1))
+        held = spec.expected_dims(x1.bands) - recomputed_dims(spec, x1.bands)
+        ex = _Extraction(spec, x1)
+        # every strip once, each in a worker's patch block
+        assert calls == [(y0, y1, held, len(ex.scratch()[0])) for y0, y1 in ex.strips]
         rho = standardized_magnitude_reference(f1, f2)
         assert np.array_equal(res.magnitude.rho, rho)
         assert res.tau == otsu_tau_bruteforce(rho)
@@ -423,37 +434,57 @@ class TestDetectPair:
         bands = 100 if role == "secondary-100-bands" else 4
         x1, x2 = (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
         spec = (default_primary_spec if role == "primary" else default_secondary_spec)(0)
-        g, sd, live, strips, lead = _difference(spec, x1, x2, threads)
+        res, g, sd, live, _ = _recorded_detection(monkeypatch, x1, x2, spec, threads)
         f1, f2 = extract(spec, x1), extract(spec, x2)
         whole = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
-        skip = recomputed_dims(spec, bands)
-        assert skip == (48 if role == "secondary" else 0)
-        assert np.array_equal(g, whole[skip:])
-        rho = _standardized_magnitude(g, sd, live, strips, threads, lead).rho
-        assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
-        assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
+        assert recomputed_dims(spec, bands) == (48 if role == "secondary" else 0)
+        assert np.array_equal(g, whole)
+        assert np.array_equal(res.magnitude.rho, whole_stack_magnitude_reference(whole, sd, live))
+
+    # (spec, bands, height, width); at 96x1100 the primary's strips are 48
+    # rows, too wide for one dim of the magnitude in 2 * _BLOCK entries,
+    # which then takes the 7 entries a pixel of one dim in the patch block.
+    # A primary strip of 48x1400 and a secondary one of 16x4200 are 67,200
+    # pixels, whose one dim (470,400 entries) is more than their GEMM tiles
+    # and 2 * _BLOCK, so the patch block grows to hold it; a primary strip
+    # of 25x2001 is an odd 50,025 pixels
+    _TRACED = {"primary": (default_primary_spec(0), 4, 256, 256),
+               "secondary": (default_secondary_spec(0), 4, 256, 256),
+               "identity": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 256, 256),
+               "identity-100-bands": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 100, 128, 256),
+               "primary-96x1100": (default_primary_spec(0), 4, 96, 1100),
+               "primary-48x1400": (default_primary_spec(0), 4, 48, 1400),
+               "secondary-16x4200": (default_secondary_spec(0), 4, 16, 4200),
+               "primary-25x2001": (default_primary_spec(0), 4, 25, 2001)}
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("role", ["primary", "secondary"])
-    def test_traced_peak_within_one_stack_and_the_strip_workers(self, role, threads):
+    @pytest.mark.parametrize("case", list(_TRACED))
+    def test_traced_peak_within_one_stack_and_the_strip_workers(self, case, threads):
         # the held dims of the difference stack, the magnitude map and each
         # worker's strip buffers, with 128 KiB for the interpreter's own
-        # objects; holding the secondary's recomputed dims too would add a
-        # quarter of its budget
-        spec = {"primary": default_primary_spec, "secondary": default_secondary_spec}[role](0)
-        t1, t2, _ = generate(SceneSpec(width=256, height=256, seed=2))
-        x1, x2 = normalize_pair(t1, t2)
-        _conv_weights(spec, x1.bands)
+        # objects: the recomputed rows, the moments' and the magnitude's
+        # float64 blocks and its quotients all lie in the strip buffers.
+        # Holding the secondary's recomputed dims too would add a quarter of
+        # its budget, a buffer of a strip's recomputed rows 3 MiB at 256
+        # wide, and a magnitude-pass patch block of its own 1 MiB, or 1.9
+        # MiB at 16x4200
+        spec, bands, h, w = self._TRACED[case]
+        if bands == 4:
+            t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=2))
+            x1, x2 = normalize_pair(t1, t2)
+        else:
+            rng = np.random.Generator(np.random.Philox(key=bands * h * w))
+            x1, x2 = (Raster(rng.uniform(size=(bands, h, w)).astype(np.float32)) for _ in "12")
+        _Extraction(spec, x1)  # draws and caches the weights before the trace
         tracemalloc.start()
         try:
             detect_pair(x1, x2, spec, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pixels = 256 * 256
-        stack = (spec.expected_dims(x1.bands) - recomputed_dims(spec, x1.bands)) * pixels * 4
-        strip = strip_worker_nbytes(spec, x1.bands, 256, 256)
-        assert peak <= stack + pixels * 4 + threads * strip + 2**17
+        stack = (spec.expected_dims(bands) - recomputed_dims(spec, bands)) * h * w * 4
+        strip = strip_worker_nbytes(spec, bands, h, w)
+        assert peak <= stack + h * w * 4 + threads * strip + 2**17
 
 
 class TestRecomputedLeadingDims:
@@ -462,14 +493,17 @@ class TestRecomputedLeadingDims:
     copied them into a buffer of their own, and the magnitude of the whole
     stack, bit for bit."""
 
-    def _check(self, spec, x1, x2, threads):
-        g, sd, live, strips, lend = _difference(spec, x1, x2, threads)
-        rho = _standardized_magnitude(g, sd, live, strips, threads, lend).rho
-        assert np.array_equal(rho, lead_ahead_magnitude_reference(spec, x1, x2, g, sd, live))
+    def _check(self, monkeypatch, spec, x1, x2, threads):
+        """The strips of a detection of the pair, after checking its rho
+        against both references."""
+        res, g, sd, live, calls = _recorded_detection(monkeypatch, x1, x2, spec, threads)
+        rho, skip = res.magnitude.rho, recomputed_dims(spec, x1.bands)
+        assert np.array_equal(rho, lead_ahead_magnitude_reference(spec, x1, x2, g[skip:], sd,
+                                                                  live))
         whole = np.ascontiguousarray((extract(spec, x2) - extract(spec, x1)).transpose(2, 0, 1))
+        assert np.array_equal(g, whole)
         assert np.array_equal(rho, whole_stack_magnitude_reference(whole, sd, live))
-        assert np.array_equal(detect_pair(x1, x2, spec, threads).magnitude.rho, rho)
-        return strips
+        return [c[:2] for c in calls]
 
     def _pair(self, bands, h, w):
         rng = np.random.Generator(np.random.Philox(key=bands * h * w))
@@ -488,9 +522,9 @@ class TestRecomputedLeadingDims:
         return calls
 
     # a 300x130 image in strips of 100 rows of 48 channels is three
-    # strips with 1 to 16 bands, each recomputed in one call by each of the
-    # two detections that ``_check`` runs; with 16 bands layer 1 still
-    # costs less than layer 2 (16 < 48 channels), and with 100 it is held
+    # strips with 1 to 16 bands, each recomputed in one call; with 16 bands
+    # layer 1 still costs less than layer 2 (16 < 48 channels), and with
+    # 100 it is held
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bands", [1, 4, 16, 100])
     def test_stock_secondary(self, monkeypatch, bands, threads):
@@ -498,8 +532,8 @@ class TestRecomputedLeadingDims:
         spec = default_secondary_spec(0)
         assert recomputed_dims(spec, bands) == (0 if bands == 100 else 48)
         calls = self._record_leading(monkeypatch)
-        strips = self._check(spec, *self._pair(bands, 300, 130), threads)
-        assert sorted(calls) == sorted(strips * 2)
+        strips = self._check(monkeypatch, spec, *self._pair(bands, 300, 130), threads)
+        assert sorted(calls) == strips
         if bands < 100:
             assert strips == [(0, 100), (100, 200), (200, 300)]
 
@@ -509,9 +543,10 @@ class TestRecomputedLeadingDims:
     def test_strips_of_unequal_height(self, monkeypatch, threads):
         monkeypatch.setattr(cdconf.features, "_VALUES", 29 * 513 * 48)
         calls = self._record_leading(monkeypatch)
-        strips = self._check(default_secondary_spec(0), *self._pair(4, 57, 513), threads)
+        strips = self._check(monkeypatch, default_secondary_spec(0), *self._pair(4, 57, 513),
+                             threads)
         assert strips == [(0, 28), (28, 57)]
-        assert sorted(calls) == sorted(strips * 2)
+        assert sorted(calls) == strips
 
     # a 1x1 kernel recomputes its layer-1 tap on images of one pixel, one
     # row, and one column in strips of one or two rows (``_VALUES`` holds
@@ -524,9 +559,9 @@ class TestRecomputedLeadingDims:
         spec = ExtractorSpec(depth=3, taps=(1, 3), channels=6, kernel_size=1, seed=3)
         assert recomputed_dims(spec, 4) == 6
         calls = self._record_leading(monkeypatch)
-        strips = self._check(spec, *self._pair(4, h, w), threads)
+        strips = self._check(monkeypatch, spec, *self._pair(4, h, w), threads)
         assert max(y1 - y0 for y0, y1 in strips) == (rows or 1)
-        assert sorted(calls) == sorted(strips * 2)
+        assert sorted(calls) == strips
 
     # the pixels of TestStandardizedMagnitude's order check, with the first
     # 152 dims recomputed: f2 - f1 of them in strips of ``rows`` rows, one
@@ -535,54 +570,28 @@ class TestRecomputedLeadingDims:
     @pytest.mark.parametrize("h,w,rows", [(1, 1, 1), (3, 1, 1), (3, 1, 2), (1, 2, 1), (2, 3, 2)])
     def test_adds_the_leading_dims_one_at_a_time_in_dim_order(self, monkeypatch, block,
                                                               h, w, rows):
-        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        monkeypatch.setattr(cdconf.features, "_BLOCK", block)
         dims = np.array([2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300, np.float32)
-        skip = 152
-
-        def lend(y0, y1, visit):
-            f1 = np.repeat(dims[:skip], (y1 - y0) * w).reshape(skip, y1 - y0, w)
-            visit(y0, y1, f1, 2 * f1, np.empty(max(2 * block, 7 * (y1 - y0) * w), np.float32))
-
-        g = np.repeat(dims[skip:], h * w).reshape(-1, h, w)
+        f1, g = (np.repeat(part, h * w).reshape(-1, h, w) for part in (dims[:152], dims[152:]))
         ones = np.ones(len(dims), np.float32)
-        rho = _standardized_magnitude(g, ones, ones > 0, _strips(h, rows), 1, lend).rho
+        rho = _strip_by_strip(g, ones, ones > 0, _strips(h, rows), f1, 2 * f1)
         assert (rho == np.float32(2.0**30)).all()
 
-    # (spec, bands, height, width); at 96x1100 the primary's strips are 48
-    # rows, too wide for one dim of the magnitude pass in 2 * _BLOCK
-    # entries, which then takes the 7 entries a pixel of one dim in the
-    # patch block.  A primary strip of 48x1400 and a secondary one of
-    # 16x4200 are 67,200 pixels, whose one dim (470,400 entries) is more
-    # than their GEMM tiles and 2 * _BLOCK, so the patch block grows to
-    # hold it; a primary strip of 25x2001 is an odd 50,025 pixels
-    _TRACED = {"secondary": (default_secondary_spec(0), 4, 256, 256),
-               "identity": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 4, 256, 256),
-               "identity-100-bands": (ExtractorSpec(kind=ExtractorKind.IDENTITY), 100, 128, 256),
-               "primary-96x1100": (default_primary_spec(0), 4, 96, 1100),
-               "primary-48x1400": (default_primary_spec(0), 4, 48, 1400),
-               "secondary-16x4200": (default_secondary_spec(0), 4, 16, 4200),
-               "primary-25x2001": (default_primary_spec(0), 4, 25, 2001)}
-
-    @pytest.mark.parametrize("case", list(_TRACED))
-    def test_traced_magnitude_pass_holds_only_its_map(self, case):
-        # the recomputed rows, the float64 blocks and the quotients all lie
-        # in the scratch buffers the first pass left; a buffer of a strip's
-        # recomputed rows would add 3 MiB at 256 wide, and magnitude-pass
-        # buffers of its own 1.5 MiB to an identity detection
-        spec, bands, h, w = self._TRACED[case]
-        if bands == 4:
-            t1, t2, _ = generate(SceneSpec(width=w, height=h, seed=2))
-            x1, x2 = normalize_pair(t1, t2)
-        else:
-            x1, x2 = self._pair(bands, h, w)
-        g, sd, live, strips, lend = _difference(spec, x1, x2, 1)
-        tracemalloc.start()
-        try:
-            m = _standardized_magnitude(g, sd, live, strips, 1, lend)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= m.rho.nbytes + 2**17
+    # a 170x96 image is two strips of 85 rows, n = 8160 pixels, of the stock
+    # secondary: moments of one dim a call (8) or of three (3n), and
+    # magnitude blocks of one dim (8, 3n), of two (5n) and of nine (2**17),
+    # none across the 48 recomputed dims
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("block", [8, 3 * 8160, 5 * 8160, 2**17])
+    def test_bit_identical_for_every_block_size(self, monkeypatch, block, threads):
+        spec = default_secondary_spec(0)
+        x1, x2 = self._pair(4, 170, 96)
+        want = detect_pair(x1, x2, spec, threads)
+        monkeypatch.setattr(cdconf.features, "_BLOCK", block)
+        res, g, sd, live, calls = _recorded_detection(monkeypatch, x1, x2, spec, threads)
+        assert [c[:2] for c in calls] == [(0, 85), (85, 170)]
+        assert np.array_equal(res.magnitude.rho, whole_stack_magnitude_reference(g, sd, live))
+        assert np.array_equal(res.magnitude.rho, want.magnitude.rho) and res.tau == want.tau
 
 
 class TestStandardizedMagnitude:
@@ -596,33 +605,33 @@ class TestStandardizedMagnitude:
         f2 = np.maximum(rng.normal(size=(h, w, d)), 0).astype(np.float32)
         return f1, f2
 
-    def _rho(self, f1, f2):
+    def _rho(self, monkeypatch, f1, f2):
         """The magnitude of the (h, w, D) stacks through ``detect_pair``'s
-        strips with identity features, checked against the magnitude pass
-        on the whole difference stack."""
+        strips with identity features, checked against ``_strip_magnitude``
+        on the whole difference stack as one strip, with the detection's
+        std."""
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
         identity = ExtractorSpec(kind=ExtractorKind.IDENTITY)
-        rho = detect_pair(x1, x2, identity).magnitude.rho
-        g = np.ascontiguousarray((f2 - f1).transpose(2, 0, 1))
-        strips = cdconf.features._Extraction(identity, x1).strips
-        assert np.array_equal(_standardized_magnitude(g, *_pooled_std(f1, f2), strips, None,
-                                                      _own_lend(g.shape[-1])).rho, rho)
-        return rho
+        res, g, sd, live, _ = _recorded_detection(monkeypatch, x1, x2, identity)
+        assert np.array_equal(g, (f2 - f1).transpose(2, 0, 1))
+        assert np.array_equal(_strip_by_strip(g, sd, live, [(0, len(f1))]), res.magnitude.rho)
+        return res.magnitude.rho
 
-    def _assert_bit_identical(self, f1, f2):
-        assert np.array_equal(self._rho(f1, f2), standardized_magnitude_reference(f1, f2))
+    def _assert_bit_identical(self, monkeypatch, f1, f2):
+        assert np.array_equal(self._rho(monkeypatch, f1, f2),
+                              standardized_magnitude_reference(f1, f2))
 
-    def test_dead_dims(self):
+    def test_dead_dims(self, monkeypatch):
         f1, f2 = self._pair(64, 80, 8, 31)
         f1[..., [0, 5]] = f2[..., [0, 5]] = 0
-        self._assert_bit_identical(f1, f2)
+        self._assert_bit_identical(monkeypatch, f1, f2)
 
-    def test_dim_constant_at_two_values(self):
+    def test_dim_constant_at_two_values(self, monkeypatch):
         f1, f2 = self._pair(64, 80, 8, 32)
         f1[..., 3], f2[..., 3] = np.float32(2.0), np.float32(3.0)
-        self._assert_bit_identical(f1, f2)
+        self._assert_bit_identical(monkeypatch, f1, f2)
 
-    def test_small_spread_far_from_zero(self):
+    def test_small_spread_far_from_zero(self, monkeypatch):
         # E[x^2] - mu^2 cancels all but a few bits of the variance here; the
         # std merged from strip moments keeps float64 precision.  Every dim
         # has the same small spread, so the relative dead-dim rule keeps dim
@@ -631,22 +640,23 @@ class TestStandardizedMagnitude:
         for f in (f1, f2):
             f *= np.float32(1e-3)
             f[..., 2] += np.float32(1000)
-        self._assert_bit_identical(f1, f2)
+        self._assert_bit_identical(monkeypatch, f1, f2)
         x1, x2 = (Raster(np.ascontiguousarray(f.transpose(2, 0, 1))) for f in (f1, f2))
-        _, sd, live, _, _ = _difference(ExtractorSpec(kind=ExtractorKind.IDENTITY), x1, x2)
+        _, _, sd, live, _ = _recorded_detection(monkeypatch, x1, x2,
+                                                ExtractorSpec(kind=ExtractorKind.IDENTITY))
         pooled = np.concatenate([f1[..., 2].ravel(), f2[..., 2].ravel()]).astype(np.float64)
         want = np.sqrt(np.mean((pooled - pooled.mean()) ** 2))
         assert live[2] and abs(float(sd[2]) - want) <= 1e-6 * want
 
-    def test_constant_non_dyadic_dim_at_scale(self):
+    def test_constant_non_dyadic_dim_at_scale(self, monkeypatch):
         # a constant 0.1 over 512x512 pixels must come out dead, as whole-stack
         # two-pass moments make it, not carry a rounding-noise variance
         f1, f2 = self._pair(512, 512, 2, 33)
         f1[..., 0] = f2[..., 0] = np.float32(0.1)
-        self._assert_bit_identical(f1, f2)
-        rho = self._rho(f1, f2)
+        self._assert_bit_identical(monkeypatch, f1, f2)
+        rho = self._rho(monkeypatch, f1, f2)
         f1[..., 0] = f2[..., 0] = 0
-        assert np.array_equal(rho, self._rho(f1, f2))
+        assert np.array_equal(rho, self._rho(monkeypatch, f1, f2))
 
     def test_traced_peak_within_half_a_stack(self):
         # a few blocks and the map; one stack-sized temporary would exceed it
@@ -656,11 +666,11 @@ class TestStandardizedMagnitude:
         live = np.arange(96) % 7 != 0
         tracemalloc.start()
         try:
-            m = _standardized_magnitude(g, sd, live, _strips(256, 64), 1, _own_lend(256))
+            rho = _strip_by_strip(g, sd, live, _strips(256, 64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        del m
+        del rho
         assert peak <= 0.5 * g.nbytes
 
 
@@ -672,20 +682,14 @@ class TestStandardizedMagnitude:
         assert all(0 < d1 - d0 <= 3 and (d1 <= 5 or d0 >= 5) for d0, d1 in runs)
         assert all(b[0] > a[1] or b[0] == 5 or a[1] - a[0] == 3 for a, b in zip(runs, runs[1:]))
 
-    def _spanned_case(self, key, d, skip):
+    def _spanned_case(self, key, d):
         """A (d, 6, 96) difference stack of which dims 3 and 8 are dead, with
-        finite stds, and a ``lend`` that recomputes its first ``skip`` dims:
-        rows of zeros as f1 and of g as f2."""
+        finite stds."""
         rng = np.random.Generator(np.random.Philox(key=key))
         g = rng.normal(size=(d, 6, 96)).astype(np.float32)
         sd = (rng.random(d) + 0.5).astype(np.float32)
         live = ~np.isin(np.arange(d), [3, 8])
-
-        def lend(y0, y1, visit):
-            rows = g[:skip, y0:y1]
-            visit(y0, y1, np.zeros_like(rows), rows, np.empty(2 * 2**17, np.float32))
-
-        return g, sd, live, lend
+        return g, sd, live
 
     def _skipping(self, g, sd, live):
         """rho with the dead dims skipped: each live dim's float64 square of
@@ -696,24 +700,26 @@ class TestStandardizedMagnitude:
         return np.sqrt(total).astype(np.float32)
 
     def _recorded_runs(self, monkeypatch) -> list[list[int]]:
-        runs, original = [], cdconf.dcva._runs
+        runs, original = [], cdconf.features._runs
 
         def recorded(*args):
             got = original(*args)
             runs.extend(got)
             return got
 
-        monkeypatch.setattr(cdconf.dcva, "_runs", recorded)
+        monkeypatch.setattr(cdconf.features, "_runs", recorded)
         return runs
 
-    # dead dims 3 and 8 with finite stds, held or recomputed, between live
-    # dims: no block holds them, so rho has the bits of skipping them
+    # dead dims 3 and 8 with finite stds, held or recomputed (f2 - f1 of
+    # zeros and g's rows), between live dims: no block holds them, so rho
+    # has the bits of skipping them
     @pytest.mark.parametrize("skip", [0, 6, 12])
     def test_a_block_spanning_a_dead_dim_gives_the_bits_of_skipping_it(self, monkeypatch,
                                                                        skip):
-        g, sd, live, lend = self._spanned_case(37, 12, skip)
+        g, sd, live = self._spanned_case(37, 12)
         runs = self._recorded_runs(monkeypatch)
-        rho = _standardized_magnitude(g[skip:], sd, live, [(0, 3), (3, 6)], 1, lend).rho
+        rho = _strip_by_strip(g[skip:], sd, live, [(0, 3), (3, 6)], np.zeros_like(g[:skip]),
+                              g[:skip])
         assert runs and not any(d0 <= d < d1 for d0, d1 in runs for d in (3, 8))
         assert np.array_equal(rho, self._skipping(g, sd, live))
 
@@ -723,10 +729,10 @@ class TestStandardizedMagnitude:
     @pytest.mark.parametrize("std,value", [(np.inf, np.inf), (np.nan, np.nan),
                                            (1e37, np.inf)])
     def test_a_dead_dim_with_unbounded_std_ends_a_block(self, monkeypatch, std, value):
-        g, sd, live, lend = self._spanned_case(38, 12, 0)
+        g, sd, live = self._spanned_case(38, 12)
         g[3, 2, 5], sd[3] = value, std
         runs = self._recorded_runs(monkeypatch)
-        rho = _standardized_magnitude(g, sd, live, [(0, 6)], 1, lend).rho
+        rho = _strip_by_strip(g, sd, live, [(0, 6)])
         assert runs and not any(d0 <= d < d1 for d0, d1 in runs for d in (3, 8))
         assert np.isfinite(rho).all()
         assert np.array_equal(rho, self._skipping(g, sd, live))
@@ -736,10 +742,10 @@ class TestStandardizedMagnitude:
     # and the total's row, and one block of all 19 dims but a dead one
     @pytest.mark.parametrize("block", [8, 3 * 576, 5 * 576, 2**17])
     def test_bit_identical_for_every_block_size(self, monkeypatch, block):
-        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        monkeypatch.setattr(cdconf.features, "_BLOCK", block)
         f1, f2 = self._pair(6, 96, 19, 36)
         f1[..., 4] = f2[..., 4] = 0
-        self._assert_bit_identical(f1, f2)
+        self._assert_bit_identical(monkeypatch, f1, f2)
 
 
     # pixels whose float64 sum of squares, added dim by dim in dim order, is
@@ -754,14 +760,12 @@ class TestStandardizedMagnitude:
     @pytest.mark.parametrize("h,w,pixels", [(1, 1, _PIXELS), (3, 1, 1), (1, 2, _PIXELS),
                                             (2, 3, _PIXELS)])
     def test_adds_the_dims_one_at_a_time_in_dim_order(self, monkeypatch, block, h, w, pixels):
-        monkeypatch.setattr(cdconf.dcva, "_BLOCK", block)
+        monkeypatch.setattr(cdconf.features, "_BLOCK", block)
         monkeypatch.setattr(cdconf.features, "_PIXELS", pixels)
         dims = [2.0**30, 2.0**18, 2.0**18, 2.0**6] + [2.0] * 300
         g = np.repeat(np.array(dims, np.float32), h * w).reshape(-1, h, w)
-        strips = cdconf.features._Extraction(ExtractorSpec(kind=ExtractorKind.IDENTITY),
-                                             Raster(g[:1])).strips
-        rho = _standardized_magnitude(g, np.ones(len(g), np.float32), np.ones(len(g), bool),
-                                      strips, None, _own_lend(w)).rho
+        strips = _Extraction(ExtractorSpec(kind=ExtractorKind.IDENTITY), Raster(g[:1])).strips
+        rho = _strip_by_strip(g, np.ones(len(g), np.float32), np.ones(len(g), bool), strips)
         assert (rho == np.float32(2.0**30)).all()
 
 
