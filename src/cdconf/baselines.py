@@ -195,7 +195,7 @@ def run_method(
     if primary is None:
         primary = detect_pair(x1, x2, f1spec, threads=threads)
     if method.voter is not None:
-        return vote(primary, x1, x2, method.voter(f1spec, f2spec, rcfg, threads), cfg, threads)
+        return vote(primary, x1, x2, method.voter(f1spec, f2spec, rcfg, threads), cfg)
     conf = None if method.from_primary is None else method.from_primary(primary)
     return ConfidentDetection(primary, None, conf)
 

@@ -40,12 +40,11 @@ from .metrics import (
 from .pool import _MAX_WORKERS, default_threads
 from .raster import (
     Raster,
+    _normalized,
     _write_pnm,
     load_confidence_map,
     load_label_map,
     load_raster,
-    normalize_bands,
-    normalize_pair,
     render_change,
     render_confidence,
     save_raster,
@@ -131,9 +130,11 @@ class RunConfig:
 
 
 def _load_pair(cfg: RunConfig) -> tuple[Raster, Raster]:
-    # pooled per-band scaling: a change-shifted band range must not turn into
-    # a whole-image radiometric offset between the two acquisitions
-    return normalize_pair(load_raster(cfg.t1), load_raster(cfg.t2))
+    # pooled per-band scaling, as normalize_pair's: a change-shifted band
+    # range must not turn into a whole-image radiometric offset between the
+    # two acquisitions.  The loaded rasters are this run's own, so they are
+    # scaled in place
+    return _normalized(load_raster(cfg.t1), load_raster(cfg.t2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +170,10 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rcva-window", type=int, default=None)
     p.add_argument("--threads", type=int, default=default_threads(),
                    help="worker threads of each detection's strips of rows, at most "
-                        f"{_MAX_WORKERS} a pass, and of each vote's two noise draws "
-                        "(default: the usable cores); one while OPENBLAS_NUM_THREADS is "
-                        "not 1, and OpenBLAS's own threads do the parallel work")
+                        f"{_MAX_WORKERS} a pass (default: the usable cores); one while "
+                        "OPENBLAS_NUM_THREADS is not 1, and OpenBLAS's own threads do "
+                        "the parallel work.  Everything else, the votes' noise draws "
+                        "among it, runs on the calling thread")
 
 
 # the flag that sets each field of each config; every method reads f1, and
@@ -375,8 +377,9 @@ def cmd_render(args) -> int:
     r = load_raster(args.input)
     if r.bands not in (1, 3):
         raise RejectedValue(f"can only render 1- or 3-band rasters, got {r.bands}")
-    # the normalized samples are this command's own: scale and round them in place
-    data = normalize_bands(r).data
+    # the loaded samples are this command's own: normalize, scale and round
+    # them in place
+    data = _normalized(r)[0].data
     data *= np.float32(255.0)
     np.round(data, out=data)
     gray = data.transpose(1, 2, 0).astype(np.uint8, order="C")

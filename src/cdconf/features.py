@@ -549,10 +549,11 @@ def _pooled(blocks) -> tuple[np.ndarray, np.ndarray]:
 def _pooled_std(f1: np.ndarray, f2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_pooled``'s std and live mask of two equally shaped (..., D) stacks,
     from the moments of blocks of ``_TILE`` pixels, all of f1's and then all
-    of f2's, taken in one buffer of ``_BLOCK`` float64 entries."""
+    of f2's, taken in one buffer of ``_BLOCK`` float64 entries, or of one
+    dim of a block where that is more."""
     if f1.shape != f2.shape:
         raise ShapeMismatch(f"feature stacks differ: {f1.shape} vs {f2.shape}")
-    d, buf = f1.shape[-1], np.empty(_BLOCK)
+    d, buf = f1.shape[-1], np.empty(max(_BLOCK, _TILE))
     return _pooled(_moments(flat[t].T, buf) for flat in (f1.reshape(-1, d), f2.reshape(-1, d))
                    for t in _blocks(len(flat)))
 

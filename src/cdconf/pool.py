@@ -1,8 +1,8 @@
 """The worker threads of a detection.
 
-``_pool_map`` runs the pieces of one pass (the strips of a detection, or
-a vote's two noise draws) on at most ``threads`` and at most
-``_MAX_WORKERS`` worker threads, and never on more workers than pieces.  A
+``_pool_map`` runs the pieces of one pass of a detection, its strips of
+rows, on at most ``threads`` and at most ``_MAX_WORKERS`` worker threads,
+and never on more workers than pieces; no other work runs on workers.  A
 caller that gives no ``threads`` gets ``default_threads()``, the usable
 cores.  ``_workers`` is the one place that decides whether workers may run
 at all: only while OpenBLAS runs one thread per call (see the package

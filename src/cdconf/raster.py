@@ -36,7 +36,7 @@ from .errors import (
 
 _CDR_MAGIC = b"CDR1"
 
-# float64 values normalize_pair scales at a time: its one temporary, 128 KiB.
+# float64 values _normalized scales at a time: its one temporary, 128 KiB.
 _NORM_BLOCK = 16384
 
 
@@ -252,9 +252,10 @@ def normalize_bands(r: Raster) -> Raster:
 
     A constant band maps to all 0.5 so downstream additive noise stays
     centered instead of dividing by zero.  Idempotent: normalizing twice is
-    bit-identical to normalizing once.
+    bit-identical to normalizing once.  The result is a scaled copy: ``r``
+    is left as it is.
     """
-    return _normalized(r)[0]
+    return _normalized(Raster(r.data.copy()))[0]
 
 
 def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:
@@ -263,39 +264,41 @@ def normalize_pair(a: Raster, b: Raster) -> tuple[Raster, Raster]:
     A shared affine per band keeps the two acquisitions comparable: scaling
     them separately would turn any change-induced shift of a band's range
     into a spurious difference at every pixel of that band.  A band constant
-    across both rasters maps to 0.5 in each.
+    across both rasters maps to 0.5 in each.  The results are scaled copies:
+    ``a`` and ``b`` are left as they are.
     """
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"raster shapes differ: {a.data.shape} vs {b.data.shape}")
-    return _normalized(a, b)
+    return _normalized(Raster(a.data.copy()), Raster(b.data.copy()))
 
 
 def _normalized(*rasters: Raster) -> tuple[Raster, ...]:
-    """Rasters of one shape scaled by each band's extremes pooled over all.
+    """The C-contiguous rasters of one shape it is handed, scaled in place
+    by each band's extremes pooled over all of them.
 
     Each value is (x - lo) / (hi - lo) in float64, rounded to float32.  The
-    float32 extremes are exact in float64, and the values pass through one
-    reused float64 block, so the outputs are all that is allocated beside
-    it."""
+    float32 extremes are exact in float64, and a band's extremes are taken
+    over every raster before any of it is scaled.  The values pass through
+    one reused float64 block, the only allocation."""
     shape = rasters[0].data.shape
-    outs = tuple(np.empty(shape, np.float32) for _ in rasters)
+    if any(r.data.shape != shape for r in rasters):
+        raise ShapeMismatch("raster shapes differ: "
+                            + " vs ".join(str(r.data.shape) for r in rasters))
     size = shape[1] * shape[2]
     block = np.empty(min(_NORM_BLOCK, size), np.float64)
     for band in range(shape[0]):
         lo = min(float(r.data[band].min()) for r in rasters)
         hi = max(float(r.data[band].max()) for r in rasters)
-        for r, out in zip(rasters, outs):
+        for r in rasters:
             if not hi > lo:
-                out[band] = np.float32(0.5)
+                r.data[band] = np.float32(0.5)
                 continue
-            src, dst = r.data[band].reshape(-1), out[band].reshape(-1)
+            flat = r.data[band].reshape(-1)
             for i in range(0, size, block.size):
                 buf = block[:size - i]
-                buf[...] = src[i:i + block.size]
+                buf[...] = flat[i:i + block.size]
                 buf -= lo
                 buf /= hi - lo
-                dst[i:i + block.size] = buf
-    return tuple(map(Raster, outs))
+                flat[i:i + block.size] = buf
+    return rasters
 
 
 def render_change(m: LabelMap, path) -> None:

@@ -13,14 +13,14 @@ Every iteration draws its noise from a private SFC64 stream derived from
 (master_seed, image role, iteration index) and made Gaussian by a float32
 Box-Muller transform (``rng.fill_standard_normal``), so results are
 bit-identical regardless of execution order: the reduction into K' is a
-commutative integer sum.  The iterations run one after another.
-``threads`` parallelizes inside each iteration instead: the pair's two
-noise draws run side by side, and so do the detection's strips of rows, in
-both of its passes (see ``dcva.detect_pair``; None, the default, means
-``pool.default_threads()``).  So a run holds one noisy pair, drawn into the
-same two buffers at every iteration, and one noisy detection at a time
-whatever the thread count, and its results do not depend on the thread
-count either.
+commutative integer sum.  The iterations run one after another, and each
+draws its pair's two noisy rasters in order on the calling thread.  Only a
+detection runs on worker threads: ``threads`` of ``run_proposed`` and
+``ensemble_counts`` is handed to ``dcva.detect_pair``, which runs its strips
+of rows on them (None, the default, means ``pool.default_threads()``).  So a
+run holds one noisy pair, drawn into the same two buffers at every
+iteration, and one noisy detection at a time whatever the thread count, and
+its results do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .dcva import ChangeResult, detect_pair
 from .errors import InvariantViolation, RejectedValue, ShapeMismatch
 from .features import ExtractorSpec
-from .pool import _pool_map
 from .raster import ConfidenceMap, ConfidenceState, Raster
 from .rng import ROLE_NOISE_T1, ROLE_NOISE_T2, fill_standard_normal, mix64
 
@@ -124,31 +123,29 @@ def ensemble_counts_with(
     x2: Raster,
     detector: Detector,
     cfg: SmoothingConfig,
-    threads: int | None = None,
 ) -> EnsembleCounts:
     """Ensemble scaffolding with a pluggable per-iteration change detector.
 
     Iterations 1..K run in order.  Each perturbs both images with independent
-    noise streams (correlated noise would cancel in the difference), the
-    two draws side by side on up to ``threads`` worker threads (None:
-    ``pool.default_threads()``), and counts the changed labels of
+    noise streams (correlated noise would cancel in the difference), one
+    after the other on the calling thread, and counts the changed labels of
     ``detector`` on the noisy pair; a detector that runs on several threads
     holds its own thread count.  The counts do not depend on the order the
     iterations or the draws run in: iteration k's noise depends only on
     (master seed, role, k), and the reduction is a commutative integer sum.
 
-    The two noisy rasters are allocated once, in the calling thread, and
-    every iteration draws into them (none at sigma = 0, where the votes see
-    the clean pair), so K votes allocate no raster.  The detector must
-    therefore keep neither input raster: the next iteration overwrites them.
+    The two noisy rasters are allocated once, and every iteration draws
+    into them (none at sigma = 0, where the votes see the clean pair), so K
+    votes allocate no raster.  The detector must therefore keep neither
+    input raster: the next iteration overwrites them.
     """
     if x1.data.shape != x2.data.shape:
         raise ShapeMismatch(f"raster shapes differ: {x1.data.shape} vs {x2.data.shape}")
     k_prime = np.zeros((x1.height, x1.width), dtype=np.int32)
     noisy = [np.empty(x.data.shape, np.float32) if cfg.sigma > 0 else None for x in (x1, x2)]
     for k in range(1, cfg.iterations + 1):
-        draws = list(zip((x1, x2), iteration_seeds(cfg.master_seed, k), noisy))
-        pair = _pool_map(lambda d: perturb(d[0], cfg.sigma, d[1], d[2]), draws, threads)
+        pair = [perturb(x, cfg.sigma, seed, out)
+                for x, seed, out in zip((x1, x2), iteration_seeds(cfg.master_seed, k), noisy)]
         k_prime += detector(*pair).labels.changed
     return EnsembleCounts(k_prime=k_prime, k=cfg.iterations)
 
@@ -162,9 +159,9 @@ def ensemble_counts(
     threads: int | None = None,
 ) -> EnsembleCounts:
     """Run K noisy re-detections with the secondary extractor and count
-    changed verdicts per pixel."""
-    return ensemble_counts_with(x1, x2, partial(detect_pair, spec=f2spec, threads=threads), cfg,
-                                threads)
+    changed verdicts per pixel; each detection runs on up to ``threads``
+    worker threads."""
+    return ensemble_counts_with(x1, x2, partial(detect_pair, spec=f2spec, threads=threads), cfg)
 
 
 def fuse_confidence(
@@ -232,11 +229,10 @@ def check_detection(det: ConfidentDetection) -> None:
 
 
 def vote(primary: ChangeResult, x1: Raster, x2: Raster, detector: Detector,
-         cfg: SmoothingConfig, threads: int | None = None) -> ConfidentDetection:
+         cfg: SmoothingConfig) -> ConfidentDetection:
     """K noisy votes by ``detector`` on (x1, x2), fused with ``primary``, the
-    clean detection of the pair: every voting confidence method ends here.
-    ``threads`` bounds the worker threads of each vote's two noise draws."""
-    counts = ensemble_counts_with(x1, x2, detector, cfg, threads)
+    clean detection of the pair: every voting confidence method ends here."""
+    counts = ensemble_counts_with(x1, x2, detector, cfg)
     fused = fuse_confidence(primary, counts, cfg.conf_threshold)
     return ConfidentDetection(primary, counts, fused)
 
@@ -245,4 +241,4 @@ def run_proposed(x1: Raster, x2: Raster, f1spec: ExtractorSpec, f2spec: Extracto
                  cfg: SmoothingConfig, *, threads: int | None = None) -> ConfidentDetection:
     """Primary detection plus a confidence map voted by the secondary extractor."""
     return vote(detect_pair(x1, x2, f1spec, threads=threads), x1, x2,
-                partial(detect_pair, spec=f2spec, threads=threads), cfg, threads)
+                partial(detect_pair, spec=f2spec, threads=threads), cfg)

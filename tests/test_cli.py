@@ -276,6 +276,29 @@ class TestDetect:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_load_traced_peak_is_the_two_rasters(self, tmp_path):
+        # the loaded rasters are the run's own and are normalized in place,
+        # through one float64 block: no normalized copy of either
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from cdconf.raster import _NORM_BLOCK, Raster, normalize_pair, save_raster
+
+        rng = np.random.Generator(np.random.Philox(key=4))
+        raw = [Raster(rng.normal(size=(3, 101, 257)).astype(np.float32)) for _ in range(2)]
+        cfg = SimpleNamespace(t1=tmp_path / "t1.cdr", t2=tmp_path / "t2.cdr")
+        for r, path in zip(raw, (cfg.t1, cfg.t2)):
+            save_raster(r, path)
+        tracemalloc.start()
+        try:
+            got = cdconf.cli._load_pair(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * raw[0].data.nbytes + 8 * _NORM_BLOCK + 16384
+        for g, w in zip(got, normalize_pair(*raw)):
+            assert np.array_equal(g.data.view(np.uint32), w.data.view(np.uint32))
+
 
 def _with(run: dict, *path, value) -> str:
     """run.json text with the entry at ``path`` set to ``value``."""
@@ -654,15 +677,15 @@ class TestRender:
         head = (b"P5" if bands == 1 else b"P6") + b"\n13 9\n255\n"
         assert out.read_bytes() == head + gray.tobytes()
 
-    def test_traced_peak_is_two_rasters(self, tmp_path):
-        # the loaded and the normalized raster; the normalized one is scaled
-        # and rounded in place
+    def test_traced_peak_is_the_raster_and_its_bytes(self, tmp_path):
+        # the loaded raster is normalized, scaled and rounded in place, and
+        # then cast to its 8-bit samples, a quarter of its size
         import tracemalloc
 
         from cdconf.raster import Raster, save_raster
 
         r = Raster(np.random.Generator(np.random.Philox(key=3)).uniform(
-            0, 1, (3, 101, 257)).astype(np.float32))
+            0, 1, (3, 257, 513)).astype(np.float32))
         src = tmp_path / "x.cdr"
         save_raster(r, src)
         argv = ["render", "--input", str(src), "--out", str(tmp_path / "x.ppm")]
@@ -673,7 +696,7 @@ class TestRender:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * r.data.nbytes + 262144
+        assert peak <= 1.25 * r.data.nbytes + 262144
 
     def test_rejects_other_band_counts(self, tmp_path):
         from cdconf.raster import Raster, save_raster

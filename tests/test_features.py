@@ -800,6 +800,25 @@ class TestStandardizePair:
         with pytest.raises(ShapeMismatch):
             standardize_pair(np.zeros((2, 2, 3), np.float32), np.zeros((2, 2, 4), np.float32))
 
+    # a block smaller than one dim of a _TILE block of pixels, and one that
+    # holds three dims of it: the moments buffer holds a dim either way, and
+    # each dim's sums are the same pairwise sums
+    @pytest.mark.parametrize("block", [8, 3 * _TILE])
+    def test_bit_identical_for_every_block_size(self, monkeypatch, block):
+        # 100x90 is 3 blocks of pixels a stack, the last one ragged; dim 4
+        # is dead, dim 1 far from zero
+        rng = np.random.Generator(np.random.Philox(key=37))
+        f1 = rng.normal(size=(100, 90, 7)).astype(np.float32)
+        f2 = rng.normal(size=(100, 90, 7)).astype(np.float32)
+        f1[..., 1] += np.float32(300)
+        f1[..., 4] = f2[..., 4] = np.float32(0.1)
+        want = standardize_pair(f1, f2)
+        monkeypatch.setattr(cdconf.features, "_BLOCK", block)
+        got = standardize_pair(f1, f2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+        assert not want[0][..., 4].any()
+
 
 class TestStridedPatches:
     """``_patches``' one strided view of a layer's rows gives every patch

@@ -18,6 +18,7 @@ from cdconf.errors import (
 )
 from cdconf.raster import (
     _NORM_BLOCK,
+    _normalized,
     ConfidenceMap,
     ConfidenceState,
     LabelMap,
@@ -416,6 +417,39 @@ class TestNormalizePair:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             normalize_pair(_raster(np.zeros((1, 2, 2))), _raster(np.zeros((1, 3, 2))))
+        with pytest.raises(ShapeMismatch):
+            _normalized(_raster(np.zeros((1, 2, 2))), _raster(np.zeros((1, 3, 2))))
+
+    # a caller may reuse what it normalized: the results are scaled copies
+    def test_leaves_its_inputs_as_they_are(self):
+        rng = np.random.Generator(np.random.Philox(key=15))
+        a, b = (_raster(rng.uniform(-4, 9, size=(2, 7, 5))) for _ in range(2))
+        was = [a.data.copy(), b.data.copy()]
+        got = (*normalize_pair(a, b), normalize_bands(a))
+        for r, w in zip((a, b), was):
+            assert np.array_equal(r.data.view(np.uint32), w.view(np.uint32))
+        assert not any(np.shares_memory(g.data, r.data) for g in got for r in (a, b))
+
+    # the rasters _normalized is handed are scaled where they are, band by
+    # band, each by the extremes of both taken before any of it is scaled;
+    # the second raster holds the first band's low and high
+    def test_the_rasters_it_is_handed_are_scaled_in_place(self):
+        rng = np.random.Generator(np.random.Philox(key=16))
+        a = rng.normal(size=(3, 37, 129)).astype(np.float32)
+        b = rng.normal(size=(3, 37, 129)).astype(np.float32)
+        b[0, 0, 0], b[0, 36, 128] = -1e3, 1e3
+        a[2] = b[2] = np.float32(4)
+        want = normalize_pair_reference(a, b)
+        x1, x2 = Raster(a), Raster(b)
+        got = _normalized(x1, x2)
+        assert got[0] is x1 and got[1] is x2
+        for arr, w in zip((a, b), want):
+            assert np.array_equal(arr.view(np.uint32), w.view(np.uint32))
+
+    def test_in_place_traced_peak_is_one_block(self):
+        rng = np.random.Generator(np.random.Philox(key=17))
+        a, b = (Raster(rng.normal(size=(3, 101, 257)).astype(np.float32)) for _ in range(2))
+        assert _traced_peak(lambda: _normalized(a, b)) <= 8 * _NORM_BLOCK + 16384
 
 
 class TestRendering:

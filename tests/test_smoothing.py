@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cdconf.pool
 import cdconf.rng
-from cdconf.baselines import RcvaConfig, rcva_detect
+from cdconf.baselines import METHODS, RcvaConfig, rcva_detect, run_method
 from cdconf.dcva import ChangeResult, MagnitudeMap, detect_pair, threshold_labels
 from cdconf.errors import InvariantViolation, RejectedValue, ShapeMismatch
 from cdconf.features import ExtractorSpec, default_primary_spec, default_secondary_spec
@@ -280,31 +280,44 @@ class TestEnsembleCounts:
         b = ensemble_counts(x1, x2, _F2, cfg, threads=4)
         assert np.array_equal(a.k_prime, b.k_prime)
 
-    # the pair's two noise draws run side by side, for every voter
-    @pytest.mark.parametrize("voter", ["detect_pair", "rcva_detect"])
-    def test_counts_identical_for_every_thread_count(self, voter):
-        x1, x2 = _pair(9)
-        detector = {"detect_pair": partial(detect_pair, spec=_F2, threads=1),
-                    "rcva_detect": partial(rcva_detect, cfg=RcvaConfig(1))}[voter]
-        cfg = SmoothingConfig(sigma=0.1, iterations=5, master_seed=23)
-        counts = [ensemble_counts_with(x1, x2, detector, cfg, t).k_prime for t in (1, 2, 3)]
-        assert counts[0].any() and not counts[0].all()
-        assert all(np.array_equal(counts[0], c) for c in counts[1:])
-
+    # a vote draws its two noisy rasters on the calling thread, so a voter
+    # that starts no pool, as the neighbourhood vote's, runs every vote
+    # without one, even in a run whose detections have two threads
     def test_one_thread_starts_no_pool_for_the_noise(self, monkeypatch):
         class Refused(cdconf.pool.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
-                raise AssertionError("a worker pool started at threads=1")
+                raise AssertionError("a vote started a worker pool")
 
-        monkeypatch.setattr(cdconf.pool, "ThreadPoolExecutor", Refused)
-        x1, x2 = _pair(10)
         cfg = SmoothingConfig(sigma=0.1, iterations=3, master_seed=24)
-        ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg, 1)
+        t1, t2, _ = generate(SceneSpec(width=96, height=80, seed=3, misregistration_shift=1))
+        x1, x2 = normalize_pair(t1, t2)
+        f1 = default_primary_spec(0)
+        primary = detect_pair(x1, x2, f1, threads=2)
+        monkeypatch.setattr(cdconf.pool, "ThreadPoolExecutor", Refused)
+        det = run_method(METHODS["conf-rcva"], x1, x2, f1, None, cfg, RcvaConfig(1), threads=2,
+                         primary=primary)
+        assert det.counts.k_prime.any()
+
+    # the only pools of a run are its detections' two strip passes: a K = 2
+    # run on 128x128 detects its primary in one strip and each vote in two
+    def test_the_pools_of_a_run_are_its_detections(self, monkeypatch):
+        sizes = []
+
+        class Recorded(cdconf.pool.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cdconf.pool, "ThreadPoolExecutor", Recorded)
+        t1, t2, _ = generate(SceneSpec(width=128, height=128, seed=5))
+        x1, x2 = normalize_pair(t1, t2)
+        run_proposed(x1, x2, default_primary_spec(0), default_secondary_spec(0),
+                     SmoothingConfig(iterations=2), threads=2)
+        assert sizes == [2] * 4
 
     # a vote's two noisy rasters are drawn into the same two buffers at every
-    # iteration, whichever thread draws them: K votes allocate no raster
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_every_vote_draws_into_the_same_two_rasters(self, threads):
+    # iteration: K votes allocate no raster
+    def test_every_vote_draws_into_the_same_two_rasters(self):
         x1, x2 = _pair(11)
         seen = []
 
@@ -313,12 +326,12 @@ class TestEnsembleCounts:
             return rcva_detect(a, b, RcvaConfig(1))
 
         cfg = SmoothingConfig(sigma=0.1, iterations=4, master_seed=25)
-        counts = ensemble_counts_with(x1, x2, recording, cfg, threads)
+        counts = ensemble_counts_with(x1, x2, recording, cfg)
         assert len(seen) == 4
         for before, now in zip(seen, seen[1:]):
             assert all(np.shares_memory(p.data, q.data) for p, q in zip(before, now))
         assert not any(np.shares_memory(n.data, x.data) for n, x in zip(seen[-1], (x1, x2)))
-        want = ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg, 1)
+        want = ensemble_counts_with(x1, x2, partial(rcva_detect, cfg=RcvaConfig(1)), cfg)
         assert np.array_equal(counts.k_prime, want.k_prime)
 
     def test_sigma_zero_votes_on_the_clean_pair_and_allocates_no_raster(self):
@@ -333,7 +346,7 @@ class TestEnsembleCounts:
 
         tracemalloc.start()
         try:
-            ensemble_counts_with(x1, x2, recording, SmoothingConfig(sigma=0.0, iterations=3), 2)
+            ensemble_counts_with(x1, x2, recording, SmoothingConfig(sigma=0.0, iterations=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
